@@ -29,7 +29,10 @@ recorder) runs under both dispatchers; the two results must be
 *identical* — this is the faulted fast path's parity gate at system
 scale — and its deterministic counters (ops/completed/failed/
 violations) are exact-gated through the ``micro`` section so the
-fault-injected workload itself cannot silently drift.
+fault-injected workload itself cannot silently drift.  A denser
+sibling of that cell, tight enough that the cache hands memory back,
+contributes its summed ``LogStats`` (cleanings, segments freed, bytes
+relocated) the same way: they pin the log cleaner's behaviour.
 
 The baseline file is sectioned (``bench-baseline/v2``): ``headlines``
 holds the Figure 7 latencies (tolerance-gated) and ``micro`` holds
@@ -144,28 +147,14 @@ def measure_kernel_ratios() -> dict:
     return ratios
 
 
-def measure_faulted_cell() -> dict:
-    """Seeded chaos cell under both dispatchers: parity + counters.
-
-    Returns the cell's deterministic counters for the ``micro`` section
-    and raises if the fast-faulted and generic runs diverge in *any*
-    field — the system-scale parity gate for the faulted fast path.
-    """
+def _run_under_both_dispatchers(cell) -> dict:
+    """The cell's result, identical under fast-faulted and generic
+    dispatch — or an AssertionError naming the fields that diverged."""
     from dataclasses import asdict  # noqa: E402
 
-    from repro.bench.chaos import ChaosCell, run_chaos_cell  # noqa: E402
+    from repro.bench.chaos import run_chaos_cell  # noqa: E402
     from repro.sim import fastpath  # noqa: E402
 
-    cell = ChaosCell(
-        backend="ofc",
-        intensity="medium",
-        quota_policy="none",
-        n_tenants=24,
-        mean_interval_s=6.0,
-        duration_s=20.0,
-        seed=11,
-        warmup_s=10.0,
-    )
     original = fastpath.enabled()
     results = {}
     try:
@@ -184,12 +173,47 @@ def measure_faulted_cell() -> dict:
             "faulted cell diverged between fast and generic dispatch "
             f"(fields: {', '.join(diverged)})"
         )
-    fast = results[True]
+    return results[True]
+
+
+def measure_faulted_cell() -> dict:
+    """Seeded chaos cells under both dispatchers: parity + counters.
+
+    Returns the cells' deterministic counters for the ``micro`` section
+    and raises if the fast-faulted and generic runs diverge in *any*
+    field — the system-scale parity gate for the faulted fast path.
+    """
+    from dataclasses import replace  # noqa: E402
+
+    from repro.bench.chaos import ChaosCell  # noqa: E402
+
+    cell = ChaosCell(
+        backend="ofc",
+        intensity="medium",
+        quota_policy="none",
+        n_tenants=24,
+        mean_interval_s=6.0,
+        duration_s=20.0,
+        seed=11,
+        warmup_s=10.0,
+    )
+    fast = _run_under_both_dispatchers(cell)
+    # That cell is roomy — its log cleaner never runs.  Five times the
+    # tenants at twice the rate make the cache hand memory back, and
+    # the summed LogStats then pin what the cleaner picks and relocates:
+    # they move even when an op history (every counter above) survives.
+    dense = _run_under_both_dispatchers(
+        replace(cell, n_tenants=120, mean_interval_s=3.0)
+    )
+    log_stats = dense["log_stats"]
     return {
         "faults/cell_ops": fast["ops"],
         "faults/cell_completed": fast["completed"],
         "faults/cell_failed": fast["failed"],
         "faults/cell_violations": fast["violations_total"],
+        "faults/dense_cell_log_cleanings": log_stats["cleanings"],
+        "faults/dense_cell_log_segments_freed": log_stats["segments_freed"],
+        "faults/dense_cell_log_relocated_bytes": log_stats["relocated_bytes"],
     }
 
 

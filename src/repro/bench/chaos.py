@@ -98,10 +98,25 @@ class ChaosCellResult:
     violation_details: List[Dict[str, Any]] = field(default_factory=list)
     #: The exact schedule the cell ran (replayable).
     schedule: Dict[str, Any] = field(default_factory=dict)
+    #: ``LogStats`` summed over the cache servers' master logs (empty on
+    #: backends without one): pins *what* the cleaner did, which the
+    #: op history cannot see.
+    log_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def cell_id(self) -> str:
         return f"{self.backend}-{self.intensity}-{self.quota_policy}"
+
+
+def _log_stats(backend) -> Dict[str, int]:
+    cluster = getattr(backend, "cluster", None)
+    if cluster is None:
+        return {}
+    totals: Dict[str, int] = {}
+    for server in cluster.coordinator.servers.values():
+        for name, value in asdict(server.log.stats).items():
+            totals[name] = totals.get(name, 0) + value
+    return totals
 
 
 def run_chaos_cell(cell: ChaosCell) -> ChaosCellResult:
@@ -173,6 +188,7 @@ def run_chaos_cell(cell: ChaosCell) -> ChaosCellResult:
         violations=count_by_invariant(violations),
         violation_details=[v.to_dict() for v in violations[:10]],
         schedule=schedule.to_dict(),
+        log_stats=_log_stats(ofc.backend),
     )
 
 

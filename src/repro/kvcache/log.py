@@ -7,22 +7,38 @@ that structure faithfully enough to expose its externally visible
 behaviour: memory *footprint* (allocated segments) can exceed *live*
 bytes until the cleaner runs, and the cleaner's work is proportional to
 the live bytes it relocates.
+
+The footprint is read on the critical path of every cold start (§6.4:
+the cache is shrunk before a sandbox gets its memory), so nothing here
+is recomputed on read: byte figures are integer counters kept by
+append/delete/drop, and the cleaner's victims are a work-list kept at
+the same three points.  ``tests/kvcache/reference_log.py`` is the
+recompute-everything oracle; :meth:`ObjectLog.audit` checks the
+counters against the same recomputation on a live log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Set, Tuple
 
 from repro.kvcache.errors import CacheError
 from repro.sim.latency import MB
 
 SEGMENT_SIZE = 8 * MB
 
+#: The cleaner relocates closed segments whose live share is below this.
+CLEAN_UTILIZATION = 0.75
 
-@dataclass
+
+@dataclass(eq=False)
 class Segment:
-    """One log segment: capacity plus live/dead byte accounting."""
+    """One log segment: capacity plus live/dead byte accounting.
+
+    Compared and hashed by identity: two fully dead segments with equal
+    byte counts are still two segments.
+    """
 
     capacity: int = SEGMENT_SIZE
     live: Dict[str, int] = field(default_factory=dict)
@@ -30,25 +46,11 @@ class Segment:
     #: Running sum of ``live.values()``, maintained by the owning log's
     #: append/delete (integer arithmetic, so it is exactly the sum).
     live_total: int = 0
+    #: Creation rank in the owning log; the cleaner works oldest first.
+    rank: int = 0
 
-    @property
-    def live_bytes(self) -> int:
-        return self.live_total
 
-    @property
-    def used_bytes(self) -> int:
-        return self.live_bytes + self.dead_bytes
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.used_bytes
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity occupied by live entries."""
-        if self.capacity == 0:
-            return 0.0
-        return self.live_bytes / self.capacity
+_by_rank = attrgetter("rank")
 
 
 @dataclass
@@ -67,40 +69,42 @@ class ObjectLog:
         if segment_size <= 0:
             raise CacheError("segment size must be positive")
         self.segment_size = segment_size
-        self._segments: List[Segment] = []
+        #: Allocated segments in creation order (a dict for its O(1)
+        #: identity-keyed removal; the values are unused).
+        self._segments: Dict[Segment, None] = {}
+        #: Closed segments under ``CLEAN_UTILIZATION``: the cleaner's
+        #: work-list.  A closed segment only ever loses live bytes, so
+        #: once in, a segment stays until it is dropped.
+        self._cleanable: Set[Segment] = set()
+        self._created = 0
         self._head: Segment = self._new_segment()
         self._locations: Dict[str, Segment] = {}
         self.stats = LogStats()
-        #: Running total of live bytes across segments (exact: ints).
-        self._live_total = 0
-        #: Memoized ``footprint_bytes``; ``None`` marks it stale (every
-        #: mutation goes through append/delete/clean, which invalidate).
-        self._footprint_cache: Optional[int] = 0
+        #: Live bytes across all segments.
+        self.live_bytes = 0
+        #: Bytes of allocated segments (what the memory pool must hold).
+        #: A never-written segment is only a reservation and is not
+        #: charged, so an empty log has footprint 0: a segment's
+        #: capacity is added when its first byte lands and subtracted
+        #: when the segment is dropped.
+        self.footprint_bytes = 0
 
     def _new_segment(self, capacity: int = 0) -> Segment:
-        segment = Segment(capacity=capacity or self.segment_size)
-        self._segments.append(segment)
+        segment = Segment(
+            capacity=capacity or self.segment_size, rank=self._created
+        )
+        self._created += 1
+        self._segments[segment] = None
         return segment
 
+    def _drop(self, segment: Segment) -> None:
+        del self._segments[segment]
+        self._cleanable.discard(segment)
+        if segment.live_total + segment.dead_bytes:
+            self.footprint_bytes -= segment.capacity
+        self.stats.segments_freed += 1
+
     # -- accounting ---------------------------------------------------------
-
-    @property
-    def live_bytes(self) -> int:
-        return self._live_total
-
-    @property
-    def footprint_bytes(self) -> int:
-        """Bytes of allocated segments (what the memory pool must hold).
-
-        A never-written (fully empty) segment is only a reservation and
-        is not charged against the pool, so an empty log has footprint 0.
-        """
-        cached = self._footprint_cache
-        if cached is None:
-            cached = self._footprint_cache = sum(
-                seg.capacity for seg in self._segments if seg.used_bytes > 0
-            )
-        return cached
 
     @property
     def segment_count(self) -> int:
@@ -115,6 +119,38 @@ class ObjectLog:
     def keys(self):
         return self._locations.keys()
 
+    def audit(self) -> None:
+        """Recompute every running figure from the segments themselves
+        and raise :class:`CacheError` naming the ones that drifted."""
+        head = self._head
+        live = {seg: sum(seg.live.values()) for seg in self._segments}
+        recomputed = {
+            "live_bytes": sum(live.values()),
+            "footprint_bytes": sum(
+                seg.capacity for seg, n in live.items() if n + seg.dead_bytes
+            ),
+            "_cleanable": {
+                seg
+                for seg, n in live.items()
+                if seg is not head and n / seg.capacity < CLEAN_UTILIZATION
+            },
+            "_locations": {key: seg for seg in live for key in seg.live},
+        }
+        drift = [
+            f"{name}: {getattr(self, name)!r}, recomputed {want!r}"
+            for name, want in recomputed.items()
+            if getattr(self, name) != want
+        ]
+        drift += [
+            f"segment {seg.rank}: live_total {seg.live_total}, recomputed {n}"
+            for seg, n in live.items()
+            if seg.live_total != n
+        ]
+        if head not in live:
+            drift.append("the head segment is not allocated")
+        if drift:
+            raise CacheError("log accounting drifted: " + "; ".join(drift))
+
     # -- mutation -----------------------------------------------------------
 
     def append(self, key: str, size: int) -> None:
@@ -123,19 +159,21 @@ class ObjectLog:
             raise CacheError("entry size must be non-negative")
         if key in self._locations:
             self.delete(key)
+        segment = self._head
         if size > self.segment_size:
             # Jumbo entry: dedicated segment of exact size.
             segment = self._new_segment(capacity=size)
-        elif size > self._head.free_bytes:
-            self._head = self._new_segment()
-            segment = self._head
-        else:
-            segment = self._head
+        elif size > segment.capacity - segment.live_total - segment.dead_bytes:
+            closed = segment
+            segment = self._head = self._new_segment()
+            if closed.live_total / closed.capacity < CLEAN_UTILIZATION:
+                self._cleanable.add(closed)
+        if size and not segment.live_total + segment.dead_bytes:
+            self.footprint_bytes += segment.capacity
         segment.live[key] = size
         segment.live_total += size
-        self._live_total += size
+        self.live_bytes += size
         self._locations[key] = segment
-        self._footprint_cache = None
         self.stats.appends += 1
 
     def delete(self, key: str) -> int:
@@ -146,42 +184,35 @@ class ObjectLog:
         size = segment.live.pop(key)
         segment.live_total -= size
         segment.dead_bytes += size
-        self._live_total -= size
-        self._footprint_cache = None
+        self.live_bytes -= size
         self.stats.deletes += 1
-        # A fully dead, non-head segment is reclaimed immediately.
-        if segment is not self._head and not segment.live:
-            self._segments.remove(segment)
-            self.stats.segments_freed += 1
+        if segment is not self._head:
+            if not segment.live:
+                # A fully dead closed segment is reclaimed immediately.
+                self._drop(segment)
+            elif segment.live_total / segment.capacity < CLEAN_UTILIZATION:
+                self._cleanable.add(segment)
         return size
 
-    def clean(self, max_utilization: float = 0.75) -> Tuple[int, int]:
+    def clean(self) -> Tuple[int, int]:
         """Relocate live entries out of under-utilized closed segments.
 
         Returns (segments freed, live bytes relocated).  Relocation uses
         the normal append path, so the cleaner itself can open new head
-        segments — exactly like RAMCloud's cleaner.
+        segments — exactly like RAMCloud's cleaner.  A head closed that
+        way waits for the next pass.
         """
-        victims = [
-            seg
-            for seg in list(self._segments)
-            if seg is not self._head and seg.utilization < max_utilization
-        ]
-        freed = 0
+        self.stats.cleanings += 1
+        if not self._cleanable:
+            return 0, 0
         relocated = 0
+        victims = sorted(self._cleanable, key=_by_rank)
         for segment in victims:
-            if segment not in self._segments:
-                continue  # already freed by a delete during relocation
-            entries = list(segment.live.items())
-            for key, size in entries:
-                self.delete(key)  # may auto-free the segment on last entry
+            for key, size in list(segment.live.items()):
+                self.delete(key)  # drops the segment with its last entry
                 self.append(key, size)
                 relocated += size
             if segment in self._segments:
-                self._segments.remove(segment)
-                self._footprint_cache = None
-                self.stats.segments_freed += 1
-            freed += 1
-        self.stats.cleanings += 1
+                self._drop(segment)  # had no live entry to trigger it
         self.stats.relocated_bytes += relocated
-        return freed, relocated
+        return len(victims), relocated

@@ -56,7 +56,7 @@ class CacheServer:
 
     @property
     def free_bytes(self) -> int:
-        return self.capacity - self.used_bytes
+        return self.capacity - self.log.footprint_bytes
 
     @property
     def disk_used_bytes(self) -> int:
@@ -80,9 +80,12 @@ class CacheServer:
 
     def can_fit(self, size: int) -> bool:
         """Whether a master put of ``size`` bytes fits (after cleaning)."""
-        if size <= self.free_bytes:
-            return True
-        return self.log.live_bytes + size <= self.capacity
+        log = self.log
+        capacity = self.capacity
+        return (
+            size <= capacity - log.footprint_bytes
+            or log.live_bytes + size <= capacity
+        )
 
     # -- master role ---------------------------------------------------------
 
@@ -92,14 +95,17 @@ class CacheServer:
 
     def master_put(self, obj: CacheObject) -> None:
         self._check_up()
-        if not self.can_fit(obj.size):
-            raise CapacityExceeded(
-                f"{self.server_id}: {obj.size} bytes do not fit "
-                f"(free={self.free_bytes})"
-            )
-        if self.free_bytes < obj.size:
-            self.log.clean()
-        self.log.append(obj.key, obj.size)
+        size = obj.size
+        log = self.log
+        if size > self.capacity - log.footprint_bytes:
+            # Only cleaning can make it fit — if the live data allows.
+            if log.live_bytes + size > self.capacity:
+                raise CapacityExceeded(
+                    f"{self.server_id}: {size} bytes do not fit "
+                    f"(free={self.free_bytes})"
+                )
+            log.clean()
+        log.append(obj.key, size)
         self._master[obj.key] = obj
         self.stats.master_puts += 1
 
@@ -176,9 +182,10 @@ class CacheServer:
         """Turn this server's backup copy of ``key`` into the master copy."""
         self._check_up()
         obj = self.backup_get(key)
-        self._backup.pop(key)
-        self._backup_bytes -= obj.size
+        # Put first: a refused promotion must leave the backup copy.
         self.master_put(obj)
+        del self._backup[key]
+        self._backup_bytes -= obj.size
         self.stats.promotions += 1
         return obj
 

@@ -3,8 +3,9 @@
 ``J48Classifier.predict_one`` historically walked a pointer-chasing
 ``_Node`` tree, doing one dict lookup, one ``try: float(...)`` and a
 handful of attribute loads per level — per row, on the invocation
-critical path (§7.1.2).  This module compiles a fitted tree, once,
-after ``fit()``, in two stages:
+critical path (§7.1.2).  This module compiles a fitted tree in two
+stages — the first once after ``fit()``, the second the first time a
+caller predicts through :class:`CompiledTree` itself:
 
 1. **Flatten** the ``_Node`` tree into parallel arrays —
    ``node_feature[i]`` (feature *position* tested at node ``i``, -1
@@ -28,8 +29,9 @@ Trees deeper than the CPython indentation limit allows (or with
 non-finite thresholds, which cannot be spelled as literals) skip stage
 2 and use the positional array walk, which is the same for every
 semantic purpose — and the arrays, not the generated function, are
-what pickles (the function is regenerated on unpickling, which is how
-warm-model cache entries travel between processes).
+what pickles (the function is regenerated on first use after
+unpickling, which is how warm-model cache entries travel between
+processes).
 
 Predictions are bit-identical to the recursive walk — including the
 fall-back-to-majority behaviour on missing features, non-numeric
@@ -70,6 +72,7 @@ class CompiledTree:
         "_codec",
         "_fn",
         "_batch",
+        "_generated",
     )
 
     def __init__(self, root, feature_types: Dict[str, str]):
@@ -130,14 +133,21 @@ class CompiledTree:
         self.depth = max_depth
         # Pre-zipped codec: one (name, is_numeric) pass per row.
         self._codec = list(zip(self.feature_names, self.feature_numeric))
-        self._install_codegen()
+        self._defer_codegen()
+
+    def _defer_codegen(self) -> None:
+        """Stage 2 runs on the first ``predict``/``predict_one``: the
+        invocation path only ever takes the array walk
+        (``predict_encoded(encode(row))``), and most fitted trees are
+        refitted before anything asks them for a batch."""
+        self._fn: Optional[Callable[[Dict[str, Any]], int]] = None
+        self._batch: Optional[Callable[[Sequence], List]] = None
+        self._generated = False
 
     def _install_codegen(self) -> None:
+        self._generated = True
         compiled = self._codegen()
-        if compiled is None:
-            self._fn: Optional[Callable[[Dict[str, Any]], int]] = None
-            self._batch: Optional[Callable[[Sequence], List]] = None
-        else:
+        if compiled is not None:
             self._fn, self._batch = compiled
 
     # -- pickling ------------------------------------------------------------
@@ -148,13 +158,13 @@ class CompiledTree:
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_fn", "_batch")
+            if slot not in ("_fn", "_batch", "_generated")
         }
 
     def __setstate__(self, state):
         for slot, value in state.items():
             setattr(self, slot, value)
-        self._install_codegen()
+        self._defer_codegen()
 
     # -- code generation -----------------------------------------------------
 
@@ -345,12 +355,16 @@ class CompiledTree:
         return self.predict_encoded(self.encode(row))
 
     def predict_one(self, row: Dict[str, Any]) -> int:
+        if not self._generated:
+            self._install_codegen()
         fn = self._fn
         if fn is not None:
             return fn(row)
         return self.predict_encoded(self.encode(row))
 
     def predict(self, rows: Sequence[Dict[str, Any]]) -> np.ndarray:
+        if not self._generated:
+            self._install_codegen()
         batch = self._batch
         if batch is not None:
             return np.asarray(batch(rows))

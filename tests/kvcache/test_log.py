@@ -83,7 +83,7 @@ def test_clean_compacts_sparse_segments():
     before = log.footprint_bytes
     for key in keys[::2]:
         log.delete(key)
-    freed, relocated = log.clean(max_utilization=0.75)
+    freed, relocated = log.clean()
     assert freed > 0
     assert relocated > 0
     assert log.footprint_bytes < before
@@ -95,7 +95,7 @@ def test_clean_compacts_sparse_segments():
 def test_clean_ignores_head_segment():
     log = ObjectLog()
     log.append("a", 10)
-    freed, relocated = log.clean(max_utilization=1.0)
+    freed, relocated = log.clean()
     assert freed == 0
     assert relocated == 0
     assert "a" in log
@@ -156,7 +156,7 @@ def test_clean_after_mass_delete_reclaims_everything(sizes):
         log.append(f"k{i}", size)
     for i in range(len(sizes)):
         log.delete(f"k{i}")
-    log.clean(max_utilization=1.0)
+    log.clean()
     assert log.live_bytes == 0
     # Only the head segment may remain allocated.
     assert log.footprint_bytes <= SEGMENT_SIZE

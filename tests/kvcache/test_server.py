@@ -95,6 +95,17 @@ def test_promote_moves_backup_to_master():
     assert not server.backup_has("a")
 
 
+def test_refused_promotion_keeps_the_backup_copy():
+    server = CacheServer("n0", capacity=0)
+    server.backup_put(obj("a", 100))
+    with pytest.raises(CapacityExceeded):
+        server.promote("a")
+    assert server.backup_has("a")
+    assert server.disk_used_bytes == 100
+    assert not server.master_has("a")
+    assert server.stats.promotions == 0
+
+
 def test_demote_moves_master_to_backup():
     server = CacheServer("n0", capacity=SEGMENT_SIZE)
     server.master_put(obj("a", 100))

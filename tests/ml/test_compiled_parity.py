@@ -103,6 +103,9 @@ def test_generated_and_array_walk_agree():
     dataset = _random_dataset(rng, 300)
     clf = J48Classifier().fit(dataset)
     compiled = clf.compiled
+    # Code generation waits for the first prediction through the tree.
+    assert compiled._fn is None and compiled._batch is None
+    compiled.predict(dataset.rows[:1])
     assert compiled._fn is not None and compiled._batch is not None
     for row in list(dataset.rows[:50]) + _adversarial_rows(rng):
         walk = _outcome(
@@ -129,10 +132,10 @@ def test_pickle_round_trip_regenerates_code():
     dataset = _random_dataset(rng, 200)
     clf = J48Classifier().fit(dataset)
     clone = pickle.loads(pickle.dumps(clf))
-    assert clone.compiled._fn is not None
     assert list(clone.predict(dataset.rows)) == list(
         clf.predict_recursive(dataset.rows)
     )
+    assert clone.compiled._fn is not None
     for row in _adversarial_rows(rng):
         assert _outcome(clone.predict_one, row) == _outcome(
             clf.predict_one_recursive, row
@@ -166,12 +169,13 @@ def test_deep_tree_falls_back_to_array_walk():
         return node
 
     deep = CompiledTree(_chain(MAX_CODEGEN_DEPTH + 5), {"x": "numeric"})
-    assert deep._fn is None and deep._batch is None
     shallow = CompiledTree(_chain(5), {"x": "numeric"})
-    assert shallow._fn is not None
     # Deep tree still predicts through the walk.
     assert deep.predict_one({"x": -1.0}) == 0
     assert deep.predict([{"x": -1.0}, {}]).shape == (2,)
+    assert deep._generated and deep._fn is None and deep._batch is None
+    assert shallow.predict_one({"x": -1.0}) == 0
+    assert shallow._fn is not None
 
 
 def test_nonfinite_threshold_disables_codegen():
@@ -193,5 +197,5 @@ def test_nonfinite_threshold_disables_codegen():
         },
     )()
     tree = CompiledTree(root, {"x": "numeric"})
-    assert tree._fn is None
     assert tree.predict_one({"x": 1.0}) == 1
+    assert tree._generated and tree._fn is None
