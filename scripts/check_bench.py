@@ -14,20 +14,8 @@ absolute bar in CI, but the *relative* claim "compiled is the fast
 path" must hold everywhere.  The measured rates ride along in the
 metrics artifact for trend tracking.
 
-The kernel fast path is gated the same relative way: each event-loop
-pattern (sleep/chain/churn/event/immediate) is timed with the codegen
-dispatch explicitly on and explicitly off (``fastpath.set_enabled``,
-so the comparison is identical no matter what ``REPRO_SIM_FASTPATH``
-the job exports), and the on/off ratio must clear a conservative
-per-pattern floor.  The floors encode what the fast path *claims*:
-sleep chains are the headline (≥2x everywhere), churn/event carry the
-fused-delivery win (must not lose), and chain is flat by design
-(Timeout construction dominates; the floor only catches a real loss).
-
 Finally a small seeded chaos cell (crashes + RSDS episodes + history
-recorder) runs under both dispatchers; the two results must be
-*identical* — this is the faulted fast path's parity gate at system
-scale — and its deterministic counters (ops/completed/failed/
+recorder) runs, and its deterministic counters (ops/completed/failed/
 violations) are exact-gated through the ``micro`` section so the
 fault-injected workload itself cannot silently drift.  A denser
 sibling of that cell, tight enough that the cache hands memory back,
@@ -67,21 +55,6 @@ from repro.workloads.functions import FIGURE7_FUNCTIONS  # noqa: E402
 TOLERANCE = 0.25
 #: The compiled path must at minimum not lose to the recursive walk.
 ML_MIN_SPEEDUP = 1.0
-#: Fast-path on/off floors per kernel pattern.  Measured ratios on the
-#: dev container: sleep ~3.8x, event ~1.2x, churn ~1.15x, immediate
-#: ~1.07x, chain ~1.0x (flat by design: the chain pattern is bound by
-#: Timeout construction, not dispatch).  Floors sit well under the
-#: measurements because single-run wall clocks on shared CI swing
-#: +-20%; they catch "the fast path stopped being fast", not noise.
-KERNEL_MIN_RATIO = {
-    "sleep": 2.0,
-    "chain": 0.85,
-    "churn": 0.9,
-    "event": 0.9,
-    "immediate": 0.85,
-}
-KERNEL_GATE_N = 100_000
-KERNEL_GATE_REPEATS = 3
 BASELINE_SCHEMA = "bench-baseline/v2"
 BASELINE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "bench_baseline.json"
@@ -121,71 +94,11 @@ def measure_micro() -> dict:
     return {"tenants/arrivals_200t_1h": sum(1 for _ in stream)}
 
 
-def measure_kernel_ratios() -> dict:
-    """Fast-path on/off events-per-second ratio for each kernel pattern.
-
-    Both sides are pinned with ``set_enabled`` (best-of-N interleaved),
-    so the measurement is self-relative and identical under any
-    ``REPRO_SIM_FASTPATH`` the CI job exports.
-    """
-    from repro.bench.perfbench import KERNEL_PATTERNS  # noqa: E402
-    from repro.sim import fastpath  # noqa: E402
-
-    original = fastpath.enabled()
-    ratios = {}
-    try:
-        for name in KERNEL_MIN_RATIO:
-            fn = KERNEL_PATTERNS[name]
-            best = {True: 0.0, False: 0.0}
-            for _ in range(KERNEL_GATE_REPEATS):
-                for enabled in (True, False):
-                    fastpath.set_enabled(enabled)
-                    best[enabled] = max(best[enabled], fn(KERNEL_GATE_N))
-            ratios[name] = best[True] / best[False]
-    finally:
-        fastpath.set_enabled(original)
-    return ratios
-
-
-def _run_under_both_dispatchers(cell) -> dict:
-    """The cell's result, identical under fast-faulted and generic
-    dispatch — or an AssertionError naming the fields that diverged."""
-    from dataclasses import asdict  # noqa: E402
-
-    from repro.bench.chaos import run_chaos_cell  # noqa: E402
-    from repro.sim import fastpath  # noqa: E402
-
-    original = fastpath.enabled()
-    results = {}
-    try:
-        for enabled in (True, False):
-            fastpath.set_enabled(enabled)
-            results[enabled] = asdict(run_chaos_cell(cell))
-    finally:
-        fastpath.set_enabled(original)
-    if results[True] != results[False]:
-        diverged = sorted(
-            key
-            for key in results[True]
-            if results[True][key] != results[False][key]
-        )
-        raise AssertionError(
-            "faulted cell diverged between fast and generic dispatch "
-            f"(fields: {', '.join(diverged)})"
-        )
-    return results[True]
-
-
 def measure_faulted_cell() -> dict:
-    """Seeded chaos cells under both dispatchers: parity + counters.
+    """Seeded chaos cells: deterministic counters for ``micro``."""
+    from dataclasses import asdict, replace  # noqa: E402
 
-    Returns the cells' deterministic counters for the ``micro`` section
-    and raises if the fast-faulted and generic runs diverge in *any*
-    field — the system-scale parity gate for the faulted fast path.
-    """
-    from dataclasses import replace  # noqa: E402
-
-    from repro.bench.chaos import ChaosCell  # noqa: E402
+    from repro.bench.chaos import ChaosCell, run_chaos_cell  # noqa: E402
 
     cell = ChaosCell(
         backend="ofc",
@@ -197,20 +110,20 @@ def measure_faulted_cell() -> dict:
         seed=11,
         warmup_s=10.0,
     )
-    fast = _run_under_both_dispatchers(cell)
+    roomy = asdict(run_chaos_cell(cell))
     # That cell is roomy — its log cleaner never runs.  Five times the
     # tenants at twice the rate make the cache hand memory back, and
     # the summed LogStats then pin what the cleaner picks and relocates:
     # they move even when an op history (every counter above) survives.
-    dense = _run_under_both_dispatchers(
-        replace(cell, n_tenants=120, mean_interval_s=3.0)
+    dense = asdict(
+        run_chaos_cell(replace(cell, n_tenants=120, mean_interval_s=3.0))
     )
     log_stats = dense["log_stats"]
     return {
-        "faults/cell_ops": fast["ops"],
-        "faults/cell_completed": fast["completed"],
-        "faults/cell_failed": fast["failed"],
-        "faults/cell_violations": fast["violations_total"],
+        "faults/cell_ops": roomy["ops"],
+        "faults/cell_completed": roomy["completed"],
+        "faults/cell_failed": roomy["failed"],
+        "faults/cell_violations": roomy["violations_total"],
         "faults/dense_cell_log_cleanings": log_stats["cleanings"],
         "faults/dense_cell_log_segments_freed": log_stats["segments_freed"],
         "faults/dense_cell_log_relocated_bytes": log_stats["relocated_bytes"],
@@ -228,9 +141,7 @@ def load_baseline(path: str) -> dict:
     return {"schema": BASELINE_SCHEMA, "headlines": loaded, "micro": {}}
 
 
-def export_metrics(
-    headlines: dict, ml: dict, micro: dict, kernel_ratios: dict, out: str
-) -> None:
+def export_metrics(headlines: dict, ml: dict, micro: dict, out: str) -> None:
     registry = MetricsRegistry()
     gauge = registry.gauge(
         "bench_total_s", help="Figure 7 single-stage headline latency (s)"
@@ -251,13 +162,6 @@ def export_metrics(
     for key, value in micro.items():
         micro_gauge.set(float(value), key=key)
     registry.register_collector("micro", lambda: dict(micro))
-    ratio_gauge = registry.gauge(
-        "bench_fastpath_ratio",
-        help="kernel fast-path on/off events-per-second ratio",
-    )
-    for pattern, ratio in kernel_ratios.items():
-        ratio_gauge.set(float(ratio), pattern=pattern)
-    registry.register_collector("fastpath", lambda: dict(kernel_ratios))
     export_json(
         out,
         registry=registry,
@@ -284,11 +188,8 @@ def main(argv=None) -> int:
     headlines = measure()
     ml = bench_ml(n_rows=800)
     micro = measure_micro()
-    # The faulted cell is a gate in itself: it raises on any fast/
-    # generic divergence before its counters even reach the baseline.
     micro.update(measure_faulted_cell())
-    kernel_ratios = measure_kernel_ratios()
-    export_metrics(headlines, ml, micro, kernel_ratios, args.out)
+    export_metrics(headlines, ml, micro, args.out)
     print(f"[bench metrics written to {args.out}]")
 
     if args.write_baseline:
@@ -325,17 +226,6 @@ def main(argv=None) -> int:
             f"ml gate OK: compiled predict {ml['ml_predict_speedup']:.2f}x "
             f"the recursive walk ({ml['ml_predict_rows_per_sec']:,.0f} rows/s)"
         )
-    for pattern, floor in sorted(KERNEL_MIN_RATIO.items()):
-        ratio = kernel_ratios[pattern]
-        if ratio < floor:
-            failures.append(
-                f"fastpath/{pattern}: on/off ratio {ratio:.2f}x below the "
-                f"{floor:.2f}x floor"
-            )
-    gated = ", ".join(
-        f"{p} {kernel_ratios[p]:.2f}x" for p in sorted(KERNEL_MIN_RATIO)
-    )
-    print(f"fastpath gate ratios: {gated}")
     # Every baseline key must be measured: a benchmark that silently
     # stops running is a gate failure, not a pass.
     for key, base in sorted(baseline["headlines"].items()):

@@ -4,7 +4,7 @@ A pure pass-through over :class:`repro.kvcache.cluster.CacheCluster`
 plus the per-node :class:`repro.core.cache_agent.CacheAgent` loops.
 Every data-plane method returns the cluster's generator unchanged, so a
 deployment on this backend is bit-identical to the pre-seam build (the
-fastpath-parity and bench gates run over exactly this path).
+bench gate runs over exactly this path).
 
 Cost model: the memory is *harvested* — priced at the residual
 ``HARVESTED_GB_S`` rate — and the level tracks the cluster's live

@@ -25,7 +25,6 @@ from repro.faas.records import InvocationRecord, InvocationRequest
 from repro.kvcache.errors import NoSuchKey
 from repro.kvcache.objects import LOCAL_READ
 from repro.obs.registry import MetricsRegistry
-from repro.sim import fastpath
 from repro.sim.kernel import Kernel
 from repro.sim.latency import OFC_CONTROL_OVERHEAD, PLATFORM_OVERHEAD
 from repro.sim.rng import RngRegistry
@@ -61,23 +60,18 @@ class OFCPlatform:
         # repro.sim.rng).  "rsds" (profile-dependent jitters) and
         # "platform" (shared with invokers: COLD_START's sigma differs)
         # mix parameters and must stay scalar.
-        if fastpath.rng_batching_enabled():
-            cache_rng = self.rng.batched_stream(
-                "cache", "lognormal", mean=0.0, sigma=LOCAL_READ.jitter
-            )
-            predictor_rng = self.rng.batched_stream(
-                "predictor",
-                "lognormal",
-                mean=0.0,
-                sigma=OFC_CONTROL_OVERHEAD.jitter,
-            )
-            persistor_rng = self.rng.batched_stream(
-                "persistor", "lognormal", mean=0.0, sigma=PLATFORM_OVERHEAD.jitter
-            )
-        else:
-            cache_rng = self.rng.stream("cache")
-            predictor_rng = self.rng.stream("predictor")
-            persistor_rng = self.rng.stream("persistor")
+        cache_rng = self.rng.batched_stream(
+            "cache", "lognormal", mean=0.0, sigma=LOCAL_READ.jitter
+        )
+        predictor_rng = self.rng.batched_stream(
+            "predictor",
+            "lognormal",
+            mean=0.0,
+            sigma=OFC_CONTROL_OVERHEAD.jitter,
+        )
+        persistor_rng = self.rng.batched_stream(
+            "persistor", "lognormal", mean=0.0, sigma=PLATFORM_OVERHEAD.jitter
+        )
         self.store = ObjectStore(
             self.kernel, profile=rsds_profile, rng=self.rng.stream("rsds")
         )

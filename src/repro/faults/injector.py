@@ -80,13 +80,6 @@ class FaultInjector:
                 )
         ofc.store.faults = self.state
         self.backend.faults = self.state
-        # Fault-injected kernels run the specialized faulted fast-path
-        # variant: the fault state lives on the components, not the
-        # kernel, and the driver/episode processes are ordinary
-        # processes, so the fused drain + direct-resume chain stays
-        # valid for the whole run (parity-gated in CI like the clean
-        # path; REPRO_SIM_FASTPATH=0 still forces the generic loop).
-        self.kernel.use_faulted_dispatch()
         self.stats = FaultInjectorStats()
         registry = getattr(ofc, "obs", None)
         if registry is not None:

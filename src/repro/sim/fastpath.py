@@ -1,354 +1,184 @@
-"""Code-generated dispatch loops for :class:`repro.sim.kernel.Kernel`.
+"""The source of :meth:`Kernel.run` and :meth:`Kernel.run_until`.
 
 This is the kernel-side counterpart of :mod:`repro.ml.compiled`: the
-event-dispatch loop is emitted as Python source once at import time,
-``exec``-compiled, and installed per kernel at construction.  Three
-specializations over the generic loop:
+event-dispatch loop is emitted as Python source at import time,
+``exec``-compiled once, and the two resulting functions *are*
+``Kernel.run`` and ``Kernel.run_until`` (assigned at the bottom of
+:mod:`repro.sim.kernel`).  There is no other loop and no switch: every
+kernel — clean, fault-injected, traced — executes this code.
+
+What is generated, and why
+--------------------------
+The per-occurrence dispatch (:data:`_DISPATCH_ARMS`, about 170 lines
+once expanded) has three call sites — the heap drain and the FIFO drain
+of ``run``, and the single drain of ``run_until`` — that differ in two
+guards only (``run`` bounds direct resume by its ``until`` limit,
+``run_until`` refuses it while delivering the awaited event).  A
+function call per occurrence is what the loop exists to avoid, so the
+arms are pasted inline at each site from one template.  Inside the
+arms, the three places a generator is advanced (a process wake, a
+single-waiter delivery, each element of a fan-in delivery) are one
+template too: :data:`_ADVANCE`.
+
+What the loop fuses, relative to dispatching every occurrence through
+``Event._run_callbacks`` → ``Process._resume``:
 
 * the heap/FIFO drain, the ``_TRIGGERED`` delivery arm and the process
-  resume are fused into one flat function — a process wake runs the
-  generator ``send`` directly instead of dispatching through
-  ``Event._run_callbacks`` → ``Process._resume`` (two frames per event
-  saved);
+  resume are one flat function — a process wake runs the generator
+  ``send`` directly (two frames per event saved);
 * **fused callback delivery**: a triggered event whose callback is a
-  plain :meth:`Process._resume` bound method (the overwhelmingly
-  common case — one process blocked on a timeout, an event or another
-  process) delivers by running the generator ``send``/``throw``
-  inline, and list (fan-in) deliveries inline each process-resume
-  element the same way; only foreign callables (condition checks,
-  ``call_later`` arms, user hooks) still dispatch through a call;
+  :meth:`Process._resume` bound method (the overwhelmingly common case —
+  one process blocked on a timeout, an event or another process)
+  delivers by running the generator ``send``/``throw`` inline, and list
+  (fan-in) deliveries inline each process-resume element the same way;
+  only foreign callables (condition checks, ``call_later`` arms, span
+  closers, user hooks) still dispatch through a call;
 * **direct resume**: when a resumed process yields a positive delay and
   its wake instant is strictly earlier than everything on the heap
   (with the FIFO empty), the loop advances the clock and resumes the
   generator immediately — no heap push/pop, no sequence number.
 
-All are provably order-preserving, so schedules are bit-identical to
-the generic loop (CI runs the bench gate with the fast path forced on
-and off and diffs the exported metrics):
+All are order-preserving, so schedules are bit-identical to the step
+reference below:
 
-* the fused arms execute the exact statements of the generic loop, in
-  the same order (the delivery chain mirrors ``Process._resume``
-  statement for statement, including the ``defused`` handshake on the
-  throw path, so a fused failure delivery can never leave an
-  un-defused exception behind);
+* :data:`_ADVANCE` executes the statements of ``Process._resume`` in
+  the same order, including the ``defused`` handshake on the throw
+  path, so a fused failure delivery can never leave an un-defused
+  exception behind;
 * direct resume fires only when the woken process would be the next
   occurrence regardless of its sequence number (strictly earliest wake
   time, empty FIFO), and nothing else can run between the skipped push
   and the skipped pop, so no observer exists for the elided state
-  (``_wake`` bookkeeping, ``_target`` reset, heap entry).  Skipping
-  the sequence-number mint is safe because sequence numbers only break
-  ties between co-resident heap entries and the skipped mint leaves
-  every other mint in the same relative order.  In ``run_until`` the
-  delivery chain additionally refuses direct resume while delivering
-  the awaited event itself — the generic loop returns control to the
-  drain right there, and the fast path must stop at the same instant.
+  (``_wake`` bookkeeping, heap entry).  Skipping the sequence-number
+  mint is safe because sequence numbers only break ties between
+  co-resident heap entries and the skipped mint leaves every other mint
+  in the same relative order.  Fan-in deliveries never direct-resume:
+  the clock must not move while later callbacks of the same event are
+  still pending delivery.
 
-Variant selection happens once at kernel construction (the same policy
-:class:`~repro.sim.kernel._TracedProcess` uses): kernels with tracing
-enabled keep the generic loop, because the fused resume would skip the
-per-process span bookkeeping.  Fault tooling installs the **faulted
-variant** via :meth:`~repro.sim.kernel.Kernel.use_faulted_dispatch`:
-the same generated semantics compiled as a separate unit
-(``<sim-fastpath-faulted>``), so profiles and tracebacks attribute
-failure-path dispatch distinctly and the variant is parity-gated on
-its own.  The fault state lives on the components, not the kernel —
-the injector's driver and episode processes are ordinary processes —
-so fault-injected kernels keep the fused drain and the direct-resume
-chain for the whole run instead of downgrading to the generic loop.
-
-Opt out globally with ``REPRO_SIM_FASTPATH=0`` (or ``set_enabled``),
-which routes every variant (faulted included) through the generic
-loop and also disables the batched-RNG wiring keyed off
-:func:`rng_batching_enabled`, so "off" is the exact pre-fast-path
-system.
+The step reference
+------------------
+The straightforward implementation stays in the kernel as ordinary
+methods: :meth:`Kernel.step` pops one occurrence and calls
+``Event._run_callbacks`` / ``Process._run_callbacks``, which call the
+hand-written ``Process._resume``.  ``tests/sim/reference_kernel.py``
+wraps ``step()`` in a ``run``/``run_until`` pair (``StepKernel``); the
+parity, property and fault-replay suites require this loop and that one
+to produce equal traces.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-__all__ = [
-    "enabled",
-    "set_enabled",
-    "rng_batching_enabled",
-    "compile_dispatch",
-    "make_dispatch",
-    "dispatch_source",
-]
-
-
-def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_SIM_FASTPATH", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-_ENABLED = _env_enabled()
-
-
-def enabled() -> bool:
-    """Whether new kernels install the generated dispatch loop."""
-    return _ENABLED
-
-
-def set_enabled(value: bool) -> None:
-    """Toggle the fast path for kernels built after this call."""
-    global _ENABLED
-    _ENABLED = bool(value)
-
-
-def rng_batching_enabled() -> bool:
-    """Whether single-distribution RNG streams are served batched.
-
-    Rides the same knob as the dispatch loop so forcing
-    ``REPRO_SIM_FASTPATH=0`` yields the exact generic system.
-    """
-    return _ENABLED
-
+__all__ = ["compile_dispatch", "dispatch_source"]
 
 # ---------------------------------------------------------------------------
 # Source templates.
 # ---------------------------------------------------------------------------
 
-#: Fused resume: advance the generator until it blocks, schedules a
-#: future wake that something else precedes, or terminates.  Mirrors
-#: ``Process._resume`` statement for statement; ``{limit_guard}``
-#: bounds direct resume by ``run(until=...)``'s limit.  ``event`` is
-#: the process, ``when`` the current instant (updated in place so the
-#: enclosing drain keeps using the advanced clock).
-_RESUME_CHAIN = """\
-kernel._active_process = event
-send = event._send
+#: Advance ``{proc}``'s generator until it blocks, schedules a wake that
+#: something else precedes, or terminates — ``Process._resume``, inlined.
+#: ``when`` is the current instant (updated in place on direct resume so
+#: the enclosing drain keeps using the advanced clock).  ``{first}``
+#: sends or throws into the generator; ``{direct_resume}`` is the
+#: direct-resume branch or nothing, in which case the ``while`` never
+#: loops and only gives every arm the same ``break`` exit.
+_ADVANCE = """\
+kernel._active_process = {proc}
+send = {proc}._send
 while True:
     try:
-        target = send(None)
+{first}
     except StopIteration as stop:
         kernel._active_process = None
-        event._target = None
-        event._value = stop.value
-        event._state = _TRIGGERED
-        ipush(event)
-        break
-    except Interrupt as interrupt_exc:
-        kernel._active_process = None
-        event._target = None
-        event._exception = interrupt_exc
-        event.defused = False
-        event._state = _TRIGGERED
-        ipush(event)
+        {proc}._target = None
+        {proc}._value = stop.value
+        {proc}._state = _TRIGGERED
+        ipush({proc})
         break
     except BaseException as failure:
         kernel._active_process = None
-        event._target = None
-        event._exception = failure
-        event.defused = False
-        event._state = _TRIGGERED
-        ipush(event)
+        {proc}._target = None
+        {proc}._exception = failure
+        {proc}.defused = False
+        {proc}._state = _TRIGGERED
+        ipush({proc})
         break
     cls = target.__class__
     if cls is float or cls is int:
         if target < 0:
             raise SimulationError(f"negative sleep delay: {{target}}")
+        {proc}._target = None
         wake = when + target
         if wake == when:
-            event._wake = when
-            ipush(event)
+            {proc}._wake = when
+            ipush({proc})
             break
-        if not immediate and (not queue or wake < queue[0][0]){limit_guard}:
-            kernel._now = when = wake
-            continue
-        event._wake = wake
-        heappush(queue, (wake, seqn(), event))
+{direct_resume}
+        {proc}._wake = wake
+        heappush(queue, (wake, seqn(), {proc}))
         break
     try:
         foreign = target.kernel is not kernel
     except AttributeError:
         raise SimulationError(
-            f"process {{event.name!r}} yielded {{target!r}}, "
+            f"process {{{proc}.name!r}} yielded {{target!r}}, "
             "expected an Event"
         ) from None
     if foreign:
         raise SimulationError("yielded an event from another kernel")
-    event._target = target
+    {proc}._target = target
     if target._state != _PROCESSED:
-        callbacks = target.callbacks
-        if callbacks is None:
-            target.callbacks = event._cb
-        elif callbacks.__class__ is list:
-            callbacks.append(event._cb)
+        waiters = target.callbacks
+        if waiters is None:
+            target.callbacks = {proc}._cb
+        elif waiters.__class__ is list:
+            waiters.append({proc}._cb)
         else:
-            target.callbacks = [callbacks, event._cb]
+            target.callbacks = [waiters, {proc}._cb]
     else:
-        target.wait(event._cb)
+        target.wait({proc}._cb)
     break"""
 
-#: Fused single-callback delivery: the triggered event's one waiter is
-#: a plain ``Process._resume`` bound method, so deliver by advancing
-#: the generator inline — value on the first send, ``None`` on the
-#: direct-resume continuations, throw (after the ``defused``
-#: handshake) when the event failed.  ``event`` is the delivered
-#: event, ``proc`` the waiter; the sleep path clears ``proc._target``
-#: exactly like ``Process._resume`` does (entering via a delivery the
-#: process always has a live ``_target``).  ``{target_guard}`` keeps
-#: ``run_until`` from sailing past the awaited event's own delivery.
-_DELIVERY_CHAIN = """\
-proc = callbacks.__self__
-kernel._active_process = proc
-send = proc._send
-value = event._value
-exc = event._exception
-while True:
-    try:
+#: ``{direct_resume}``: the wake is the next occurrence whatever its
+#: sequence number, so skip the heap round trip.  ``value = None`` makes
+#: the continuation of a delivery a plain ``send(None)`` (a dead store
+#: in the wake instance, which always sends None).
+_DIRECT_RESUME = """\
+        if not immediate and (not queue or wake < queue[0][0]){guard}:
+            kernel._now = when = wake
+            value = None
+            continue"""
+
+#: ``{first}`` for a process wake (bootstrap or end of a bare sleep).
+_SEND_NONE = """\
+        target = send(None)"""
+
+#: ``{first}`` for a delivery of ``event`` to ``proc``: the value, or a
+#: throw after the ``defused`` handshake when the event failed.
+_SEND_OUTCOME = """\
         if exc is None:
             target = send(value)
         else:
             event.defused = True
             target = proc._throw(exc)
-            exc = None
-    except StopIteration as stop:
-        kernel._active_process = None
-        proc._target = None
-        proc._value = stop.value
-        proc._state = _TRIGGERED
-        ipush(proc)
-        break
-    except Interrupt as interrupt_exc:
-        kernel._active_process = None
-        proc._target = None
-        proc._exception = interrupt_exc
-        proc.defused = False
-        proc._state = _TRIGGERED
-        ipush(proc)
-        break
-    except BaseException as failure:
-        kernel._active_process = None
-        proc._target = None
-        proc._exception = failure
-        proc.defused = False
-        proc._state = _TRIGGERED
-        ipush(proc)
-        break
-    cls = target.__class__
-    if cls is float or cls is int:
-        if target < 0:
-            raise SimulationError(f"negative sleep delay: {{target}}")
-        proc._target = None
-        wake = when + target
-        if wake == when:
-            proc._wake = when
-            ipush(proc)
-            break
-        if not immediate and (not queue or wake < queue[0][0]){limit_guard}{target_guard}:
-            kernel._now = when = wake
-            value = None
-            continue
-        proc._wake = wake
-        heappush(queue, (wake, seqn(), proc))
-        break
-    try:
-        foreign = target.kernel is not kernel
-    except AttributeError:
-        raise SimulationError(
-            f"process {{proc.name!r}} yielded {{target!r}}, "
-            "expected an Event"
-        ) from None
-    if foreign:
-        raise SimulationError("yielded an event from another kernel")
-    proc._target = target
-    if target._state != _PROCESSED:
-        waiters = target.callbacks
-        if waiters is None:
-            target.callbacks = proc._cb
-        elif waiters.__class__ is list:
-            waiters.append(proc._cb)
-        else:
-            target.callbacks = [waiters, proc._cb]
-    else:
-        target.wait(proc._cb)
-    break"""
+            exc = None"""
 
-#: Fused fan-in delivery: each ``Process._resume`` element of a
-#: callback list advances its generator inline — one advance, no
-#: direct-resume continuation (the clock must not move while later
-#: callbacks of the same event are still pending delivery, exactly as
-#: in the generic loop).  Foreign callables dispatch through a call.
-_LIST_DELIVERY = """\
-for callback in callbacks:
-    if callback.__class__ is not _MethodType or callback.__func__ is not _PROC_RESUME:
-        callback(event)
-        continue
-    proc = callback.__self__
-    kernel._active_process = proc
-    exc = event._exception
-    try:
-        if exc is None:
-            target = proc._send(event._value)
-        else:
-            event.defused = True
-            target = proc._throw(exc)
-    except StopIteration as stop:
-        kernel._active_process = None
-        proc._target = None
-        proc._value = stop.value
-        proc._state = _TRIGGERED
-        ipush(proc)
-        continue
-    except Interrupt as interrupt_exc:
-        kernel._active_process = None
-        proc._target = None
-        proc._exception = interrupt_exc
-        proc.defused = False
-        proc._state = _TRIGGERED
-        ipush(proc)
-        continue
-    except BaseException as failure:
-        kernel._active_process = None
-        proc._target = None
-        proc._exception = failure
-        proc.defused = False
-        proc._state = _TRIGGERED
-        ipush(proc)
-        continue
-    cls = target.__class__
-    if cls is float or cls is int:
-        if target < 0:
-            raise SimulationError(f"negative sleep delay: {{target}}")
-        proc._target = None
-        wake = when + target
-        proc._wake = wake
-        if wake == when:
-            ipush(proc)
-        else:
-            heappush(queue, (wake, seqn(), proc))
-        continue
-    try:
-        foreign = target.kernel is not kernel
-    except AttributeError:
-        raise SimulationError(
-            f"process {{proc.name!r}} yielded {{target!r}}, "
-            "expected an Event"
-        ) from None
-    if foreign:
-        raise SimulationError("yielded an event from another kernel")
-    proc._target = target
-    if target._state != _PROCESSED:
-        waiters = target.callbacks
-        if waiters is None:
-            target.callbacks = proc._cb
-        elif waiters.__class__ is list:
-            waiters.append(proc._cb)
-        else:
-            target.callbacks = [waiters, proc._cb]
-    else:
-        target.wait(proc._cb)"""
 
-#: One occurrence: the inlined ``_TRIGGERED`` arm (Event._run_callbacks
-#: without the method call, with process resumes fused through the
-#: delivery chains), the ``_PENDING`` arm fused with the resume chain,
-#: and the ``_PROCESSED`` redelivery arm via the method.  The fused
-#: single-resume branch skips the unhandled-failure tail: a failed
+def _advance(proc: str, first: str, guard=None) -> str:
+    """:data:`_ADVANCE` for ``proc``; ``guard`` (extra direct-resume
+    conditions, possibly empty) enables direct resume, None omits it."""
+    direct = "" if guard is None else _DIRECT_RESUME.format(guard=guard)
+    source = _ADVANCE.format(proc=proc, first=first, direct_resume=direct)
+    return "\n".join(line for line in source.split("\n") if line)
+
+
+#: One occurrence.  ``_TRIGGERED``: Event._run_callbacks without the
+#: method call, process resumes fused through :data:`_ADVANCE` (the
+#: fused single-resume branch skips the unhandled-failure tail: a failed
 #: event delivered to a process is defused on the throw path, so the
-#: tail can never raise there.
+#: tail can never raise there).  ``_PENDING``: a process bootstrap or
+#: sleep wake (stale if the sleep was interrupted).  ``_PROCESSED``:
+#: late-wait redelivery, via the method.
 _DISPATCH_ARMS = """\
 state = event._state
 if state == _TRIGGERED:
@@ -360,11 +190,24 @@ if state == _TRIGGERED:
             raise exc
     elif callbacks.__class__ is _MethodType and callbacks.__func__ is _PROC_RESUME:
         event.callbacks = None
-{delivery_chain}
+        proc = callbacks.__self__
+        value = event._value
+        exc = event._exception
+{deliver_one}
     else:
         event.callbacks = None
         if callbacks.__class__ is list:
-{list_delivery}
+            for callback in callbacks:
+                if (
+                    callback.__class__ is not _MethodType
+                    or callback.__func__ is not _PROC_RESUME
+                ):
+                    callback(event)
+                    continue
+                proc = callback.__self__
+                value = event._value
+                exc = event._exception
+{deliver_each}
         else:
             callbacks(event)
         exc = event._exception
@@ -380,168 +223,141 @@ elif state == _PENDING:
     else:
         resumable = False
     if resumable:
-{resume_chain}
+{wake}
 else:
     event._run_callbacks()"""
 
 _RUN_TEMPLATE = '''\
-def make_run(kernel):
-    """Specialized ``Kernel.run`` bound to ``kernel``."""
+def run(kernel, until=None):
+    """Run until the queue drains or the clock reaches ``until``.
 
-    def run(until=None):
-        if until is not None and until < kernel._now:
-            raise SimulationError(
-                f"until={{until}} is in the past (now={{kernel._now}})"
-            )
-        limit = _INF if until is None else until
-        queue = kernel._queue
-        immediate = kernel._immediate
-        ipush = kernel._ipush
-        seqn = kernel._seqn
-        popleft = immediate.popleft
-        while True:
-            if immediate:
-                when = kernel._now
-                while queue and queue[0][0] == when:
-                    heappop(queue)[2]._run_callbacks()
-            elif queue:
-                entry = heappop(queue)
-                when = entry[0]
-                if when > limit:
-                    heappush(queue, entry)
-                    break
-                kernel._now = when
-                event = entry[2]
-                while True:
-{heap_arms}
-                    if not queue or queue[0][0] != when:
-                        break
-                    event = heappop(queue)[2]
-            else:
+    When ``until`` is given, the clock is advanced to exactly
+    ``until`` even if the queue drains earlier.
+    """
+    if until is not None and until < kernel._now:
+        raise SimulationError(
+            f"until={{until}} is in the past (now={{kernel._now}})"
+        )
+    limit = _INF if until is None else until
+    queue = kernel._queue
+    immediate = kernel._immediate
+    ipush = kernel._ipush
+    seqn = kernel._seqn
+    popleft = immediate.popleft
+    while True:
+        # Pick the next instant.  Leftovers on the FIFO (only after a
+        # partial run_until) happen now — and heap entries already at
+        # the current instant (same provenance) are older still, so
+        # the cold branch drains those first.
+        if immediate:
+            when = kernel._now
+            while queue and queue[0][0] == when:
+                heappop(queue)[2]._run_callbacks()
+        elif queue:
+            # Speculative pop: the heap top is the next instant unless
+            # it lies beyond `limit` (rare — push it back).
+            entry = heappop(queue)
+            when = entry[0]
+            if when > limit:
+                heappush(queue, entry)
                 break
-            while immediate:
-                event = popleft()
+            kernel._now = when
+            event = entry[2]
+            # Drain the heap at `when`: all entries for this instant
+            # are already on the heap (a push while the clock sits at
+            # `when` goes to the FIFO).
+            while True:
+{heap_arms}
+                if not queue or queue[0][0] != when:
+                    break
+                event = heappop(queue)[2]
+        else:
+            break
+        # Then the FIFO, which may grow while draining (strictly
+        # younger than every heap entry for this instant).
+        while immediate:
+            event = popleft()
 {fifo_arms}
-        if until is not None:
-            kernel._now = max(kernel._now, until)
-
-    return run
+    if until is not None:
+        kernel._now = max(kernel._now, until)
 '''
 
 _RUN_UNTIL_TEMPLATE = '''\
-def make_run_until(kernel):
-    """Specialized ``Kernel.run_until`` bound to ``kernel``."""
+def run_until(kernel, target_event):
+    """Step the loop only until ``target_event`` completes, then stop.
 
-    def run_until(target_event):
-        queue = kernel._queue
-        immediate = kernel._immediate
-        ipush = kernel._ipush
-        seqn = kernel._seqn
-        popleft = immediate.popleft
-        while target_event._state != _PROCESSED:
-            if queue and (not immediate or queue[0][0] == kernel._now):
-                entry = heappop(queue)
-                when = entry[0]
-                kernel._now = when
-                event = entry[2]
-            elif immediate:
-                event = popleft()
-                when = kernel._now
-            else:
-                raise SimulationError(
-                    "queue drained before the awaited event triggered"
-                )
+    Unlike :meth:`run_process`, pending future work (keep-alive
+    timers, background persistors, …) is left on the queue, so the
+    clock does not race ahead of the event being waited on.
+    """
+    queue = kernel._queue
+    immediate = kernel._immediate
+    ipush = kernel._ipush
+    seqn = kernel._seqn
+    popleft = immediate.popleft
+    while target_event._state != _PROCESSED:
+        if queue and (not immediate or queue[0][0] == kernel._now):
+            entry = heappop(queue)
+            when = entry[0]
+            kernel._now = when
+            event = entry[2]
+        elif immediate:
+            event = popleft()
+            when = kernel._now
+        else:
+            raise SimulationError(
+                "queue drained before the awaited event triggered"
+            )
 {arms}
-        return target_event.value
-
-    return run_until
+    return target_event.value
 '''
 
 
 def _indent(block: str, pad: str) -> str:
-    return "\n".join(
-        (pad + line) if line else line for line in block.split("\n")
-    )
+    return "\n".join(pad + line for line in block.split("\n"))
 
 
 def _arms(limit_guard: str, target_guard: str) -> str:
-    """The three-state dispatch arms with every chain specialized."""
+    """The three-state dispatch arms, every advance specialized."""
     return _DISPATCH_ARMS.format(
-        resume_chain=_indent(
-            _RESUME_CHAIN.format(limit_guard=limit_guard), " " * 8
-        ),
-        delivery_chain=_indent(
-            _DELIVERY_CHAIN.format(
-                limit_guard=limit_guard, target_guard=target_guard
-            ),
+        wake=_indent(_advance("event", _SEND_NONE, guard=limit_guard), " " * 8),
+        deliver_one=_indent(
+            _advance("proc", _SEND_OUTCOME, guard=limit_guard + target_guard),
             " " * 8,
         ),
-        list_delivery=_indent(_LIST_DELIVERY, " " * 12),
+        deliver_each=_indent(_advance("proc", _SEND_OUTCOME), " " * 16),
     )
 
 
 def dispatch_source() -> str:
     """The generated module source (exposed for tests/inspection)."""
     run_arms = _arms(limit_guard=" and wake <= limit", target_guard="")
+    # Delivering the awaited event itself must hand control back to the
+    # drain, which stops at this instant.
     until_arms = _arms(
         limit_guard="", target_guard=" and event is not target_event"
     )
     run_src = _RUN_TEMPLATE.format(
-        heap_arms=_indent(run_arms, " " * 20),
-        fifo_arms=_indent(run_arms, " " * 16),
+        heap_arms=_indent(run_arms, " " * 16),
+        fifo_arms=_indent(run_arms, " " * 12),
     )
-    until_src = _RUN_UNTIL_TEMPLATE.format(
-        arms=_indent(until_arms, " " * 12),
-    )
+    until_src = _RUN_UNTIL_TEMPLATE.format(arms=_indent(until_arms, " " * 8))
     return run_src + "\n\n" + until_src
 
 
-_FACTORIES: Optional[tuple] = None
-_FAULTED_FACTORIES: Optional[tuple] = None
-
-
-def _compile_variant(source: str, internals: dict, filename: str) -> tuple:
-    namespace = dict(internals)
-    exec(  # noqa: S102 - the source is generated above, not user input
-        compile(source, filename, "exec"), namespace
-    )
-    return (namespace["make_run"], namespace["make_run_until"])
-
-
-def compile_dispatch(kernel_internals: dict) -> None:
-    """Exec-compile the dispatch loops against the kernel's internals.
+def compile_dispatch(kernel_internals: dict) -> tuple:
+    """Exec-compile the loops; returns ``(run, run_until)``.
 
     Called once from the bottom of :mod:`repro.sim.kernel`;
     ``kernel_internals`` supplies ``heappush``/``heappop``, the event
     state constants, the ``Process._resume`` identity pair used by the
-    fused delivery arms, ``SimulationError`` and ``Interrupt`` so this
-    module never imports the kernel (no circular import).
-
-    Two variants compile from the same source: the standard unit
-    (``<sim-fastpath>``) and the faulted unit
-    (``<sim-fastpath-faulted>``) that fault-injected kernels install.
-    Identical semantics — the split exists so failure-path dispatch is
-    attributable (profiles, tracebacks) and parity-gated on its own.
+    fused delivery arms and ``SimulationError``, so this module never
+    imports the kernel (no circular import).  The pseudo file name
+    ``<sim-fastpath>`` is what profiles and tracebacks attribute the
+    loop to (``perf/attribution.py`` files it under the ``sim`` layer).
     """
-    global _FACTORIES, _FAULTED_FACTORIES
-    source = dispatch_source()
-    _FACTORIES = _compile_variant(source, kernel_internals, "<sim-fastpath>")
-    _FAULTED_FACTORIES = _compile_variant(
-        source, kernel_internals, "<sim-fastpath-faulted>"
+    namespace = dict(kernel_internals)
+    exec(  # noqa: S102 - the source is generated above, not user input
+        compile(dispatch_source(), "<sim-fastpath>", "exec"), namespace
     )
-
-
-def make_dispatch(kernel, faulted: bool = False) -> Optional[tuple]:
-    """Specialized ``(run, run_until)`` for ``kernel``, or ``None``.
-
-    Variant selection happens here, once per kernel: traced kernels
-    (and anything after ``use_generic_dispatch``) stay on the generic
-    loop.  ``faulted=True`` hands out the separately compiled faulted
-    unit — same semantics, distinct code object — for kernels driven
-    by a :class:`~repro.faults.injector.FaultInjector`.
-    """
-    factories = _FAULTED_FACTORIES if faulted else _FACTORIES
-    if not _ENABLED or factories is None or kernel._tracing:
-        return None
-    make_run, make_run_until = factories
-    return make_run(kernel), make_run_until(kernel)
+    return namespace["run"], namespace["run_until"]

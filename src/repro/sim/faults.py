@@ -10,13 +10,18 @@ The contract is *zero cost when disabled*: components keep a ``faults``
 attribute that is ``None`` by default, so the undisturbed path pays one
 attribute load and an ``is None`` test — no generator hop, no extra
 event, no RNG draw.  Episodes may overlap (two brown-outs, a brown-out
-inside a slow-network window); each knob therefore nests with an entry
-counter and multiplicative scales compose.
+inside a slow-network window); each knob therefore nests: the boolean
+knobs with an entry counter, the multiplicative ones with the list of
+active scales, whose product is recomputed on every transition — so a
+knob with no active episode reads exactly 1.0 again (multiplying on
+entry and dividing on exit leaves a rounding residue for non-dyadic
+scales, and ``any_active`` would then stay true forever).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from math import prod
+from typing import Dict, List
 
 
 class FaultState:
@@ -39,6 +44,8 @@ class FaultState:
         "bypass_cache",
         "_outage_depth",
         "_bypass_depth",
+        "_brownout_scales",
+        "_slow_network_scales",
     )
 
     def __init__(self):
@@ -48,6 +55,9 @@ class FaultState:
         self.bypass_cache = False
         self._outage_depth = 0
         self._bypass_depth = 0
+        # Active episodes' scales, in entry order.
+        self._brownout_scales: List[float] = []
+        self._slow_network_scales: List[float] = []
 
     # -- episode transitions (nesting-safe) --------------------------------
 
@@ -60,18 +70,20 @@ class FaultState:
         self.rsds_down = self._outage_depth > 0
 
     def enter_brownout(self, scale: float) -> None:
-        self.rsds_latency_scale *= scale
+        self._brownout_scales.append(scale)
+        self.rsds_latency_scale = prod(self._brownout_scales, start=1.0)
 
     def exit_brownout(self, scale: float) -> None:
-        if scale:
-            self.rsds_latency_scale /= scale
+        self._brownout_scales.remove(scale)
+        self.rsds_latency_scale = prod(self._brownout_scales, start=1.0)
 
     def enter_slow_network(self, scale: float) -> None:
-        self.network_latency_scale *= scale
+        self._slow_network_scales.append(scale)
+        self.network_latency_scale = prod(self._slow_network_scales, start=1.0)
 
     def exit_slow_network(self, scale: float) -> None:
-        if scale:
-            self.network_latency_scale /= scale
+        self._slow_network_scales.remove(scale)
+        self.network_latency_scale = prod(self._slow_network_scales, start=1.0)
 
     def enter_bypass(self) -> None:
         self._bypass_depth += 1

@@ -28,12 +28,16 @@ little uniformity for speed:
   are always older (pushed while the clock was still behind ``T``)
   than immediate entries created at ``T``, so draining heap-then-FIFO
   preserves the exact global schedule order;
-* :meth:`Kernel.run` runs callbacks inline instead of dispatching
-  through :meth:`Event._run_callbacks`;
-* tracing is decided once per kernel: :meth:`Kernel.process` builds a
-  plain :class:`Process` (no span fields, no enabled-checks) unless the
-  kernel was constructed with tracing on, in which case it builds
-  :class:`_TracedProcess`;
+* :meth:`Kernel.run` and :meth:`Kernel.run_until` are generated: one
+  flat loop with callback delivery and the process resume inlined (see
+  :mod:`repro.sim.fastpath`, which holds their source and is compiled
+  and attached at the bottom of this module).  The plain spelling of
+  the same loop is :meth:`Kernel.step` → :meth:`Event._run_callbacks`
+  → :meth:`Process._resume`; tests drive it as the reference;
+* tracing is decided once per kernel and costs nothing when off: a
+  :class:`Process` carries no span state, and a kernel constructed with
+  tracing on only has :meth:`Kernel.process` register one extra
+  callback on the process's termination;
 * starting a process enqueues the process object itself instead of a
   bootstrap :class:`Event`, and waiting on an already-processed event
   reuses the event's own delivery slot (``_redeliver``) instead of
@@ -163,8 +167,9 @@ class Event:
         return self
 
     def _run_callbacks(self) -> None:
-        # NOTE: Kernel.run/run_until inline the _TRIGGERED arm of this
-        # method; any change here must be mirrored there.
+        # NOTE: the generated Kernel.run/run_until inline the _TRIGGERED
+        # arm of this method (fastpath._DISPATCH_ARMS); any change here
+        # must be mirrored there.
         if self._state == _PROCESSED:
             # Redelivery slot for a waiter that registered after this
             # event was processed (see wait()); the failure, if any, was
@@ -257,10 +262,6 @@ class Timeout(Event):
 
 class Process(Event):
     """A running generator; also an event that triggers on termination.
-
-    This is the no-trace fast path: it carries no span state and never
-    consults the tracer.  Kernels with tracing enabled build
-    :class:`_TracedProcess` instead (see :meth:`Kernel.process`).
 
     Besides events, a process may ``yield`` a bare ``float``/``int``
     delay — the fast sleep path.  The process itself is enqueued for
@@ -364,8 +365,12 @@ class Process(Event):
             return
         Event._run_callbacks(self)
 
-    def _resume(self, event: Event) -> Optional[str]:
-        """Advance the generator once; returns a status on termination."""
+    def _resume(self, event: Event) -> None:
+        """Advance the generator once.
+
+        NOTE: the generated Kernel.run/run_until inline this method
+        (fastpath._ADVANCE); any change here must be mirrored there.
+        """
         kernel = self.kernel
         # Set on entry, cleared only on termination: between resumes the
         # field names the last process that ran (see Kernel.active_process).
@@ -383,24 +388,17 @@ class Process(Event):
             self._value = stop.value
             self._state = _TRIGGERED
             kernel._ipush(self)
-            return "ok"
-        except Interrupt as interrupt_exc:
-            # An unhandled Interrupt terminates the process as a failure.
-            kernel._active_process = None
-            self._target = None
-            self._exception = interrupt_exc
-            self.defused = False
-            self._state = _TRIGGERED
-            kernel._ipush(self)
-            return "interrupted"
+            return
         except BaseException as failure:  # noqa: BLE001 - propagate via event
+            # Any escape — an unhandled Interrupt included — terminates
+            # the process as a failure of its event.
             kernel._active_process = None
             self._target = None
             self._exception = failure
             self.defused = False
             self._state = _TRIGGERED
             kernel._ipush(self)
-            return "failed"
+            return
         # Fast sleep path: a bare delay re-enqueues the process itself.
         cls = target.__class__
         if cls is float or cls is int:
@@ -414,7 +412,7 @@ class Process(Event):
                 kernel._ipush(self)
             else:
                 heappush(kernel._queue, (when, kernel._seqn(), self))
-            return None
+            return
         # Duck-typed Event check: every Event carries ``kernel``, so the
         # identity test doubles as the type test (saves an isinstance per
         # yield on the hot path).
@@ -437,7 +435,6 @@ class Process(Event):
                 target.callbacks = [callbacks, self._cb]
         else:
             target.wait(self._cb)
-        return None
 
 
 #: Shared sentinel delivered on a process's first resume: a bare Event
@@ -445,22 +442,6 @@ class Process(Event):
 _BOOTSTRAP = Event.__new__(Event)
 _BOOTSTRAP._value = None
 _BOOTSTRAP._exception = None
-
-
-class _TracedProcess(Process):
-    """Process variant that records a ``sim.process`` span."""
-
-    __slots__ = ("_span",)
-
-    def __init__(self, kernel: "Kernel", generator: Generator, name: str = ""):
-        Process.__init__(self, kernel, generator, name)
-        self._span = kernel.tracer.start("sim.process", process=self.name)
-
-    def _resume(self, event: Event) -> Optional[str]:
-        status = Process._resume(self, event)
-        if status is not None:
-            self._span.finish(status=status)
-        return status
 
 
 class _Condition(Event):
@@ -551,9 +532,6 @@ class Kernel:
         "_active_process",
         "tracer",
         "_tracing",
-        "_fast_run",
-        "_fast_run_until",
-        "_dispatch_variant",
     )
 
     def __init__(self):
@@ -571,57 +549,8 @@ class Kernel:
         #: globally enabled (see :mod:`repro.obs.trace`) before this
         #: kernel was built.  Components reach it as ``kernel.tracer``.
         self.tracer = tracer_for_clock(lambda: self._now)
-        # Cached once: picks the traced/untraced Process class below.
+        # Cached once: whether process() attaches a span (see below).
         self._tracing = self.tracer.enabled
-        # Generated dispatch loops (see repro.sim.fastpath): selected
-        # once per kernel; None routes run()/run_until() through the
-        # generic bodies below (traced kernels, knob off).
-        dispatch = _fastpath.make_dispatch(self)
-        if dispatch is None:
-            self._fast_run = None
-            self._fast_run_until = None
-            self._dispatch_variant = "generic"
-        else:
-            self._fast_run, self._fast_run_until = dispatch
-            self._dispatch_variant = "fast"
-
-    def use_generic_dispatch(self) -> None:
-        """Route this kernel through the generic (reference) loop.
-
-        The global opt-out (``REPRO_SIM_FASTPATH=0``) and tracing both
-        land here; harmless when the fast path was never installed.
-        """
-        self._fast_run = None
-        self._fast_run_until = None
-        self._dispatch_variant = "generic"
-
-    def use_faulted_dispatch(self) -> None:
-        """Install the faulted fast-path variant on this kernel.
-
-        Fault tooling (:class:`~repro.faults.injector.FaultInjector`)
-        calls this instead of downgrading to the generic loop: the
-        fault state lives on the components, not the kernel, so the
-        fused drain and direct-resume chain stay valid for the whole
-        run.  The variant is the same generated semantics compiled as
-        its own unit (``<sim-fastpath-faulted>``), parity-gated like
-        the standard one.  Falls back to the generic loop when the
-        fast path is globally disabled or this kernel is traced.
-        """
-        dispatch = _fastpath.make_dispatch(self, faulted=True)
-        if dispatch is None:
-            self.use_generic_dispatch()
-        else:
-            self._fast_run, self._fast_run_until = dispatch
-            self._dispatch_variant = "fast-faulted"
-
-    @property
-    def dispatch_variant(self) -> str:
-        """Which dispatch loop this kernel runs.
-
-        ``"fast"`` (generated), ``"fast-faulted"`` (generated, faulted
-        compile unit) or ``"generic"`` (reference loop).
-        """
-        return self._dispatch_variant
 
     @property
     def now(self) -> float:
@@ -690,9 +619,23 @@ class Kernel:
         return timeout
 
     def process(self, generator: Generator, name: str = "") -> Process:
+        proc = Process(self, generator, name=name)
         if self._tracing:
-            return _TracedProcess(self, generator, name=name)
-        return Process(self, generator, name=name)
+            # The ``sim.process`` span closes from a callback on the
+            # process's own termination event, so a traced kernel runs
+            # the same loop, arm for arm, as an untraced one.
+            span = self.tracer.start("sim.process", process=proc.name)
+
+            def close_span(_event: Event) -> None:
+                exc = proc._exception
+                if exc is None:
+                    status = "ok"
+                else:
+                    status = "interrupted" if isinstance(exc, Interrupt) else "failed"
+                span.finish(status=status)
+
+            proc.callbacks = close_span
+        return proc
 
     def call_later(
         self,
@@ -752,6 +695,11 @@ class Kernel:
     # -- execution -------------------------------------------------------
 
     def step(self) -> None:
+        """Process exactly one occurrence, the straightforward way.
+
+        ``run``/``run_until`` do not call this (they inline it); it is
+        the reference they are tested against, and a debugging aid.
+        """
         queue = self._queue
         immediate = self._immediate
         if queue and (not immediate or queue[0][0] == self._now):
@@ -763,156 +711,7 @@ class Kernel:
             event = immediate.popleft()  # IndexError mirrors empty heap
         event._run_callbacks()
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or the clock reaches ``until``.
-
-        When ``until`` is given, the clock is advanced to exactly
-        ``until`` even if the queue drains earlier.
-        """
-        fast = self._fast_run
-        if fast is not None:
-            return fast(until)
-        if until is not None and until < self._now:
-            raise SimulationError(f"until={until} is in the past (now={self._now})")
-        limit = _INF if until is None else until
-        queue = self._queue
-        immediate = self._immediate
-        pop = heappop
-        push = heappush
-        popleft = immediate.popleft
-        while True:
-            # Pick the next instant.  Leftovers on the FIFO (only after
-            # a partial run_until) happen now — and heap entries already
-            # at the current instant (same provenance) are older still,
-            # so the cold branch drains those first.
-            if immediate:
-                when = self._now
-                while queue and queue[0][0] == when:
-                    pop(queue)[2]._run_callbacks()
-            elif queue:
-                # Speculative pop: the heap top is the next instant
-                # unless it lies beyond `limit` (rare — push it back).
-                entry = pop(queue)
-                when = entry[0]
-                if when > limit:
-                    push(queue, entry)
-                    break
-                self._now = when
-                event = entry[2]
-                # Drain the heap at `when`: all entries for this instant
-                # are already on the heap (a push while the clock sits
-                # at `when` goes to the FIFO).  The _TRIGGERED arm is
-                # Event._run_callbacks inlined (one call per event
-                # saved); a _PENDING entry can only be a process
-                # bootstrap (pending events are never enqueued
-                # otherwise), and _PROCESSED (late-wait redelivery)
-                # dispatches through the method.
-                while True:
-                    state = event._state
-                    if state == _TRIGGERED:
-                        event._state = _PROCESSED
-                        callbacks = event.callbacks
-                        if callbacks is not None:
-                            event.callbacks = None
-                            if callbacks.__class__ is list:
-                                for callback in callbacks:
-                                    callback(event)
-                            else:
-                                callbacks(event)
-                        exc = event._exception
-                        if exc is not None and not event.defused:
-                            raise exc
-                    elif state == _PENDING:
-                        if not event._started:
-                            event._started = True
-                            event._resume(_BOOTSTRAP)
-                        elif event._wake == when:
-                            event._wake = -1.0
-                            event._resume(_BOOTSTRAP)
-                        # else: stale wake of an interrupted sleep — drop
-                    else:
-                        event._run_callbacks()
-                    if not queue or queue[0][0] != when:
-                        break
-                    event = pop(queue)[2]
-            else:
-                break
-            # Then the FIFO, which may grow while draining (strictly
-            # younger than every heap entry for this instant).
-            while immediate:
-                event = popleft()
-                state = event._state
-                if state == _TRIGGERED:
-                    event._state = _PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks is not None:
-                        event.callbacks = None
-                        if callbacks.__class__ is list:
-                            for callback in callbacks:
-                                callback(event)
-                        else:
-                            callbacks(event)
-                    exc = event._exception
-                    if exc is not None and not event.defused:
-                        raise exc
-                elif state == _PENDING:
-                    if not event._started:
-                        event._started = True
-                        event._resume(_BOOTSTRAP)
-                    elif event._wake == when:
-                        event._wake = -1.0
-                        event._resume(_BOOTSTRAP)
-                else:
-                    event._run_callbacks()
-        if until is not None:
-            self._now = max(self._now, until)
-
-    def run_until(self, event: Event) -> Any:
-        """Step the loop only until ``event`` completes, then stop.
-
-        Unlike :meth:`run_process`, pending future work (keep-alive
-        timers, background persistors, …) is left on the queue, so the
-        clock does not race ahead of the event being waited on.
-        """
-        fast = self._fast_run_until
-        if fast is not None:
-            return fast(event)
-        queue = self._queue
-        immediate = self._immediate
-        while event._state != _PROCESSED:
-            if queue and (not immediate or queue[0][0] == self._now):
-                when, _seq, current = heappop(queue)
-                self._now = when
-            elif immediate:
-                current = immediate.popleft()
-            else:
-                raise SimulationError(
-                    "queue drained before the awaited event triggered"
-                )
-            state = current._state
-            if state == _TRIGGERED:
-                current._state = _PROCESSED
-                callbacks = current.callbacks
-                if callbacks is not None:
-                    current.callbacks = None
-                    if callbacks.__class__ is list:
-                        for callback in callbacks:
-                            callback(current)
-                    else:
-                        callbacks(current)
-                exc = current._exception
-                if exc is not None and not current.defused:
-                    raise exc
-            elif state == _PENDING:
-                if not current._started:
-                    current._started = True
-                    current._resume(_BOOTSTRAP)
-                elif current._wake == self._now:
-                    current._wake = -1.0
-                    current._resume(_BOOTSTRAP)
-            else:
-                current._run_callbacks()
-        return event.value
+    # run() and run_until() are generated: see the bottom of the module.
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Convenience: run ``generator`` to completion, return its value."""
@@ -926,13 +725,13 @@ class Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Generated dispatch (see repro.sim.fastpath).  Imported last so the
-# fastpath module can be handed this module's internals without a
-# circular import; the loops compile once per interpreter and install
-# per kernel in Kernel.__init__.
+# Kernel.run / Kernel.run_until: generated by repro.sim.fastpath from one
+# dispatch template and compiled once per interpreter.  Imported last so
+# the fastpath module can be handed this module's internals without a
+# circular import.
 from repro.sim import fastpath as _fastpath  # noqa: E402
 
-_fastpath.compile_dispatch(
+Kernel.run, Kernel.run_until = _fastpath.compile_dispatch(
     {
         "heappop": heappop,
         "heappush": heappush,
@@ -940,14 +739,10 @@ _fastpath.compile_dispatch(
         "_TRIGGERED": _TRIGGERED,
         "_PROCESSED": _PROCESSED,
         "_INF": _INF,
-        # The fused delivery arms recognize a plain process-resume
-        # callback by identity: a bound method whose function is
-        # exactly Process._resume (subclass overrides — _TracedProcess
-        # — fail the check and dispatch through the call, preserving
-        # their span bookkeeping).
+        # The fused delivery arms recognize a process-resume callback by
+        # identity: a bound method whose function is Process._resume.
         "_MethodType": type(_BOOTSTRAP._run_callbacks),
         "_PROC_RESUME": Process._resume,
         "SimulationError": SimulationError,
-        "Interrupt": Interrupt,
     }
 )

@@ -1,11 +1,12 @@
-"""Bit-identical parity for the faulted fast-path dispatch variant.
+"""Bit-identical parity under fault injection: generated loop vs steps.
 
-The :class:`~repro.faults.injector.FaultInjector` now keeps the codegen
-dispatch loop live (the ``fast-faulted`` compile unit) instead of
-downgrading to the generic interpreter.  These tests are the acceptance
-evidence: the checked-in minimized chaos reproducers and a fixed-seed
-chaos cell must produce *equal* results — every recorded data-plane op,
-every counter, zero divergence — with the fast path on and off.
+Fault-injected kernels run the same generated ``run``/``run_until`` as
+every other kernel.  These tests are the system-scale evidence that the
+loop is right on the failure paths too: the checked-in minimized chaos
+reproducers and a fixed-seed chaos cell must produce *equal* results —
+every recorded data-plane op, every counter, zero divergence — on the
+production loop and with ``Kernel.run``/``run_until`` replaced by the
+``step()`` versions of ``tests/sim/reference_kernel.py``.
 """
 
 import json
@@ -15,18 +16,11 @@ from pathlib import Path
 import pytest
 
 from repro.bench.chaos import ChaosCell, run_chaos_cell
-from repro.sim import fastpath
+from tests.sim.reference_kernel import use_step_dispatch
 
 FAULT_DIR = Path(__file__).resolve().parents[2] / "examples" / "faults"
 
 REPRODUCERS = sorted(FAULT_DIR.glob("chaos_*.json"))
-
-
-@pytest.fixture
-def restore_fastpath():
-    original = fastpath.enabled()
-    yield
-    fastpath.set_enabled(original)
 
 
 def _cell_from_reproducer(path: Path) -> ChaosCell:
@@ -46,30 +40,32 @@ def _cell_from_reproducer(path: Path) -> ChaosCell:
     )
 
 
-def _run_both(cell: ChaosCell):
-    results = []
-    for enabled in (True, False):
-        fastpath.set_enabled(enabled)
-        results.append(asdict(run_chaos_cell(cell)))
-    return results
+def _run_both(run_once, monkeypatch):
+    """``run_once()`` on the production loop, then on the step oracle."""
+    generated = run_once()
+    use_step_dispatch(monkeypatch)
+    return generated, run_once()
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "reproducer", REPRODUCERS, ids=[p.stem for p in REPRODUCERS]
 )
-def test_reproducer_replay_parity(reproducer, restore_fastpath):
-    """Replaying a minimized reproducer is bit-identical on/off."""
+def test_reproducer_replay_parity(reproducer, monkeypatch):
+    """Replaying a minimized reproducer is bit-identical on both loops."""
     assert REPRODUCERS, "no checked-in reproducers found"
-    fast, generic = _run_both(_cell_from_reproducer(reproducer))
-    assert fast == generic
+    cell = _cell_from_reproducer(reproducer)
+    generated, stepped = _run_both(
+        lambda: asdict(run_chaos_cell(cell)), monkeypatch
+    )
+    assert generated == stepped
 
 
 @pytest.mark.slow
-def test_fixed_seed_chaos_cell_history_parity(restore_fastpath):
+def test_fixed_seed_chaos_cell_history_parity(monkeypatch):
     """A fixed-seed chaos cell (generated schedule, crashes + episodes)
-    produces an identical per-op history under both dispatchers — not
-    just equal summary counters."""
+    produces an identical per-op history on both loops — not just equal
+    summary counters."""
     from repro.bench import chaos as chaos_mod
     from repro.bench.envs import build_ofc_env
     from repro.checks import HistoryRecorder, check_history
@@ -79,8 +75,7 @@ def test_fixed_seed_chaos_cell_history_parity(restore_fastpath):
     from repro.faults.chaos import chaos_schedule, chaos_targets
     from repro.workloads.tenants import TenantLoadEngine, TenantWorkloadConfig
 
-    def run_once(enabled):
-        fastpath.set_enabled(enabled)
+    def run_once():
         reset_id_counters()
         config = OFCConfig(cache_backend="ofc", tenant_quota_policy="none")
         ofc = build_ofc_env(
@@ -105,9 +100,6 @@ def test_fixed_seed_chaos_cell_history_parity(restore_fastpath):
             start_at=ofc.kernel.now,
         )
         injector = FaultInjector(ofc, schedule)
-        assert ofc.kernel.dispatch_variant == (
-            "fast-faulted" if enabled else "generic"
-        )
         injector.start()
         stats = engine.run(30.0)
         settle = max(ofc.kernel.now, schedule.duration) + 20.0
@@ -148,8 +140,7 @@ def test_fixed_seed_chaos_cell_history_parity(restore_fastpath):
             "final_now": ofc.kernel.now,
         }
 
-    fast = run_once(True)
-    generic = run_once(False)
-    assert fast == generic
-    assert fast["history"], "cell recorded no data-plane ops"
-    assert fast["violations"] == 0
+    generated, stepped = _run_both(run_once, monkeypatch)
+    assert generated == stepped
+    assert generated["history"], "cell recorded no data-plane ops"
+    assert generated["violations"] == 0

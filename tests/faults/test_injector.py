@@ -118,6 +118,38 @@ def test_brownout_scales_store_latency():
     assert slowed == pytest.approx(4.0 * healthy, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "kind,knob",
+    [
+        ("rsds_brownout", "rsds_latency_scale"),
+        ("slow_network", "network_latency_scale"),
+    ],
+)
+@pytest.mark.parametrize("first,second", [(1.1, 1.9), (1.2, 1.7), (1.1, 1.3)])
+def test_overlapping_scaled_episodes_return_to_exactly_one(
+    ofc, kind, knob, first, second
+):
+    """Two overlapping episodes with non-dyadic scales must leave the
+    knob at exactly 1.0: multiply-on-entry/divide-on-exit left a rounding
+    residue (1.0*1.1*1.9/1.1/1.9 != 1.0) that kept ``any_active`` true
+    and every later latency off by a last-bit factor."""
+    injector = FaultInjector(
+        ofc,
+        schedule(
+            FaultEvent(at=10.0, kind=kind, duration=10.0, scale=first),
+            FaultEvent(at=15.0, kind=kind, duration=10.0, scale=second),
+        ),
+    )
+    injector.start()
+    ofc.kernel.run(until=17.0)
+    assert getattr(injector.state, knob) == first * second
+    ofc.kernel.run(until=22.0)
+    assert getattr(injector.state, knob) == second
+    ofc.kernel.run(until=26.0)
+    assert getattr(injector.state, knob) == 1.0
+    assert not injector.state.any_active
+
+
 def test_slow_network_scales_remote_cache_ops(ofc):
     cluster = ofc.cluster
     cluster.rng = None

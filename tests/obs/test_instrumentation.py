@@ -110,3 +110,69 @@ def test_platform_obs_registry_snapshot():
     assert "cache_size_peak_bytes" in collected["ofc"]
     assert collected["invokers"]["nodes"] == len(system.platform.invokers)
     assert collected["table2"]
+
+
+def _run_cell(monkeypatch, traced):
+    """One seeded memory-tight multi-tenant cell; returns what the run
+    did (records, clock) and every process the kernel started."""
+    from dataclasses import asdict
+
+    from repro.bench.envs import build_ofc_env
+    from repro.faas import reset_id_counters
+    from repro.sim import Kernel
+    from repro.workloads.tenants import TenantLoadEngine, TenantWorkloadConfig
+
+    procs = []
+    plain_process = Kernel.process
+
+    def counting_process(self, generator, name=""):
+        proc = plain_process(self, generator, name)
+        procs.append(proc)
+        return proc
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Kernel, "process", counting_process)
+        reset_tracing()
+        if traced:
+            enable_tracing()
+        reset_id_counters()
+        ofc = build_ofc_env(nodes=3, node_mb=2048.0, seed=5, keepalive_s=4.0)
+        records = []
+        ofc.platform.completion_listeners.append(
+            lambda r: records.append(
+                (
+                    r.request.request_id,
+                    r.node,
+                    r.sandbox_id,
+                    r.cold_start,
+                    r.submitted_at,
+                    r.started_at,
+                    r.finished_at,
+                    r.status,
+                    asdict(r.phases),
+                )
+            )
+        )
+        workload = TenantWorkloadConfig(n_tenants=40, mean_interval_s=2.0, seed=5)
+        TenantLoadEngine(ofc.kernel, ofc.platform, ofc.store, workload).run(40.0)
+    return ofc, records, procs
+
+
+def test_tracing_does_not_perturb_the_run(monkeypatch):
+    """A traced run is the benchmarked run: same loop, same schedule —
+    identical invocation records and final clock — and one
+    ``sim.process`` span per process, closed when it terminates."""
+    plain, plain_records, plain_procs = _run_cell(monkeypatch, traced=False)
+    traced, traced_records, traced_procs = _run_cell(monkeypatch, traced=True)
+    assert plain.kernel.tracer is NULL_TRACER
+    assert plain_records, "cell completed no invocations"
+    assert traced_records == plain_records
+    assert traced.kernel.now == plain.kernel.now
+    # (The traced run starts more processes than the plain one: the
+    # invoker keeps its reap/docker-update timers as named processes
+    # under tracing and as slot-identical call_later timers otherwise.)
+    assert len(traced_procs) >= len(plain_procs)
+    tracer = traced.kernel.tracer
+    finished = [p for p in traced_procs if p.processed]
+    assert 0 < len(finished) < len(traced_procs)  # some loops never end
+    assert tracer.count("sim.process") == len(finished)

@@ -1,35 +1,27 @@
-"""Dispatch-order parity for the generated kernel fast path.
+"""Dispatch-order parity: the generated loop against the step oracle.
 
-Every test drives the same seeded scenario through a kernel with the
-generated dispatch installed and one forced onto the generic loop, and
-requires the observable traces — (time, tag) logs, return values, final
-clocks — to be *equal*, not approximately equal.  This is the
-acceptance bar the bench-gate CI job enforces at system scale; here the
-coverage is the kernel patterns themselves (sleep chains, same-instant
-ties, zero delays, events, interrupts, run-until, limits, call_later).
+Every test drives the same scenario through a production ``Kernel``
+(the generated ``run``/``run_until`` of :mod:`repro.sim.fastpath`) and a
+``StepKernel`` (``step()`` → ``_run_callbacks`` → ``Process._resume``,
+see ``reference_kernel.py``), and requires the observable traces —
+(time, tag) logs, return values, final clocks — to be *equal*, not
+approximately equal.  The coverage is the kernel patterns themselves
+(sleep chains, same-instant ties, zero delays, events, interrupts,
+run-until, limits, call_later); ``test_kernel_properties.py`` checks the
+space between them.
 """
 
 import pytest
 
 from repro.sim import fastpath
 from repro.sim.kernel import Interrupt, Kernel, SimulationError
+from tests.sim.reference_kernel import StepKernel
 
 
 @pytest.fixture
 def both_kernels():
-    """Yield a factory for (fast, generic) kernel pairs."""
-    original = fastpath.enabled()
-    fastpath.set_enabled(True)
-
-    def make():
-        fast = Kernel()
-        assert fast._fast_run is not None, "fast path not installed"
-        generic = Kernel()
-        generic.use_generic_dispatch()
-        return fast, generic
-
-    yield make
-    fastpath.set_enabled(original)
+    """Yield a factory for (generated-loop, step-oracle) kernel pairs."""
+    return lambda: (Kernel(), StepKernel())
 
 
 def _run_scenario(kernel, scenario):
@@ -398,104 +390,8 @@ def test_call_later_zero_delay_fires_this_instant(both_kernels):
         assert log == [1.0]
 
 
-# -- variant selection ------------------------------------------------------
-
-
-def test_knob_disables_install():
-    original = fastpath.enabled()
-    try:
-        fastpath.set_enabled(False)
-        k = Kernel()
-        assert k._fast_run is None and k._fast_run_until is None
-        fastpath.set_enabled(True)
-        k = Kernel()
-        assert k._fast_run is not None and k._fast_run_until is not None
-    finally:
-        fastpath.set_enabled(original)
-
-
-def test_use_generic_dispatch_uninstalls():
-    original = fastpath.enabled()
-    try:
-        fastpath.set_enabled(True)
-        k = Kernel()
-        assert k._fast_run is not None
-        k.use_generic_dispatch()
-        assert k._fast_run is None and k._fast_run_until is None
-        # The generic loop still runs fine afterwards.
-        ticks = []
-
-        def ticker():
-            for _ in range(3):
-                yield 1.0
-                ticks.append(k.now)
-
-        k.run_process(ticker())
-        assert ticks == [1.0, 2.0, 3.0]
-    finally:
-        fastpath.set_enabled(original)
-
-
-def test_traced_kernels_fall_back_to_generic():
-    from repro.obs import trace as trace_mod
-
-    original = fastpath.enabled()
-    was_enabled = trace_mod.tracing_enabled()
-    try:
-        fastpath.set_enabled(True)
-        trace_mod.enable_tracing()
-        k = Kernel()
-        assert k._tracing
-        assert k._fast_run is None, "traced kernel must use the generic loop"
-    finally:
-        if not was_enabled:
-            trace_mod.disable_tracing()
-        fastpath.set_enabled(original)
-
-
-def test_fault_injector_keeps_faulted_fast_path():
-    """Injecting faults swaps to the faulted codegen variant, not the
-    generic loop (the pre-faulted-variant behavior downgraded every
-    chaos cell to generic dispatch for its whole run)."""
-    from repro.core.ofc import OFCPlatform
-    from repro.faults.injector import FaultInjector
-    from repro.faults.schedule import FaultSchedule
-
-    original = fastpath.enabled()
-    try:
-        fastpath.set_enabled(True)
-        ofc = OFCPlatform(seed=1)
-        assert ofc.kernel.dispatch_variant == "fast"
-        FaultInjector(ofc, FaultSchedule(events=[]))
-        assert ofc.kernel.dispatch_variant == "fast-faulted"
-        assert ofc.kernel._fast_run is not None
-        assert ofc.kernel._fast_run_until is not None
-    finally:
-        fastpath.set_enabled(original)
-
-
-def test_fault_injector_respects_global_opt_out():
-    """With the fast path globally disabled (REPRO_SIM_FASTPATH=0 /
-    set_enabled(False)), fault injection falls back to the generic loop."""
-    from repro.core.ofc import OFCPlatform
-    from repro.faults.injector import FaultInjector
-    from repro.faults.schedule import FaultSchedule
-
-    original = fastpath.enabled()
-    try:
-        fastpath.set_enabled(False)
-        ofc = OFCPlatform(seed=1)
-        FaultInjector(ofc, FaultSchedule(events=[]))
-        assert ofc.kernel.dispatch_variant == "generic"
-        assert ofc.kernel._fast_run is None
-    finally:
-        fastpath.set_enabled(original)
-
-
-def test_faulted_variant_matches_standard_variant():
-    """The faulted compile unit is the same semantics: a seeded mixed
-    scenario (sleeps, events, interrupts, churn) must trace identically
-    across standard fast, faulted fast, and generic dispatch."""
+def test_mixed_scenario_parity(both_kernels):
+    """Sleeps, a shared gate, timeouts and process joins interleaved."""
 
     def scenario(k, log):
         gate = k.event()
@@ -532,29 +428,49 @@ def test_faulted_variant_matches_standard_variant():
         k.process(parent())
         k.run()
 
-    original = fastpath.enabled()
+    _assert_parity(both_kernels, scenario)
+
+
+# -- one loop ---------------------------------------------------------------
+
+
+def test_every_kernel_runs_the_generated_loop():
+    """Clean, traced and fault-injected kernels share one run/run_until:
+    class attributes compiled from the generated source, nothing
+    per-instance to select."""
+    from repro.core.ofc import OFCPlatform
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
+    from repro.obs import trace as trace_mod
+
+    assert Kernel.run.__code__.co_filename == "<sim-fastpath>"
+    assert Kernel.run_until.__code__.co_filename == "<sim-fastpath>"
+    trace_mod.enable_tracing()
     try:
-        fastpath.set_enabled(True)
-        traces = []
-        for setup in (
-            lambda k: None,
-            lambda k: k.use_faulted_dispatch(),
-            lambda k: k.use_generic_dispatch(),
-        ):
-            k = Kernel()
-            setup(k)
-            log = []
-            scenario(k, log)
-            traces.append((log, k.now))
-        assert traces[0] == traces[1] == traces[2]
+        traced = Kernel()
     finally:
-        fastpath.set_enabled(original)
+        trace_mod.reset_tracing()
+    ofc = OFCPlatform(seed=1)
+    FaultInjector(ofc, FaultSchedule(events=[]))
+    for kernel in (Kernel(), traced, ofc.kernel):
+        assert type(kernel) is Kernel
+        assert kernel.run.__func__ is Kernel.run
+        assert kernel.run_until.__func__ is Kernel.run_until
 
 
-def test_generated_source_compiles_cleanly():
+def test_generated_source_has_one_advance_template():
     import ast
 
     src = fastpath.dispatch_source()
     tree = ast.parse(src)
     names = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
-    assert names == ["make_run", "make_run_until"]
+    assert names == ["run", "run_until"]
+    # Three dispatch sites x three generator advances, all from the one
+    # _ADVANCE template: its termination arm appears nowhere else.
+    assert src.count("except StopIteration as stop:") == 9
+    templates = [
+        value
+        for name, value in vars(fastpath).items()
+        if name.isupper() and isinstance(value, str)
+    ]
+    assert sum(t.count("except StopIteration") for t in templates) == 1
