@@ -96,34 +96,30 @@ def measure_micro() -> dict:
 
 def measure_faulted_cell() -> dict:
     """Seeded chaos cells: deterministic counters for ``micro``."""
-    from dataclasses import asdict, replace  # noqa: E402
+    from dataclasses import replace  # noqa: E402
 
-    from repro.bench.chaos import ChaosCell, run_chaos_cell  # noqa: E402
+    from repro.bench.grid import run_cell, TenantCell  # noqa: E402
 
-    cell = ChaosCell(
-        backend="ofc",
+    cell = TenantCell(
         intensity="medium",
-        quota_policy="none",
         n_tenants=24,
         mean_interval_s=6.0,
         duration_s=20.0,
         seed=11,
         warmup_s=10.0,
     )
-    roomy = asdict(run_chaos_cell(cell))
+    roomy = run_cell(cell)
     # That cell is roomy — its log cleaner never runs.  Five times the
     # tenants at twice the rate make the cache hand memory back, and
     # the summed LogStats then pin what the cleaner picks and relocates:
     # they move even when an op history (every counter above) survives.
-    dense = asdict(
-        run_chaos_cell(replace(cell, n_tenants=120, mean_interval_s=3.0))
-    )
-    log_stats = dense["log_stats"]
+    dense = run_cell(replace(cell, n_tenants=120, mean_interval_s=3.0))
+    log_stats = dense.log_stats
     return {
-        "faults/cell_ops": roomy["ops"],
-        "faults/cell_completed": roomy["completed"],
-        "faults/cell_failed": roomy["failed"],
-        "faults/cell_violations": roomy["violations_total"],
+        "faults/cell_ops": roomy.ops,
+        "faults/cell_completed": roomy.completed,
+        "faults/cell_failed": roomy.failed,
+        "faults/cell_violations": roomy.violations_total,
         "faults/dense_cell_log_cleanings": log_stats["cleanings"],
         "faults/dense_cell_log_segments_freed": log_stats["segments_freed"],
         "faults/dense_cell_log_relocated_bytes": log_stats["relocated_bytes"],

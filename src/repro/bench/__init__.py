@@ -16,6 +16,7 @@ tree wraps these drivers in pytest-benchmark targets, and the
 | Figure 8       | :mod:`repro.bench.fig8`              |
 | Figure 9, Table 2 | :mod:`repro.bench.macro`          |
 | Figure 10      | :mod:`repro.bench.fig10`             |
+| beyond: tenants, cachewars, chaos | :mod:`repro.bench.grid` |
 
 Sweeps fan their independent cells across processes via
 :mod:`repro.bench.runner`; :mod:`repro.bench.perfbench` tracks the

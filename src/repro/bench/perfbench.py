@@ -255,7 +255,7 @@ def bench_faulted_macro(
     instead of what this metric exists to watch — dispatch, the
     sandbox/cache bookkeeping under churn, and the history recorder.
     """
-    from repro.bench.chaos import SETTLE_SLACK_S, ChaosCell, run_chaos_cell
+    from repro.bench.grid import run_cell, SETTLE_SLACK_S, TenantCell
 
     warmup_s = 30.0
     load_s = total_sim_s - warmup_s - SETTLE_SLACK_S
@@ -264,10 +264,8 @@ def bench_faulted_macro(
             f"total_sim_s={total_sim_s} leaves no load window past "
             f"warmup ({warmup_s}) + settle ({SETTLE_SLACK_S})"
         )
-    cell = ChaosCell(
-        backend="ofc",
+    cell = TenantCell(
         intensity="medium",
-        quota_policy="none",
         n_tenants=200,
         mean_interval_s=2.0,
         duration_s=load_s,
@@ -275,7 +273,7 @@ def bench_faulted_macro(
         warmup_s=warmup_s,
     )
     start = perf_counter()
-    result = run_chaos_cell(cell)
+    result = run_cell(cell)
     wall_s = perf_counter() - start
     # Lower bound on simulated time: warmup + load + settling window
     # (the cell may run slightly longer waiting out episode tails).

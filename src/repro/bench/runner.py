@@ -18,10 +18,11 @@ randomized ``hash``).
 
 Observability
 -------------
-When tracing is enabled in the parent (``repro.cli --trace``), the
-runner re-enables it inside each worker process and ships the cell's
-span summary back with the result; :func:`merge_obs` folds those into
-one export payload.
+When tracing is enabled in the parent (``repro.cli --trace``), each
+pool worker traces its cell afresh and ships the cell's ``spans``
+payload back with the result; :func:`run_cells` folds every payload
+into the parent's collected tracers, so the trace export of a fanned-out
+sweep reports the same span names and counts as the serial one.
 """
 
 from __future__ import annotations
@@ -30,8 +31,16 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
+
+from repro.obs import (
+    absorb,
+    active_tracers,
+    enable_tracing,
+    reset_tracing,
+    spans_payload,
+    tracing_enabled,
+)
 
 
 def default_workers() -> int:
@@ -55,26 +64,23 @@ class CellOutcome:
 
     cell: Any
     result: Any
-    wall_s: float
+    #: The cell's ``spans`` payload, when a traced pool worker ran it.
     obs: Optional[dict] = None
 
 
 def _run_cell(payload) -> CellOutcome:
-    """Worker entry point; must stay module-level (pickled by the pool)."""
-    fn, cell, tracing = payload
-    if tracing:
-        from repro.obs import enable_tracing
+    """Worker entry point; must stay module-level (pickled by the pool).
 
+    ``traced`` is set only for pool workers: a worker process outlives
+    its cell, so it drops the previous cell's tracers before tracing
+    this one (the serial path records straight into the parent's)."""
+    fn, cell, traced = payload
+    if traced:
+        reset_tracing()
         enable_tracing()
-    start = perf_counter()
     result = fn(cell)
-    wall_s = perf_counter() - start
-    obs = None
-    if tracing:
-        from repro.obs import merged_summary
-
-        obs = merged_summary()
-    return CellOutcome(cell=cell, result=result, wall_s=wall_s, obs=obs)
+    obs = spans_payload(active_tracers()) if traced else None
+    return CellOutcome(cell=cell, result=result, obs=obs)
 
 
 def run_cells(
@@ -99,20 +105,23 @@ def run_cells(
         workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    from repro.obs import tracing_enabled
-
-    tracing = tracing_enabled()
-    payloads = [(fn, cell, tracing) for cell in cells]
     if workers == 1 or len(cells) <= 1:
         if initializer is not None:
             initializer(*initargs)
-        return [_run_cell(payload) for payload in payloads]
+        return [_run_cell((fn, cell, False)) for cell in cells]
+    traced = tracing_enabled()
     with ProcessPoolExecutor(
         max_workers=min(workers, len(cells)),
         initializer=initializer,
         initargs=initargs,
     ) as ex:
-        return list(ex.map(_run_cell, payloads))
+        outcomes = list(
+            ex.map(_run_cell, [(fn, cell, traced) for cell in cells])
+        )
+    for outcome in outcomes:
+        if outcome.obs is not None:
+            absorb(outcome.obs)
+    return outcomes
 
 
 def run_grid(
@@ -129,20 +138,3 @@ def run_grid(
             fn, cells, workers, initializer=initializer, initargs=initargs
         )
     ]
-
-
-def merge_obs(outcomes: Sequence[CellOutcome]) -> Dict[str, Any]:
-    """Fold per-cell span summaries into one export payload."""
-    merged: Dict[str, Any] = {"cells": []}
-    for index, outcome in enumerate(outcomes):
-        if outcome.obs is None:
-            continue
-        merged["cells"].append(
-            {
-                "cell": repr(outcome.cell),
-                "index": index,
-                "wall_s": outcome.wall_s,
-                "summary": outcome.obs,
-            }
-        )
-    return merged

@@ -21,31 +21,34 @@ Sweep experiments (fig7, fig8, fig9, fig10) fan independent cells
 across processes; ``--workers N`` caps the fan-out (``--workers 1``
 forces the serial path, the default is one worker per core).
 
+Every command is one entry of :data:`COMMANDS` taking the parsed
+arguments; ``list`` prints the registry and ``all`` runs :data:`ALL`
+(the paper's artifacts plus ``faults``).
+
 ``report`` runs the macro workload and dumps the unified observability
 JSON (metrics + span summary) to ``--out``.  ``perf`` benchmarks the
 simulator itself (kernel events/sec, macro sim-s/wall-s, sweep wall
 time) and appends an entry to the ``--bench-out`` trajectory file.
-``tenants`` streams a synthesized multi-tenant population (Zipf app
-popularity, diurnal/bursty arrivals) through OFC, sweeps tenant count
-× skew × cache quota policy, and writes the per-tenant hit-ratio and
-fairness grid to ``--grid-out``.
-``cachewars`` replays one seeded multi-tenant workload against every
-registered cache architecture (OFC harvested, Faa$T-style cachelets,
-InfiniCache-style erasure-coded lambdas) and writes the
-hit-ratio/latency/cost grid to ``--cachewars-out``.
+``tenants``, ``cachewars`` and ``chaos`` are the three definitions of
+the one grid experiment (:mod:`repro.bench.grid`): a seeded multi-tenant
+population (Zipf app popularity, diurnal/bursty arrivals) streamed
+through one deployment per cell, swept over tenant count × skew × cache
+quota policy (fairness), over every registered cache architecture (OFC
+harvested, Faa$T-style cachelets, InfiniCache-style erasure-coded
+lambdas: hit ratio / latency / cost), or over backend × fault intensity
+with a history recorder auditing consistency invariants (acked-write
+durability, stale reads, read-your-writes, version order).  Each writes
+its grid — one shared row per cell — to ``--grid-out`` (default
+``results/<name>_grid.json``); failing cells are ddmin-shrunk and the
+minimal schedule exported as a runnable reproducer under
+``examples/faults/``.
 ``faults`` runs the availability experiment (baseline vs a mid-run
 node crash and restart).  ``run`` drives one deployment under a JSON
 fault schedule (``--faults PATH``, ``--duration S``) and prints the
 availability timeline.
-``chaos`` fuzzes every cache backend with seeded randomized fault
-schedules while a history recorder audits consistency invariants
-(acked-write durability, stale reads, read-your-writes, version
-order); failing cells are ddmin-shrunk and the minimal schedule
-exported as a runnable reproducer under ``examples/faults/``.  The
-grid lands in ``--chaos-out``.
 ``--trace PATH`` enables span tracing for any experiment and writes
 the trace summary to PATH.  A failing experiment prints its traceback
-to stderr and exits 1; ``faults``, ``run`` and ``chaos`` also exit 1
+to stderr and exits 1; ``faults``, ``run`` and the grids also exit 1
 (table still printed) when the consistency audit finds violations or
 dirty final outputs.
 """
@@ -55,6 +58,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import partial
 from typing import Callable, Dict
 
 from repro.bench.reporting import format_table
@@ -74,10 +78,10 @@ class ExperimentFailed(Exception):
         self.reason = reason
 
 
-def _fig2(quick: bool, workers=None) -> str:
+def _fig2(args) -> str:
     from repro.bench.fig2 import run_fig2
 
-    result = run_fig2(n=150 if quick else 400)
+    result = run_fig2(n=150 if args.quick else 400)
     return format_table(
         ["metric", "value"],
         [
@@ -88,7 +92,7 @@ def _fig2(quick: bool, workers=None) -> str:
     )
 
 
-def _fig3(quick: bool, workers=None) -> str:
+def _fig3(args) -> str:
     from repro.bench.fig3 import run_fig3_pipeline, run_fig3_single
 
     rows = run_fig3_single() + run_fig3_pipeline()
@@ -103,17 +107,17 @@ def _fig3(quick: bool, workers=None) -> str:
     )
 
 
-def _table1(quick: bool, workers=None) -> str:
+def _table1(args) -> str:
     from repro.bench.table1 import run_table1
 
     functions = (
         ["wand_blur", "wand_sepia", "sharp_resize", "video_transcode"]
-        if quick
+        if args.quick
         else None
     )
     rows = run_table1(
-        n_samples=200 if quick else 400,
-        folds=3 if quick else 5,
+        n_samples=200 if args.quick else 400,
+        folds=3 if args.quick else 5,
         functions=functions,
     )
     return format_table(
@@ -127,10 +131,10 @@ def _table1(quick: bool, workers=None) -> str:
     )
 
 
-def _benefit(quick: bool, workers=None) -> str:
+def _benefit(args) -> str:
     from repro.bench.table1 import run_benefit_model_eval
 
-    result = run_benefit_model_eval(n_samples=200 if quick else 400)
+    result = run_benefit_model_eval(n_samples=200 if args.quick else 400)
     return format_table(
         ["metric", "%"],
         [(k, v) for k, v in result.items()],
@@ -138,10 +142,10 @@ def _benefit(quick: bool, workers=None) -> str:
     )
 
 
-def _fig5(quick: bool, workers=None) -> str:
+def _fig5(args) -> str:
     from repro.bench.fig5 import run_fig5
 
-    result = run_fig5(n_samples=200 if quick else 400)
+    result = run_fig5(n_samples=200 if args.quick else 400)
     return format_table(
         ["metric", "value"],
         [
@@ -153,11 +157,11 @@ def _fig5(quick: bool, workers=None) -> str:
     )
 
 
-def _fig6(quick: bool, workers=None) -> str:
+def _fig6(args) -> str:
     from repro.bench.fig6 import run_fig6
 
-    functions = ["wand_sepia", "sharp_resize"] if quick else None
-    rows = run_fig6(n_samples=150 if quick else 300, functions=functions)
+    functions = ["wand_sepia", "sharp_resize"] if args.quick else None
+    rows = run_fig6(n_samples=150 if args.quick else 300, functions=functions)
     return format_table(
         ["algorithm", "interval", "median (us)", "p99 (us)"],
         [
@@ -168,10 +172,10 @@ def _fig6(quick: bool, workers=None) -> str:
     )
 
 
-def _maturation(quick: bool, workers=None) -> str:
+def _maturation(args) -> str:
     from repro.bench.maturation import run_maturation
 
-    result = run_maturation(max_invocations=300 if quick else 500)
+    result = run_maturation(max_invocations=300 if args.quick else 500)
     rows = [
         (name, count if count is not None else "(not matured)")
         for name, count in result.per_function.items()
@@ -184,13 +188,13 @@ def _maturation(quick: bool, workers=None) -> str:
     )
 
 
-def _fig7(quick: bool, workers=None) -> str:
+def _fig7(args) -> str:
     from repro.bench.fig7 import run_fig7_single
     from repro.sim.latency import KB
     from repro.workloads.functions import FIGURE7_FUNCTIONS
 
-    functions = FIGURE7_FUNCTIONS[:2] if quick else FIGURE7_FUNCTIONS
-    rows = run_fig7_single(functions, sizes=(16 * KB, 128 * KB), workers=workers)
+    functions = FIGURE7_FUNCTIONS[:2] if args.quick else FIGURE7_FUNCTIONS
+    rows = run_fig7_single(functions, sizes=(16 * KB, 128 * KB), workers=args.workers)
     return format_table(
         ["workload", "size", "config", "total (ms)"],
         [(r.workload, r.input_size, r.config, r.total_s * 1e3) for r in rows],
@@ -198,12 +202,13 @@ def _fig7(quick: bool, workers=None) -> str:
     )
 
 
-def _fig8(quick: bool, workers=None) -> str:
+def _fig8(args) -> str:
     from repro.bench.fig8 import run_fig8
     from repro.sim.latency import KB
 
-    sizes = (16 * KB, 1024 * KB) if quick else (1 * KB, 16 * KB, 1024 * KB, 3072 * KB)
-    rows = run_fig8(sizes=sizes, workers=workers)
+    full = (1 * KB, 16 * KB, 1024 * KB, 3072 * KB)
+    sizes = (16 * KB, 1024 * KB) if args.quick else full
+    rows = run_fig8(sizes=sizes, workers=args.workers)
     return format_table(
         ["scenario", "size (kB)", "scaling (ms)", "exec (ms)"],
         [
@@ -215,14 +220,14 @@ def _fig8(quick: bool, workers=None) -> str:
     )
 
 
-def _fig9(quick: bool, workers=None) -> str:
+def _fig9(args) -> str:
     from repro.bench.macro import MACRO_WORKLOADS, run_macro_comparison
     from repro.workloads.faasload import TenantProfile
 
     ofc, swift, improvements = run_macro_comparison(
         TenantProfile.NORMAL,
-        duration_s=300.0 if quick else 1800.0,
-        workers=workers,
+        duration_s=300.0 if args.quick else 1800.0,
+        workers=args.workers,
     )
     return format_table(
         ["workload", "OWK-Swift (s)", "OFC (s)", "improvement %"],
@@ -238,12 +243,12 @@ def _fig9(quick: bool, workers=None) -> str:
     )
 
 
-def _table2(quick: bool, workers=None) -> str:
+def _table2(args) -> str:
     from repro.bench.macro import run_macro
     from repro.workloads.faasload import TenantProfile
 
     result = run_macro(
-        "ofc", TenantProfile.NORMAL, duration_s=300.0 if quick else 1800.0
+        "ofc", TenantProfile.NORMAL, duration_s=300.0 if args.quick else 1800.0
     )
     return format_table(
         ["metric", "value"],
@@ -252,11 +257,11 @@ def _table2(quick: bool, workers=None) -> str:
     )
 
 
-def _fig10(quick: bool, workers=None) -> str:
+def _fig10(args) -> str:
     from repro.bench.fig10 import run_fig10
 
     series = run_fig10(
-        duration_s=300.0 if quick else 900.0, workers=workers
+        duration_s=300.0 if args.quick else 900.0, workers=args.workers
     )
     rows = []
     for s in series:
@@ -273,11 +278,11 @@ def _fmt_ratio(value) -> str:
     return f"{value:.3f}" if value is not None else "n/a"
 
 
-def _faults(quick: bool, workers=None) -> str:
+def _faults(args) -> str:
     from repro.bench.faults import run_fault_availability
 
     baseline, faulted = run_fault_availability(
-        duration_s=120.0 if quick else 240.0, workers=workers
+        duration_s=120.0 if args.quick else 240.0, workers=args.workers
     )
     rows = [
         (
@@ -318,17 +323,16 @@ def _faults(quick: bool, workers=None) -> str:
     return table
 
 
-def _run_schedule(quick: bool, faults_path, duration_s: float) -> str:
+def _run_schedule(args) -> str:
     from repro.bench.faults import run_availability
     from repro.faults import FaultSchedule
 
     schedule = None
     scenario = "no-faults"
-    if faults_path:
-        schedule = FaultSchedule.load(faults_path)
-        scenario = faults_path
-    if quick:
-        duration_s = min(duration_s, 120.0)
+    if args.faults:
+        schedule = FaultSchedule.load(args.faults)
+        scenario = args.faults
+    duration_s = min(args.duration, 120.0) if args.quick else args.duration
     result = run_availability(
         scenario=scenario, schedule=schedule, duration_s=duration_s
     )
@@ -361,14 +365,18 @@ def _run_schedule(quick: bool, faults_path, duration_s: float) -> str:
     return table
 
 
-def _chaos(quick: bool, workers, grid_out: str) -> str:
-    from repro.bench.chaos import format_results, run_chaos
+def _grid(name: str, args) -> str:
+    """Run grid definition ``name`` of :mod:`repro.bench.grid`."""
+    from repro.bench.grid import format_results, GRIDS, run_grid_experiment
 
-    results = run_chaos(quick=quick, workers=workers, grid_out=grid_out)
-    table = format_results(results) + f"\n[grid written to {grid_out}]"
-    total = sum(r.violations_total for r in results)
+    grid, out = GRIDS[name], args.grid_out or f"results/{name}_grid.json"
+    rows = run_grid_experiment(
+        grid, quick=args.quick, workers=args.workers, grid_out=out
+    )
+    table = format_results(grid, rows) + f"\n[grid written to {out}]"
+    total = sum(r.violations_total for r in rows)
     if total:
-        failing = [r.cell_id for r in results if r.violations_total]
+        failing = [r.cell_id for r in rows if r.violations_total]
         raise ExperimentFailed(
             table,
             f"{total} invariant violations in cells {failing}; "
@@ -377,27 +385,13 @@ def _chaos(quick: bool, workers, grid_out: str) -> str:
     return table
 
 
-def _tenants(quick: bool, workers, grid_out: str) -> str:
-    from repro.bench.tenants import format_results, run_tenants
-
-    results = run_tenants(quick=quick, workers=workers, grid_out=grid_out)
-    return format_results(results) + f"\n[grid written to {grid_out}]"
-
-
-def _cachewars(quick: bool, workers, grid_out: str) -> str:
-    from repro.bench.cachewars import format_results, run_cachewars
-
-    results = run_cachewars(quick=quick, workers=workers, grid_out=grid_out)
-    return format_results(results) + f"\n[grid written to {grid_out}]"
-
-
-def _report(quick: bool, out: str) -> str:
+def _report(args) -> str:
     from repro.bench.report import run_report
 
-    return run_report(quick=quick, out=out)
+    return run_report(quick=args.quick, out=args.out)
 
 
-def _perf(quick: bool, workers, out: str, label=None) -> str:
+def _perf(args) -> str:
     from repro.bench.perfbench import (
         find_comparable,
         format_delta,
@@ -406,8 +400,8 @@ def _perf(quick: bool, workers, out: str, label=None) -> str:
         run_perf,
     )
 
-    entry = run_perf(quick=quick, workers=workers, label=label)
-    doc = record(entry, path=out)
+    entry = run_perf(quick=args.quick, workers=args.workers, label=args.label)
+    doc = record(entry, path=args.bench_out)
     # The appended entry is last; the delta line makes regressions
     # visible directly in CI logs instead of only in the artifact.
     previous = find_comparable(doc["entries"][:-1], entry)
@@ -415,11 +409,12 @@ def _perf(quick: bool, workers, out: str, label=None) -> str:
         format_entry(entry)
         + "\n"
         + format_delta(entry, previous)
-        + f"\n[entry appended to {out}]"
+        + f"\n[entry appended to {args.bench_out}]"
     )
 
 
-EXPERIMENTS: Dict[str, Callable[..., str]] = {
+#: The one registry: command name -> ``fn(parsed args) -> printed text``.
+COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "fig2": _fig2,
     "fig3": _fig3,
     "table1": _table1,
@@ -434,6 +429,15 @@ EXPERIMENTS: Dict[str, Callable[..., str]] = {
     "fig10": _fig10,
     "faults": _faults,
 }
+#: What ``all`` runs: the paper's artifacts and the availability
+#: experiment, i.e. everything registered above this line.
+ALL = tuple(COMMANDS)
+COMMANDS.update(
+    report=_report,
+    perf=_perf,
+    **{name: partial(_grid, name) for name in ("tenants", "cachewars", "chaos")},
+    run=_run_schedule,
+)
 
 
 def _export_trace(path: str) -> None:
@@ -451,8 +455,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        help="experiment names, 'all', 'list', 'report', 'perf', "
-        "'tenants', 'cachewars', 'chaos', or 'run'",
+        help="command names (see 'list'), or 'all' for the paper's set",
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller sample counts"
@@ -480,20 +483,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--grid-out",
         metavar="PATH",
-        default="results/tenants_grid.json",
-        help="output path for the 'tenants' sweep's grid JSON",
-    )
-    parser.add_argument(
-        "--cachewars-out",
-        metavar="PATH",
-        default="results/cachewars_grid.json",
-        help="output path for the 'cachewars' head-to-head grid JSON",
-    )
-    parser.add_argument(
-        "--chaos-out",
-        metavar="PATH",
-        default="results/chaos_grid.json",
-        help="output path for the 'chaos' fuzzing grid JSON",
+        default=None,
+        help="output path for a grid experiment's JSON document "
+        "(default: results/<name>_grid.json)",
     )
     parser.add_argument(
         "--bench-out",
@@ -507,12 +499,6 @@ def main(argv=None) -> int:
         default=None,
         help="label recorded with the 'perf' trajectory entry "
         "(default: 'quick' or 'full')",
-    )
-    parser.add_argument(
-        "--no-model-cache",
-        action="store_true",
-        help="disable the shared warm-model cache (cold pretraining "
-        "in every sweep cell)",
     )
     parser.add_argument(
         "--faults",
@@ -530,22 +516,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiments == ["list"]:
-        for name in EXPERIMENTS:
-            print(name)
-        print("report")
-        print("perf")
-        print("tenants")
-        print("cachewars")
-        print("chaos")
-        print("run")
+        print("\n".join(COMMANDS))
         return 0
-    names = (
-        list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
-    )
-    if args.no_model_cache:
-        from repro.bench import model_cache
-
-        model_cache.set_enabled(False)
+    names = list(ALL) if args.experiments == ["all"] else args.experiments
     tracing = args.trace is not None
     if tracing:
         from repro.obs import enable_tracing, reset_tracing
@@ -554,43 +527,12 @@ def main(argv=None) -> int:
         enable_tracing()
     try:
         for name in names:
-            runner = EXPERIMENTS.get(name)
-            if runner is None and name not in (
-                "report",
-                "perf",
-                "tenants",
-                "cachewars",
-                "chaos",
-                "run",
-            ):
+            command = COMMANDS.get(name)
+            if command is None:
                 print(f"unknown experiment: {name}", file=sys.stderr)
                 return 2
             try:
-                if name == "report":
-                    print(_report(args.quick, args.out))
-                elif name == "perf":
-                    print(
-                        _perf(
-                            args.quick,
-                            args.workers,
-                            args.bench_out,
-                            label=args.label,
-                        )
-                    )
-                elif name == "tenants":
-                    print(_tenants(args.quick, args.workers, args.grid_out))
-                elif name == "cachewars":
-                    print(
-                        _cachewars(
-                            args.quick, args.workers, args.cachewars_out
-                        )
-                    )
-                elif name == "chaos":
-                    print(_chaos(args.quick, args.workers, args.chaos_out))
-                elif name == "run":
-                    print(_run_schedule(args.quick, args.faults, args.duration))
-                else:
-                    print(runner(args.quick, workers=args.workers))
+                print(command(args))
             except ExperimentFailed as failure:
                 print(failure.output)
                 print(

@@ -20,6 +20,7 @@ from repro.obs.export import (
 )
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
+    absorb,
     active_tracers,
     all_finished_spans,
     enable_tracing,
@@ -42,6 +43,7 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
+    "absorb",
     "active_tracers",
     "all_finished_spans",
     "enable_tracing",

@@ -14,7 +14,7 @@ import os
 from typing import IO, List, Optional, Union
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import merged_summary, Tracer
 
 __all__ = [
     "export_csv",
@@ -32,29 +32,12 @@ def spans_payload(
     tracers: List[Tracer], include_spans: bool = False
 ) -> dict:
     """Aggregate one or more tracers into a JSON-safe dict."""
-    merged: dict = {}
-    total = 0
-    started = 0
-    dropped = 0
-    for tracer in tracers:
-        total += len(tracer.spans)
-        started += tracer.started
-        dropped += tracer.dropped
-        for name, agg in tracer.summary().items():
-            into = merged.get(name)
-            if into is None:
-                merged[name] = dict(agg)
-            else:
-                into["count"] += agg["count"]
-                into["total_s"] += agg["total_s"]
-                into["min_s"] = min(into["min_s"], agg["min_s"])
-                into["max_s"] = max(into["max_s"], agg["max_s"])
-    for agg in merged.values():
-        agg["mean_s"] = agg["total_s"] / agg["count"]
+    merged = merged_summary(tracers)
     payload = {
-        "finished": total,
-        "started": started,
-        "dropped": dropped,
+        # Every finished span is in exactly one per-name aggregate.
+        "finished": sum(agg["count"] for agg in merged.values()),
+        "started": sum(tracer.started for tracer in tracers),
+        "dropped": sum(tracer.dropped for tracer in tracers),
         "summary": merged,
     }
     if include_spans:

@@ -31,7 +31,9 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
+    "TraceDigest",
     "Tracer",
+    "absorb",
     "active_tracers",
     "all_finished_spans",
     "enable_tracing",
@@ -260,10 +262,13 @@ def all_finished_spans() -> List[Span]:
     return [span for tracer in _tracers for span in tracer.spans]
 
 
-def merged_summary() -> Dict[str, Dict[str, float]]:
-    """Per-name span aggregates across every collected tracer."""
+def merged_summary(
+    tracers: Optional[List[Tracer]] = None,
+) -> Dict[str, Dict[str, float]]:
+    """Per-name span aggregates across ``tracers`` (default: every
+    collected tracer)."""
     merged: Dict[str, Dict[str, float]] = {}
-    for tracer in _tracers:
+    for tracer in _tracers if tracers is None else tracers:
         for name, agg in tracer.summary().items():
             into = merged.get(name)
             if into is None:
@@ -276,3 +281,27 @@ def merged_summary() -> Dict[str, Dict[str, float]]:
     for agg in merged.values():
         agg["mean_s"] = agg["total_s"] / agg["count"]
     return merged
+
+
+class TraceDigest(Tracer):
+    """A sweep worker's finished trace, kept as its aggregates.
+
+    A worker's tracers die with its process (their clocks are bound
+    kernel methods, so they do not pickle); what travels back is the
+    ``spans`` payload of the cell it ran, and this stand-in gives that
+    payload the read side of a tracer so exports fold it in unchanged.
+    """
+
+    def __init__(self, payload: dict):
+        super().__init__()
+        self.started = payload["started"]
+        self.dropped = payload["dropped"]
+        self._summary = payload["summary"]
+
+    def summary(self) -> Dict[str, Dict[str, float]]:
+        return self._summary
+
+
+def absorb(payload: dict) -> None:
+    """Collect a worker's ``spans`` payload beside the local tracers."""
+    _tracers.append(TraceDigest(payload))

@@ -21,10 +21,8 @@ from repro.workloads.functions import get_function_model
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     model_cache.clear()
-    model_cache.set_enabled(True)
     yield
     model_cache.clear()
-    model_cache.set_enabled(True)
 
 
 def _short_macro():

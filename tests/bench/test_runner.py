@@ -48,6 +48,30 @@ def test_parallel_sweep_matches_serial():
     assert parallel == serial
 
 
+def test_traced_sweep_exports_worker_spans(tmp_path):
+    # Worker processes trace their own cells; what they recorded must
+    # reach the parent's export, or --trace is empty whenever a sweep
+    # fans out (it was: run_grid dropped CellOutcome.obs).
+    from repro.obs import enable_tracing, export_json, reset_tracing
+    from repro.obs.trace import active_tracers
+
+    def traced_spans(workers):
+        reset_tracing()
+        enable_tracing()
+        try:
+            run_fig8(sizes=(16 * KB,), seed=0, workers=workers)
+            doc = export_json(tmp_path / "t.json", tracers=active_tracers())
+        finally:
+            reset_tracing()
+        spans = doc["spans"]
+        counts = {name: agg["count"] for name, agg in spans["summary"].items()}
+        return counts, spans["finished"], spans["started"]
+
+    serial = traced_spans(1)
+    assert serial[0]["faas.invoke"] > 0 and serial[1] > 0
+    assert traced_spans(2) == serial
+
+
 def test_cell_function_is_picklable():
     import pickle
 

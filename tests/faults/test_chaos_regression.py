@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.chaos import ChaosCell, run_chaos_cell
+from repro.bench.grid import run_cell, TenantCell
 
 REPRODUCER = (
     Path(__file__).resolve().parents[2]
@@ -29,21 +29,13 @@ REPRODUCER = (
 )
 
 
-def load_cell(config_overrides):
-    doc = json.loads(REPRODUCER.read_text())
-    meta = doc["chaos"]
-    return ChaosCell(
-        backend=meta["backend"],
-        intensity=meta["intensity"],
-        quota_policy=meta["quota_policy"],
-        n_tenants=meta["n_tenants"],
-        mean_interval_s=meta["mean_interval_s"],
-        duration_s=meta["duration_s"],
-        seed=meta["seed"],
-        warmup_s=meta["warmup_s"],
-        schedule={"events": doc["events"]},
-        config_overrides=config_overrides,
-    )
+def load_cell(path, **changes):
+    """The cell a reproducer file documents (its ``chaos`` block is the
+    cell, its events the schedule), optionally with fields replaced."""
+    doc = json.loads(Path(path).read_text())
+    block = {k: v for k, v in doc["chaos"].items() if k != "violations"}
+    block.update(schedule={"events": doc["events"]}, **changes)
+    return TenantCell(**block)
 
 
 def test_reproducer_is_runnable_schedule():
@@ -59,8 +51,7 @@ def test_reproducer_is_runnable_schedule():
 
 @pytest.mark.slow
 def test_minimized_schedule_loses_acked_writes_pre_fix():
-    doc = json.loads(REPRODUCER.read_text())
-    result = run_chaos_cell(load_cell(doc["chaos"]["config_overrides"]))
+    result = run_cell(load_cell(REPRODUCER))
     # The pre-fix backend demonstrably loses acked writes: durability
     # violations (data in neither RSDS nor cache) plus stuck dirty
     # finals from the given-up persists.
@@ -70,5 +61,5 @@ def test_minimized_schedule_loses_acked_writes_pre_fix():
 
 @pytest.mark.slow
 def test_fixed_defaults_survive_minimized_schedule():
-    result = run_chaos_cell(load_cell(None))
+    result = run_cell(load_cell(REPRODUCER, config_overrides=None))
     assert result.violations_total == 0

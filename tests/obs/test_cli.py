@@ -14,7 +14,7 @@ def _clean_tracing():
     reset_tracing()
 
 
-def _fake_experiment(quick, workers=None):
+def _fake_experiment(args):
     kernel = Kernel()
 
     def proc():
@@ -25,14 +25,14 @@ def _fake_experiment(quick, workers=None):
     return "fake done"
 
 
-def _failing_experiment(quick, workers=None):
+def _failing_experiment(args):
     raise RuntimeError("boom")
 
 
 @pytest.fixture()
 def fake_experiments(monkeypatch):
-    monkeypatch.setitem(cli.EXPERIMENTS, "fake", _fake_experiment)
-    monkeypatch.setitem(cli.EXPERIMENTS, "failing", _failing_experiment)
+    monkeypatch.setitem(cli.COMMANDS, "fake", _fake_experiment)
+    monkeypatch.setitem(cli.COMMANDS, "failing", _failing_experiment)
 
 
 def test_unknown_experiment_exits_2(capsys):

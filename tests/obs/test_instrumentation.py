@@ -168,10 +168,8 @@ def test_tracing_does_not_perturb_the_run(monkeypatch):
     assert plain_records, "cell completed no invocations"
     assert traced_records == plain_records
     assert traced.kernel.now == plain.kernel.now
-    # (The traced run starts more processes than the plain one: the
-    # invoker keeps its reap/docker-update timers as named processes
-    # under tracing and as slot-identical call_later timers otherwise.)
-    assert len(traced_procs) >= len(plain_procs)
+    # No component forks on tracing: both runs start the same processes.
+    assert len(traced_procs) == len(plain_procs)
     tracer = traced.kernel.tracer
     finished = [p for p in traced_procs if p.processed]
     assert 0 < len(finished) < len(traced_procs)  # some loops never end
