@@ -6,11 +6,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.faas.dataclient import DataClient
-from repro.faas.errors import OOMKilled, ResourceExhausted
+from repro.faas.errors import FaaSError, OOMKilled, ResourceExhausted
 from repro.faas.records import InvocationRecord
 from repro.faas.registry import FunctionSpec
 from repro.faas.sandbox import Sandbox, SandboxState
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import delay_until, Kernel
 from repro.sim.latency import COLD_START, DOCKER_UPDATE, WARM_START
 
 #: Simulation granularity of the Transform phase's memory ramp: the
@@ -121,41 +121,79 @@ class InvocationContext:
         Monitor (when attached) gets a chance to raise the cap; if it
         does not, the invocation is OOM-killed at the crossing point —
         exactly the failure mode §5.3.1 mitigates.
+
+        The ramp is ``COMPUTE_SLICES`` equal slices and a crossing is
+        detected at a slice boundary, but only boundaries where
+        something happens are simulated: the phase sleeps straight to
+        the first boundary whose usage exceeds the limit (or to the
+        last one), one kernel occurrence per stretch.  The wake instant
+        is the float that sleeping slice by slice produces (the slice
+        length added once per slice, in order), so schedules do not
+        depend on the skipping; ``tests/faas/reference_compute.py``
+        holds the slice-by-slice loop as the oracle.
+
+        This relies on one invariant: while a sandbox is BUSY its limit
+        is changed only by its own invocation's Monitor, from inside
+        this method.  The two callers of ``Invoker.resize_sandbox`` on a
+        sandbox in use are ``Invoker.execute`` (before the body starts)
+        and ``Monitor.on_pressure``; anything else that resizes a busy
+        sandbox must wake the phase to re-evaluate the crossing.
         """
         if duration < 0 or footprint_mb < 0:
             raise ValueError("duration and footprint must be non-negative")
-        tracer = self.kernel.tracer
+        kernel = self.kernel
+        record = self.record
+        sandbox = self.sandbox
+        tracer = kernel.tracer
         span = (
-            tracer.start("faas.compute", function=self.record.request.function)
+            tracer.start("faas.compute", function=record.request.function)
             if tracer.enabled
             else None
         )
-        start = self.kernel.now
+        start = now = kernel.now
         slices = COMPUTE_SLICES if duration > 0 else 1
-        for i in range(1, slices + 1):
+        step = duration / slices
+        done = 0
+        while done < slices:
+            # Usage is monotonic in the slice index: when the last
+            # boundary stays under the limit, every boundary does.
+            ceiling = sandbox.memory_limit_mb + _LIMIT_EPS_MB
+            boundary = slices
+            if footprint_mb * slices / slices > ceiling:
+                boundary = done + 1
+                while footprint_mb * boundary / slices <= ceiling:
+                    boundary += 1
             if duration > 0:
-                yield duration / slices
-            usage = footprint_mb * i / slices
-            self.sandbox.current_usage_mb = usage
-            self.record.peak_memory_mb = max(self.record.peak_memory_mb, usage)
-            if usage > self.sandbox.memory_limit_mb + _LIMIT_EPS_MB:
+                wake = now
+                for _ in range(boundary - done):
+                    wake += step
+                while True:
+                    yield delay_until(now, wake)
+                    now = kernel.now
+                    if now == wake:  # else: see delay_until
+                        break
+            done = boundary
+            usage = footprint_mb * done / slices
+            record.peak_memory_mb = max(record.peak_memory_mb, usage)
+            if usage > ceiling:
                 rescued = False
                 if self.monitor is not None:
                     rescued = yield from self.monitor.on_pressure(
                         self, usage, footprint_mb
                     )
+                    now = kernel.now
                 if not rescued:
-                    self.record.peak_memory_mb = max(
-                        self.record.peak_memory_mb, self.sandbox.memory_limit_mb
+                    record.peak_memory_mb = max(
+                        record.peak_memory_mb, sandbox.memory_limit_mb
                     )
                     if span is not None:
                         span.finish(status="oom")
                     raise OOMKilled(
-                        f"{self.sandbox.sandbox_id}: {usage:.0f} MB > "
-                        f"{self.sandbox.memory_limit_mb:.0f} MB limit",
+                        f"{sandbox.sandbox_id}: {usage:.0f} MB > "
+                        f"{sandbox.memory_limit_mb:.0f} MB limit",
                         needed_mb=footprint_mb,
                     )
-        self.record.phases.transform += self.kernel.now - start
+        record.phases.transform += now - start
         if span is not None:
             span.finish(status="ok")
 
@@ -239,6 +277,28 @@ class Invoker:
         if peers is not None and sandbox in peers:
             peers.remove(sandbox)
 
+    def audit(self) -> None:
+        """Recompute the memoized ``committed_mb`` and the per-function
+        index from ``sandboxes`` and raise :class:`FaaSError` naming
+        what drifted."""
+        drift = []
+        committed = sum(s.memory_limit_mb for s in self.sandboxes if s.alive)
+        cached = self._committed_cache
+        if cached is not None and cached != committed:
+            drift.append(f"committed_mb: {cached!r}, recomputed {committed!r}")
+        by_function: Dict[str, List[Sandbox]] = {}
+        for sandbox in self.sandboxes:
+            by_function.setdefault(sandbox.function_key, []).append(sandbox)
+        for key in sorted(by_function.keys() | self._by_function.keys()):
+            indexed = self._by_function.get(key, [])
+            want = by_function.get(key, [])
+            if indexed != want:
+                drift.append(f"index[{key}]: {indexed!r}, recomputed {want!r}")
+        if drift:
+            raise FaaSError(
+                f"{self.node_id}: invoker accounting drifted: " + "; ".join(drift)
+            )
+
     def _make_room(self, needed_mb: float):
         """Try to free ``needed_mb`` of node memory via the hook."""
         if needed_mb <= self.available_mb + _MEM_EPS_MB:
@@ -257,7 +317,14 @@ class Invoker:
         indexed = self._by_function.get(function_key)
         if not indexed:
             return []
-        return [s for s in indexed if s.alive and s.idle]
+        return [s for s in indexed if s.state is SandboxState.IDLE]
+
+    def has_idle_sandbox(self, function_key: str) -> bool:
+        """Whether :meth:`idle_sandboxes` is non-empty, without the list."""
+        for sandbox in self._by_function.get(function_key, ()):
+            if sandbox.state is SandboxState.IDLE:
+                return True
+        return False
 
     def find_sandbox(
         self, function_key: str, preferred_mb: Optional[float] = None

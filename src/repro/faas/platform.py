@@ -140,8 +140,13 @@ class FaaSPlatform:
             submitted_at=self.kernel.now,
             booked_memory_mb=spec.booked_memory_mb,
         )
-        span = self.kernel.tracer.start(
-            "faas.invoke", function=request.function, tenant=request.tenant
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start(
+                "faas.invoke", function=request.function, tenant=request.tenant
+            )
+            if tracer.enabled
+            else None
         )
         yield PLATFORM_OVERHEAD.sample(self.rng)
         if self.sizing_policy is not None:
@@ -193,7 +198,8 @@ class FaaSPlatform:
         if record.status != "ok":
             record.status = "failed"
             record.finished_at = self.kernel.now
-        span.finish(status=record.status, retries=record.retries)
+        if span is not None:
+            span.finish(status=record.status, retries=record.retries)
         if self.keep_records:
             self.records.append(record)
         for listener in self.completion_listeners:

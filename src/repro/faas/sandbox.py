@@ -45,8 +45,6 @@ class Sandbox:
         self.created_at = created_at
         self.last_used_at = created_at
         self.state = SandboxState.STARTING
-        #: Peak memory used by the invocation currently running.
-        self.current_usage_mb = 0.0
         #: Number of invocations served (warm reuse counter).
         self.invocations = 0
         #: Generation counter for keep-alive bookkeeping: bumped on each
@@ -81,7 +79,6 @@ class Sandbox:
                 f"{self.sandbox_id}: begin_invocation in state {self.state}"
             )
         self.last_used_at = now
-        self.current_usage_mb = 0.0
         self.invocations += 1
 
     def end_invocation(self, now: float) -> None:
@@ -92,7 +89,6 @@ class Sandbox:
         self.state = SandboxState.IDLE
         self.last_used_at = now
         self.use_generation += 1
-        self.current_usage_mb = 0.0
 
     def set_limit(self, memory_mb: float) -> None:
         """Apply a new cgroup memory limit (the latency of the docker

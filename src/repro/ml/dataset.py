@@ -56,17 +56,13 @@ class Dataset:
 
         Arguments are opaque (§5.1.2): nothing stops a tenant from
         sending a string where another invocation sent a number, so
-        inference must scan the whole column.
+        inference must scan the whole column.  A column with no
+        observed value is numeric.
         """
-        saw_value = False
         for row in self.rows:
-            value = row.get(name)
-            if value is None:
-                continue
-            saw_value = True
-            if isinstance(value, (str, bool)):
+            if isinstance(row.get(name), (str, bool)):
                 return "nominal"
-        return "numeric" if saw_value else "numeric"
+        return "numeric"
 
     # -- introspection -------------------------------------------------------
 

@@ -16,6 +16,7 @@ no dependency beyond numpy.
 from repro.sim.kernel import (
     AllOf,
     AnyOf,
+    delay_until,
     Event,
     Interrupt,
     Kernel,
@@ -30,6 +31,7 @@ from repro.sim.rng import RngRegistry
 __all__ = [
     "AllOf",
     "AnyOf",
+    "delay_until",
     "Event",
     "Interrupt",
     "Kernel",

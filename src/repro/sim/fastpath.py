@@ -145,7 +145,7 @@ while True:
 #: in the wake instance, which always sends None).
 _DIRECT_RESUME = """\
         if not immediate and (not queue or wake < queue[0][0]){guard}:
-            kernel._now = when = wake
+            kernel.now = when = wake
             value = None
             continue"""
 
@@ -234,9 +234,9 @@ def run(kernel, until=None):
     When ``until`` is given, the clock is advanced to exactly
     ``until`` even if the queue drains earlier.
     """
-    if until is not None and until < kernel._now:
+    if until is not None and until < kernel.now:
         raise SimulationError(
-            f"until={{until}} is in the past (now={{kernel._now}})"
+            f"until={{until}} is in the past (now={{kernel.now}})"
         )
     limit = _INF if until is None else until
     queue = kernel._queue
@@ -250,7 +250,7 @@ def run(kernel, until=None):
         # the current instant (same provenance) are older still, so
         # the cold branch drains those first.
         if immediate:
-            when = kernel._now
+            when = kernel.now
             while queue and queue[0][0] == when:
                 heappop(queue)[2]._run_callbacks()
         elif queue:
@@ -261,7 +261,7 @@ def run(kernel, until=None):
             if when > limit:
                 heappush(queue, entry)
                 break
-            kernel._now = when
+            kernel.now = when
             event = entry[2]
             # Drain the heap at `when`: all entries for this instant
             # are already on the heap (a push while the clock sits at
@@ -279,7 +279,7 @@ def run(kernel, until=None):
             event = popleft()
 {fifo_arms}
     if until is not None:
-        kernel._now = max(kernel._now, until)
+        kernel.now = max(kernel.now, until)
 '''
 
 _RUN_UNTIL_TEMPLATE = '''\
@@ -296,14 +296,14 @@ def run_until(kernel, target_event):
     seqn = kernel._seqn
     popleft = immediate.popleft
     while target_event._state != _PROCESSED:
-        if queue and (not immediate or queue[0][0] == kernel._now):
+        if queue and (not immediate or queue[0][0] == kernel.now):
             entry = heappop(queue)
             when = entry[0]
-            kernel._now = when
+            kernel.now = when
             event = entry[2]
         elif immediate:
             event = popleft()
-            when = kernel._now
+            when = kernel.now
         else:
             raise SimulationError(
                 "queue drained before the awaited event triggered"

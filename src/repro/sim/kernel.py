@@ -54,11 +54,12 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
+from math import inf, nextafter
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.obs.trace import tracer_for_clock
 
-_INF = float("inf")
+_INF = inf
 
 
 class SimulationError(RuntimeError):
@@ -252,7 +253,7 @@ class Timeout(Event):
         self._value = value
         self._exception = None
         self.delay = delay
-        now = kernel._now
+        now = kernel.now
         when = now + delay
         if when == now:
             kernel._ipush(self)
@@ -356,7 +357,7 @@ class Process(Event):
             # A pending process on the queue is either its bootstrap
             # slot or a sleep wake (stale if the sleep was interrupted).
             if self._started:
-                if self._wake == self.kernel._now:
+                if self._wake == self.kernel.now:
                     self._wake = -1.0
                     self._resume(_BOOTSTRAP)
             else:
@@ -405,7 +406,7 @@ class Process(Event):
             if target < 0:
                 raise SimulationError(f"negative sleep delay: {target}")
             self._target = None
-            now = kernel._now
+            now = kernel.now
             when = now + target
             self._wake = when
             if when == now:
@@ -524,7 +525,7 @@ class Kernel:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_immediate",
         "_ipush",
@@ -535,7 +536,10 @@ class Kernel:
     )
 
     def __init__(self):
-        self._now = 0.0
+        #: The virtual clock, in seconds.  A plain slot, not a property:
+        #: every layer reads it several times per operation.  Only the
+        #: dispatch loop (``run``/``run_until``/``step``) writes it.
+        self.now = 0.0
         self._queue: List = []
         self._immediate: deque = deque()
         # Cached bound methods for the hot push paths: `kernel._ipush(e)`
@@ -548,13 +552,9 @@ class Kernel:
         #: Observability hook: the shared no-op tracer unless tracing was
         #: globally enabled (see :mod:`repro.obs.trace`) before this
         #: kernel was built.  Components reach it as ``kernel.tracer``.
-        self.tracer = tracer_for_clock(lambda: self._now)
+        self.tracer = tracer_for_clock(lambda: self.now)
         # Cached once: whether process() attaches a span (see below).
         self._tracing = self.tracer.enabled
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -568,7 +568,7 @@ class Kernel:
         return self._active_process
 
     def _enqueue(self, delay: float, event: Event) -> None:
-        now = self._now
+        now = self.now
         when = now + delay
         if when == now:
             self._ipush(event)
@@ -610,7 +610,7 @@ class Kernel:
         timeout._value = value
         timeout._exception = None
         timeout.delay = delay
-        now = self._now
+        now = self.now
         when = now + delay
         if when == now:
             self._ipush(timeout)
@@ -702,11 +702,11 @@ class Kernel:
         """
         queue = self._queue
         immediate = self._immediate
-        if queue and (not immediate or queue[0][0] == self._now):
+        if queue and (not immediate or queue[0][0] == self.now):
             when, _seq, event = heappop(queue)
-            if when < self._now:
+            if when < self.now:
                 raise SimulationError("time went backwards")
-            self._now = when
+            self.now = when
         else:
             event = immediate.popleft()  # IndexError mirrors empty heap
         event._run_callbacks()
@@ -722,6 +722,32 @@ class Kernel:
                 f"process {proc.name!r} deadlocked (queue drained while waiting)"
             )
         return proc.value
+
+
+def delay_until(now: float, t: float) -> float:
+    """The bare delay that takes a process sleeping at ``now`` to ``t``.
+
+    A process that yields the float ``d`` wakes at ``now + d``; a model
+    that has computed the wake instant ``t`` itself (several float
+    additions folded in a fixed order, say) needs the ``d >= 0`` with
+    ``now + d == t`` to land on it in one kernel occurrence.  For
+    ``t / 2 <= now <= t`` the subtraction is exact (Sterbenz) and
+    ``t - now`` is that delay.  Below ``t / 2`` it may be off by one
+    rounding, so the neighbouring floats are tried; and for about one
+    such pair in twenty *no* float works (every ``now + d`` near ``t``
+    is a rounding tie that resolves to ``t``'s even neighbours).  Then
+    the result stops just short, ``t / 2 <= now + d < t``, from where a
+    second call is exact — callers loop until the clock reads ``t``.
+    The result never overshoots.
+    """
+    d = t - now
+    if now + d != t:
+        for near in (nextafter(d, inf), nextafter(d, 0.0)):
+            if now + near == t:
+                return near
+        while now + d > t:
+            d = nextafter(d, 0.0)
+    return d
 
 
 # ---------------------------------------------------------------------------

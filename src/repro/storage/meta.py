@@ -38,16 +38,18 @@ class ObjectMeta:
         return self.version > self.rsds_version
 
     def copy(self) -> "ObjectMeta":
+        # Positional, in field order: every GET and PUT returns a copy,
+        # and nine keyword arguments cost about as much as the object.
         return ObjectMeta(
-            bucket=self.bucket,
-            name=self.name,
-            size=self.size,
-            content_type=self.content_type,
-            created_at=self.created_at,
-            updated_at=self.updated_at,
-            version=self.version,
-            rsds_version=self.rsds_version,
-            user_meta=dict(self.user_meta),
+            self.bucket,
+            self.name,
+            self.size,
+            self.content_type,
+            self.created_at,
+            self.updated_at,
+            self.version,
+            self.rsds_version,
+            dict(self.user_meta),
         )
 
 

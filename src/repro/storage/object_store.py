@@ -115,12 +115,15 @@ class ObjectStore:
 
     # -- data plane ---------------------------------------------------------
 
-    def _delay(self, model, nbytes: int = 0):
+    def _delay(self, model, nbytes: int = 0) -> float:
+        # A bare delay for the caller to yield, as CacheCluster._delay:
+        # same queue slot and sequence number as a kernel.timeout(), no
+        # Timeout object per RSDS operation.
         duration = model.sample(self.rng, nbytes)
         faults = self.faults
         if faults is not None:
             duration *= faults.rsds_latency_scale
-        return self.kernel.timeout(duration)
+        return duration
 
     def _check_available(self, op: str) -> None:
         """Raise :class:`StoreUnavailable` during an injected outage."""
@@ -133,7 +136,12 @@ class ObjectStore:
         self, bucket: str, name: str, internal: bool = False
     ) -> Generator[Any, Any, StoredObject]:
         """GET an object; returns a :class:`StoredObject` copy."""
-        span = self.kernel.tracer.start("rsds.get", internal=internal)
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start("rsds.get", internal=internal)
+            if tracer.enabled
+            else None
+        )
         yield self._slots.acquire()
         try:
             self._check_available("get")
@@ -149,7 +157,8 @@ class ObjectStore:
             return StoredObject(meta=obj.meta.copy(), payload=obj.payload)
         finally:
             self._slots.release()
-            span.finish()
+            if span is not None:
+                span.finish()
 
     def put(
         self,
@@ -169,8 +178,11 @@ class ObjectStore:
         and the previous payload (if any) is dropped.  The transfer cost
         is that of an empty body.
         """
-        span = self.kernel.tracer.start(
-            "rsds.put", internal=internal, shadow=shadow
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start("rsds.put", internal=internal, shadow=shadow)
+            if tracer.enabled
+            else None
         )
         yield self._slots.acquire()
         try:
@@ -212,7 +224,8 @@ class ObjectStore:
             return meta.copy()
         finally:
             self._slots.release()
-            span.finish()
+            if span is not None:
+                span.finish()
 
     def persist_payload(
         self, bucket: str, name: str, payload: Any, version: int
@@ -223,7 +236,8 @@ class ObjectStore:
         the object's current version, which is how successive updates are
         kept in order (§6.2).
         """
-        span = self.kernel.tracer.start("rsds.persist")
+        tracer = self.kernel.tracer
+        span = tracer.start("rsds.persist") if tracer.enabled else None
         yield self._slots.acquire()
         try:
             self._check_available("persist")
@@ -238,12 +252,18 @@ class ObjectStore:
             return True
         finally:
             self._slots.release()
-            span.finish()
+            if span is not None:
+                span.finish()
 
     def delete(
         self, bucket: str, name: str, internal: bool = False
     ) -> Generator[Any, Any, None]:
-        span = self.kernel.tracer.start("rsds.delete", internal=internal)
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start("rsds.delete", internal=internal)
+            if tracer.enabled
+            else None
+        )
         yield self._slots.acquire()
         try:
             self._check_available("delete")
@@ -257,7 +277,8 @@ class ObjectStore:
             self.stats.deletes += 1
         finally:
             self._slots.release()
-            span.finish()
+            if span is not None:
+                span.finish()
 
     def stat(
         self, bucket: str, name: str

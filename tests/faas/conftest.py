@@ -43,3 +43,22 @@ def deploy(platform, name="fn", tenant="t0", booked=512.0, **body_kwargs):
     )
     platform.register_function(spec)
     return spec
+
+
+def logging_resumptions(generator_fn, log):
+    """``generator_fn`` with the kernel time of every resumption after
+    its start appended to ``log`` (the wrapped call's first argument is
+    the invocation context)."""
+
+    def logged(ctx, *args):
+        inner = generator_fn(ctx, *args)
+        try:
+            target = next(inner)
+            while True:
+                value = yield target
+                log.append(ctx.kernel.now)
+                target = inner.send(value)
+        except StopIteration as stop:
+            return stop.value
+
+    return logged

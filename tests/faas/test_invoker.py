@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.faas.errors import ResourceExhausted
+from repro.bench.envs import build_ofc_env
+from repro.faas import reset_id_counters
+from repro.faas.errors import FaaSError, OOMKilled, ResourceExhausted
 from repro.faas.invoker import Invoker
+from repro.faas.records import InvocationRecord, InvocationRequest
 from repro.faas.registry import FunctionSpec
 from repro.faas.sandbox import SandboxState
 from repro.sim import Kernel
+from repro.workloads.tenants import TenantLoadEngine, TenantWorkloadConfig
 
 
 def make_invoker(total_mb=2048.0, keepalive=600.0):
@@ -22,7 +26,16 @@ def spec(name="fn", tenant="t"):
 
 
 def run(invoker, gen):
-    return invoker.kernel.run_until(invoker.kernel.process(gen))
+    """Drive one lifecycle step to completion, then audit the node.
+
+    ``committed_mb`` is read first so the memo is populated: a step that
+    changes the committed set without invalidating it fails the audit.
+    """
+    _populate_memo = invoker.committed_mb  # noqa: F841
+    try:
+        return invoker.kernel.run_until(invoker.kernel.process(gen))
+    finally:
+        invoker.audit()
 
 
 def test_memory_accounting_starts_empty():
@@ -152,3 +165,73 @@ def test_destroy_is_idempotent():
     invoker.destroy_sandbox(sandbox)
     invoker.destroy_sandbox(sandbox)
     assert invoker.stats.sandboxes_destroyed == 1
+
+
+# -- audit -------------------------------------------------------------------
+
+
+def test_audit_after_every_lifecycle_step():
+    """Cold start, warm start with a resize, monitor-less OOM, reap."""
+    kernel = Kernel()
+    invoker = Invoker(kernel, "w0", 2048.0, keepalive_s=30.0)
+
+    def hungry(ctx):
+        yield from ctx.compute(1.0, float(ctx.args["mb"]))
+
+    fn = FunctionSpec(name="fn", tenant="t", body=hungry)
+    other = spec(name="other")
+
+    def execute(function, memory_mb, mb=1.0):
+        request = InvocationRequest(function.name, "t", args={"mb": mb})
+        record = InvocationRecord(request=request, submitted_at=kernel.now)
+        return run(invoker, invoker.execute(function, record, memory_mb, None))
+
+    assert execute(fn, 256.0).cold_start
+    assert not execute(fn, 512.0).cold_start  # warm, resized 256 -> 512
+    execute(other, 128.0)
+    assert invoker.committed_mb == 640.0
+    with pytest.raises(OOMKilled):
+        execute(fn, 512.0, mb=4096.0)  # destroys the sandbox
+    assert invoker.committed_mb == 128.0
+    execute(fn, 256.0)
+    kernel.run(until=kernel.now + 60.0)  # both idle sandboxes reaped
+    invoker.audit()
+    assert invoker.stats.sandboxes_reaped == 2
+    assert invoker.sandboxes == [] and invoker.committed_mb == 0.0
+
+
+def test_audit_names_what_drifted():
+    invoker = make_invoker()
+    sandbox = run(invoker, invoker.create_sandbox(spec(), 256.0))
+    assert invoker.committed_mb == 256.0
+    sandbox.set_limit(300.0)  # behind the invoker's back: memo is stale
+    with pytest.raises(FaaSError, match="committed_mb: 256.0, recomputed 300.0"):
+        invoker.audit()
+    invoker._notify("resized", sandbox)
+    invoker.audit()
+    invoker._by_function["t/fn"].remove(sandbox)
+    with pytest.raises(FaaSError, match=r"index\[t/fn\]"):
+        invoker.audit()
+
+
+def test_audit_holds_through_a_memory_tight_cell():
+    """Every invoker of a seeded cell with sandbox churn, hand-back and
+    capacity rejections, audited every 100 completions."""
+    reset_id_counters()
+    ofc = build_ofc_env(nodes=3, node_mb=2048.0, seed=5, keepalive_s=4.0)
+    completions = []
+
+    def audit_every_100(record):
+        completions.append(record.status)
+        if len(completions) % 100 == 0:
+            for invoker in ofc.platform.invokers:
+                invoker.audit()
+
+    ofc.platform.completion_listeners.append(audit_every_100)
+    workload = TenantWorkloadConfig(n_tenants=40, mean_interval_s=2.0, seed=5)
+    TenantLoadEngine(ofc.kernel, ofc.platform, ofc.store, workload).run(40.0)
+    for invoker in ofc.platform.invokers:
+        invoker.audit()
+    assert len(completions) >= 300
+    assert sum(inv.stats.sandboxes_destroyed for inv in ofc.platform.invokers) > 0
+    assert sum(inv.stats.resizes for inv in ofc.platform.invokers) > 0

@@ -53,10 +53,12 @@ def test_scheduler_skips_full_home():
     invokers = make_invokers(kernel, total_mb=512.0)
     scheduler = HomeWorkerScheduler()
     request = InvocationRequest(function="f", tenant="t")
-    home = invokers[home_index("t", "f", 4)]
-    home.cache_reserved_mb = 512.0  # home is out of memory
-    chosen = scheduler.choose_node(request, 256.0, invokers)
-    assert chosen is not home
+    start = home_index("t", "f", 4)
+    # Round-robin from the home index, wrapping past the last node.
+    for step in range(3):
+        invokers[(start + step) % 4].cache_reserved_mb = 512.0  # out of memory
+        chosen = scheduler.choose_node(request, 256.0, invokers)
+        assert chosen is invokers[(start + step + 1) % 4]
 
 
 def test_scheduler_respects_exclusions():

@@ -14,13 +14,13 @@ class StepKernel(Kernel):
     __slots__ = ()
 
     def run(self, until=None):
-        if until is not None and until < self._now:
-            raise SimulationError(f"until={until} is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise SimulationError(f"until={until} is in the past (now={self.now})")
         limit = float("inf") if until is None else until
         while self._immediate or (self._queue and self._queue[0][0] <= limit):
             self.step()
         if until is not None:
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
 
     def run_until(self, event):
         while not event.processed:

@@ -1,5 +1,7 @@
 """Unit tests for the RSDS object store."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim import Kernel
@@ -7,6 +9,7 @@ from repro.storage import (
     BucketExists,
     NoSuchBucket,
     NoSuchObject,
+    ObjectMeta,
     ObjectStore,
     REDIS_PROFILE,
     SWIFT_PROFILE,
@@ -184,6 +187,21 @@ def test_stat_returns_meta_copy(env):
     meta2 = run(kernel, scenario())
     assert meta2.size == 42
     assert meta2.user_meta == {"k": 1}
+
+
+def test_meta_copy_carries_every_field():
+    """``copy()`` passes the fields positionally: a field added or moved
+    without updating it shows up here."""
+    values = {
+        "bucket": "b", "name": "o", "size": 7, "content_type": "image/png",
+        "created_at": 1.5, "updated_at": 2.5, "version": 4, "rsds_version": 3,
+        "user_meta": {"k": 1},
+    }
+    assert set(values) == {f.name for f in dataclasses.fields(ObjectMeta)}
+    meta = ObjectMeta(**values)
+    clone = meta.copy()
+    assert clone == meta and clone is not meta
+    assert clone.user_meta is not meta.user_meta
 
 
 def test_list_objects_sorted(env):
