@@ -19,8 +19,9 @@ tree wraps these drivers in pytest-benchmark targets, and the
 | beyond: tenants, cachewars, chaos | :mod:`repro.bench.grid` |
 
 Sweeps fan their independent cells across processes via
-:mod:`repro.bench.runner`; :mod:`repro.bench.perfbench` tracks the
-simulator's own wall-clock performance (``repro perf``).
+:mod:`repro.bench.runner`.  The simulator's own speed is measured by
+``perf/run.py``, not here: :mod:`repro.bench.trajectory` (``repro
+perf``) only records in ``BENCH_perf.json`` what that measured.
 """
 
 from repro.bench.envs import (

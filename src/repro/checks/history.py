@@ -279,10 +279,6 @@ class HistoryRecorder:
         """Records shed by the ring (always 0 in unbounded mode)."""
         return self._seq - len(self.ops)
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _make_client(self, invoker, record) -> RecordingDataClient:
         return RecordingDataClient(
             self._inner_factory(invoker, record), record, self

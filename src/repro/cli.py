@@ -26,9 +26,10 @@ arguments; ``list`` prints the registry and ``all`` runs :data:`ALL`
 (the paper's artifacts plus ``faults``).
 
 ``report`` runs the macro workload and dumps the unified observability
-JSON (metrics + span summary) to ``--out``.  ``perf`` benchmarks the
-simulator itself (kernel events/sec, macro sim-s/wall-s, sweep wall
-time) and appends an entry to the ``--bench-out`` trajectory file.
+JSON (metrics + span summary) to ``--out``.  ``perf`` runs the
+repository benchmark (``perf/run.py``; needs a source checkout) and
+appends what it measured to the ``--bench-out`` trajectory file; with
+``--quick`` it runs the tiny smoke cells and appends nothing.
 ``tenants``, ``cachewars`` and ``chaos`` are the three definitions of
 the one grid experiment (:mod:`repro.bench.grid`): a seeded multi-tenant
 population (Zipf app popularity, diurnal/bursty arrivals) streamed
@@ -50,7 +51,8 @@ availability timeline.
 the trace summary to PATH.  A failing experiment prints its traceback
 to stderr and exits 1; ``faults``, ``run`` and the grids also exit 1
 (table still printed) when the consistency audit finds violations or
-dirty final outputs.
+dirty final outputs, and ``perf`` (one line, no table) when the
+benchmark cannot be run or fails its checks.
 """
 
 from __future__ import annotations
@@ -392,25 +394,12 @@ def _report(args) -> str:
 
 
 def _perf(args) -> str:
-    from repro.bench.perfbench import (
-        find_comparable,
-        format_delta,
-        format_entry,
-        record,
-        run_perf,
-    )
+    from repro.bench.trajectory import PerfFailed, run_perf
 
-    entry = run_perf(quick=args.quick, workers=args.workers, label=args.label)
-    doc = record(entry, path=args.bench_out)
-    # The appended entry is last; the delta line makes regressions
-    # visible directly in CI logs instead of only in the artifact.
-    previous = find_comparable(doc["entries"][:-1], entry)
-    return (
-        format_entry(entry)
-        + "\n"
-        + format_delta(entry, previous)
-        + f"\n[entry appended to {args.bench_out}]"
-    )
+    try:
+        return run_perf(quick=args.quick, label=args.label, path=args.bench_out)
+    except PerfFailed as failure:
+        raise ExperimentFailed("", str(failure)) from None
 
 
 #: The one registry: command name -> ``fn(parsed args) -> printed text``.
@@ -491,14 +480,13 @@ def main(argv=None) -> int:
         "--bench-out",
         metavar="PATH",
         default="BENCH_perf.json",
-        help="trajectory file the 'perf' command appends to",
+        help="trajectory file the 'perf' command appends its entry to",
     )
     parser.add_argument(
         "--label",
         metavar="TEXT",
         default=None,
-        help="label recorded with the 'perf' trajectory entry "
-        "(default: 'quick' or 'full')",
+        help="label recorded with the 'perf' entry: the state it stands for",
     )
     parser.add_argument(
         "--faults",
@@ -534,7 +522,8 @@ def main(argv=None) -> int:
             try:
                 print(command(args))
             except ExperimentFailed as failure:
-                print(failure.output)
+                if failure.output:
+                    print(failure.output)
                 print(
                     f"experiment failed: {name}: {failure.reason}",
                     file=sys.stderr,

@@ -278,9 +278,6 @@ class ModelTrainer:
 
     # -- aggregate stats -------------------------------------------------------
 
-    def all_models(self) -> List[FunctionModels]:
-        return list(self._models.values())
-
     def maturity_report(self) -> Dict[str, Optional[int]]:
         """function key -> invocations needed to mature (None if not yet)."""
         return {

@@ -33,7 +33,8 @@ what pickles (the function is regenerated on first use after
 unpickling, which is how warm-model cache entries travel between
 processes).
 
-Predictions are bit-identical to the recursive walk — including the
+Predictions are bit-identical to the plain ``_Node`` walk, which lives
+on as the test oracle ``tests/ml/reference_tree.py`` — including the
 fall-back-to-majority behaviour on missing features, non-numeric
 values at numeric nodes and unseen nominal values
 (``tests/ml/test_compiled_parity.py`` proves it property-style).
@@ -264,7 +265,7 @@ class CompiledTree:
         CPython try block is free until it raises.  A genuinely
         unhashable nominal value raises TypeError in both the
         generated dispatch and the fallback walk, so it still
-        propagates to the caller exactly as the recursive walk does.
+        propagates to the caller exactly as the reference walk does.
         """
         if self.depth > MAX_CODEGEN_DEPTH:
             return None
@@ -275,7 +276,7 @@ class CompiledTree:
 
         namespace: Dict[str, Any] = {}
         # Predictions return through a shared table rather than baked
-        # literals so the exact label objects of the recursive walk
+        # literals so the exact label objects of the reference walk
         # (possibly numpy scalars) come back unchanged.
         namespace["_p"] = self.node_prediction
 

@@ -11,7 +11,9 @@ Implements the parts of C4.5 the paper relies on (§5.1.1):
 * pessimistic error pruning with C4.5's default confidence factor.
 
 Prediction is a fast tree walk over a feature dict — the property that
-makes J48 usable on the invocation critical path (§7.1.2).
+makes J48 usable on the invocation critical path (§7.1.2); it runs
+compiled (:mod:`repro.ml.compiled`), with the plain ``_Node`` walk as
+the test oracle (``tests/ml/reference_tree.py``).
 """
 
 from __future__ import annotations
@@ -415,34 +417,6 @@ class J48Classifier:
         if compiled is None:
             raise RuntimeError("classifier is not fitted")
         return compiled.predict(rows)
-
-    def predict_one_recursive(self, row: Dict[str, Any]) -> int:
-        """The historical pointer-chasing walk over ``_Node`` objects.
-
-        Kept as the reference implementation: the parity tests assert
-        the compiled fast path returns exactly what this returns, and
-        the ``ml_predict`` microbench reports its speedup over it.
-        """
-        node = self._root
-        if node is None:
-            raise RuntimeError("classifier is not fitted")
-        while not node.is_leaf:
-            value = row.get(node.feature)
-            if node.threshold is not None:
-                try:
-                    numeric = float(value)
-                except (TypeError, ValueError):
-                    break  # unseen/missing: fall back to this node's majority
-                node = node.left if numeric <= node.threshold else node.right
-            else:
-                child = node.children.get(value)
-                if child is None:
-                    break
-                node = child
-        return node.prediction
-
-    def predict_recursive(self, rows: Sequence[Dict[str, Any]]) -> np.ndarray:
-        return np.asarray([self.predict_one_recursive(row) for row in rows])
 
     # -- introspection -------------------------------------------------------
 

@@ -567,14 +567,6 @@ class Kernel:
         """
         return self._active_process
 
-    def _enqueue(self, delay: float, event: Event) -> None:
-        now = self.now
-        when = now + delay
-        if when == now:
-            self._ipush(event)
-        else:
-            heappush(self._queue, (when, self._seqn(), event))
-
     # -- factories -------------------------------------------------------
 
     def event(self, _new=Event.__new__, _cls=Event) -> Event:

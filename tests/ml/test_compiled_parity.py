@@ -1,7 +1,8 @@
 """Parity gate for the compiled inference path (the PR's tentpole).
 
 The compiled tree — flattened arrays plus generated code — must agree
-with the recursive ``_Node`` walk on *every* row, including the messy
+with the reference ``_Node`` walk (``tests/ml/reference_tree.py``) on
+*every* row, including the messy
 ones: missing features, non-numeric values at numeric nodes, unseen
 nominal values, NaN/inf, numeric strings and bools.  These tests are
 property-style: many random weighted datasets with mixed feature
@@ -12,6 +13,7 @@ rows.
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from repro.ml.compiled import MAX_CODEGEN_DEPTH, CompiledTree
 from repro.ml.dataset import Dataset
 from repro.ml.tree import J48Classifier
+from tests.ml import reference_tree
 
 NOMINALS = ["h264", "vp9", "av1", True, False, "mjpeg"]
 
@@ -87,12 +90,12 @@ def test_compiled_matches_recursive_property(seed):
     assert clf.compiled.depth == clf.depth
 
     got = clf.predict(dataset.rows)
-    want = clf.predict_recursive(dataset.rows)
+    want = reference_tree.predict(clf, dataset.rows)
     assert list(got) == list(want)
 
     for row in _adversarial_rows(rng):
         assert _outcome(clf.predict_one, row) == _outcome(
-            clf.predict_one_recursive, row
+            partial(reference_tree.predict_one, clf), row
         ), row
 
 
@@ -122,7 +125,7 @@ def test_unhashable_nominal_raises_in_both_paths():
     # The fitted tree's root tests the nominal feature, so an
     # unhashable value reaches the dispatch table in both paths.
     assert clf.compiled.node_threshold[0] is None
-    for fn in (clf.predict_one, clf.predict_one_recursive):
+    for fn in (clf.predict_one, partial(reference_tree.predict_one, clf)):
         with pytest.raises(TypeError):
             fn({"codec": []})
 
@@ -133,12 +136,12 @@ def test_pickle_round_trip_regenerates_code():
     clf = J48Classifier().fit(dataset)
     clone = pickle.loads(pickle.dumps(clf))
     assert list(clone.predict(dataset.rows)) == list(
-        clf.predict_recursive(dataset.rows)
+        reference_tree.predict(clf, dataset.rows)
     )
     assert clone.compiled._fn is not None
     for row in _adversarial_rows(rng):
         assert _outcome(clone.predict_one, row) == _outcome(
-            clf.predict_one_recursive, row
+            partial(reference_tree.predict_one, clf), row
         )
 
 
