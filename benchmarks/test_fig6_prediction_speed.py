@@ -4,15 +4,9 @@ Paper: J48 median 3.19 us / p99 12.54 us at 16 MB intervals;
 RandomForest median 106.29 us / p99 173.05 us.
 """
 
-from time import perf_counter
-
 from benchmarks.conftest import save_result
-from repro.bench.datasets import function_dataset
 from repro.bench.fig6 import run_fig6
 from repro.bench.reporting import format_table
-from repro.ml import J48Classifier
-from repro.workloads.functions import ALL_FUNCTIONS
-from tests.ml import reference_tree
 
 SUBSET = [
     "wand_blur",
@@ -50,24 +44,3 @@ def test_fig6_prediction_speed(benchmark):
     # RandomForest costs roughly an order of magnitude more (paper: ~33x).
     assert forest is not None
     assert forest.median_us > 5 * j48_16.median_us
-
-
-def _rows_per_sec(predict, classifier, rows) -> float:
-    times = []
-    for _ in range(3):
-        start = perf_counter()
-        predict(classifier, rows)
-        times.append(perf_counter() - start)
-    return len(rows) / min(times)
-
-
-def test_compiled_predict_beats_reference_walk(benchmark):
-    # The only production predict path must not lose to the ``_Node`` walk
-    # it replaced (~3.5x here); rates depend on the machine, the order does not.
-    dataset = function_dataset(ALL_FUNCTIONS["wand_blur"], n=800, interval_mb=16.0)
-    args = (J48Classifier().fit(dataset), dataset.rows)
-    compiled = benchmark.pedantic(
-        _rows_per_sec, args=(J48Classifier.predict, *args), rounds=1
-    )
-    walk = _rows_per_sec(reference_tree.predict, *args)
-    assert compiled >= walk, f"compiled {compiled:,.0f} vs walk {walk:,.0f} rows/s"

@@ -11,8 +11,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.trainer import cache_benefit_label
+from repro.faas.records import InvocationRecord, InvocationRequest, Phases
 from repro.ml.dataset import Dataset
 from repro.ml.intervals import MemoryIntervals
+from repro.storage.latency_profiles import SWIFT_PROFILE
 from repro.workloads.functions import (
     ALL_FUNCTIONS,
     EVALUATION_FUNCTIONS,
@@ -28,6 +31,24 @@ def feature_row(media, args) -> Dict:
             float(value) if isinstance(value, (int, float)) else value
         )
     return row
+
+
+def synthetic_record(
+    model: FunctionModel, media, args, rng, tenant: str
+) -> InvocationRecord:
+    """The telemetry one completed invocation of ``model`` on ``media``
+    would have left, from the hidden ground truth (``rng`` draws the
+    footprint noise)."""
+    record = InvocationRecord(
+        request=InvocationRequest(function=model.name, tenant=tenant, args=args),
+        status="ok",
+        peak_memory_mb=model.footprint_mb(media, args, rng),
+        features=feature_row(media, args),
+    )
+    record.phases = Phases(transform=model.transform_time(media, args))
+    record.bytes_in = media.size
+    record.bytes_out = model.output_size(media, args)
+    return record
 
 
 def function_dataset(
@@ -73,8 +94,6 @@ def benefit_dataset(
     threshold: float = 0.5,
 ) -> Dataset:
     """Cache-benefit labels: does E+L dominate on the Swift RSDS (§5.2)?"""
-    from repro.storage.latency_profiles import SWIFT_PROFILE
-
     rng = np.random.default_rng(seed)
     corpus = MediaCorpus(np.random.default_rng(seed + 1))
     rows: List[Dict] = []
@@ -82,10 +101,14 @@ def benefit_dataset(
     for _ in range(n):
         media = corpus.generate(model.input_kind)
         args = model.sample_args(rng)
-        extract = SWIFT_PROFILE.read.mean(media.size)
-        load = SWIFT_PROFILE.write.mean(model.output_size(media, args))
-        transform = model.transform_time(media, args)
-        fraction = (extract + load) / (extract + load + transform)
         rows.append(feature_row(media, args))
-        labels.append(int(fraction > threshold))
+        labels.append(
+            cache_benefit_label(
+                media.size,
+                model.output_size(media, args),
+                model.transform_time(media, args),
+                SWIFT_PROFILE,
+                threshold,
+            )
+        )
     return Dataset(rows, labels)

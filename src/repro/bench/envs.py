@@ -132,7 +132,7 @@ def pretrain_function(
     loop entirely.
     """
     from repro.bench import model_cache
-    from repro.faas.records import InvocationRecord, InvocationRequest, Phases
+    from repro.bench.datasets import synthetic_record
 
     cache_key = None
     if model_cache.enabled():
@@ -155,24 +155,7 @@ def pretrain_function(
     for _ in range(n_samples):
         media = descriptors[int(rng.integers(0, len(descriptors)))]
         args = model.sample_args(rng)
-        features = {}
-        for key, value in media.features().items():
-            features[key] = value
-        for name, value in args.items():
-            features[f"arg_{name}"] = (
-                float(value) if isinstance(value, (int, float)) else value
-            )
-        record = InvocationRecord(
-            request=InvocationRequest(
-                function=model.name, tenant=tenant, args=args
-            ),
-            status="ok",
-            peak_memory_mb=model.footprint_mb(media, args, rng),
-            features=features,
-        )
-        record.phases = Phases(transform=model.transform_time(media, args))
-        record.bytes_in = media.size
-        record.bytes_out = model.output_size(media, args)
+        record = synthetic_record(model, media, args, rng, tenant)
         ofc.trainer.on_completion(record)
     models = ofc.trainer.models_for(spec_key)
     ofc.trainer.retrain(models)

@@ -14,9 +14,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.bench.datasets import synthetic_record
 from repro.core.config import OFCConfig
 from repro.core.trainer import ModelTrainer
-from repro.faas.records import InvocationRecord, InvocationRequest, Phases
 from repro.workloads.functions import ALL_FUNCTIONS, EVALUATION_FUNCTIONS
 from repro.workloads.media import MediaCorpus
 
@@ -43,20 +43,7 @@ def _stream_function(
     for _i in range(max_invocations):
         media = corpus.generate(model.input_kind)
         args = model.sample_args(rng)
-        features = dict(media.features())
-        for name, value in args.items():
-            features[f"arg_{name}"] = (
-                float(value) if isinstance(value, (int, float)) else value
-            )
-        record = InvocationRecord(
-            request=InvocationRequest(function=model.name, tenant="t0", args=args),
-            status="ok",
-            peak_memory_mb=model.footprint_mb(media, args, rng),
-            features=features,
-        )
-        record.phases = Phases(transform=model.transform_time(media, args))
-        record.bytes_in = media.size
-        record.bytes_out = model.output_size(media, args)
+        record = synthetic_record(model, media, args, rng, "t0")
         trainer.on_completion(record)
         models = trainer.models_for(key)
         if models.mature:

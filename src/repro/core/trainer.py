@@ -57,54 +57,30 @@ class FunctionModels:
     #: ``samples_version`` the current models were fitted on.
     fitted_version: int = -1
 
-    def __post_init__(self) -> None:
-        self._memory_cache: Optional[tuple] = None
-        self._benefit_cache: Optional[tuple] = None
-
-    def __getstate__(self):
-        # Dataset caches are derived state; keep serialized models
-        # (warm-model cache entries) lean.
-        state = self.__dict__.copy()
-        state["_memory_cache"] = None
-        state["_benefit_cache"] = None
-        return state
-
     def add_sample(self, sample: TrainingSample) -> None:
         self.samples.append(sample)
         self.samples_version += 1
 
-    def memory_dataset(self) -> Dataset:
-        cached = self._memory_cache
-        if cached is not None and cached[0] == self.samples_version:
-            return cached[1]
-        dataset = Dataset(
-            [s.features for s in self.samples],
-            [s.memory_label for s in self.samples],
-            weights=[s.weight for s in self.samples],
-        )
-        if cached is not None:
-            # Append-only curation: merge the previous dataset's
-            # per-feature sort orders instead of re-sorting from scratch.
-            dataset.adopt_sort_orders(cached[1])
-        self._memory_cache = (self.samples_version, dataset)
-        return dataset
 
-    def benefit_dataset(self) -> Dataset:
-        cached = self._benefit_cache
-        if cached is not None and cached[0] == self.samples_version:
-            return cached[1]
-        dataset = Dataset(
-            [s.features for s in self.samples],
-            [s.cache_label for s in self.samples],
-        )
-        memory = self._memory_cache
-        if memory is not None and memory[0] == self.samples_version:
-            # Same rows as the memory dataset — share its sort orders.
-            dataset.adopt_sort_orders(memory[1])
-        elif cached is not None:
-            dataset.adopt_sort_orders(cached[1])
-        self._benefit_cache = (self.samples_version, dataset)
-        return dataset
+def cache_benefit_label(
+    bytes_in: int,
+    bytes_out: int,
+    transform_s: float,
+    profile: LatencyProfile,
+    threshold: float,
+) -> int:
+    """Would E+L dominate an invocation *without* a cache (§5.2)?
+
+    Uses the RSDS latency profile and the transfer volumes, so the
+    label is cache-independent even when the invocation itself was
+    served from the cache.
+    """
+    est_extract = profile.read.mean(bytes_in)
+    est_load = profile.write.mean(bytes_out)
+    total = est_extract + est_load + transform_s
+    if total <= 0.0:
+        return 0
+    return int((est_extract + est_load) / total > threshold)
 
 
 class ModelTrainer:
@@ -133,24 +109,6 @@ class ModelTrainer:
             self._models[function_key] = FunctionModels(function_key)
         return self._models[function_key]
 
-    # -- labels ------------------------------------------------------------
-
-    def _cache_benefit_label(self, record: InvocationRecord) -> int:
-        """Would E+L dominate this invocation *without* a cache?
-
-        Uses the known RSDS latency profile and the observed transfer
-        volumes, so the label is cache-independent even when the
-        invocation itself was served from the cache.
-        """
-        est_extract = self.rsds_profile.read.mean(record.bytes_in)
-        est_load = self.rsds_profile.write.mean(record.bytes_out)
-        transform = record.phases.transform
-        total = est_extract + est_load + transform
-        if total <= 0.0:
-            return 0
-        fraction = (est_extract + est_load) / total
-        return int(fraction > self.config.cache_benefit_threshold)
-
     # -- ingestion -----------------------------------------------------------
 
     def on_completion(self, record: InvocationRecord) -> None:
@@ -163,7 +121,13 @@ class ModelTrainer:
         sample = TrainingSample(
             features=dict(record.features),
             memory_label=true_label,
-            cache_label=self._cache_benefit_label(record),
+            cache_label=cache_benefit_label(
+                record.bytes_in,
+                record.bytes_out,
+                record.phases.transform,
+                self.rsds_profile,
+                self.config.cache_benefit_threshold,
+            ),
         )
         retrain_now = False
         if models.mature and record.predicted_interval is not None:
@@ -206,12 +170,20 @@ class ModelTrainer:
             # completion appends a sample.)
             models.retrains_skipped += 1
             return
-        dataset = models.memory_dataset()
+        samples = models.samples
+        dataset = Dataset(
+            [s.features for s in samples],
+            [s.memory_label for s in samples],
+            weights=[s.weight for s in samples],
+        )
         if dataset.n_classes < 1:
             return
         models.memory_model = J48Classifier().fit(dataset)
-        benefit = models.benefit_dataset()
-        models.benefit_model = J48Classifier().fit(benefit)
+        # One feature table, two label vectors: the benefit model sees
+        # the same rows, unweighted.
+        models.benefit_model = J48Classifier().fit(
+            dataset.relabel([s.cache_label for s in samples])
+        )
         models.retrains += 1
         models.fitted_version = models.samples_version
         self._publish_models(models)
@@ -219,7 +191,7 @@ class ModelTrainer:
             not models.mature
             and models.invocations_seen >= self.config.min_history_for_maturity
         ):
-            if self._check_maturity(models):
+            if self._check_maturity(models, dataset):
                 models.mature = True
                 models.matured_after = models.invocations_seen
 
@@ -244,15 +216,15 @@ class ModelTrainer:
         if models.memory_model is not None:
             self._publish_models(models)
 
-    def _check_maturity(self, models: FunctionModels) -> bool:
+    def _check_maturity(self, models: FunctionModels, dataset: Dataset) -> bool:
         """The §5.3.1 maturation criterion.
 
-        Evaluated against the accumulated invocation history with the
-        freshly trained model (the check the online system can afford);
-        a pruned J48 on an unpredictable function stays close to the
+        Evaluated against the accumulated invocation history
+        (``dataset``, the memory dataset just fitted) with the freshly
+        trained model (the check the online system can afford); a
+        pruned J48 on an unpredictable function stays close to the
         majority class and keeps failing the 90 % EO bar.
         """
-        dataset = models.memory_dataset()
         if len(dataset) < 6 or models.memory_model is None:
             return False
         eo_hits = 0

@@ -456,9 +456,11 @@ class CacheCluster:
             # callers already handle, never ServerDown.
             raise NoSuchKey(key)
         obj = old_master.master_get(key)
+        # Sorted ids: backups with equal free bytes tie in ``max`` below,
+        # and a set's order moves with the interpreter's hash seed.
         candidates = [
             self.coordinator.server(b)
-            for b in self.coordinator.backups_of(key)
+            for b in sorted(self.coordinator.backups_of(key))
             if (target is None or b == target)
         ]
         candidates = [
@@ -560,9 +562,10 @@ class CacheCluster:
         """
         recovered = 0
         for key in self.coordinator.keys_mastered_by(node_id):
+            # Sorted for the same reason as in migrate_master.
             candidates = [
                 self.coordinator.server(b)
-                for b in self.coordinator.backups_of(key)
+                for b in sorted(self.coordinator.backups_of(key))
             ]
             candidates = [s for s in candidates if s.up and s.backup_has(key)]
             obj_size = candidates[0].backup_get(key).size if candidates else 0

@@ -9,6 +9,7 @@ knows argument names and values, but nothing about their semantics.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,59 +112,6 @@ class Dataset:
             self._order_cache[name] = order
         return order
 
-    def adopt_sort_orders(self, prev: "Dataset") -> int:
-        """Reuse ``prev``'s cached numeric sort orders when ``prev``'s
-        rows are a prefix of this dataset's rows (append-only curation,
-        §5.3.3): only the appended tail is sorted and merged in.
-
-        The merge is exactly equivalent to a fresh stable sort — equal
-        values keep index order because all appended indices are larger
-        than every prefix index.  Columns whose prefix changed (e.g. a
-        feature flipped nominal because of a new symbolic value) are
-        verified and skipped.  Returns the number of orders adopted.
-        """
-        n_prev = len(prev)
-        n = len(self)
-        if n_prev > n:
-            return 0
-        adopted = 0
-        for name, prev_order in prev._order_cache.items():
-            if (
-                self._types.get(name) != "numeric"
-                or prev._types.get(name) != "numeric"
-            ):
-                continue
-            column = self.column(name)
-            prev_column = prev.column(name)
-            if not np.array_equal(column[:n_prev], prev_column):
-                continue
-            tail = column[n_prev:]
-            if len(tail) == 0:
-                self._order_cache[name] = prev_order
-                adopted += 1
-                continue
-            if np.isnan(tail).any() or np.isnan(prev_column).any():
-                # searchsorted has no total order over NaN; fall back
-                # to the fresh sort for this column.
-                continue
-            tail_order = np.argsort(tail, kind="mergesort")
-            tail_sorted = tail[tail_order]
-            prefix_sorted = prev_column[prev_order]
-            # Ties place appended rows after prefix rows (side="right"),
-            # matching stable-sort index order.
-            positions = np.searchsorted(
-                prefix_sorted, tail_sorted, side="right"
-            )
-            merged = np.empty(n, dtype=prev_order.dtype)
-            targets = positions + np.arange(len(tail_sorted))
-            mask = np.ones(n, dtype=bool)
-            mask[targets] = False
-            merged[targets] = tail_order + n_prev
-            merged[mask] = prev_order
-            self._order_cache[name] = merged
-            adopted += 1
-        return adopted
-
     def nominal_values(self, name: str) -> List[Any]:
         """The ensemble of values a nominal feature takes (§5.1.2)."""
         seen: List[Any] = []
@@ -174,6 +122,20 @@ class Dataset:
         return seen
 
     # -- manipulation ---------------------------------------------------------
+
+    def relabel(self, labels: Sequence[int]) -> "Dataset":
+        """The same feature table under other labels, with unit weights.
+
+        Rows, inferred types and the column and sort-order caches are
+        shared with ``self`` (rows never change after construction);
+        only the label and weight vectors are new.
+        """
+        if len(labels) != len(self.rows):
+            raise ValueError("rows and labels must have the same length")
+        other = copy.copy(self)
+        other.labels = np.asarray(labels, dtype=np.int64)
+        other.weights = np.ones(len(self.rows), dtype=float)
+        return other
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         indices = list(indices)

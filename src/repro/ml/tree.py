@@ -11,9 +11,7 @@ Implements the parts of C4.5 the paper relies on (§5.1.1):
 * pessimistic error pruning with C4.5's default confidence factor.
 
 Prediction is a fast tree walk over a feature dict — the property that
-makes J48 usable on the invocation critical path (§7.1.2); it runs
-compiled (:mod:`repro.ml.compiled`), with the plain ``_Node`` walk as
-the test oracle (``tests/ml/reference_tree.py``).
+makes J48 usable on the invocation critical path (§7.1.2).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ml.compiled import CompiledTree
 from repro.ml.dataset import Dataset
 
 _EPS = 1e-12
@@ -138,7 +135,6 @@ class J48Classifier:
         self.feature_subset = feature_subset
         self.rng = rng
         self._root: Optional[_Node] = None
-        self._compiled: Optional[CompiledTree] = None
         self._majority: int = 0
         self._n_classes: int = 0
         # One-sided z for the pruning confidence (C4.5's CF), cached
@@ -177,7 +173,6 @@ class J48Classifier:
         del self._membership
         if self.prune:
             self._prune_node(self._root)
-        self._compiled = CompiledTree(self._root, self._types)
         # Release training references (the tree keeps what it needs).
         del self._columns, self._labels, self._weights
         return self
@@ -407,36 +402,37 @@ class J48Classifier:
     # -- prediction ----------------------------------------------------------
 
     def predict_one(self, row: Dict[str, Any]) -> int:
-        compiled = self._compiled
-        if compiled is None:
+        node = self._root
+        if node is None:
             raise RuntimeError("classifier is not fitted")
-        return compiled.predict_encoded(compiled.encode(row))
+        while not node.is_leaf:
+            value = row.get(node.feature)
+            if node.threshold is not None:
+                try:
+                    numeric = float(value)
+                except (TypeError, ValueError):
+                    break  # missing/uncoercible: this node's majority
+                node = node.left if numeric <= node.threshold else node.right
+            else:
+                child = node.children.get(value)  # TypeError if unhashable
+                if child is None:
+                    break  # unseen nominal value: this node's majority
+                node = child
+        return node.prediction
 
     def predict(self, rows: Sequence[Dict[str, Any]]) -> np.ndarray:
-        compiled = self._compiled
-        if compiled is None:
-            raise RuntimeError("classifier is not fitted")
-        return compiled.predict(rows)
+        return np.asarray([self.predict_one(row) for row in rows])
 
     # -- introspection -------------------------------------------------------
 
     @property
-    def compiled(self) -> Optional[CompiledTree]:
-        return self._compiled
-
-    @property
     def n_nodes(self) -> int:
-        if self._compiled is not None:
-            return self._compiled.n_nodes
         if self._root is None:
             return 0
         return len(self._root.subtree_nodes())
 
     @property
     def depth(self) -> int:
-        if self._compiled is not None:
-            return self._compiled.depth
-
         def walk(node: _Node) -> int:
             if node.is_leaf:
                 return 0

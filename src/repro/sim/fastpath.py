@@ -1,7 +1,6 @@
 """The source of :meth:`Kernel.run` and :meth:`Kernel.run_until`.
 
-This is the kernel-side counterpart of :mod:`repro.ml.compiled`: the
-event-dispatch loop is emitted as Python source at import time,
+The event-dispatch loop is emitted as Python source at import time,
 ``exec``-compiled once, and the two resulting functions *are*
 ``Kernel.run`` and ``Kernel.run_until`` (assigned at the bottom of
 :mod:`repro.sim.kernel`).  There is no other loop and no switch: every

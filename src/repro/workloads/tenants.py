@@ -32,6 +32,7 @@ import numpy as np
 from repro.faas.records import InvocationRecord, InvocationRequest
 from repro.sim.kernel import Kernel
 from repro.sim.latency import KB, MB
+from repro.workloads.faasload import estimate_max_footprint_mb
 from repro.workloads.functions import (
     EVALUATION_FUNCTIONS,
     FunctionModel,
@@ -350,11 +351,7 @@ class TenantLoadEngine:
         descriptors = corpus.batch(
             model.input_kind, 4, sizes=list(self.config.input_sizes)
         )
-        peak = 0.0
-        for _ in range(24):
-            media = descriptors[int(rng.integers(0, len(descriptors)))]
-            args = model.sample_args(rng)
-            peak = max(peak, model.footprint_mb(media, args, rng))
+        peak = estimate_max_footprint_mb(model, descriptors, rng, samples=24)
         return min(2048.0, 1.2 * peak)
 
     def _prepare_all(self):

@@ -1,6 +1,6 @@
-"""Incremental retraining: no-op refits are skipped, dataset builds
-are memoized on the sample-set fingerprint, and cached sort orders
-carry across refits without changing what gets trained.
+"""Incremental retraining: no-op refits are skipped on an unchanged
+sample-set version, a refit after appends equals a cold fit, and the
+two models of one retrain share one feature table.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import numpy as np
 from repro.core.config import OFCConfig
 from repro.core.trainer import FunctionModels, ModelTrainer, TrainingSample
 from repro.ml.dataset import Dataset
+from repro.ml.tree import J48Classifier
 
 
 def _sample(i: int, weight: float = 1.0) -> TrainingSample:
@@ -66,69 +67,16 @@ def test_force_retrain_overrides_skip():
     assert models.retrains_skipped == 0
 
 
-def test_datasets_memoized_on_fingerprint():
-    models = _models_with(10)
-    d1 = models.memory_dataset()
-    assert models.memory_dataset() is d1
-    b1 = models.benefit_dataset()
-    assert models.benefit_dataset() is b1
-    models.add_sample(_sample(10))
-    d2 = models.memory_dataset()
-    assert d2 is not d1
-    assert len(d2) == 11
-
-
-def test_adopted_sort_orders_match_fresh_sort():
-    """The append-merge path must produce the exact stable order a
-    from-scratch mergesort would."""
-    rng = np.random.default_rng(0)
-    models = FunctionModels("fn")
-    for i in range(40):
-        models.add_sample(
-            TrainingSample(
-                features={
-                    "a": float(rng.integers(0, 10)),  # heavy ties
-                    "b": float(rng.normal()),
-                },
-                memory_label=int(rng.integers(0, 3)),
-                cache_label=0,
-            )
-        )
-    first = models.memory_dataset()
-    for i in range(7):
-        models.add_sample(
-            TrainingSample(
-                features={
-                    "a": float(rng.integers(0, 10)),
-                    "b": float(rng.normal()),
-                },
-                memory_label=int(rng.integers(0, 3)),
-                cache_label=0,
-            )
-        )
-    merged = models.memory_dataset()
-    assert merged is not first
-    fresh = Dataset(
-        [s.features for s in models.samples],
-        [s.memory_label for s in models.samples],
-        weights=[s.weight for s in models.samples],
-    )
-    for feature in ("a", "b"):
-        np.testing.assert_array_equal(
-            merged.sort_order(feature), fresh.sort_order(feature)
-        )
-
-
 def test_retrained_models_identical_with_and_without_memoization():
-    """Sort-order adoption and dataset reuse must not change the fitted
-    trees: predictions agree with a cold trainer fed the same stream."""
+    """Warm equals cold: refitting after seven appended samples gives
+    the trees a cold trainer fed all 37 at once builds."""
     config = OFCConfig()
     warm = ModelTrainer(config)
     models = _models_with(30)
     warm.retrain(models)
     for i in range(30, 37):
         models.add_sample(_sample(i))
-    warm.retrain(models)  # adopts cached sort orders
+    warm.retrain(models)
 
     cold_models = _models_with(37)
     cold = ModelTrainer(config)
@@ -144,15 +92,37 @@ def test_retrained_models_identical_with_and_without_memoization():
     assert models.memory_model.n_nodes == cold_models.memory_model.n_nodes
 
 
-def test_getstate_drops_dataset_caches():
-    import pickle
+def test_relabel_shares_the_feature_table_and_nothing_else():
+    """Memory and benefit models fitted from one table under two label
+    vectors are the models two independently built datasets give."""
+    rng = np.random.default_rng(1)
+    rows, memory_labels, cache_labels, weights = [], [], [], []
+    for _ in range(80):
+        a = float(rng.integers(0, 10))  # heavy ties
+        b = float(rng.normal())
+        rows.append({"a": a, "b": b, "c": "x" if rng.random() < 0.5 else "y"})
+        memory_labels.append(int(a // 3 + (b > 0.5)))
+        cache_labels.append(int(a + 4 * b > 5))
+        weights.append(3.0 if rng.random() < 0.3 else 1.0)
 
-    models = _models_with(8)
-    models.memory_dataset()
-    models.benefit_dataset()
-    clone = pickle.loads(pickle.dumps(models))
-    assert clone._memory_cache is None
-    assert clone._benefit_cache is None
-    assert clone.samples_version == models.samples_version
-    # Cache rebuilds transparently after the round trip.
-    assert len(clone.memory_dataset()) == 8
+    memory = Dataset(rows, memory_labels, weights=weights)
+    benefit = memory.relabel(cache_labels)
+    shared = (J48Classifier().fit(memory), J48Classifier().fit(benefit))
+    apart = (
+        J48Classifier().fit(Dataset(rows, memory_labels, weights=weights)),
+        J48Classifier().fit(Dataset(rows, cache_labels)),
+    )
+    probe = rows + [{"a": 4.5}, {"b": -0.1, "c": "z"}, {}]
+    for got, want in zip(shared, apart):
+        assert list(got.predict(probe)) == list(want.predict(probe))
+        assert (got.n_nodes, got.depth) == (want.n_nodes, want.depth)
+
+    assert list(memory.labels) == memory_labels
+    assert list(benefit.labels) == cache_labels
+    assert list(memory.weights) == weights
+    assert list(benefit.weights) == [1.0] * len(rows)
+    assert benefit.rows is memory.rows
+    for name in memory.feature_names:
+        assert benefit.column(name) is memory.column(name)
+    for name in ("a", "b"):
+        assert benefit.sort_order(name) is memory.sort_order(name)

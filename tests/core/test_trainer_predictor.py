@@ -1,12 +1,14 @@
 """Tests for the ModelTrainer maturation and the Predictor."""
 
+import dataclasses
+
 import numpy as np
-import pytest
 
 from repro.core import OFCConfig
-from repro.core.trainer import ModelTrainer, TrainingSample
+from repro.core.trainer import cache_benefit_label, ModelTrainer
 from repro.faas.records import InvocationRecord, InvocationRequest, Phases
-from repro.ml.intervals import MemoryIntervals
+from repro.sim.latency import LatencyModel
+from repro.storage.latency_profiles import SWIFT_PROFILE
 from tests.core.conftest import deploy, invoke, seed_images
 
 
@@ -105,11 +107,18 @@ def test_good_bad_prediction_accounting():
 def test_cache_benefit_label_depends_on_el_dominance():
     trainer = ModelTrainer(OFCConfig())
     # Tiny transform, significant transfers: E+L dominates -> 1.
-    heavy_el = make_record(transform_s=0.01, bytes_in=1_000_000, bytes_out=500_000)
-    assert trainer._cache_benefit_label(heavy_el) == 1
+    trainer.on_completion(
+        make_record(transform_s=0.01, bytes_in=1_000_000, bytes_out=500_000)
+    )
     # Long transform dwarfs the transfers -> 0.
-    heavy_t = make_record(transform_s=30.0, bytes_in=1_000, bytes_out=1_000)
-    assert trainer._cache_benefit_label(heavy_t) == 0
+    trainer.on_completion(
+        make_record(transform_s=30.0, bytes_in=1_000, bytes_out=1_000)
+    )
+    assert [s.cache_label for s in trainer.models_for("t/f").samples] == [1, 0]
+    # An invocation that took no time at all has nothing to dominate.
+    free = LatencyModel(base_s=0.0)
+    instant = dataclasses.replace(SWIFT_PROFILE, read=free, write=free)
+    assert cache_benefit_label(0, 0, 0.0, instant, threshold=0.5) == 0
 
 
 def test_failed_records_are_ignored():
