@@ -78,11 +78,23 @@ def _tenant_specs(seed_sizes: List[int]) -> List[TenantSpec]:
     ]
 
 
-def _sampler(ofc, points: List[AvailabilityPoint], window_s: float, deadline: float):
-    """Record windowed availability gauges until ``deadline``."""
+def _sampler(
+    ofc,
+    points: List[AvailabilityPoint],
+    window_s: float,
+    deadline: float,
+    schedule_end: float,
+):
+    """Record windowed availability gauges until ``deadline`` and, past
+    it, until one window has closed at or after ``schedule_end``: a
+    schedule may outlast the load, and the timeline must show its last
+    effect."""
     prev_hits = 0
     prev_total = 0
-    while ofc.kernel.now + window_s <= deadline:
+    while (
+        ofc.kernel.now + window_s <= deadline
+        or ofc.kernel.now < schedule_end
+    ):
         yield window_s
         stats = ofc.rclib_stats
         hits = stats.hits_local + stats.hits_remote
@@ -126,8 +138,10 @@ def run_availability(
 
     result = AvailabilityResult(scenario=scenario)
     deadline = ofc.kernel.now + duration_s
+    schedule_end = schedule.duration if schedule is not None else 0.0
     ofc.kernel.process(
-        _sampler(ofc, result.points, window_s, deadline), name="avail-sampler"
+        _sampler(ofc, result.points, window_s, deadline, schedule_end),
+        name="avail-sampler",
     )
     runtimes = faasload.run(duration_s)
     # Settle in-flight background work (persistors, recovery, repair)
@@ -136,10 +150,7 @@ def run_availability(
     # periodic loops — so the settle window is bounded: past the end of
     # the fault schedule plus enough slack for the persistor's full
     # retry backoff (~12 s) and a final eviction sweep.
-    settle_until = (
-        max(ofc.kernel.now, schedule.duration if schedule is not None else 0.0)
-        + 30.0
-    )
+    settle_until = max(ofc.kernel.now, schedule_end) + 30.0
     ofc.kernel.run(until=settle_until)
 
     for runtime in runtimes.values():

@@ -198,8 +198,8 @@ def _percentile(values: Sequence[float], q: float) -> float:
 
 def _log_stats(backend) -> Dict[str, int]:
     totals: Counter = Counter()
-    cluster = getattr(backend, "cluster", None)
-    for server in cluster.coordinator.servers.values() if cluster else ():
+    coordinator = getattr(backend, "coordinator", None)
+    for server in coordinator.servers.values() if coordinator else ():
         totals.update(asdict(server.log.stats))
     return dict(totals)
 

@@ -9,9 +9,10 @@ a Faa$T-style per-application auto-scaling cache
 (:mod:`repro.cache.faast`) and an InfiniCache-style ephemeral-function
 cache (:mod:`repro.cache.infinicache`).
 
-Every data-plane method is a generator driven by the simulation kernel
-(mirroring :class:`repro.kvcache.cluster.CacheCluster`, which remains
-the reference implementation of this contract).  Backends also carry a
+Every data-plane method is a generator driven by the simulation kernel.
+:class:`repro.kvcache.cluster.CacheCluster` is the reference
+implementation of this contract, and the ``ofc`` backend is that class
+itself (a subclass adding the deployment wiring).  Backends also carry a
 :class:`CostMeter`: a pure-accounting integrator of provisioned memory
 over simulated time, from which the ``cachewars`` bench derives each
 architecture's cost figure.  The meter never schedules events — the

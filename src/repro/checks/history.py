@@ -17,16 +17,12 @@ records are slotted plain objects built by a flattened constructor
 (no dataclass ``__init__`` argument parsing), the request-derived
 fields are resolved once per client instead of once per op, and the
 read/write/delete counters stream into the recorder so a snapshot
-never scans the history.  For long soaks where only the checker's
-*recent* window matters, ``ring_capacity`` bounds the kept history to
-the newest N records (a ``collections.deque`` ring; the ``dropped``
-count is surfaced in the snapshot so truncation is never silent).
+never scans the history.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, Generator, List, Optional, Union
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.faas.dataclient import DataClient
 from repro.kvcache.errors import NoSuchKey
@@ -247,23 +243,15 @@ class HistoryRecorder:
     client is a :class:`RecordingDataClient`; registers itself as
     ``ofc.checks_recorder`` so the platform's always-on ``checks``
     collector surfaces the op counts and any violations attached after
-    a checker pass.
-
-    ``ring_capacity`` switches the history to a bounded ring: only the
-    newest N records are kept (``ops`` becomes a deque), ``seq`` keeps
-    counting, and ``dropped`` reports how many records the ring shed.
-    The default (None) keeps everything — required by the end-state
-    checker, which audits the full history.
+    a checker pass.  Every record is kept: the end-state checker
+    audits the full history.
     """
 
-    def __init__(self, ofc, ring_capacity: Optional[int] = None):
+    def __init__(self, ofc):
         self.ofc = ofc
         self.kernel = ofc.kernel
         self.store = getattr(ofc, "store", None)
-        self.ring_capacity = ring_capacity
-        self.ops: Union[List[OpRecord], "deque[OpRecord]"] = (
-            [] if ring_capacity is None else deque(maxlen=ring_capacity)
-        )
+        self.ops: List[OpRecord] = []
         #: Filled by the chaos/faults drivers after a checker pass.
         self.violations: list = []
         self._seq = 0
@@ -273,11 +261,6 @@ class HistoryRecorder:
         self._inner_factory = ofc.platform.data_client_factory
         ofc.platform.data_client_factory = self._make_client
         ofc.checks_recorder = self
-
-    @property
-    def dropped(self) -> int:
-        """Records shed by the ring (always 0 in unbounded mode)."""
-        return self._seq - len(self.ops)
 
     def _make_client(self, invoker, record) -> RecordingDataClient:
         return RecordingDataClient(
@@ -296,7 +279,7 @@ class HistoryRecorder:
         for violation in self.violations:
             name = getattr(violation, "invariant", str(violation))
             violations[name] = violations.get(name, 0) + 1
-        snap: Dict[str, Any] = {
+        return {
             "attached": 1,
             "ops": self._seq,
             "reads": self._reads,
@@ -305,6 +288,3 @@ class HistoryRecorder:
             "violations_total": len(self.violations),
             "violations": dict(sorted(violations.items())),
         }
-        if self.ring_capacity is not None:
-            snap["dropped"] = self.dropped
-        return snap

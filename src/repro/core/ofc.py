@@ -22,6 +22,7 @@ from repro.core.trainer import ModelTrainer
 from repro.faas.pipeline import Pipeline, PipelineRecord
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.records import InvocationRecord, InvocationRequest
+from repro.kvcache.cluster import CacheCluster
 from repro.kvcache.errors import NoSuchKey
 from repro.kvcache.objects import LOCAL_READ
 from repro.obs.registry import MetricsRegistry
@@ -85,9 +86,9 @@ class OFCPlatform:
         # The pluggable cache architecture (see repro.cache; imported
         # here, not at module scope — repro.cache itself pulls in
         # repro.core.config, and a module-level import would cycle).
-        # The default "ofc" backend is a pass-through over CacheCluster —
-        # bit-identical to the pre-seam build; "faast"/"infinicache"
-        # swap the whole cache subsystem behind the same surface.
+        # The default "ofc" backend is the CacheCluster itself, deployed;
+        # "faast"/"infinicache" swap the whole cache subsystem behind
+        # the same surface.
         from repro.cache import make_backend
 
         self.backend = make_backend(
@@ -98,9 +99,11 @@ class OFCPlatform:
             rng=cache_rng,
             max_object_size=self.config.max_cacheable_bytes,
         )
-        #: The raw RAMCloud-style cluster (None on non-ofc backends;
-        #: existing benches/tests reach it directly).
-        self.cluster = getattr(self.backend, "cluster", None)
+        #: The RAMCloud-style cluster: the backend itself on "ofc",
+        #: None on the others.
+        self.cluster = (
+            self.backend if isinstance(self.backend, CacheCluster) else None
+        )
         self.metrics = OFCMetrics()
         self.rclib_stats = RcLibStats()
         # Keys with a cache-fill already in flight, shared across every

@@ -60,24 +60,17 @@ class FaultInjector:
         self.detection_delay_s = detection_delay_s
         self.state = FaultState()
         # Wire the shared fault state into the instrumented components.
-        # Deployments built on the backend seam expose ``backend``
-        # (crash/restart/recover/repair for any architecture); plain
-        # CacheCluster test rigs fall back to the cluster itself.
-        self.backend = getattr(ofc, "backend", None) or ofc.cluster
-        # Reject schedules targeting nodes the deployment does not
-        # have, with the known set in the message (previously this
-        # surfaced as a KeyError deep inside the backend's crash path).
-        known = list(getattr(self.backend, "node_ids", ()) or ())
-        if not known:
-            coordinator = getattr(self.backend, "coordinator", None)
-            known = sorted(getattr(coordinator, "servers", {}) or ())
-        if known:
-            unknown = [n for n in schedule.nodes() if n not in known]
-            if unknown:
-                raise ScheduleError(
-                    f"schedule targets unknown node(s) {unknown}; this "
-                    f"deployment's nodes are {sorted(known)}"
-                )
+        self.backend = ofc.backend
+        # Reject schedules targeting nodes the deployment does not have,
+        # with the known set in the message (not a KeyError deep inside
+        # the backend's crash path).
+        known = self.backend.node_ids
+        unknown = [n for n in schedule.nodes() if n not in known]
+        if unknown:
+            raise ScheduleError(
+                f"schedule targets unknown node(s) {unknown}; this "
+                f"deployment's nodes are {sorted(known)}"
+            )
         ofc.store.faults = self.state
         self.backend.faults = self.state
         self.stats = FaultInjectorStats()

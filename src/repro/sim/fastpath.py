@@ -8,7 +8,7 @@ kernel — clean, fault-injected, traced — executes this code.
 
 What is generated, and why
 --------------------------
-The per-occurrence dispatch (:data:`_DISPATCH_ARMS`, about 170 lines
+The per-occurrence dispatch (:data:`_DISPATCH_ARMS`, about 190 lines
 once expanded) has three call sites — the heap drain and the FIFO drain
 of ``run``, and the single drain of ``run_until`` — that differ in two
 guards only (``run`` bounds direct resume by its ``until`` limit,
@@ -47,13 +47,12 @@ reference below:
 * direct resume fires only when the woken process would be the next
   occurrence regardless of its sequence number (strictly earliest wake
   time, empty FIFO), and nothing else can run between the skipped push
-  and the skipped pop, so no observer exists for the elided state
-  (``_wake`` bookkeeping, heap entry).  Skipping the sequence-number
-  mint is safe because sequence numbers only break ties between
-  co-resident heap entries and the skipped mint leaves every other mint
-  in the same relative order.  Fan-in deliveries never direct-resume:
-  the clock must not move while later callbacks of the same event are
-  still pending delivery.
+  and the skipped pop, so no observer exists for the elided heap
+  entry.  Skipping the sequence-number mint is safe because sequence
+  numbers only break ties between co-resident heap entries and the
+  skipped mint leaves every other mint in the same relative order.
+  Fan-in deliveries never direct-resume: the clock must not move while
+  later callbacks of the same event are still pending delivery.
 
 The step reference
 ------------------
@@ -82,21 +81,16 @@ __all__ = ["compile_dispatch", "dispatch_source"]
 #: direct-resume branch or nothing, in which case the ``while`` never
 #: loops and only gives every arm the same ``break`` exit.
 _ADVANCE = """\
-kernel._active_process = {proc}
 send = {proc}._send
 while True:
     try:
 {first}
     except StopIteration as stop:
-        kernel._active_process = None
-        {proc}._target = None
         {proc}._value = stop.value
         {proc}._state = _TRIGGERED
         ipush({proc})
         break
     except BaseException as failure:
-        kernel._active_process = None
-        {proc}._target = None
         {proc}._exception = failure
         {proc}.defused = False
         {proc}._state = _TRIGGERED
@@ -106,14 +100,11 @@ while True:
     if cls is float or cls is int:
         if target < 0:
             raise SimulationError(f"negative sleep delay: {{target}}")
-        {proc}._target = None
         wake = when + target
         if wake == when:
-            {proc}._wake = when
             ipush({proc})
             break
 {direct_resume}
-        {proc}._wake = wake
         heappush(queue, (wake, seqn(), {proc}))
         break
     try:
@@ -125,7 +116,6 @@ while True:
         ) from None
     if foreign:
         raise SimulationError("yielded an event from another kernel")
-    {proc}._target = target
     if target._state != _PROCESSED:
         waiters = target.callbacks
         if waiters is None:
@@ -176,8 +166,8 @@ def _advance(proc: str, first: str, guard=None) -> str:
 #: fused single-resume branch skips the unhandled-failure tail: a failed
 #: event delivered to a process is defused on the throw path, so the
 #: tail can never raise there).  ``_PENDING``: a process bootstrap or
-#: sleep wake (stale if the sleep was interrupted).  ``_PROCESSED``:
-#: late-wait redelivery, via the method.
+#: sleep wake, always due, so the arm is the bare advance.
+#: ``_PROCESSED``: late-wait redelivery, via the method.
 _DISPATCH_ARMS = """\
 state = event._state
 if state == _TRIGGERED:
@@ -213,15 +203,6 @@ if state == _TRIGGERED:
         if exc is not None and not event.defused:
             raise exc
 elif state == _PENDING:
-    if not event._started:
-        event._started = True
-        resumable = True
-    elif event._wake == when:
-        event._wake = -1.0
-        resumable = True
-    else:
-        resumable = False
-    if resumable:
 {wake}
 else:
     event._run_callbacks()"""
@@ -319,7 +300,7 @@ def _indent(block: str, pad: str) -> str:
 def _arms(limit_guard: str, target_guard: str) -> str:
     """The three-state dispatch arms, every advance specialized."""
     return _DISPATCH_ARMS.format(
-        wake=_indent(_advance("event", _SEND_NONE, guard=limit_guard), " " * 8),
+        wake=_indent(_advance("event", _SEND_NONE, guard=limit_guard), " " * 4),
         deliver_one=_indent(
             _advance("proc", _SEND_OUTCOME, guard=limit_guard + target_guard),
             " " * 8,

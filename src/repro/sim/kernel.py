@@ -66,18 +66,6 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # Event states.
 _PENDING = 0
 _TRIGGERED = 1  # scheduled on the queue, callbacks not yet run
@@ -103,7 +91,6 @@ class Event:
         "_value",
         "_exception",
         "defused",
-        "abandoned",
         "_redeliver",
     )
 
@@ -113,13 +100,9 @@ class Event:
         self._state = _PENDING
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        #: Set to True by a waiter (Process/AnyOf) that consumed the failure,
+        #: Set to True by a waiter (Process/AllOf) that consumed the failure,
         #: suppressing the "unhandled failed event" error.
         self.defused = False
-        #: Set to True when the last waiter was interrupted away while the
-        #: event sat in a Resource/Store queue; the owning queue then drops
-        #: the entry instead of triggering it (see sim/resources.py).
-        self.abandoned = False
         # Late-wait delivery slot (see wait()).
         self._redeliver: Optional[List[Callable[["Event"], None]]] = None
 
@@ -174,17 +157,13 @@ class Event:
         if self._state == _PROCESSED:
             # Redelivery slot for a waiter that registered after this
             # event was processed (see wait()); the failure, if any, was
-            # already surfaced or defused the first time around.  The
-            # slot is read guarded: a stale queue entry for an already
-            # terminated process (interrupted sleep) never had one.
-            try:
-                callbacks = self._redeliver
-            except AttributeError:
-                return
+            # already surfaced or defused the first time around.  A
+            # processed event is on the queue only because wait() put
+            # it there, so the slot is set.
+            callbacks = self._redeliver
             self._redeliver = None
-            if callbacks:
-                for callback in callbacks:
-                    callback(self)
+            for callback in callbacks:
+                callback(self)
             return
         self._state = _PROCESSED
         callbacks = self.callbacks
@@ -238,8 +217,8 @@ class Timeout(Event):
     """An event that triggers ``delay`` seconds after creation.
 
     A timeout is born triggered and can never fail, so the flattened
-    constructor skips ``defused``/``abandoned``/``_redeliver`` (every
-    read of those fields is either unreachable for timeouts or guarded).
+    constructor skips ``defused``/``_redeliver`` (every read of those
+    fields is either unreachable for timeouts or guarded).
     """
 
     __slots__ = ("delay",)
@@ -269,20 +248,12 @@ class Process(Event):
     the wake instant (no Timeout object, no callback registration),
     consuming exactly the sequence number the equivalent
     ``kernel.timeout(delay)`` would have, so the global schedule order
-    is unchanged.  ``_wake`` carries the pending wake time (interrupt
-    invalidates it so a stale heap entry is dropped on delivery).
+    is unchanged.  Nothing can take a process off the event or the
+    sleep it is blocked on, so a pending process found on the queue is
+    always due: its bootstrap slot or the end of its sleep.
     """
 
-    __slots__ = (
-        "generator",
-        "name",
-        "_target",
-        "_started",
-        "_wake",
-        "_cb",
-        "_send",
-        "_throw",
-    )
+    __slots__ = ("generator", "name", "_cb", "_send", "_throw")
 
     def __init__(self, kernel: "Kernel", generator: Generator, name: str = ""):
         try:
@@ -307,8 +278,6 @@ class Process(Event):
                 self.name = generator.__name__
             except AttributeError:
                 self.name = "process"
-        self._target: Optional[Event] = None
-        self._started = False
         # The one bound resume callback this process ever registers;
         # binding it once avoids a method-object allocation per yield.
         self._cb = self._resume
@@ -316,53 +285,11 @@ class Process(Event):
         # first resume fires from (no kick Event needed).
         kernel._ipush(self)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._state == _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point."""
-        if self._state != _PENDING:
-            return
-        target = self._target
-        if target is not None:
-            callbacks = target.callbacks
-            removed = False
-            if callbacks is self._cb:
-                target.callbacks = None
-                removed = True
-            elif callbacks.__class__ is list:
-                try:
-                    callbacks.remove(self._cb)
-                    removed = True
-                except ValueError:
-                    pass
-            if removed and not target.callbacks and target._state == _PENDING:
-                # Nobody is listening any more: let owning queues
-                # (Resource/Store) drop the entry instead of
-                # granting/consuming on behalf of a dead waiter.
-                target.abandoned = True
-            self._target = None
-        # Invalidate any pending sleep so its queue entry goes stale.
-        self._wake = -1.0
-        kick = Event(self.kernel)
-        kick._exception = Interrupt(cause)
-        kick.defused = True
-        kick._state = _TRIGGERED
-        kick.callbacks = self._cb
-        self.kernel._ipush(kick)
-
     def _run_callbacks(self) -> None:
         if self._state == _PENDING:
-            # A pending process on the queue is either its bootstrap
-            # slot or a sleep wake (stale if the sleep was interrupted).
-            if self._started:
-                if self._wake == self.kernel.now:
-                    self._wake = -1.0
-                    self._resume(_BOOTSTRAP)
-            else:
-                self._started = True
-                self._resume(_BOOTSTRAP)
+            # A pending process on the queue is its bootstrap slot or
+            # its sleep wake: resumable either way.
+            self._resume(_BOOTSTRAP)
             return
         Event._run_callbacks(self)
 
@@ -373,9 +300,6 @@ class Process(Event):
         (fastpath._ADVANCE); any change here must be mirrored there.
         """
         kernel = self.kernel
-        # Set on entry, cleared only on termination: between resumes the
-        # field names the last process that ran (see Kernel.active_process).
-        kernel._active_process = self
         try:
             exc = event._exception
             if exc is None:
@@ -384,17 +308,12 @@ class Process(Event):
                 event.defused = True
                 target = self._throw(exc)
         except StopIteration as stop:
-            kernel._active_process = None
-            self._target = None
             self._value = stop.value
             self._state = _TRIGGERED
             kernel._ipush(self)
             return
         except BaseException as failure:  # noqa: BLE001 - propagate via event
-            # Any escape — an unhandled Interrupt included — terminates
-            # the process as a failure of its event.
-            kernel._active_process = None
-            self._target = None
+            # Any escape terminates the process as a failure of its event.
             self._exception = failure
             self.defused = False
             self._state = _TRIGGERED
@@ -405,10 +324,8 @@ class Process(Event):
         if cls is float or cls is int:
             if target < 0:
                 raise SimulationError(f"negative sleep delay: {target}")
-            self._target = None
             now = kernel.now
             when = now + target
-            self._wake = when
             if when == now:
                 kernel._ipush(self)
             else:
@@ -425,7 +342,6 @@ class Process(Event):
             ) from None
         if foreign:
             raise SimulationError("yielded an event from another kernel")
-        self._target = target
         if target._state != _PROCESSED:
             callbacks = target.callbacks
             if callbacks is None:
@@ -445,8 +361,11 @@ _BOOTSTRAP._value = None
 _BOOTSTRAP._exception = None
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf combinators."""
+class AllOf(Event):
+    """Triggers when all constituent events have triggered.
+
+    Fails as soon as any constituent fails.
+    """
 
     __slots__ = ("events", "_pending")
 
@@ -465,27 +384,6 @@ class _Condition(Event):
             event.wait(self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _results(self) -> dict:
-        # Only *processed* events count as fired: a Timeout is born in the
-        # triggered state, but it has not occurred until its callbacks run.
-        return {
-            event: event._value
-            for event in self.events
-            if event._state == _PROCESSED and event._exception is None
-        }
-
-
-class AllOf(_Condition):
-    """Triggers when all constituent events have triggered.
-
-    Fails as soon as any constituent fails.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         self._pending -= 1
         if self._state != _PENDING:
             return
@@ -493,25 +391,10 @@ class AllOf(_Condition):
             event.defused = True
             self.fail(event._exception)
         elif self._pending == 0:
-            self.succeed(self._results())
-
-
-class AnyOf(_Condition):
-    """Triggers when the first constituent event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        self._pending -= 1
-        if self._state != _PENDING:
-            if event._exception is not None:
-                event.defused = True
-            return
-        if event._exception is not None:
-            event.defused = True
-            self.fail(event._exception)
-        else:
-            self.succeed(self._results())
+            # Every member has been processed (a Timeout is born
+            # triggered, but has not occurred until its callbacks run)
+            # and none failed.
+            self.succeed({member: member._value for member in self.events})
 
 
 class Kernel:
@@ -530,7 +413,6 @@ class Kernel:
         "_immediate",
         "_ipush",
         "_seqn",
-        "_active_process",
         "tracer",
         "_tracing",
     )
@@ -548,24 +430,12 @@ class Kernel:
         # identically to the classic counter).
         self._ipush = self._immediate.append
         self._seqn = count(1).__next__
-        self._active_process: Optional[Process] = None
         #: Observability hook: the shared no-op tracer unless tracing was
         #: globally enabled (see :mod:`repro.obs.trace`) before this
         #: kernel was built.  Components reach it as ``kernel.tracer``.
         self.tracer = tracer_for_clock(lambda: self.now)
         # Cached once: whether process() attaches a span (see below).
         self._tracing = self.tracer.enabled
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process whose generator is executing (or just ran).
-
-        Only meaningful when read from inside process code; between
-        resumes the hot path leaves the last-resumed process in place
-        rather than clearing it, and it resets to None when that process
-        terminates.
-        """
-        return self._active_process
 
     # -- factories -------------------------------------------------------
 
@@ -578,7 +448,6 @@ class Kernel:
         event._value = None
         event._exception = None
         event.defused = False
-        event.abandoned = False
         event._redeliver = None
         return event
 
@@ -619,12 +488,7 @@ class Kernel:
             span = self.tracer.start("sim.process", process=proc.name)
 
             def close_span(_event: Event) -> None:
-                exc = proc._exception
-                if exc is None:
-                    status = "ok"
-                else:
-                    status = "interrupted" if isinstance(exc, Interrupt) else "failed"
-                span.finish(status=status)
+                span.finish(status="ok" if proc._exception is None else "failed")
 
             proc.callbacks = close_span
         return proc
@@ -680,9 +544,6 @@ class Kernel:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- execution -------------------------------------------------------
 

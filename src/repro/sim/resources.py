@@ -1,130 +1,47 @@
-"""Counting resources and object stores for simulation processes."""
+"""The counting resource of the simulation: unit grants, FIFO queue."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List
+from typing import Deque
 
 from repro.sim.kernel import Event, Kernel, SimulationError
 
 
 class Resource:
-    """A counting resource with FIFO queueing.
+    """``capacity`` units, granted one at a time in arrival order.
 
-    Processes acquire capacity with ``yield resource.acquire(n)`` and must
-    release it with ``resource.release(n)``.  Used to model CPU slots on
-    invoker nodes and concurrency limits in the storage services.
+    A process takes a unit with ``yield resource.acquire()`` and must
+    hand it back with ``resource.release()``.  Models the concurrency
+    limit of the storage service (:mod:`repro.storage.object_store`).
     """
 
     def __init__(self, kernel: Kernel, capacity: int):
-        if capacity < 0:
-            raise SimulationError("resource capacity must be non-negative")
+        if capacity <= 0:
+            raise SimulationError("resource capacity must be positive")
         self.kernel = kernel
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: Deque = deque()
+        self._waiters: Deque[Event] = deque()
 
     @property
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    def acquire(self, amount: int = 1) -> Event:
-        if amount <= 0:
-            raise SimulationError("acquire amount must be positive")
-        if amount > self.capacity:
-            raise SimulationError(
-                f"acquire({amount}) exceeds capacity {self.capacity}"
-            )
+    def acquire(self) -> Event:
         event = Event(self.kernel)
-        if not self._waiters and self.in_use + amount <= self.capacity:
-            self.in_use += amount
-            event.succeed(amount)
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            event.succeed()
         else:
-            self._waiters.append((event, amount))
+            self._waiters.append(event)
         return event
 
-    def release(self, amount: int = 1) -> None:
-        if amount <= 0:
-            raise SimulationError("release amount must be positive")
-        if amount > self.in_use:
-            raise SimulationError("releasing more than is in use")
-        self.in_use -= amount
-        self._drain()
-
-    def resize(self, capacity: int) -> None:
-        """Change total capacity; shrinking never revokes granted units.
-
-        Queued acquires larger than the new capacity can never be
-        satisfied; they fail with :class:`SimulationError` instead of
-        wedging the FIFO head and starving smaller requests behind them.
-        """
-        if capacity < 0:
-            raise SimulationError("resource capacity must be non-negative")
-        self.capacity = capacity
+    def release(self) -> None:
+        if self.in_use == 0:
+            raise SimulationError("release with nothing in use")
         if self._waiters:
-            kept: Deque = deque()
-            for event, amount in self._waiters:
-                if event.abandoned:
-                    continue
-                if amount > capacity:
-                    event.fail(
-                        SimulationError(
-                            f"resize({capacity}) below queued "
-                            f"acquire({amount})"
-                        )
-                    )
-                else:
-                    kept.append((event, amount))
-            self._waiters = kept
-        self._drain()
-
-    def _drain(self) -> None:
-        waiters = self._waiters
-        while waiters:
-            event, amount = waiters[0]
-            if event.abandoned:
-                # The waiter was interrupted while queued; granting would
-                # leak the units forever (nobody is left to release).
-                waiters.popleft()
-                continue
-            if self.in_use + amount > self.capacity:
-                break
-            waiters.popleft()
-            self.in_use += amount
-            event.succeed(amount)
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``."""
-
-    def __init__(self, kernel: Kernel):
-        self.kernel = kernel
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        getters = self._getters
-        while getters:
-            getter = getters.popleft()
-            if getter.abandoned:
-                # The getter was interrupted while queued; handing it the
-                # item would silently drop it.
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.kernel)
-        if self._items:
-            event.succeed(self._items.popleft())
+            # The unit goes straight to the oldest waiter.
+            self._waiters.popleft().succeed()
         else:
-            self._getters.append(event)
-        return event
-
-    def snapshot(self) -> List[Any]:
-        """Non-destructive view of the queued items (for tests/metrics)."""
-        return list(self._items)
+            self.in_use -= 1

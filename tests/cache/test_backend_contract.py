@@ -15,6 +15,7 @@ from repro.core import OFCPlatform
 from repro.core.config import OFCConfig
 from repro.faas.platform import PlatformConfig
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule
+from repro.kvcache.cluster import CacheCluster
 from repro.kvcache.errors import NoSuchKey, ObjectTooLarge
 from repro.sim import Kernel
 from repro.sim.latency import MB
@@ -56,7 +57,7 @@ def build(backend_name):
         # the cost meter's resize hook observes the capacity.
         def grow():
             for node in NODES:
-                yield from backend.cluster.scale_up(node, 64 * MB)
+                yield from backend.scale_up(node, 64 * MB)
 
         kernel.run_until(kernel.process(grow()))
     backend.start()
@@ -74,6 +75,17 @@ def drive(kernel, gen):
 def test_registry_constructs_named_backend(backend_name):
     kernel, backend = build(backend_name)
     assert backend.name == backend_name
+
+
+def test_only_the_ofc_backend_is_the_cluster(backend_name):
+    """No forwarding layer: on ``ofc`` the backend *is* the CacheCluster
+    and a deployment's ``cluster`` is that same object."""
+    _kernel, backend = build(backend_name)
+    assert isinstance(backend, CacheCluster) == (backend_name == "ofc")
+    config = _config()
+    config.cache_backend = backend_name
+    system = OFCPlatform(config=config)
+    assert system.cluster is (system.backend if backend_name == "ofc" else None)
 
 
 def test_unknown_backend_rejected(backend_name):
@@ -326,7 +338,7 @@ def test_fault_injector_end_to_end(backend_name):
     backend = system.backend
     if backend_name == "ofc":
         for node in NODES:
-            backend.cluster.server(node).resize(64 * MB)
+            backend.server(node).resize(64 * MB)
 
     def seed():
         for i in range(4):
@@ -396,7 +408,7 @@ def test_episode_survival_keeps_acked_writes(backend_name, episode):
     system.start()
     if backend_name == "ofc":
         for node in NODES:
-            system.backend.cluster.server(node).resize(64 * MB)
+            system.backend.server(node).resize(64 * MB)
 
     injector = FaultInjector(system, FaultSchedule([EPISODES[episode]]))
     injector.start()

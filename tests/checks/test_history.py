@@ -103,46 +103,6 @@ def test_detach_restores_factory():
     assert ofc.obs.snapshot()["collected"]["checks"]["attached"] == 0
 
 
-def test_ring_mode_keeps_newest_and_reports_drops():
-    """``ring_capacity`` bounds the kept history to the newest N records
-    while the streamed counters keep the true totals."""
-    ofc = make_ofc()
-    recorder = HistoryRecorder(ofc, ring_capacity=4)
-    client = make_client(ofc)
-
-    def scenario():
-        for i in range(6):
-            yield from client.write("outputs", f"o{i}", b"p", 1000)
-
-    drive(ofc, scenario())
-    assert len(recorder.ops) == 4
-    assert [op.key for op in recorder.ops] == [
-        "outputs/o2", "outputs/o3", "outputs/o4", "outputs/o5"
-    ]
-    assert recorder.dropped == 2
-    snap = recorder.snapshot()
-    assert snap["ops"] == 6  # sequence keeps counting past the ring
-    assert snap["writes"] == 6
-    assert snap["dropped"] == 2
-
-
-def test_unbounded_mode_has_no_dropped_key():
-    """The default recorder keeps everything; ``dropped`` stays out of
-    the snapshot so the checks collector's shape is unchanged."""
-    ofc = make_ofc()
-    recorder = HistoryRecorder(ofc)
-    client = make_client(ofc)
-
-    def scenario():
-        yield from client.write("outputs", "o", b"p", 1000)
-
-    drive(ofc, scenario())
-    assert recorder.dropped == 0
-    snap = recorder.snapshot()
-    assert "dropped" not in snap
-    assert snap["ops"] == len(recorder.ops) == 1
-
-
 def test_streamed_counters_match_history():
     """Snapshot counters are streamed (O(1)), so they must agree with a
     scan of the kept records — including failed ops."""

@@ -6,6 +6,7 @@ unhandled ``ServerDown``/``NoSuchKey`` and zero lost dirty write-backs.
 """
 
 from repro.bench.faults import crash_restart_schedule, run_availability
+from repro.faults import FaultEvent, FaultSchedule
 
 
 def test_crash_restart_schedule_shape():
@@ -32,6 +33,23 @@ def test_availability_run_survives_crash_restart():
     # The sampler recorded the hit-ratio trajectory.
     assert len(result.points) >= 3
     assert result.final_hit_ratio is not None
+
+
+def test_timeline_covers_a_schedule_that_outlasts_the_load():
+    """The node comes back 30 s after the load stops; the timeline must
+    still show it (sampling used to end at the load deadline)."""
+    schedule = FaultSchedule(
+        [
+            FaultEvent(at=30.0, kind="crash", node="w1"),
+            FaultEvent(at=90.0, kind="restart", node="w1"),
+        ]
+    )
+    result = run_availability(
+        "late_restart", schedule=schedule, duration_s=60.0, seed=11
+    )
+    assert min(p.live_servers for p in result.points) == 3
+    assert result.points[-1].t >= 90.0
+    assert result.points[-1].live_servers == 4
 
 
 def test_availability_baseline_has_no_faults():

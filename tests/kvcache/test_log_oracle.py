@@ -121,7 +121,7 @@ def _run_tight_cell():
     workload = TenantWorkloadConfig(n_tenants=40, mean_interval_s=2.0, seed=5)
     engine = TenantLoadEngine(ofc.kernel, ofc.platform, ofc.store, workload)
     engine.run(40.0)
-    servers = ofc.backend.cluster.coordinator.servers
+    servers = ofc.backend.coordinator.servers
     for server in servers.values():
         server.log.audit()
     collected = ofc.obs.snapshot()["collected"]

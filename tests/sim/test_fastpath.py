@@ -6,7 +6,7 @@ Every test drives the same scenario through a production ``Kernel``
 see ``reference_kernel.py``), and requires the observable traces —
 (time, tag) logs, return values, final clocks — to be *equal*, not
 approximately equal.  The coverage is the kernel patterns themselves
-(sleep chains, same-instant ties, zero delays, events, interrupts,
+(sleep chains, same-instant ties, zero delays, events, fan-in,
 run-until, limits, call_later); ``test_kernel_properties.py`` checks the
 space between them.
 """
@@ -14,7 +14,7 @@ space between them.
 import pytest
 
 from repro.sim import fastpath
-from repro.sim.kernel import Interrupt, Kernel, SimulationError
+from repro.sim.kernel import Kernel, Process, SimulationError
 from tests.sim.reference_kernel import StepKernel
 
 
@@ -103,8 +103,6 @@ def test_all_of_any_of_parity(both_kernels):
         def combo():
             yield k.all_of([k.timeout(1.0), k.timeout(3.0)])
             log.append((k.now, "allof"))
-            yield k.any_of([k.timeout(10.0), k.timeout(0.5)])
-            log.append((k.now, "anyof"))
 
         def noise():
             for _ in range(20):
@@ -145,21 +143,27 @@ def test_failed_event_single_waiter_parity(both_kernels):
 
 
 def test_fan_in_with_failures_parity(both_kernels):
-    """AllOf/AnyOf delivery (the list arm) with failing members."""
+    """List delivery of a failure: an AllOf check and a joining process
+    wait on the same failing member."""
 
     def scenario(k, log):
         def fail_after(delay):
             yield delay
             raise ValueError(f"dead@{delay}")
 
-        def combo():
-            procs = [k.process(fail_after(2.0))]
+        def joiner(proc):
             try:
-                yield k.all_of([k.timeout(1.0), procs[0]])
+                yield proc
+            except ValueError as exc:
+                log.append((k.now, "join-failed", str(exc)))
+
+        def combo():
+            failing = k.process(fail_after(2.0))
+            k.process(joiner(failing))
+            try:
+                yield k.all_of([k.timeout(1.0), failing])
             except ValueError as exc:
                 log.append((k.now, "allof-failed", str(exc)))
-            first = yield k.any_of([k.timeout(0.5), k.timeout(9.0)])
-            log.append((k.now, "anyof", len(first)))
 
         def noise():
             for _ in range(12):
@@ -221,29 +225,6 @@ def test_run_until_awaited_event_delivery_parity(both_kernels):
         value = k.run_until(gate)
         log.append((k.now, "until", value))
         k.run()  # drain leftovers identically
-
-    _assert_parity(both_kernels, scenario)
-
-
-def test_interrupt_mid_sleep_parity(both_kernels):
-    def scenario(k, log):
-        def sleeper():
-            try:
-                yield 100.0
-                log.append((k.now, "overslept"))
-            except Interrupt as exc:
-                log.append((k.now, "interrupted", str(exc.cause)))
-                yield 1.0
-                log.append((k.now, "resumed"))
-
-        target = k.process(sleeper())
-
-        def interrupter():
-            yield 2.0
-            target.interrupt(cause="wake-up")
-
-        k.process(interrupter())
-        k.run()
 
     _assert_parity(both_kernels, scenario)
 
@@ -322,6 +303,29 @@ def test_non_event_yield_raises_on_both(both_kernels):
         kernel.process(bad(), name="bad")
         with pytest.raises(SimulationError, match="expected an Event"):
             kernel.run()
+
+
+def test_foreign_event_yield_raises_on_both(both_kernels):
+    for kernel in both_kernels():
+        elsewhere = Kernel().event()
+
+        def bad():
+            yield elsewhere
+
+        kernel.process(bad())
+        with pytest.raises(SimulationError, match="another kernel"):
+            kernel.run()
+
+
+def test_run_until_on_a_drained_queue_raises_on_both(both_kernels):
+    for kernel in both_kernels():
+        def sleeper():
+            yield 1.0
+
+        kernel.process(sleeper())
+        with pytest.raises(SimulationError, match="queue drained"):
+            kernel.run_until(kernel.event())  # nobody will trigger it
+        assert kernel.now == 1.0
 
 
 def test_deadlock_detection_parity(both_kernels):
@@ -474,3 +478,17 @@ def test_generated_source_has_one_advance_template():
         if name.isupper() and isinstance(value, str)
     ]
     assert sum(t.count("except StopIteration") for t in templates) == 1
+
+
+def test_generated_loops_store_only_what_something_reads():
+    """The per-resume store budget: the clock, and an event's state,
+    waiters, outcome and ``defused`` handshake — nothing per process."""
+    import ast
+
+    stored = {
+        node.attr
+        for node in ast.walk(ast.parse(fastpath.dispatch_source()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    assert stored == {"now", "_state", "callbacks", "defused", "_value", "_exception"}
+    assert Process.__slots__ == ("generator", "name", "_cb", "_send", "_throw")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Kernel, SimulationError
+from repro.sim import AllOf, Kernel, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -195,18 +195,6 @@ def test_all_of_waits_for_all():
     assert kernel.run_process(proc()) == (5.0, "one", "five")
 
 
-def test_any_of_returns_on_first():
-    kernel = Kernel()
-    t1 = kernel.timeout(1.0, value="fast")
-    t2 = kernel.timeout(5.0, value="slow")
-
-    def proc():
-        results = yield AnyOf(kernel, [t1, t2])
-        return (kernel.now, list(results.values()))
-
-    assert kernel.run_process(proc()) == (1.0, ["fast"])
-
-
 def test_all_of_empty_triggers_immediately():
     kernel = Kernel()
 
@@ -233,63 +221,6 @@ def test_all_of_fails_when_member_fails():
 
     kernel.process(failer())
     assert kernel.run_process(proc()) == 1.0
-
-
-def test_interrupt_wakes_process_early():
-    kernel = Kernel()
-
-    def sleeper():
-        try:
-            yield kernel.timeout(100.0)
-            return "slept"
-        except Interrupt as intr:
-            return f"interrupted:{intr.cause}@{kernel.now}"
-
-    proc = kernel.process(sleeper())
-
-    def interrupter():
-        yield kernel.timeout(2.0)
-        proc.interrupt("wakeup")
-
-    kernel.process(interrupter())
-    kernel.run()
-    assert proc.value == "interrupted:wakeup@2.0"
-
-
-def test_interrupt_after_completion_is_noop():
-    kernel = Kernel()
-
-    def quick():
-        yield kernel.timeout(1.0)
-        return "done"
-
-    proc = kernel.process(quick())
-    kernel.run()
-    proc.interrupt("late")
-    kernel.run()
-    assert proc.value == "done"
-
-
-def test_unhandled_interrupt_fails_process():
-    kernel = Kernel()
-
-    def sleeper():
-        yield kernel.timeout(100.0)
-
-    proc = kernel.process(sleeper())
-
-    def interrupter():
-        yield kernel.timeout(1.0)
-        proc.interrupt()
-
-    def watcher():
-        try:
-            yield proc
-        except Interrupt:
-            return "saw interrupt"
-
-    kernel.process(interrupter())
-    assert kernel.run_process(watcher()) == "saw interrupt"
 
 
 def test_yielding_non_event_raises():
@@ -356,31 +287,6 @@ def test_negative_bare_delay_raises():
     kernel.process(bad())
     with pytest.raises(SimulationError, match="negative sleep delay"):
         kernel.run()
-
-
-def test_interrupted_sleep_drops_stale_wake():
-    kernel = Kernel()
-    log = []
-
-    def sleeper():
-        try:
-            yield 10.0
-            log.append(("woke", kernel.now))
-        except Interrupt:
-            log.append(("interrupted", kernel.now))
-            yield 1.0
-            log.append(("woke", kernel.now))
-
-    proc = kernel.process(sleeper())
-
-    def interrupter():
-        yield kernel.timeout(3.0)
-        proc.interrupt("stop")
-
-    kernel.process(interrupter())
-    kernel.run()
-    # The original wake at t=10 must not fire a second resume.
-    assert log == [("interrupted", 3.0), ("woke", 4.0)]
 
 
 def test_deadlock_detection_in_run_process():

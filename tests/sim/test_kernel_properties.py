@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Kernel
+from repro.sim import Kernel
 from tests.sim.reference_kernel import StepKernel
 
 
@@ -111,16 +111,12 @@ _ops = st.one_of(
     st.tuples(st.just("wait"), _event_ids),
     st.tuples(st.just("succeed"), _event_ids),
     st.tuples(st.just("fail"), _event_ids),
-    st.tuples(st.just("interrupt"), _proc_ids),
     st.tuples(st.just("join"), _delays, st.booleans()),
     st.tuples(st.just("all_of"), _members),
-    st.tuples(st.just("any_of"), _members),
     st.tuples(st.just("call_later"), _delays),
 )
-#: (catches Interrupt?, ops) per process.
-_programs = st.lists(
-    st.tuples(st.booleans(), st.lists(_ops, max_size=8)), min_size=1, max_size=5
-)
+#: The ops of each process.
+_programs = st.lists(st.lists(_ops, max_size=8), min_size=1, max_size=5)
 _slices = st.lists(
     st.one_of(
         st.tuples(st.just("until"), _delays),
@@ -161,34 +157,23 @@ def _execute(k, program, slices):
             events[arg].succeed(100 * pid + n)
         elif kind == "fail" and not events[arg].triggered:
             events[arg].fail(RuntimeError(f"{pid}.{n}"))
-        elif kind == "interrupt":
-            procs[arg % len(procs)].interrupt(cause=(pid, n))
         elif kind == "join":
             return (yield k.process(child(arg, op[2])))
         elif kind == "all_of":
             return (yield k.all_of(condition(arg)))
-        elif kind == "any_of":
-            return (yield k.any_of(condition(arg)))
         elif kind == "call_later":
             k.call_later(lambda: arg, lambda _e: log.append((k.now, pid, n, "later")))
 
-    def body(pid, catches, ops):
+    def body(pid, ops):
         for n, op in enumerate(ops):
             try:
                 got = yield from do(pid, n, op)
-                if isinstance(got, dict):
-                    # A condition's {event: value}; events differ per run.
-                    # (Matched on the value, not the op: a process that
-                    # interrupted itself is resumed by its *previous*
-                    # target, so any yield can receive one.)
+                if op[0] == "all_of":
+                    # The condition's {event: value}; events differ per run.
                     got = sorted(got.values())
                 log.append((k.now, pid, n, op[0], got))
             except (RuntimeError, ValueError) as exc:
                 log.append((k.now, pid, n, "caught", type(exc).__name__, str(exc)))
-            except Interrupt as exc:
-                if not catches:
-                    raise
-                log.append((k.now, pid, n, "interrupted", exc.cause))
         return pid
 
     def attempt(tag, run):
@@ -199,8 +184,8 @@ def _execute(k, program, slices):
             log.append((k.now, tag, "raised", type(exc).__name__))
             return False
 
-    for pid, (catches, ops) in enumerate(program):
-        procs.append(k.process(body(pid, catches, ops)))
+    for pid, ops in enumerate(program):
+        procs.append(k.process(body(pid, ops)))
     for kind, arg in slices:
         if kind == "until":
             attempt(kind, lambda: k.run(until=k.now + arg))
@@ -212,7 +197,7 @@ def _execute(k, program, slices):
     while not attempt("run", k.run):
         pass
     outcomes = [
-        (p.is_alive, p._value, type(p._exception).__name__) for p in procs
+        (p.triggered, p._value, type(p._exception).__name__) for p in procs
     ]
     return log, outcomes, k.now
 

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for the unit-grant FIFO Resource."""
 
 import pytest
 
-from repro.sim import Interrupt, Kernel, Resource, SimulationError, Store
+from repro.sim import Kernel, Resource, SimulationError
 
 
 def test_resource_grants_up_to_capacity():
@@ -19,8 +19,12 @@ def test_resource_grants_up_to_capacity():
     kernel.process(worker("a", 5.0))
     kernel.process(worker("b", 5.0))
     kernel.process(worker("c", 5.0))
+    kernel.run(until=1.0)
+    assert grants == [("a", 0.0), ("b", 0.0)]  # c blocks at capacity
+    assert (res.in_use, res.available) == (2, 0)
     kernel.run()
     assert grants == [("a", 0.0), ("b", 0.0), ("c", 5.0)]
+    assert (res.in_use, res.available) == (0, 2)
 
 
 def test_resource_fifo_order():
@@ -40,13 +44,6 @@ def test_resource_fifo_order():
     assert order == list("abcd")
 
 
-def test_resource_acquire_more_than_capacity_raises():
-    kernel = Kernel()
-    res = Resource(kernel, capacity=2)
-    with pytest.raises(SimulationError):
-        res.acquire(3)
-
-
 def test_resource_over_release_raises():
     kernel = Kernel()
     res = Resource(kernel, capacity=1)
@@ -54,255 +51,7 @@ def test_resource_over_release_raises():
         res.release()
 
 
-def test_resource_resize_up_unblocks_waiters():
-    kernel = Kernel()
-    res = Resource(kernel, capacity=1)
-    got = []
-
-    def worker(name):
-        yield res.acquire()
-        got.append((name, kernel.now))
-
-    kernel.process(worker("a"))
-    kernel.process(worker("b"))
-
-    def grower():
-        yield kernel.timeout(3.0)
-        res.resize(2)
-
-    kernel.process(grower())
-    kernel.run()
-    assert got == [("a", 0.0), ("b", 3.0)]
-
-
-def test_resource_resize_down_does_not_revoke():
-    kernel = Kernel()
-    res = Resource(kernel, capacity=2)
-
-    def worker():
-        yield res.acquire(2)
-
-    kernel.process(worker())
-    kernel.run()
-    res.resize(1)
-    assert res.in_use == 2
-    assert res.available == -1
-
-
-def test_resource_multi_unit_acquire_waits_for_enough():
-    kernel = Kernel()
-    res = Resource(kernel, capacity=3)
-    events = []
-
-    def small(name):
-        yield res.acquire(1)
-        events.append((name, kernel.now))
-        yield kernel.timeout(2.0)
-        res.release(1)
-
-    def big():
-        yield res.acquire(3)
-        events.append(("big", kernel.now))
-
-    kernel.process(small("s1"))
-    kernel.process(small("s2"))
-    kernel.process(big())
-    kernel.run()
-    assert ("big", 2.0) in events
-
-
-def test_store_put_then_get():
-    kernel = Kernel()
-    store = Store(kernel)
-    store.put("x")
-
-    def getter():
-        item = yield store.get()
-        return item
-
-    assert kernel.run_process(getter()) == "x"
-
-
-def test_store_get_blocks_until_put():
-    kernel = Kernel()
-    store = Store(kernel)
-
-    def getter():
-        item = yield store.get()
-        return (item, kernel.now)
-
-    def putter():
-        yield kernel.timeout(7.0)
-        store.put("late")
-
-    kernel.process(putter())
-    assert kernel.run_process(getter()) == ("late", 7.0)
-
-
-def test_store_is_fifo():
-    kernel = Kernel()
-    store = Store(kernel)
-    for item in [1, 2, 3]:
-        store.put(item)
-    assert store.snapshot() == [1, 2, 3]
-
-    def getter():
-        a = yield store.get()
-        b = yield store.get()
-        c = yield store.get()
-        return [a, b, c]
-
-    assert kernel.run_process(getter()) == [1, 2, 3]
-
-
-def test_store_len():
-    kernel = Kernel()
-    store = Store(kernel)
-    assert len(store) == 0
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-
-
-def test_interrupted_queued_acquire_does_not_leak_capacity():
-    # A process interrupted while waiting in the acquire queue must not
-    # be granted capacity later (nobody would ever release it).
-    kernel = Kernel()
-    resource = Resource(kernel, capacity=1)
-    grants = []
-
-    def holder():
-        yield resource.acquire()
-        yield kernel.timeout(5.0)
-        resource.release()
-
-    def victim():
-        try:
-            yield resource.acquire()
-            grants.append("victim")
-            resource.release()
-        except Interrupt:
-            pass
-
-    def bystander():
-        yield kernel.timeout(2.0)  # queue behind victim
-        yield resource.acquire()
-        grants.append("bystander")
-        resource.release()
-
-    kernel.process(holder())
-    victim_proc = kernel.process(victim())
-
-    def interrupter():
-        yield kernel.timeout(3.0)
-        victim_proc.interrupt("cancelled")
-
-    kernel.process(bystander())
-    kernel.process(interrupter())
-    kernel.run()
-    assert grants == ["bystander"]
-    assert resource.in_use == 0
-    assert resource.available == resource.capacity
-
-
-def test_interrupted_queued_getter_does_not_swallow_item():
-    # A getter interrupted while queued must not consume the next put.
-    kernel = Kernel()
-    store = Store(kernel)
-    received = []
-
-    def victim():
-        try:
-            item = yield store.get()
-            received.append(("victim", item))
-        except Interrupt:
-            pass
-
-    def survivor():
-        yield kernel.timeout(1.0)  # queue behind victim
-        item = yield store.get()
-        received.append(("survivor", item))
-
-    victim_proc = kernel.process(victim())
-    kernel.process(survivor())
-
-    def driver():
-        yield kernel.timeout(2.0)
-        victim_proc.interrupt("cancelled")
-        yield kernel.timeout(1.0)
-        store.put("precious")
-
-    kernel.process(driver())
-    kernel.run()
-    assert received == [("survivor", "precious")]
-    assert len(store) == 0
-
-
-def test_resize_below_queued_acquire_fails_waiter():
-    # Shrinking capacity below a queued request must fail that waiter
-    # instead of wedging the FIFO head forever.
-    kernel = Kernel()
-    resource = Resource(kernel, capacity=4)
-    log = []
-
-    def holder():
-        yield resource.acquire(2)
-        yield kernel.timeout(10.0)
-        resource.release(2)
-
-    def big_waiter():
-        try:
-            yield resource.acquire(3)
-            log.append("big granted")
-        except SimulationError as exc:
-            log.append(f"big failed: {exc}")
-
-    def small_waiter():
-        yield kernel.timeout(1.0)  # queue behind big_waiter
-        yield resource.acquire(1)
-        log.append(("small granted", kernel.now))
-        resource.release(1)
-
-    kernel.process(holder())
-    kernel.process(big_waiter())
-    kernel.process(small_waiter())
-
-    def resizer():
-        yield kernel.timeout(2.0)
-        resource.resize(2)
-
-    kernel.process(resizer())
-    kernel.run()
-    assert log[0].startswith("big failed:")
-    # The small request is granted as soon as the oversized head waiter
-    # is cleared out of the way (holder still owns both units).
-    assert ("small granted", 10.0) in log
-    assert resource.capacity == 2
-    assert resource.in_use == 0
-
-
-def test_resize_up_drains_waiters():
-    kernel = Kernel()
-    resource = Resource(kernel, capacity=1)
-    log = []
-
-    def holder():
-        yield resource.acquire()
-        yield kernel.timeout(5.0)
-        resource.release()
-
-    def waiter():
-        yield resource.acquire()
-        log.append(kernel.now)
-        resource.release()
-
-    kernel.process(holder())
-    kernel.process(waiter())
-
-    def resizer():
-        yield kernel.timeout(1.0)
-        resource.resize(2)
-
-    kernel.process(resizer())
-    kernel.run()
-    assert log == [1.0]
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_resource_non_positive_capacity_raises(capacity):
+    with pytest.raises(SimulationError):
+        Resource(Kernel(), capacity=capacity)
