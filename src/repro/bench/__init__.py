@@ -17,6 +17,7 @@ tree wraps these drivers in pytest-benchmark targets, and the
 | Figure 9, Table 2 | :mod:`repro.bench.macro`          |
 | Figure 10      | :mod:`repro.bench.fig10`             |
 | beyond: tenants, cachewars, chaos | :mod:`repro.bench.grid` |
+| §7.6 availability: faults, run    | :mod:`repro.bench.grid` |
 
 Sweeps fan their independent cells across processes via
 :mod:`repro.bench.runner`.  The simulator's own speed is measured by

@@ -1,6 +1,7 @@
-"""One grid experiment: ``repro tenants``, ``repro cachewars``, ``repro chaos``.
+"""One grid experiment: ``repro tenants``, ``cachewars``, ``chaos``,
+``faults`` — and ``repro run``, which runs one cell of it.
 
-All three measure the same thing — one OFC deployment, one seeded
+All of them measure the same thing — one OFC deployment, one seeded
 multi-tenant workload streamed by
 :class:`~repro.workloads.tenants.TenantLoadEngine` (Zipf app popularity,
 heavy-tailed rates, diurnal + bursty arrivals), a warm-up, a measured
@@ -11,12 +12,15 @@ beyond that is derived from the cell: one that names a fault
 ``intensity`` or an explicit ``schedule`` is *faulted* — a
 :class:`~repro.checks.HistoryRecorder` captures the complete dataclient
 history while a :func:`~repro.faults.chaos.chaos_schedule` timeline
-crashes nodes and degrades the RSDS/network, and after the run settles
-:func:`~repro.checks.check_history` audits acked-write durability,
-stale/shadow reads, read-your-writes, version order, dirty finals and
-the replication level.
+crashes nodes and degrades the RSDS/network, a sampler records the
+availability timeline (hit ratio, live servers and under-replicated
+objects per :data:`TIMELINE_WINDOW_S` window, until the settle ends),
+and after the run settles :func:`~repro.checks.check_history` audits
+acked-write durability, stale/shadow reads, read-your-writes, version
+order, dirty finals and the replication level.  This is the only place
+a deployment runs under a fault schedule.
 
-The experiments are three grid definitions (:data:`GRIDS`):
+The experiments are four grid definitions (:data:`GRIDS`):
 
 * ``tenants`` — tenant count × Zipf skew × quota policy: per-tenant hit
   ratios and latencies plus Jain's fairness index, on cells sized so
@@ -29,7 +33,14 @@ The experiments are three grid definitions (:data:`GRIDS`):
   audited.  Every cell is deterministic in its seed (schedule times are
   absolute sim times, so a generated schedule replays exactly); a
   failing cell's schedule is ddmin-shrunk and exported as runnable JSON
-  (``repro run --faults <file>``) under ``examples/faults/``.
+  (``repro run --faults <file>``) under ``examples/faults/``;
+* ``faults`` — the same arrivals with no fault and with one node crashed
+  a third of the way in and restarted at two thirds: what a crash costs
+  in completed invocations, hit ratio and lost objects.
+
+:func:`load_cell` turns a fault file into the cell it documents — a
+reproducer's ``chaos`` block is the cell, a plain schedule runs on the
+``faults`` deployment — which is what ``repro run --faults`` runs.
 
 Each grid is exported as a repro-obs document (deterministic for a
 fixed seed: sorted keys, no timestamps) to ``results/<name>_grid.json``.
@@ -40,7 +51,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +64,7 @@ from repro.checks import check_history, HistoryRecorder
 from repro.checks.invariants import count_by_invariant
 from repro.core.config import OFCConfig
 from repro.faas import reset_id_counters
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultEvent, FaultInjector, FaultSchedule, ScheduleError
 from repro.faults.chaos import chaos_schedule, chaos_targets, shrink_schedule
 from repro.obs.export import export_json
 from repro.obs.registry import MetricsRegistry
@@ -83,6 +94,8 @@ TENANTS_CACHE_CAP_MB = 16.0
 #: persistor's full retry backoff plus requeue cycles, one InfiniCache
 #: reclaim tick and a repair pass.
 SETTLE_SLACK_S = 45.0
+#: Width of one availability-timeline window (simulated seconds).
+TIMELINE_WINDOW_S = 15.0
 #: Where minimized reproducers land by default.
 DEFAULT_REPRODUCER_DIR = "examples/faults"
 
@@ -137,6 +150,9 @@ class GridRow:
     submitted: int = 0
     completed: int = 0
     failed: int = 0
+    #: Failed invocations by cause (the exception that ended the last
+    #: attempt, from ``InvocationRecord.error``).
+    failures: Dict[str, int] = field(default_factory=dict)
     cold_starts: int = 0
     #: The rclib data plane's view of its cache.
     hit_ratio: float = 0.0
@@ -171,13 +187,21 @@ class GridRow:
     #: backends without one): pins *what* the cleaner did, which the
     #: op history cannot see.
     log_stats: Dict[str, int] = field(default_factory=dict)
+    #: Cached objects whose every copy a crash destroyed.
+    lost_objects: int = 0
     #: Faulted cells: recorded data-plane ops, the schedule the cell ran
-    #: (replayable) and what the history checker found.
+    #: (replayable), what the injector did (``FaultInjectorStats``), the
+    #: availability timeline (one ``{t, hit_ratio, live_servers,
+    #: under_replicated}`` per window from injector start to the end of
+    #: the settle; ``hit_ratio`` is None for a window without reads) and
+    #: what the history checker found.
     ops: int = 0
     crashes: int = 0
     episodes: int = 0
     schedule_events: int = 0
     schedule: Dict[str, Any] = field(default_factory=dict)
+    injector: Dict[str, int] = field(default_factory=dict)
+    timeline: List[Dict[str, Any]] = field(default_factory=list)
     violations_total: int = 0
     #: invariant name -> count.
     violations: Dict[str, int] = field(default_factory=dict)
@@ -188,6 +212,14 @@ class GridRow:
     @property
     def cell_id(self) -> str:
         return f"{self.backend}-{self.intensity}-{self.quota_policy}"
+
+    @property
+    def min_window_hit_ratio(self) -> Optional[float]:
+        """The timeline's worst window (None without one that read)."""
+        return min(
+            (p["hit_ratio"] for p in self.timeline if p["hit_ratio"] is not None),
+            default=None,
+        )
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
@@ -204,6 +236,33 @@ def _log_stats(backend) -> Dict[str, int]:
     return dict(totals)
 
 
+def _sample_timeline(ofc, timeline: List[Dict[str, Any]]):
+    """Append one availability window per :data:`TIMELINE_WINDOW_S`.
+    Perpetual: it stops when the cell stops running the kernel (the end
+    of the settle), so a schedule that outlasts the load is covered."""
+    stats = ofc.rclib_stats
+    hits = stats.hits_local + stats.hits_remote
+    reads = hits + stats.misses
+    while True:
+        yield TIMELINE_WINDOW_S
+        seen_hits, seen_reads = hits, reads
+        hits = stats.hits_local + stats.hits_remote
+        reads = hits + stats.misses
+        snap = ofc.backend.stats_snapshot()
+        timeline.append(
+            {
+                "t": ofc.kernel.now,
+                "hit_ratio": (
+                    (hits - seen_hits) / (reads - seen_reads)
+                    if reads > seen_reads
+                    else None
+                ),
+                "live_servers": snap["live_servers"],
+                "under_replicated": snap["under_replicated"],
+            }
+        )
+
+
 def run_cell(cell: TenantCell) -> GridRow:
     """Deploy → warm → (inject) → measure → (settle, repair, audit).
     Module-level: the sweep runner pickles this into worker processes."""
@@ -218,7 +277,13 @@ def run_cell(cell: TenantCell) -> GridRow:
         tenant_static_fraction=1.0 / cell.n_tenants,
         cache_cap_mb=cell.cache_cap_mb,
     )
+    known = {f.name for f in fields(OFCConfig)}
     for attr, value in (cell.config_overrides or {}).items():
+        if attr not in known:
+            raise ScheduleError(
+                f"unknown config override {attr!r}; OFCConfig's fields "
+                f"are {sorted(known)}"
+            )
         setattr(config, attr, value)
     ofc = build_ofc_env(
         nodes=cell.nodes,
@@ -257,8 +322,12 @@ def run_cell(cell: TenantCell) -> GridRow:
             targets=chaos_targets(ofc.backend),
             start_at=ofc.kernel.now,
         )
+    timeline: List[Dict[str, Any]] = []
+    injector = None
     if cell.faulted:
-        FaultInjector(ofc, schedule).start()
+        injector = FaultInjector(ofc, schedule)
+        injector.start()
+        ofc.kernel.process(_sample_timeline(ofc, timeline), name="timeline")
     stats = engine.run(cell.duration_s)
     violations = []
     if cell.faulted:
@@ -292,6 +361,7 @@ def run_cell(cell: TenantCell) -> GridRow:
         submitted=stats.submitted,
         completed=completed,
         failed=stats.failed,
+        failures=stats.failures,
         cold_starts=sum(a.cold_starts for a in stats.per_tenant.values()),
         hit_ratio=ofc.rclib_stats.hit_ratio,
         tenants_active=len(stats.per_tenant),
@@ -319,18 +389,21 @@ def run_cell(cell: TenantCell) -> GridRow:
         cache_capacity_bytes=float(ofc.backend.total_capacity),
         cache_used_bytes=float(ofc.backend.total_used),
         log_stats=_log_stats(ofc.backend),
+        lost_objects=ofc.backend.stats_snapshot()["lost_objects"],
         ops=len(recorder.ops) if recorder else 0,
         crashes=sum(1 for e in schedule.events if e.kind == "crash"),
         episodes=sum(1 for e in schedule.events if e.duration > 0),
         schedule_events=len(schedule),
         schedule=schedule.to_dict(),
+        injector=asdict(injector.stats) if injector else {},
+        timeline=timeline,
         violations_total=len(violations),
         violations=count_by_invariant(violations),
         violation_details=[v.to_dict() for v in violations[:10]],
     )
 
 
-# -- the three grids ---------------------------------------------------------
+# -- the four grids ----------------------------------------------------------
 
 
 def tenants_cells(quick: bool = False, seed: int = 0) -> List[TenantCell]:
@@ -413,6 +486,73 @@ def chaos_cells(quick: bool = False, seed: int = 0) -> List[TenantCell]:
         for intensity in intensities
         for policy in policies
     ]
+
+
+def crash_restart_schedule(duration_s: float, node: str = "w1") -> FaultSchedule:
+    """The canonical availability scenario: one node dies a third of the
+    way in and returns at two thirds."""
+    return FaultSchedule(
+        [
+            FaultEvent(at=duration_s / 3.0, kind="crash", node=node),
+            FaultEvent(at=2.0 * duration_s / 3.0, kind="restart", node=node),
+        ]
+    )
+
+
+def faults_cell(
+    duration_s: float, schedule: FaultSchedule, seed: int = 0
+) -> TenantCell:
+    """The deployment ``repro faults`` and a plain ``repro run --faults``
+    schedule run on.  No warm-up: schedule times are absolute, so the
+    load starts as close to t=0 as preparation allows."""
+    return TenantCell(
+        n_tenants=60,
+        mean_interval_s=20.0,
+        duration_s=duration_s,
+        warmup_s=0.0,
+        # The schedule is deliberately NOT part of the seed: with and
+        # without the fault, the arrivals must be identical.
+        seed=cell_seed(seed, "faults"),
+        schedule=schedule.to_dict(),
+    )
+
+
+def faults_cells(quick: bool = False, seed: int = 0) -> List[TenantCell]:
+    """No fault vs crash/restart, on identical arrivals."""
+    duration_s = 120.0 if quick else 240.0
+    return [
+        faults_cell(duration_s, schedule, seed)
+        for schedule in (FaultSchedule(), crash_restart_schedule(duration_s))
+    ]
+
+
+def load_cell(
+    path: Optional[str], duration_s: float = 240.0, **changes: Any
+) -> TenantCell:
+    """The cell a fault file documents, optionally with fields replaced.
+
+    A reproducer's ``chaos`` block is the cell (``duration_s`` included:
+    the argument is not used) and its events the schedule; a plain
+    schedule — or no file — runs on :func:`faults_cell` for
+    ``duration_s``."""
+    doc: Dict[str, Any] = {"events": []}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    schedule = FaultSchedule.from_dict(doc)
+    if "chaos" not in doc:
+        return replace(faults_cell(duration_s, schedule), **changes)
+    # ``violations`` is what the export found, not a field; the file's
+    # events are the schedule, so a ``schedule`` key is not one either.
+    block = {k: v for k, v in doc["chaos"].items() if k != "violations"}
+    known = {f.name for f in fields(TenantCell)} - {"schedule"}
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ScheduleError(
+            f"{path}: unknown chaos-block field(s) {unknown}; a cell's "
+            f"fields are {sorted(known)}"
+        )
+    return replace(TenantCell(**block, schedule=schedule.to_dict()), **changes)
 
 
 @dataclass(frozen=True)
@@ -522,6 +662,28 @@ GRIDS: Dict[str, GridExperiment] = {
                     "per cell",
                 ),
                 ("ops", "data-plane operations recorded per cell"),
+            ),
+        ),
+        GridExperiment(
+            name="faults",
+            title="Availability — crash/restart vs baseline",
+            cells=faults_cells,
+            columns=(
+                (
+                    "scenario",
+                    lambda r: "crash-restart" if r.crashes else "baseline",
+                ),
+                *_OK_FAILED,
+                ("hit ratio", lambda r: round(r.hit_ratio, 4)),
+                ("min window", lambda r: r.min_window_hit_ratio),
+                ("recovered", lambda r: r.injector.get("recovered_objects", 0)),
+                ("repaired", lambda r: r.injector.get("repaired_keys", 0)),
+                ("dirty finals", lambda r: r.violations.get("dirty-final", 0)),
+            ),
+            labels={"crashes": "crashes"},
+            gauges=(
+                ("hit_ratio", "data-plane cache hit ratio per scenario"),
+                ("lost_objects", "cached objects with no surviving copy"),
             ),
         ),
     )
@@ -639,9 +801,9 @@ def export_reproducer(
     tag: Optional[str] = None,
 ) -> str:
     """Write a minimized failing schedule as runnable JSON.  The extra
-    ``chaos`` block is the cell (``TenantCell(**block)`` minus
-    ``violations``, plus the file's events as its schedule, replays it);
-    ``repro run --faults`` and :meth:`FaultSchedule.load` ignore it."""
+    ``chaos`` block is the cell: :func:`load_cell` (and so ``repro run
+    --faults``) replays it with the file's events as its schedule;
+    :meth:`FaultSchedule.load` ignores the block."""
     os.makedirs(out_dir, exist_ok=True)
     stem = f"chaos_{row.cell_id}"
     if tag:

@@ -64,7 +64,7 @@ class FaaSTStats:
     scale_ins: int = 0
     apps_torn_down: int = 0
     shards_lost: int = 0
-    objects_lost: int = 0
+    lost_objects: int = 0
     backup_writes: int = 0
     shards_promoted: int = 0
     backups_repaired: int = 0
@@ -219,7 +219,7 @@ class FaaSTBackend(CacheBackend):
         obj = shard.remove(key)
         del cache.index[key]
         if lost:
-            self.stats.objects_lost += 1
+            self.stats.lost_objects += 1
         self._removed(obj)
         return obj
 

@@ -30,29 +30,32 @@ JSON (metrics + span summary) to ``--out``.  ``perf`` runs the
 repository benchmark (``perf/run.py``; needs a source checkout) and
 appends what it measured to the ``--bench-out`` trajectory file; with
 ``--quick`` it runs the tiny smoke cells and appends nothing.
-``tenants``, ``cachewars`` and ``chaos`` are the three definitions of
-the one grid experiment (:mod:`repro.bench.grid`): a seeded multi-tenant
-population (Zipf app popularity, diurnal/bursty arrivals) streamed
-through one deployment per cell, swept over tenant count × skew × cache
-quota policy (fairness), over every registered cache architecture (OFC
-harvested, Faa$T-style cachelets, InfiniCache-style erasure-coded
-lambdas: hit ratio / latency / cost), or over backend × fault intensity
-with a history recorder auditing consistency invariants (acked-write
-durability, stale reads, read-your-writes, version order).  Each writes
+``tenants``, ``cachewars``, ``chaos`` and ``faults`` are the four
+definitions of the one grid experiment (:mod:`repro.bench.grid`): a
+seeded multi-tenant population (Zipf app popularity, diurnal/bursty
+arrivals) streamed through one deployment per cell, swept over tenant
+count × skew × cache quota policy (fairness), over every registered
+cache architecture (OFC harvested, Faa$T-style cachelets,
+InfiniCache-style erasure-coded lambdas: hit ratio / latency / cost),
+over backend × fault intensity with a history recorder auditing
+consistency invariants (acked-write durability, stale reads,
+read-your-writes, version order), or over no fault vs a mid-run node
+crash and restart on identical arrivals (availability).  Each writes
 its grid — one shared row per cell — to ``--grid-out`` (default
 ``results/<name>_grid.json``); failing cells are ddmin-shrunk and the
 minimal schedule exported as a runnable reproducer under
 ``examples/faults/``.
-``faults`` runs the availability experiment (baseline vs a mid-run
-node crash and restart).  ``run`` drives one deployment under a JSON
-fault schedule (``--faults PATH``, ``--duration S``) and prints the
-availability timeline.
+``run`` runs the one cell a fault file documents (``--faults PATH``):
+a reproducer's ``chaos`` block is the cell and its events the schedule;
+a plain schedule, or none, runs on the ``faults`` deployment for
+``--duration S`` (``--quick``: at most 120).  It prints the cell's
+availability timeline, its failures by cause and its violations by
+invariant.
 ``--trace PATH`` enables span tracing for any experiment and writes
 the trace summary to PATH.  A failing experiment prints its traceback
-to stderr and exits 1; ``faults``, ``run`` and the grids also exit 1
-(table still printed) when the consistency audit finds violations or
-dirty final outputs, and ``perf`` (one line, no table) when the
-benchmark cannot be run or fails its checks.
+to stderr and exits 1; ``run`` and the grids also exit 1 (table still
+printed) when the consistency audit finds violations, and ``perf`` (one
+line, no table) when the benchmark cannot be run or fails its checks.
 """
 
 from __future__ import annotations
@@ -276,93 +279,42 @@ def _fig10(args) -> str:
     )
 
 
-def _fmt_ratio(value) -> str:
-    return f"{value:.3f}" if value is not None else "n/a"
-
-
-def _faults(args) -> str:
-    from repro.bench.faults import run_fault_availability
-
-    baseline, faulted = run_fault_availability(
-        duration_s=120.0 if args.quick else 240.0, workers=args.workers
-    )
-    rows = [
-        (
-            r.scenario,
-            r.completed,
-            r.failed,
-            _fmt_ratio(r.final_hit_ratio),
-            _fmt_ratio(r.min_windowed_hit_ratio),
-            r.recovered_objects,
-            r.repaired_keys,
-            r.dirty_final_at_end,
-        )
-        for r in (baseline, faulted)
-    ]
-    table = format_table(
-        [
-            "scenario",
-            "ok",
-            "failed",
-            "hit ratio",
-            "min window",
-            "recovered",
-            "repaired",
-            "dirty finals",
-        ],
-        rows,
-        title="Availability — crash/restart vs baseline",
-    )
-    dirty = {
-        r.scenario: r.dirty_final_at_end
-        for r in (baseline, faulted)
-        if r.dirty_final_at_end
-    }
-    if dirty:
-        raise ExperimentFailed(
-            table, f"dirty final outputs after drain: {dirty}"
-        )
-    return table
-
-
 def _run_schedule(args) -> str:
-    from repro.bench.faults import run_availability
-    from repro.faults import FaultSchedule
+    """One cell of :mod:`repro.bench.grid`: the one ``--faults`` documents."""
+    from repro.bench.grid import load_cell, run_cell
 
-    schedule = None
-    scenario = "no-faults"
-    if args.faults:
-        schedule = FaultSchedule.load(args.faults)
-        scenario = args.faults
     duration_s = min(args.duration, 120.0) if args.quick else args.duration
-    result = run_availability(
-        scenario=scenario, schedule=schedule, duration_s=duration_s
-    )
+    row = run_cell(load_cell(args.faults, duration_s))
     rows = [
         (
-            f"{p.t:.0f}",
-            _fmt_ratio(p.hit_ratio),
-            p.live_servers,
-            p.under_replicated,
+            f"{p['t']:.0f}",
+            "n/a" if p["hit_ratio"] is None else f"{p['hit_ratio']:.3f}",
+            p["live_servers"],
+            p["under_replicated"],
         )
-        for p in result.points
+        for p in row.timeline
     ]
     rows.append(("--", "--", "--", "--"))
-    rows.append(("completed", result.completed, "", ""))
-    rows.append(("failed", result.failed, "", ""))
-    rows.append(("lost objects", result.lost_objects, "", ""))
-    rows.append(("recovered", result.recovered_objects, "", ""))
-    rows.append(("repaired keys", result.repaired_keys, "", ""))
-    rows.append(("dirty finals at end", result.dirty_final_at_end, "", ""))
+    summary = [
+        ("completed", row.completed),
+        ("failed", row.failed),
+        *((f"  {cause}", n) for cause, n in sorted(row.failures.items())),
+        ("lost objects", row.lost_objects),
+        ("recovered", row.injector["recovered_objects"]),
+        ("repaired keys", row.injector["repaired_keys"]),
+        ("violations", row.violations_total),
+        *((f"  {name}", n) for name, n in sorted(row.violations.items())),
+    ]
+    rows.extend((label, value, "", "") for label, value in summary)
     table = format_table(
         ["t (s)", "hit ratio", "live nodes", "under-replicated"],
         rows,
-        title=f"Fault schedule run — {scenario}",
+        title=f"Fault schedule run — {args.faults or 'no-faults'}",
     )
-    if result.dirty_final_at_end:
+    if row.violations_total:
         raise ExperimentFailed(
             table,
-            f"{result.dirty_final_at_end} dirty final outputs after drain",
+            f"{row.violations_total} invariant violations: {row.violations}",
         )
     return table
 
@@ -416,10 +368,10 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "fig9": _fig9,
     "table2": _table2,
     "fig10": _fig10,
-    "faults": _faults,
+    "faults": partial(_grid, "faults"),
 }
 #: What ``all`` runs: the paper's artifacts and the availability
-#: experiment, i.e. everything registered above this line.
+#: grid, i.e. everything registered above this line.
 ALL = tuple(COMMANDS)
 COMMANDS.update(
     report=_report,
@@ -492,14 +444,15 @@ def main(argv=None) -> int:
         "--faults",
         metavar="PATH",
         default=None,
-        help="JSON fault schedule for the 'run' command",
+        help="JSON fault schedule or chaos reproducer for the 'run' command",
     )
     parser.add_argument(
         "--duration",
         type=float,
         metavar="S",
         default=240.0,
-        help="simulated duration for the 'run' command (seconds)",
+        help="simulated load duration for the 'run' command (seconds); "
+        "a reproducer carries its own",
     )
     args = parser.parse_args(argv)
 

@@ -159,6 +159,7 @@ class FaaSPlatform:
         memory_mb = self._clamp_memory(decision.memory_mb)
 
         excluded: set = set()
+        failure: Optional[Exception] = None  # what ended the last attempt
         for _attempt in range(self.config.max_retries + 1):
             node = self.scheduler.choose_node(
                 request, memory_mb, self.invokers, exclude=excluded
@@ -173,9 +174,10 @@ class FaaSPlatform:
                 yield from node.execute(spec, record, memory_mb, data_client, monitor)
                 record.status = "ok"
                 break
-            except OOMKilled:
+            except OOMKilled as exc:
                 # §5.3.1: immediately retried with the limit raised to
                 # the amount set by the tenant.
+                failure = exc
                 memory_mb = self._clamp_memory(spec.booked_memory_mb)
                 record.retries += 1
                 # Reset phase accounting: the retry is a fresh run.
@@ -184,7 +186,8 @@ class FaaSPlatform:
                 record.phases.load = 0.0
                 record.bytes_in = 0
                 record.bytes_out = 0
-            except ResourceExhausted:
+            except ResourceExhausted as exc:
+                failure = exc
                 excluded.add(node.node_id)
                 record.retries += 1
             except (StoreUnavailable, NoSuchObject) as exc:
@@ -193,11 +196,16 @@ class FaaSPlatform:
                 # another node cannot help, and letting the exception
                 # escape would tear down the whole driver. Found by the
                 # chaos harness (rsds_outage episodes during load).
-                record.error = f"{type(exc).__name__}: {exc}"
+                failure = exc
                 break
         if record.status != "ok":
             record.status = "failed"
             record.finished_at = self.kernel.now
+            record.error = (
+                f"{type(failure).__name__}: {failure}"
+                if failure is not None
+                else "ResourceExhausted: no worker node to schedule on"
+            )
         if span is not None:
             span.finish(status=record.status, retries=record.retries)
         if self.keep_records:

@@ -6,8 +6,7 @@ The subsystem has three parts:
   instrumented components (RSDS, cache cluster, rclib) consult on
   their hot paths (zero cost while ``None``);
 * :class:`~repro.faults.schedule.FaultSchedule` — a validated,
-  time-sorted list of fault events, loaded from JSON or generated
-  stochastically from a seed;
+  time-sorted list of fault events, scripted or loaded from JSON;
 * :class:`~repro.faults.injector.FaultInjector` — the driver process
   that applies a schedule to a running :class:`~repro.core.ofc.
   OFCPlatform`: node crashes/restarts (with detection, recovery and

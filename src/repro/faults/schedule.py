@@ -1,4 +1,4 @@
-"""Fault schedules: scripted and stochastic failure timelines.
+"""Fault schedules: scripted failure timelines.
 
 A schedule is a time-sorted list of :class:`FaultEvent` records.  Two
 families of events exist:
@@ -26,9 +26,8 @@ event::
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 #: Instantaneous events targeting one cache node.
 NODE_KINDS = frozenset({"crash", "restart"})
@@ -181,60 +180,3 @@ class FaultSchedule:
         return sorted(
             {event.node for event in self.events if event.node is not None}
         )
-
-    # -- stochastic generation ---------------------------------------------
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        duration_s: float,
-        nodes: Sequence[str],
-        mean_crash_interval_s: float = 300.0,
-        mean_downtime_s: float = 60.0,
-        mean_episode_interval_s: float = 0.0,
-        mean_episode_s: float = 30.0,
-        brownout_scale: float = 4.0,
-        slow_network_scale: float = 3.0,
-    ) -> "FaultSchedule":
-        """Generate a stochastic schedule from a seed (deterministic).
-
-        Crash/restart pairs arrive as a Poisson process per the whole
-        cluster; a crashed node is never re-crashed before its restart.
-        With ``mean_episode_interval_s > 0`` a second Poisson stream
-        emits RSDS brown-outs/outages and slow-network windows.
-        """
-        rng = random.Random(seed)
-        events: List[FaultEvent] = []
-        node_pool = list(nodes)
-        if node_pool and mean_crash_interval_s > 0:
-            down_until = {node: 0.0 for node in node_pool}
-            t = rng.expovariate(1.0 / mean_crash_interval_s)
-            while t < duration_s:
-                up = [n for n in node_pool if down_until[n] <= t]
-                if up:
-                    node = rng.choice(up)
-                    downtime = max(1.0, rng.expovariate(1.0 / mean_downtime_s))
-                    events.append(FaultEvent(at=t, kind="crash", node=node))
-                    events.append(
-                        FaultEvent(at=t + downtime, kind="restart", node=node)
-                    )
-                    down_until[node] = t + downtime
-                t += rng.expovariate(1.0 / mean_crash_interval_s)
-        if mean_episode_interval_s > 0:
-            t = rng.expovariate(1.0 / mean_episode_interval_s)
-            while t < duration_s:
-                kind = rng.choice(
-                    ["rsds_brownout", "rsds_outage", "slow_network"]
-                )
-                length = max(1.0, rng.expovariate(1.0 / mean_episode_s))
-                scale = 1.0
-                if kind == "rsds_brownout":
-                    scale = brownout_scale
-                elif kind == "slow_network":
-                    scale = slow_network_scale
-                events.append(
-                    FaultEvent(at=t, kind=kind, duration=length, scale=scale)
-                )
-                t += rng.expovariate(1.0 / mean_episode_interval_s)
-        return cls(events)

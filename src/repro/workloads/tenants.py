@@ -301,6 +301,9 @@ class TenantLoadStats:
     submitted: int = 0
     completed: int = 0
     failed: int = 0
+    #: Failed invocations by cause: the exception class that ended the
+    #: last attempt (the head of ``InvocationRecord.error``).
+    failures: Dict[str, int] = field(default_factory=dict)
     per_tenant: Dict[str, TenantAggregate] = field(default_factory=dict)
 
 
@@ -402,6 +405,9 @@ class TenantLoadEngine:
         else:
             agg.failed += 1
             self.stats.failed += 1
+            cause = record.error.partition(":")[0]
+            failures = self.stats.failures
+            failures[cause] = failures.get(cause, 0) + 1
         if record.cold_start:
             agg.cold_starts += 1
         if (

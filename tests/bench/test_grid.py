@@ -1,9 +1,11 @@
-"""The one grid experiment: ``tenants``, ``cachewars`` and ``chaos`` as
-three definitions over one cell runner and one row type."""
+"""The one grid experiment: ``tenants``, ``cachewars``, ``chaos`` and
+``faults`` as four definitions over one cell runner and one row type,
+and ``repro run`` as one cell of it."""
 
 import json
 from dataclasses import asdict, replace
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.bench.grid import (
     format_results,
     GridRow,
     GRIDS,
+    load_cell,
     POLICIES,
     run_cell,
     shrink_failing_cell,
@@ -24,6 +27,8 @@ from repro.bench.grid import (
     TENANTS_NODE_MB,
 )
 from repro.faults import FaultSchedule
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "faults"
 
 
 def _tenants_cell(policy="none"):
@@ -96,6 +101,14 @@ def test_chaos_grid_is_faulted_and_seeded_per_cell():
     assert len(GRIDS["chaos"].cells(False, 0)) == 18
 
 
+def test_faults_grid_differs_only_in_the_schedule():
+    baseline, crashed = GRIDS["faults"].cells(True, 0)
+    # Both are audited, and face identical arrivals: one seed.
+    assert baseline.faulted and baseline.schedule == {"events": []}
+    assert [e["kind"] for e in crashed.schedule["events"]] == ["crash", "restart"]
+    assert replace(crashed, schedule=baseline.schedule) == baseline
+
+
 # -- the cell body -----------------------------------------------------------
 
 
@@ -113,10 +126,12 @@ def test_tiny_cell_produces_distributions():
         0.0 <= ratio <= 1.0
         for ratio in result.per_tenant_hit_ratio.values()
     )
-    # An unfaulted cell records no history and audits nothing.
+    # An unfaulted cell records no history or timeline and audits nothing.
     assert (result.ops, result.schedule_events, result.violations_total) == (
         0, 0, 0,
     )
+    assert (result.timeline, result.injector) == ([], {})
+    assert sum(result.failures.values()) == result.failed
 
 
 def test_quota_cell_rejects_and_matches_workload():
@@ -160,6 +175,14 @@ def test_faulted_cell_fills_every_column():
     assert row.schedule_events == len(row.schedule["events"]) == 5
     assert (row.crashes, row.episodes) == (1, 3)
     assert row.violations_total == 0 and row.violations == {}
+    # What the injector did, and one timeline window per 15 s from its
+    # start (the end of warm-up) to the end of the settle.
+    assert (row.injector["crashes"], row.injector["restarts"]) == (1, 1)
+    times = [p["t"] for p in row.timeline]
+    assert len(times) >= 5 and times[-1] >= row.schedule["events"][-1]["at"]
+    widths = {round(b - a, 6) for a, b in zip(times, times[1:])}
+    assert widths == {grid.TIMELINE_WINDOW_S}
+    assert {p["live_servers"] for p in row.timeline} == {3, 4}
     # ...and the performance/cost/fairness columns of the same run.
     assert row.completed > 0
     assert 0.0 <= row.hit_ratio <= 1.0
@@ -293,9 +316,8 @@ def test_shrink_keeps_the_culprit_pair_and_reproducer_loads(
     # A plain runnable schedule: the "chaos" block does not get in
     # the loader's way, and it rebuilds the cell that failed.
     assert FaultSchedule.load(path).to_dict() == minimized.to_dict()
-    block = json.loads(open(path).read())["chaos"]
-    assert block.pop("violations") == {"durability": 3}
-    assert TenantCell(**block) == cell
+    assert json.loads(open(path).read())["chaos"]["violations"] == {"durability": 3}
+    assert load_cell(path) == replace(cell, schedule=minimized.to_dict())
 
 
 def test_chaos_command_prints_table_and_exits_1(monkeypatch, tmp_path, capsys):
@@ -314,6 +336,53 @@ def test_chaos_command_prints_table_and_exits_1(monkeypatch, tmp_path, capsys):
         assert path.startswith("examples/faults/chaos_")
         kinds = [e.kind for e in FaultSchedule.load(str(tmp_path / path))]
         assert kinds == ["crash", "restart"]
+
+
+# -- `repro run` and `repro faults`, for real --------------------------------
+
+
+def test_run_plain_schedule_exits_0(capsys):
+    path = EXAMPLES / "crash_restart.json"
+    assert cli.main(["run", "--quick", "--faults", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    samples = [line.split() for line in lines if line[:1].isdigit()]
+    live = {int(t): int(nodes) for t, _ratio, nodes, _under in samples}
+    # w1 is down from t=80 to t=160; the brown-out ends at t=220, after
+    # the 120 s quick load, and the timeline still covers it.
+    assert {n for t, n in live.items() if 80 < t < 160} == {3}
+    assert max(live) >= 220 and live[max(live)] == 4
+    assert ["violations", "0"] in [line.split() for line in lines]
+
+
+def test_run_replays_the_cell_a_reproducer_documents(capsys):
+    """It used to run the fixed ``ofc`` defaults under the file's events
+    and exit 0 with "dirty finals at end 0"."""
+    path = EXAMPLES / "chaos_faast-high-none_durability_seed0.json"
+    assert cli.main(["run", "--faults", str(path)]) == 1
+    captured = capsys.readouterr()
+    counts = dict(
+        line.split() for line in captured.out.splitlines() if len(line.split()) == 2
+    )
+    assert int(counts["durability"]) > 0 and int(counts["dirty-final"]) > 0
+    assert int(counts["StoreUnavailable"]) > 0  # failures by cause
+    assert "experiment failed: run: 34 invariant violations" in captured.err
+
+
+def test_faults_command_rows_face_identical_arrivals(tmp_path, capsys):
+    out = tmp_path / "faults_grid.json"
+    args = ["faults", "--quick", "--workers", "1", "--grid-out", str(out)]
+    assert cli.main(args) == 0
+    table = capsys.readouterr().out
+    assert "baseline" in table and "crash-restart" in table
+    baseline, crashed = json.loads(out.read_text())["meta"]["grid"]
+    for column in ("submitted", "completed", "failed", "failures"):
+        assert baseline[column] == crashed[column], column
+    assert baseline["submitted"] > 0
+    assert not any(baseline["injector"].values())
+    injector = crashed["injector"]
+    assert (injector["crashes"], injector["restarts"]) == (1, 1)
+    assert injector["recovered_objects"] > 0
+    assert baseline["violations_total"] == crashed["violations_total"] == 0
 
 
 # -- the CLI registry --------------------------------------------------------

@@ -164,7 +164,7 @@ def test_crash_drops_shards_and_recover_reprovisions():
     backend.crash(victim)
     assert backend.peek("a/k") is None  # no replication: contents gone
     assert backend.stats.shards_lost == 1
-    assert backend.stats.objects_lost == 1
+    assert backend.stats.lost_objects == 1
 
     def recover():
         recovered = yield from backend.recover(victim)
@@ -203,7 +203,7 @@ def test_crash_promotes_backup_shard():
 
     backend.crash(victim)
     assert backend.stats.shards_lost == 0
-    assert backend.stats.objects_lost == 0
+    assert backend.stats.lost_objects == 0
     assert backend.stats.shards_promoted == 1
     assert backend.location_of("a/k") == backup
     assert backend.peek("a/k").value == "v"

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.faas import InvocationRequest, NoSuchFunction
+from repro.faas import (
+    FaaSPlatform,
+    InvocationRequest,
+    NoSuchFunction,
+    PlatformConfig,
+)
 from repro.faas.platform import SizingDecision
+from repro.sim import Kernel
+from repro.storage import ObjectStore, SWIFT_PROFILE
 from tests.faas.conftest import deploy
 
 
@@ -113,6 +120,7 @@ def test_oom_kill_and_retry_with_booked_memory(env):
     assert record.status == "ok"
     assert record.retries == 1
     assert record.oom_kills == 1
+    assert record.error == ""  # the attempt that was killed is not the outcome
     assert record.memory_limit_mb == 512.0
     # The OOM-killed sandbox was destroyed and a new one created.
     node = platform.invoker_by_id(record.node)
@@ -126,6 +134,33 @@ def test_invocation_fails_when_booked_too_small(env):
     record = invoke(kernel, platform, input_ref="inputs/in")
     assert record.status == "failed"
     assert record.oom_kills >= 1
+
+
+def test_failed_record_says_why(env):
+    """Retries running out used to leave ``error == ""``."""
+    kernel, store, platform = env
+    deploy(platform, footprint_mb=800.0, booked=256.0)
+    seed_input(kernel, store)
+    record = invoke(kernel, platform, input_ref="inputs/in")
+    assert record.status == "failed"
+    assert record.error.startswith("OOMKilled: ") and "256 MB limit" in record.error
+
+
+@pytest.mark.parametrize(
+    "node_ids, why",
+    [(["w0", "w1"], "ResourceExhausted: w"), ([], "ResourceExhausted: no worker")],
+    ids=["every-node-full", "no-node"],
+)
+def test_unschedulable_record_says_why(node_ids, why):
+    kernel = Kernel()
+    store = ObjectStore(kernel, profile=SWIFT_PROFILE)
+    platform = FaaSPlatform(
+        kernel, store, PlatformConfig(node_ids=node_ids, node_memory_mb=256)
+    )
+    deploy(platform, booked=512.0)
+    record = invoke(kernel, platform)
+    assert record.status == "failed"
+    assert record.error.startswith(why) and record.retries == len(node_ids)
 
 
 def test_memory_clamped_to_platform_range(env):

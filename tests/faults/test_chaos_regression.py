@@ -9,9 +9,9 @@ node crash destroys some of those only copies — acked writes gone.
 
 The same minimized schedule against today's defaults (shard mirroring
 with backup promotion + persistor requeue) must produce zero
-violations.  These runs replay the exact fuzzing cell, so they are the
-slowest tests in the suite — but they are the acceptance evidence for
-the chaos-harness fixes.
+violations.  These runs replay the exact fuzzing cell
+(:func:`repro.bench.grid.load_cell`, what ``repro run --faults`` runs):
+they are the acceptance evidence for the chaos-harness fixes.
 """
 
 import json
@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.grid import run_cell, TenantCell
+from repro.bench.grid import faults_cell, load_cell, run_cell
+from repro.faults import FaultSchedule, ScheduleError
 
 REPRODUCER = (
     Path(__file__).resolve().parents[2]
@@ -29,27 +30,15 @@ REPRODUCER = (
 )
 
 
-def load_cell(path, **changes):
-    """The cell a reproducer file documents (its ``chaos`` block is the
-    cell, its events the schedule), optionally with fields replaced."""
-    doc = json.loads(Path(path).read_text())
-    block = {k: v for k, v in doc["chaos"].items() if k != "violations"}
-    block.update(schedule={"events": doc["events"]}, **changes)
-    return TenantCell(**block)
-
-
 def test_reproducer_is_runnable_schedule():
-    from repro.faults import FaultSchedule
-
-    # The exported file is a plain runnable schedule: the extra "chaos"
-    # metadata block must not break `repro run --faults <file>`.
+    # The exported file is also a plain schedule: the extra "chaos"
+    # block must not break `FaultSchedule.load`.
     schedule = FaultSchedule.load(str(REPRODUCER))
     assert len(schedule) == 3
     kinds = sorted(e.kind for e in schedule)
     assert kinds == ["crash", "restart", "rsds_outage"]
 
 
-@pytest.mark.slow
 def test_minimized_schedule_loses_acked_writes_pre_fix():
     result = run_cell(load_cell(REPRODUCER))
     # The pre-fix backend demonstrably loses acked writes: durability
@@ -59,7 +48,40 @@ def test_minimized_schedule_loses_acked_writes_pre_fix():
     assert result.violations.get("dirty-final", 0) > 0
 
 
-@pytest.mark.slow
 def test_fixed_defaults_survive_minimized_schedule():
     result = run_cell(load_cell(REPRODUCER, config_overrides=None))
     assert result.violations_total == 0
+
+
+def _edited_reproducer(tmp_path, edit):
+    doc = json.loads(REPRODUCER.read_text())
+    edit(doc["chaos"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_misspelt_config_override_is_rejected(tmp_path):
+    """`setattr` took any name: the block below used to replay today's
+    defaults and report zero violations."""
+
+    def misspell(block):
+        del block["config_overrides"]["faast_replication"]
+        block["config_overrides"]["faast_replicaton"] = False
+
+    cell = load_cell(_edited_reproducer(tmp_path, misspell))
+    with pytest.raises(ScheduleError, match="faast_replicaton.*faast_replication"):
+        run_cell(cell)
+
+
+def test_unknown_chaos_block_field_is_rejected(tmp_path):
+    path = _edited_reproducer(tmp_path, lambda block: block.update(tenants=40))
+    with pytest.raises(ScheduleError, match=r"\['tenants'\].*n_tenants"):
+        load_cell(path)
+
+
+def test_plain_schedule_runs_on_the_faults_cell():
+    path = REPRODUCER.with_name("crash_restart.json")
+    assert load_cell(str(path), duration_s=90.0) == faults_cell(
+        90.0, FaultSchedule.load(str(path))
+    )

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.grid import run_cell, TenantCell
-from tests.faults.test_chaos_regression import load_cell
+from repro.bench.grid import load_cell, run_cell, TenantCell
 from tests.sim.reference_kernel import use_step_dispatch
 
 FAULT_DIR = Path(__file__).resolve().parents[2] / "examples" / "faults"
@@ -30,7 +29,6 @@ def _run_both(run_once, monkeypatch):
     return generated, run_once()
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "reproducer", REPRODUCERS, ids=[p.stem for p in REPRODUCERS]
 )
@@ -42,7 +40,6 @@ def test_reproducer_replay_parity(reproducer, monkeypatch):
     assert generated == stepped
 
 
-@pytest.mark.slow
 def test_fixed_seed_chaos_cell_history_parity(monkeypatch):
     """A fixed-seed chaos cell (generated schedule, crashes + episodes)
     produces an identical per-op history on both loops — not just equal

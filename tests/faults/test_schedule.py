@@ -1,4 +1,4 @@
-"""Fault-schedule parsing, validation and stochastic generation."""
+"""Fault-schedule parsing and validation."""
 
 import json
 
@@ -100,42 +100,3 @@ def test_crash_after_restart_is_fine():
         ]
     )
     assert len(schedule) == 4
-
-
-def test_random_schedule_is_deterministic():
-    a = FaultSchedule.random(seed=7, duration_s=600.0, nodes=["w0", "w1"])
-    b = FaultSchedule.random(seed=7, duration_s=600.0, nodes=["w0", "w1"])
-    assert a.to_dict() == b.to_dict()
-    c = FaultSchedule.random(seed=8, duration_s=600.0, nodes=["w0", "w1"])
-    assert a.to_dict() != c.to_dict()
-
-
-def test_random_schedule_never_crashes_a_down_node():
-    schedule = FaultSchedule.random(
-        seed=3,
-        duration_s=3000.0,
-        nodes=["w0", "w1"],
-        mean_crash_interval_s=40.0,
-        mean_downtime_s=200.0,
-    )
-    down = set()
-    for event in schedule:
-        if event.kind == "crash":
-            assert event.node not in down
-            down.add(event.node)
-        elif event.kind == "restart":
-            assert event.node in down
-            down.discard(event.node)
-
-
-def test_random_schedule_episodes():
-    schedule = FaultSchedule.random(
-        seed=5,
-        duration_s=2000.0,
-        nodes=[],
-        mean_episode_interval_s=100.0,
-    )
-    kinds = {event.kind for event in schedule}
-    assert kinds  # episodes were generated
-    for event in schedule:
-        assert event.duration > 0
