@@ -7,7 +7,7 @@ metadata + opaque arguments) labelled with the observed memory interval.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -51,6 +51,27 @@ def synthetic_record(
     return record
 
 
+def _sampled_dataset(
+    model: FunctionModel,
+    n: int,
+    seed: int,
+    label: Callable[[Any, Dict[str, Any], np.random.Generator], int],
+) -> Dataset:
+    """``n`` feature rows of ``model`` on a seeded corpus, each labelled
+    by ``label(media, args, rng)``; a label that draws from ``rng`` does
+    so between one sample's arguments and the next's."""
+    rng = np.random.default_rng(seed)
+    corpus = MediaCorpus(np.random.default_rng(seed + 1))
+    rows: List[Dict] = []
+    labels: List[int] = []
+    for _ in range(n):
+        media = corpus.generate(model.input_kind)
+        args = model.sample_args(rng)
+        rows.append(feature_row(media, args))
+        labels.append(label(media, args, rng))
+    return Dataset(rows, labels)
+
+
 def function_dataset(
     model: FunctionModel,
     n: int = 400,
@@ -59,17 +80,15 @@ def function_dataset(
     max_mb: float = 2048.0,
 ) -> Dataset:
     """``n`` labelled samples of one function's memory behaviour."""
-    rng = np.random.default_rng(seed)
-    corpus = MediaCorpus(np.random.default_rng(seed + 1))
     intervals = MemoryIntervals(interval_mb=interval_mb, max_mb=max_mb)
-    rows: List[Dict] = []
-    labels: List[int] = []
-    for _ in range(n):
-        media = corpus.generate(model.input_kind)
-        args = model.sample_args(rng)
-        rows.append(feature_row(media, args))
-        labels.append(intervals.label(model.footprint_mb(media, args, rng)))
-    return Dataset(rows, labels)
+    return _sampled_dataset(
+        model,
+        n,
+        seed,
+        lambda media, args, rng: intervals.label(
+            model.footprint_mb(media, args, rng)
+        ),
+    )
 
 
 def all_function_datasets(
@@ -94,21 +113,15 @@ def benefit_dataset(
     threshold: float = 0.5,
 ) -> Dataset:
     """Cache-benefit labels: does E+L dominate on the Swift RSDS (§5.2)?"""
-    rng = np.random.default_rng(seed)
-    corpus = MediaCorpus(np.random.default_rng(seed + 1))
-    rows: List[Dict] = []
-    labels: List[int] = []
-    for _ in range(n):
-        media = corpus.generate(model.input_kind)
-        args = model.sample_args(rng)
-        rows.append(feature_row(media, args))
-        labels.append(
-            cache_benefit_label(
-                media.size,
-                model.output_size(media, args),
-                model.transform_time(media, args),
-                SWIFT_PROFILE,
-                threshold,
-            )
-        )
-    return Dataset(rows, labels)
+    return _sampled_dataset(
+        model,
+        n,
+        seed,
+        lambda media, args, _rng: cache_benefit_label(
+            media.size,
+            model.output_size(media, args),
+            model.transform_time(media, args),
+            SWIFT_PROFILE,
+            threshold,
+        ),
+    )

@@ -27,7 +27,7 @@ The experiments are four grid definitions (:data:`GRIDS`):
   cache pressure is real;
 * ``cachewars`` — one workload replayed against every registered cache
   backend (:mod:`repro.cache`): hit ratio, latency across tenants, and
-  the :class:`~repro.cache.backend.CostMeter` figure (dedicated vs
+  the :class:`~repro.kvcache.backend.CostMeter` figure (dedicated vs
   harvested GB-seconds plus per-op charges) per completed invocation;
 * ``chaos`` — backend × fault intensity × quota policy, fuzzed and
   audited.  Every cell is deterministic in its seed (schedule times are

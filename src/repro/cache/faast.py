@@ -34,8 +34,8 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 from zlib import crc32
 
-from repro.cache.backend import CacheBackend
 from repro.core.config import OFCConfig
+from repro.kvcache.backend import CacheBackend
 from repro.kvcache.errors import CapacityExceeded, NoSuchKey, ObjectTooLarge
 from repro.kvcache.objects import (
     BACKUP_WRITE,
@@ -126,14 +126,12 @@ class FaaSTBackend(CacheBackend):
         self,
         kernel: Kernel,
         node_ids: List[str],
-        config: Optional[OFCConfig] = None,
+        config: OFCConfig,
+        max_object_size: int,
         rng=None,
-        max_object_size: Optional[int] = None,
     ):
-        super().__init__(
-            kernel, node_ids, config=config, rng=rng,
-            max_object_size=max_object_size,
-        )
+        super().__init__(kernel, node_ids, rng=rng, max_object_size=max_object_size)
+        self.config = config
         self.shard_bytes = int(self.config.faast_shard_mb * MB)
         self.stats = FaaSTStats()
         self._apps: Dict[str, _AppCache] = {}

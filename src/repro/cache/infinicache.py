@@ -15,7 +15,8 @@ architecture over the simulated node pool:
   parallel, so latency is the slowest chunk fetch;
 * a reclamation loop replaces expired sandboxes and re-establishes
   redundancy — re-encoding from surviving chunks when >= k remain,
-  else restoring the whole object from the latest backup;
+  else restoring the whole object from the latest backup (a dirty one
+  evicting clean objects for the room, as a put does);
 * a backup loop periodically copies (object, flags, version) to an
   internal object-store area; ``set_flags`` also lands on the backup
   copy so a restore never resurrects stale ``dirty`` state;
@@ -28,8 +29,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
-from repro.cache.backend import CacheBackend
 from repro.core.config import OFCConfig
+from repro.kvcache.backend import CacheBackend
 from repro.kvcache.errors import CapacityExceeded, NoSuchKey, ObjectTooLarge
 from repro.kvcache.objects import (
     BACKUP_WRITE,
@@ -100,14 +101,12 @@ class InfiniCacheBackend(CacheBackend):
         self,
         kernel: Kernel,
         node_ids: List[str],
-        config: Optional[OFCConfig] = None,
+        config: OFCConfig,
+        max_object_size: int,
         rng=None,
-        max_object_size: Optional[int] = None,
     ):
-        super().__init__(
-            kernel, node_ids, config=config, rng=rng,
-            max_object_size=max_object_size,
-        )
+        super().__init__(kernel, node_ids, rng=rng, max_object_size=max_object_size)
+        self.config = config
         cfg = self.config
         self.k = max(1, cfg.infinicache_data_chunks)
         self.r = max(0, cfg.infinicache_parity_chunks)
@@ -293,8 +292,9 @@ class InfiniCacheBackend(CacheBackend):
             self.stats.backups += 1
             self.cost.count("backup_ops")
             longest = max(longest, self._remote_delay(BACKUP_WRITE, size))
+        home = placement[0].node_id  # a reclamation may empty the list
         yield longest
-        return placement[0].node_id
+        return home
 
     def get(self, key: str, caller: str) -> Generator[Any, Any, CacheObject]:
         obj = self._entries.get(key)
@@ -401,6 +401,9 @@ class InfiniCacheBackend(CacheBackend):
                 self.stats.reclamations += 1
                 if node not in self._down_nodes:
                     self._spawn(node)
+            # Pending warm-ups are degraded keys: a recovery running
+            # meanwhile restores them too.
+            self._degraded |= affected & self._entries.keys()
             for key in sorted(affected):
                 yield from self._restore_or_drop(key)
             # Retry survivors of earlier failed warm-ups (dirty entries
@@ -443,6 +446,8 @@ class InfiniCacheBackend(CacheBackend):
             return
         # Full warm-up from the object store: fetch, re-chunk, spread.
         yield self._remote_delay(REMOTE_READ, entry.size)
+        if self._entries.get(key) is not entry:
+            return  # deleted or rewritten during the fetch
         self.stats.restores += 1
         self.cost.count("backup_ops")
         restored = backed.copy()
@@ -452,7 +457,16 @@ class InfiniCacheBackend(CacheBackend):
             sandbox.drop_chunk(key)
         self._placement[key] = []
         self._entries[key] = restored
+        if restored.flags.get("dirty", False):
+            # Write-back data must become readable again: room comes
+            # out of clean entries, as it does for a put.
+            while sum(
+                s.free_bytes() >= chunk for s in self._sandboxes
+            ) < self.k and self._evict_for_space(chunk):
+                pass
         placed = yield from self._place_missing(key, chunk)
+        if self._entries.get(key) is not restored:
+            return  # deleted or rewritten during the uploads
         if placed:
             self.stats.warmups += 1
             self._degraded.discard(key)
@@ -464,25 +478,31 @@ class InfiniCacheBackend(CacheBackend):
 
     def _place_missing(self, key: str, chunk: int) -> Generator:
         """Top the object's placement back up to k+r distinct sandboxes.
-        Returns True when at least k chunks are live afterwards."""
+        Returns True when at least k chunks are live afterwards.
+
+        The chunks are placed before the uploads' latency is paid (as
+        :meth:`put` does), so no sandbox chosen here can die, and no
+        delete can land, between the choice and the placement."""
         placement = self._placement.setdefault(key, [])
         need = self.k + self.r - len(placement)
         if need <= 0:
             return True
         holders = set(placement)
-        candidates = sorted(
+        chosen = sorted(
             (
                 s for s in self._sandboxes
                 if s not in holders and s.free_bytes() >= chunk
             ),
             key=lambda s: (-s.free_bytes(), s.sandbox_id),
-        )
-        for sandbox in candidates[:need]:
+        )[:need]
+        for sandbox in chosen:
             sandbox.add_chunk(key, chunk)
             placement.append(sandbox)
+        placed = len(placement) >= self.k
+        for _sandbox in chosen:
             self.cost.count("lambda_invocations")
             yield self._remote_delay(REMOTE_WRITE, chunk)
-        return len(placement) >= self.k
+        return placed
 
     # -- faults --------------------------------------------------------------
 

@@ -47,7 +47,7 @@ class PersistorService:
         self,
         kernel: Kernel,
         store: ObjectStore,
-        cluster,  # CacheCluster or any repro.cache CacheBackend
+        cluster,  # any repro.kvcache.backend.CacheBackend
         rng=None,
         on_persisted: Optional[Callable[[str, bool, int], None]] = None,
         requeue: bool = True,

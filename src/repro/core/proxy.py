@@ -63,7 +63,7 @@ class RcLibClient(DataClient):
         self,
         kernel: Kernel,
         node_id: str,
-        cluster,  # CacheCluster or any repro.cache CacheBackend
+        cluster,  # any repro.kvcache.backend.CacheBackend
         store: ObjectStore,
         persistor: PersistorService,
         config: OFCConfig,

@@ -18,9 +18,8 @@ class OFCScheduler(Scheduler):
     created, preferably on the node holding the master cached copy of
     the request's input object.
 
-    ``cluster`` is anything with ``location_of`` — the raw
-    :class:`~repro.kvcache.cluster.CacheCluster` or any
-    :class:`~repro.cache.backend.CacheBackend`.
+    ``cluster`` is any :class:`~repro.kvcache.backend.CacheBackend`
+    (only ``location_of`` is used).
     """
 
     def __init__(self, cluster):

@@ -12,6 +12,11 @@ paper's extensions are implemented here as well:
 * dynamically resizable per-server memory pools (§6.4);
 * the optimized master hand-off migration that promotes a backup to
   master without any inter-node payload transfer (§6.4).
+
+:mod:`repro.kvcache.backend` holds the cache contract every
+architecture in :mod:`repro.cache` implements.  It lives here because
+the cluster derives from it and ``repro.core`` imports the cluster,
+while ``repro.cache`` imports ``repro.core``.
 """
 
 from repro.kvcache.cluster import CacheCluster

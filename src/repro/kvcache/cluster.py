@@ -1,15 +1,17 @@
 """Data-plane facade over the cache cluster.
 
-All operations are generator methods driven by the simulation kernel.
-Each takes a ``caller`` node id; operations whose master copy lives on
-the caller's node run at RAM speed, others pay the remote path.
+All data-plane operations are generator methods driven by the
+simulation kernel.  Each takes a ``caller`` node id; operations whose
+master copy lives on the caller's node run at RAM speed, others pay the
+remote path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Set
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
+from repro.kvcache.backend import CacheBackend
 from repro.kvcache.coordinator import Coordinator
 from repro.kvcache.errors import (
     CacheError,
@@ -55,8 +57,10 @@ class ClusterStats:
         return dict(self.__dict__)
 
 
-class CacheCluster:
-    """The distributed cache as OFC's rclib sees it."""
+class CacheCluster(CacheBackend):
+    """The distributed cache as OFC's rclib sees it: the reference
+    implementation of the :class:`~repro.kvcache.backend.CacheBackend`
+    contract."""
 
     def __init__(
         self,
@@ -68,33 +72,18 @@ class CacheCluster:
     ):
         if not node_ids:
             raise CacheError("cluster needs at least one node")
-        self.kernel = kernel
-        self.rng = rng
-        self.max_object_size = max_object_size
+        super().__init__(
+            kernel, node_ids, rng=rng, max_object_size=max_object_size
+        )
         # Replication cannot exceed the number of other nodes.
         effective_rf = min(replication_factor, len(node_ids) - 1)
         self.coordinator = Coordinator(replication_factor=effective_rf)
         for node_id in node_ids:
             self.coordinator.register(CacheServer(node_id))
         self.stats = ClusterStats()
-        #: Injected fault state (:class:`repro.sim.faults.FaultState`);
-        #: ``None`` keeps the data plane on the zero-cost path.
-        self.faults = None
-        #: Object-lifecycle hooks (per-tenant accounting): called with a
-        #: :class:`CacheObject` when a master copy is placed or removed
-        #: on the regular data plane.  The fault paths (crash/recover)
-        #: intentionally skip them — the accounting resyncs from a scan.
-        self.on_object_admitted: Optional[Callable] = None
-        self.on_object_removed: Optional[Callable] = None
         #: Called with ``(now, total_capacity)`` after every resize —
         #: pure accounting (cost integrals), never a schedule change.
         self.on_resize: Optional[Callable] = None
-        #: Configured aggregate ceiling for quota arithmetic.  The live
-        #: ``total_capacity`` can legitimately sit above the configured
-        #: cap (scale_up never sizes below what the backup log already
-        #: holds), so per-tenant quotas must divide the *clamped*
-        #: figure or they sum past the operator's cap.
-        self.quota_cap_bytes: Optional[int] = None
         # Keys whose live replica count fell below the configured
         # factor (down backup at put time, partial recovery, crashed
         # backup node).  ``repair()`` drains this set.
@@ -105,21 +94,6 @@ class CacheCluster:
     def server(self, node_id: str):
         return self.coordinator.server(node_id)
 
-    def _delay(self, model, nbytes: int = 0) -> float:
-        # Bare-delay float for the caller to yield: bit-identical to the
-        # kernel.timeout() it replaced (same queue slot, same sequence
-        # number — see Process._resume's float arm) without the Timeout
-        # allocation and callback registration per cache op.
-        return model.sample(self.rng, nbytes)
-
-    def _remote_delay(self, model, nbytes: int = 0) -> float:
-        """Delay for an inter-node op; scaled during slow-network faults."""
-        duration = model.sample(self.rng, nbytes)
-        faults = self.faults
-        if faults is not None:
-            duration *= faults.network_latency_scale
-        return duration
-
     @property
     def total_capacity(self) -> int:
         return sum(s.capacity for s in self.coordinator.servers.values())
@@ -127,15 +101,6 @@ class CacheCluster:
     @property
     def total_used(self) -> int:
         return sum(s.used_bytes for s in self.coordinator.servers.values())
-
-    @property
-    def quota_capacity(self) -> int:
-        """Capacity base for tenant-quota arithmetic: the live total,
-        clamped at the configured aggregate cap (if any)."""
-        total = self.total_capacity
-        if self.quota_cap_bytes is None:
-            return total
-        return min(total, self.quota_cap_bytes)
 
     @property
     def under_replicated_keys(self) -> Set[str]:
@@ -156,12 +121,6 @@ class CacheCluster:
             self._under_replicated.add(key)
             self.stats.under_replication_events += 1
 
-    def contains(self, key: str) -> bool:
-        master_id = self.coordinator.master_of(key)
-        if master_id is None:
-            return False
-        return self.coordinator.server(master_id).master_has(key)
-
     def location_of(self, key: str) -> Optional[str]:
         """Node currently holding the master (in-memory) copy, if any."""
         coordinator = self.coordinator
@@ -170,15 +129,27 @@ class CacheCluster:
             return master_id
         return None
 
+    def objects(self) -> Iterator[Tuple[str, CacheObject]]:
+        # Lazy per-server snapshots, in coordinator order.
+        for server in self.coordinator.servers.values():
+            for obj in server.master_objects():
+                yield server.server_id, obj
+
+    def _backup_copies(self, key: str) -> Iterator[CacheObject]:
+        """The live backup copies of ``key`` its placement names."""
+        coordinator = self.coordinator
+        for backup_id in coordinator.backups_of(key):
+            copy = coordinator.server(backup_id).backup_peek(key)
+            if copy is not None:
+                yield copy
+
     def _highest_surviving_version(self, key: str) -> int:
         """Best version knowledge for ``key`` after a master loss:
         the coordinator's placement record and any live replica copy."""
-        best = self.coordinator.version_of(key)
-        for backup_id in self.coordinator.backups_of(key):
-            copy = self.coordinator.server(backup_id).backup_peek(key)
-            if copy is not None and copy.version > best:
-                best = copy.version
-        return best
+        return max(
+            [self.coordinator.version_of(key)]
+            + [copy.version for copy in self._backup_copies(key)]
+        )
 
     # -- data plane ---------------------------------------------------------------
 
@@ -196,6 +167,9 @@ class CacheCluster:
         sandbox that produced the object).  Raises
         :class:`ObjectTooLarge` or :class:`CapacityExceeded` when the
         object cannot be admitted; OFC then falls through to the RSDS.
+        A refused put leaves no copy of the key: the superseded value's
+        backups would otherwise be promoted by a later recovery and
+        served over the write the caller sends to the RSDS instead.
         """
         if size > self.max_object_size:
             raise ObjectTooLarge(f"{key}: {size} bytes")
@@ -204,6 +178,7 @@ class CacheCluster:
             size, preferred=caller
         )
         if master_id is None:
+            self._drop_replicas(key)
             raise CapacityExceeded(f"no server can fit {size} bytes")
         tracer = self.kernel.tracer
         span = (
@@ -221,8 +196,7 @@ class CacheCluster:
             old = master.master_get(key)
             version = old.version + 1
             master.master_delete(key)
-            if self.on_object_removed is not None:
-                self.on_object_removed(old)
+            self._removed(old)
         elif self.coordinator.holds(key):
             # The previous master copy died with its node.  Seed the
             # version past the highest surviving replica / coordinator
@@ -243,9 +217,14 @@ class CacheCluster:
             t_access=self.kernel.now,
             flags=dict(flags or {}),
         )
-        master.master_put(obj)
-        if self.on_object_admitted is not None:
-            self.on_object_admitted(obj)
+        try:
+            master.master_put(obj)
+        except CapacityExceeded:
+            # An overwrite the existing master cannot fit: its old copy
+            # is gone already, the backups still hold it.
+            self._drop_replicas(key)
+            raise
+        self._admitted(obj)
         if master_id == caller:
             yield self._delay(LOCAL_WRITE, size)
         else:
@@ -336,33 +315,27 @@ class CacheCluster:
         return self.coordinator.server(master_id).master_get(key)
 
     def set_flags(self, key: str, **flags: Any) -> None:
+        """Update the flags of every copy a promotion could serve: the
+        master and its same-version backups (else a cleared ``dirty``
+        resurrects after a crash and re-triggers the write-back), or,
+        with the master copy dead, the newest surviving backups (else a
+        persistor completion between crash and recovery is forgotten).
+        """
         obj = self.peek(key)
-        if obj is None:
-            # The master copy died, but surviving replicas may still be
-            # promoted later: land the update on them (else a persistor
-            # completion between crash and recovery is forgotten, and
-            # the promoted copy re-triggers the write-back).
-            if not self.coordinator.holds(key):
-                raise NoSuchKey(key)
+        if obj is not None:
+            obj.flags.update(flags)
+            version = obj.version
+        elif self.coordinator.holds(key):
             version = self._highest_surviving_version(key)
-            updated = False
-            for backup_id in self.coordinator.backups_of(key):
-                copy = self.coordinator.server(backup_id).backup_peek(key)
-                if copy is not None and copy.version == version:
-                    copy.flags.update(flags)
-                    updated = True
-            if not updated:
-                raise NoSuchKey(key)
-            return
-        obj.flags.update(flags)
-        # Propagate to live backup copies of the same version: a
-        # post-crash promotion must see current flags, or a cleared
-        # ``dirty`` resurrects and re-triggers the write-back (and a
-        # master-only ``dirty`` set would be lost with the master).
-        for backup_id in self.coordinator.backups_of(key):
-            copy = self.coordinator.server(backup_id).backup_peek(key)
-            if copy is not None and copy.version == obj.version:
+        else:
+            raise NoSuchKey(key)
+        updated = False
+        for copy in self._backup_copies(key):
+            if copy.version == version:
                 copy.flags.update(flags)
+                updated = True
+        if obj is None and not updated:
+            raise NoSuchKey(key)
 
     def delete(self, key: str, caller: str) -> Generator[Any, Any, None]:
         """Remove an object from the cache everywhere (master+backups)."""
@@ -379,19 +352,24 @@ class CacheCluster:
         if master.master_has(key):
             removed = master.master_get(key)
             master.master_delete(key)
-            if self.on_object_removed is not None:
-                self.on_object_removed(removed)
-        for backup_id in self.coordinator.backups_of(key):
-            backup = self.coordinator.server(backup_id)
-            if backup.up:
-                backup.backup_delete(key)
-        self.coordinator.forget(key)
-        self._under_replicated.discard(key)
+            self._removed(removed)
+        self._drop_replicas(key)
         model = LOCAL_WRITE if master_id == caller else REMOTE_WRITE
         yield self._delay(model)
         self.stats.deletes += 1
         if span is not None:
             span.finish()
+
+    def _drop_replicas(self, key: str) -> None:
+        """Forget ``key``'s placement and delete its live backup copies
+        (a down node's copy is purged when the node restarts)."""
+        coordinator = self.coordinator
+        for backup_id in coordinator.backups_of(key):
+            backup = coordinator.server(backup_id)
+            if backup.up:
+                backup.backup_delete(key)
+        coordinator.forget(key)
+        self._under_replicated.discard(key)
 
     # -- scaling primitives -----------------------------------------------------------
 
@@ -528,17 +506,49 @@ class CacheCluster:
         clean surviving copy at the same version proves the persist
         completed and the promoted copy must not re-trigger it.
         """
-        if not obj.flags.get("dirty", False):
-            return
-        for backup_id in self.coordinator.backups_of(key):
-            copy = self.coordinator.server(backup_id).backup_peek(key)
-            if (
-                copy is not None
-                and copy.version == obj.version
-                and not copy.flags.get("dirty", True)
-            ):
-                obj.flags["dirty"] = False
-                return
+        if obj.flags.get("dirty", False) and any(
+            copy.version == obj.version and not copy.flags.get("dirty", True)
+            for copy in self._backup_copies(key)
+        ):
+            obj.flags["dirty"] = False
+
+    def _top_up_backups(
+        self,
+        key: str,
+        obj: CacheObject,
+        master_id: str,
+        skip: Optional[str] = None,
+    ) -> Generator[Any, Any, int]:
+        """Re-replicate ``obj`` (the master copy on ``master_id``) until
+        ``key`` has the configured number of live backups, never onto
+        ``skip``; records the placement and returns how many are still
+        missing."""
+        coordinator = self.coordinator
+        backups = {
+            b
+            for b in coordinator.backups_of(key)
+            if b != master_id and coordinator.server(b).backup_has(key)
+        }
+        missing = coordinator.replication_factor - len(backups)
+        for backup_id in coordinator.choose_backups(key, master_id):
+            if missing <= 0:
+                break
+            if backup_id in backups or backup_id == skip:
+                continue
+            backup = coordinator.server(backup_id)
+            if not backup.up:  # crashed since choose_backups
+                continue
+            try:
+                backup.backup_put(obj.copy())
+            except CapacityExceeded:
+                continue
+            yield self._remote_delay(BACKUP_WRITE, obj.size)
+            backups.add(backup_id)
+            missing -= 1
+        coordinator.record_placement(
+            key, master_id, sorted(backups), version=obj.version
+        )
+        return missing
 
     def recover(self, node_id: str) -> Generator[Any, Any, int]:
         """Recover the master copies a crashed node held, by promoting
@@ -580,37 +590,11 @@ class CacheCluster:
             )
             obj = new_master.promote(key)
             self._reconcile_flags(key, obj)
-            # The crashed node holds no copy any more: rebuild the backup
-            # set from the surviving replicas and re-replicate up to the
-            # configured factor.
-            surviving = {
-                b
-                for b in self.coordinator.backups_of(key)
-                if b != new_master.server_id
-                and self.coordinator.server(b).up
-                and self.coordinator.server(b).backup_has(key)
-            }
-            missing = self.coordinator.replication_factor - len(surviving)
-            if missing > 0:
-                for backup_id in self.coordinator.choose_backups(
-                    key, new_master.server_id
-                ):
-                    if missing <= 0:
-                        break
-                    if backup_id in surviving or backup_id == node_id:
-                        continue
-                    backup = self.coordinator.server(backup_id)
-                    if not backup.up:  # crashed since choose_backups
-                        continue
-                    try:
-                        backup.backup_put(obj.copy())
-                    except CapacityExceeded:
-                        continue
-                    yield self._remote_delay(BACKUP_WRITE, obj.size)
-                    surviving.add(backup_id)
-                    missing -= 1
-            self.coordinator.record_placement(
-                key, new_master.server_id, sorted(surviving), version=obj.version
+            # The crashed node holds no copy any more (and may restart
+            # mid-loop): rebuild the backup set from the surviving
+            # replicas and re-replicate elsewhere.
+            missing = yield from self._top_up_backups(
+                key, obj, new_master.server_id, skip=node_id
             )
             if missing > 0:
                 self._mark_under_replicated(key)
@@ -636,30 +620,7 @@ class CacheCluster:
                 self._under_replicated.discard(key)
                 continue
             obj = self.coordinator.server(master_id).master_get(key)
-            current = {
-                b
-                for b in self.coordinator.backups_of(key)
-                if b != master_id and self.coordinator.server(b).backup_has(key)
-            }
-            missing = self.coordinator.replication_factor - len(current)
-            for backup_id in self.coordinator.choose_backups(key, master_id):
-                if missing <= 0:
-                    break
-                if backup_id in current:
-                    continue
-                backup = self.coordinator.server(backup_id)
-                if not backup.up:
-                    continue
-                try:
-                    backup.backup_put(obj.copy())
-                except CapacityExceeded:
-                    continue
-                yield self._remote_delay(BACKUP_WRITE, obj.size)
-                current.add(backup_id)
-                missing -= 1
-            self.coordinator.record_placement(
-                key, master_id, sorted(current), version=obj.version
-            )
+            missing = yield from self._top_up_backups(key, obj, master_id)
             if missing <= 0:
                 self._under_replicated.discard(key)
                 repaired += 1

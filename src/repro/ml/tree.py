@@ -143,7 +143,6 @@ class J48Classifier:
         self.feature_subset = feature_subset
         self.rng = rng
         self._root: Optional[_Node] = None
-        self._majority: int = 0
         self._n_classes: int = 0
         # One-sided z for the pruning confidence (C4.5's CF), cached
         # per confidence level across classifier instances.
@@ -164,10 +163,6 @@ class J48Classifier:
         self._labels = dataset.labels
         self._weights = dataset.weights
         self._feature_names = dataset.feature_names
-        counts = np.bincount(
-            self._labels, weights=self._weights, minlength=self._n_classes
-        )
-        self._majority = int(counts.argmax())
         # Presort every numeric column once (reusing the dataset's
         # cached orders — shared across refits of the same function);
         # nodes then partition the sorted orders instead of re-sorting.

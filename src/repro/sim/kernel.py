@@ -221,7 +221,7 @@ class Timeout(Event):
     fields is either unreachable for timeouts or guarded).
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
         if delay < 0:
@@ -231,7 +231,6 @@ class Timeout(Event):
         self._state = _TRIGGERED
         self._value = value
         self._exception = None
-        self.delay = delay
         now = kernel.now
         when = now + delay
         if when == now:
@@ -470,7 +469,6 @@ class Kernel:
         timeout._state = _TRIGGERED
         timeout._value = value
         timeout._exception = None
-        timeout.delay = delay
         now = self.now
         when = now + delay
         if when == now:

@@ -115,8 +115,8 @@ class ObjectStore:
 
     # -- data plane ---------------------------------------------------------
 
-    def _delay(self, model, nbytes: int = 0) -> float:
-        # A bare delay for the caller to yield, as CacheCluster._delay:
+    def _rsds_delay(self, model, nbytes: int = 0) -> float:
+        # A bare delay for the caller to yield, as CacheBackend._delay:
         # same queue slot and sequence number as a kernel.timeout(), no
         # Timeout object per RSDS operation.
         duration = model.sample(self.rng, nbytes)
@@ -151,7 +151,7 @@ class ObjectStore:
                     self.stats.hook_blocks += 1
                     yield from hook("read", obj.meta)
                 obj = self._object(bucket, name)  # hook may have updated it
-            yield self._delay(self.profile.read, obj.meta.size)
+            yield self._rsds_delay(self.profile.read, obj.meta.size)
             self.stats.gets += 1
             self.stats.bytes_read += obj.meta.size
             return StoredObject(meta=obj.meta.copy(), payload=obj.payload)
@@ -194,9 +194,9 @@ class ObjectStore:
                     self.stats.hook_blocks += 1
                     yield from hook("write", existing.meta)
             if shadow:
-                yield self._delay(self.profile.shadow_write)
+                yield self._rsds_delay(self.profile.shadow_write)
             else:
-                yield self._delay(self.profile.write, size)
+                yield self._rsds_delay(self.profile.write, size)
             now = self.kernel.now
             if existing is None:
                 meta = ObjectMeta(
@@ -244,7 +244,7 @@ class ObjectStore:
             obj = self._object(bucket, name)
             if version < obj.meta.version:
                 return False
-            yield self._delay(self.profile.write, obj.meta.size)
+            yield self._rsds_delay(self.profile.write, obj.meta.size)
             obj.payload = payload
             obj.meta.rsds_version = version
             self.stats.puts += 1
@@ -272,7 +272,7 @@ class ObjectStore:
                 for hook in self._write_hooks:
                     self.stats.hook_blocks += 1
                     yield from hook("delete", obj.meta)
-            yield self._delay(self.profile.delete)
+            yield self._rsds_delay(self.profile.delete)
             self._bucket(bucket).objects.pop(name, None)
             self.stats.deletes += 1
         finally:
@@ -287,7 +287,7 @@ class ObjectStore:
         yield self._slots.acquire()
         try:
             obj = self._object(bucket, name)
-            yield self._delay(self.profile.stat)
+            yield self._rsds_delay(self.profile.stat)
             self.stats.stats_ops += 1
             return obj.meta.copy()
         finally:
@@ -297,7 +297,7 @@ class ObjectStore:
         yield self._slots.acquire()
         try:
             names = sorted(self._bucket(bucket).objects)
-            yield self._delay(self.profile.list)
+            yield self._rsds_delay(self.profile.list)
             self.stats.lists += 1
             return names
         finally:

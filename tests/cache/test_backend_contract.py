@@ -1,11 +1,11 @@
-"""Shared contract suite for every registered cache backend.
+"""Scenarios over every registered cache backend.
 
-OFC's data plane, control plane and fault machinery only assume the
-:class:`repro.cache.backend.CacheBackend` surface, so every backend —
-the harvested OFC default, the Faa$T-style cachelets and the
-InfiniCache-style erasure-coded lambdas — must satisfy the same
-observable contract.  Parametrizing the whole module over the registry
-means a new backend gets its conformance suite for free.
+The contract itself — :class:`repro.kvcache.backend.CacheBackend` — is
+judged by the state machine in ``test_backend_machine.py``; the data
+plane scenarios here are fixed replays through it.  The rest pin
+wiring (the registry, the fault injector, the fault episodes, snapshot
+shapes) and one bug (flags after crash recovery).  Parametrizing the
+module over the registry gives a new backend all of them for free.
 """
 
 import pytest
@@ -16,12 +16,9 @@ from repro.core.config import OFCConfig
 from repro.faas.platform import PlatformConfig
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.kvcache.cluster import CacheCluster
-from repro.kvcache.errors import NoSuchKey, ObjectTooLarge
 from repro.sim import Kernel
 from repro.sim.latency import MB
-
-NODES = ["w0", "w1", "w2"]
-MAX_OBJECT = 4 * MB
+from tests.cache.test_backend_machine import build, KEYS, MAX_OBJECT, NODES, replay
 
 pytestmark = pytest.mark.parametrize(
     "backend_name", sorted(BACKENDS), ids=sorted(BACKENDS)
@@ -29,8 +26,8 @@ pytestmark = pytest.mark.parametrize(
 
 
 def _config() -> OFCConfig:
-    # Small erasure-coding geometry so three nodes give full stripes,
-    # and short periods so loops tick inside short test runs.
+    # A deployment's config: small erasure-coding geometry so three
+    # nodes give full stripes, short periods so loops tick in the run.
     return OFCConfig(
         infinicache_data_chunks=2,
         infinicache_parity_chunks=1,
@@ -39,29 +36,6 @@ def _config() -> OFCConfig:
         infinicache_reclaim_period_s=10.0,
         faast_scale_period_s=5.0,
     )
-
-
-def build(backend_name):
-    kernel = Kernel()
-    backend = make_backend(
-        backend_name,
-        kernel,
-        NODES,
-        config=_config(),
-        rng=None,
-        max_object_size=MAX_OBJECT,
-    )
-    if backend_name == "ofc":
-        # The harvested pool normally grows via CacheAgents; the raw
-        # contract rig provisions it through the same resize path so
-        # the cost meter's resize hook observes the capacity.
-        def grow():
-            for node in NODES:
-                yield from backend.scale_up(node, 64 * MB)
-
-        kernel.run_until(kernel.process(grow()))
-    backend.start()
-    return kernel, backend
 
 
 def drive(kernel, gen):
@@ -93,180 +67,94 @@ def test_unknown_backend_rejected(backend_name):
         make_backend("no-such-arch", Kernel(), NODES)
 
 
-# -- data plane -------------------------------------------------------------
+# -- data plane: replays through the contract machine -------------------
+#
+# Each scenario is a fixed step list; the machine's loss model (served
+# value, size, version and flags equal the acknowledged ones, an
+# oversize put changes nothing, ``objects()`` lists every served key on
+# its node, hooks balance ``objects()``, control-plane reads take no
+# time, usage covers what is served and, off ``ofc``, fits the
+# capacity, a crashed node serves nothing) is the assertion after every
+# step.
 
 
 def test_read_your_writes(backend_name):
-    kernel, backend = build(backend_name)
-
-    def scenario():
-        yield from backend.put("a/k", "v1", 1000, caller="w0")
-        obj = yield from backend.get("a/k", caller="w0")
-        return obj
-
-    obj = drive(kernel, scenario())
-    assert obj.value == "v1"
-    assert obj.size == 1000
-    assert obj.version == 1
+    replay(
+        backend_name,
+        ("put", "a/k0", 1000, "w0", "t0", False),
+        ("get", "a/k0", "w0"),
+    )
 
 
 def test_overwrite_bumps_version(backend_name):
-    kernel, backend = build(backend_name)
-
-    def scenario():
-        yield from backend.put("a/k", "v1", 1000, caller="w0")
-        yield from backend.put("a/k", "v2", 2000, caller="w1")
-        obj = yield from backend.get("a/k", caller="w0")
-        return obj
-
-    obj = drive(kernel, scenario())
-    assert obj.value == "v2"
-    assert obj.version == 2
+    machine = replay(
+        backend_name,
+        ("put", "a/k0", 1000, "w0", "t0", False),
+        ("put", "a/k0", 2000, "w1", "t0", False),
+        ("get", "a/k0", "w0"),
+    )
+    assert machine.ref["a/k0"].versions == {2}
 
 
 def test_get_missing_raises(backend_name):
-    kernel, backend = build(backend_name)
-
-    def scenario():
-        yield from backend.get("a/none", caller="w0")
-
-    with pytest.raises(NoSuchKey):
-        drive(kernel, scenario())
+    replay(backend_name, ("get", "a/k0", "w0"))
 
 
 def test_oversize_rejected_without_state_change(backend_name):
-    kernel, backend = build(backend_name)
-
-    def scenario():
-        yield from backend.put("a/huge", "v", MAX_OBJECT + 1, caller="w0")
-
-    with pytest.raises(ObjectTooLarge):
-        drive(kernel, scenario())
-    assert not backend.contains("a/huge")
-    assert backend.total_used == 0
+    replay(backend_name, ("put", "a/k0", MAX_OBJECT + 1, "w0", "t0", False))
 
 
 def test_delete_then_miss(backend_name):
-    kernel, backend = build(backend_name)
-
-    def scenario():
-        yield from backend.put("a/k", "v", 1000, caller="w0")
-        yield from backend.delete("a/k", caller="w0")
-
-    drive(kernel, scenario())
-    assert backend.peek("a/k") is None
-    assert not backend.contains("a/k")
-    assert backend.location_of("a/k") is None
+    replay(
+        backend_name,
+        ("put", "a/k0", 1000, "w0", "t0", False),
+        ("delete", "a/k0", "w0"),
+    )
 
 
 def test_peek_and_location_without_latency(backend_name):
-    kernel, backend = build(backend_name)
-
-    def scenario():
-        yield from backend.put("a/k", "v", 1000, caller="w1")
-
-    drive(kernel, scenario())
-    t0 = kernel.now
-    obj = backend.peek("a/k")
-    location = backend.location_of("a/k")
-    assert kernel.now == t0  # control plane: no simulated time
-    assert obj is not None and obj.value == "v"
-    assert location in NODES
-    assert backend.contains("a/k")
+    replay(backend_name, ("put", "a/k0", 1000, "w1", "t0", False))
 
 
 def test_set_flags_visible_to_peek(backend_name):
-    kernel, backend = build(backend_name)
-
-    def scenario():
-        yield from backend.put(
-            "a/k", "v", 1000, caller="w0", flags={"dirty": True}
-        )
-
-    drive(kernel, scenario())
-    backend.set_flags("a/k", dirty=False, final=True)
-    obj = backend.peek("a/k")
-    assert obj.flags["dirty"] is False
-    assert obj.flags["final"] is True
+    replay(
+        backend_name,
+        ("put", "a/k0", 1000, "w0", "t0", True),
+        ("persisted", "a/k0", True),
+    )
 
 
 def test_set_flags_missing_raises(backend_name):
-    kernel, backend = build(backend_name)
-    with pytest.raises(NoSuchKey):
-        backend.set_flags("a/none", dirty=False)
+    replay(backend_name, ("persisted", "a/k0"))
 
 
 def test_objects_enumerates_primaries(backend_name):
-    kernel, backend = build(backend_name)
-
-    def scenario():
-        for i in range(4):
-            yield from backend.put(f"a/k{i}", i, 1000 + i, caller="w0")
-
-    drive(kernel, scenario())
-    seen = {obj.key: node for node, obj in backend.objects()}
-    assert set(seen) == {f"a/k{i}" for i in range(4)}
-    for key, node in seen.items():
-        assert backend.location_of(key) is not None
-        assert node in NODES
-
-
-# -- per-tenant accounting hooks --------------------------------------------
+    replay(
+        backend_name,
+        *[("put", key, 1000 + i, "w0", "t0", False) for i, key in enumerate(KEYS)],
+    )
 
 
 def test_admission_and_removal_hooks_fire(backend_name):
-    kernel, backend = build(backend_name)
-    admitted, removed = [], []
-    backend.on_object_admitted = lambda obj: admitted.append(obj.key)
-    backend.on_object_removed = lambda obj: removed.append(obj.key)
-
-    def scenario():
-        yield from backend.put(
-            "a/k", "v", 1000, caller="w0", flags={"tenant": "t1"}
-        )
-        yield from backend.delete("a/k", caller="w0")
-
-    drive(kernel, scenario())
-    assert admitted == ["a/k"]
-    assert removed == ["a/k"]
+    replay(
+        backend_name,
+        ("put", "a/k0", 1000, "w0", "t1", False),
+        ("delete", "a/k0", "w0"),
+    )
 
 
 def test_overwrite_reports_removal_of_old_copy(backend_name):
-    kernel, backend = build(backend_name)
-    events = []
-    backend.on_object_admitted = lambda obj: events.append(("+", obj.version))
-    backend.on_object_removed = lambda obj: events.append(("-", obj.version))
-
-    def scenario():
-        yield from backend.put("a/k", "v1", 1000, caller="w0")
-        yield from backend.put("a/k", "v2", 1000, caller="w0")
-
-    drive(kernel, scenario())
-    # Net accounting must balance: one live object after two puts.
-    assert events.count(("+", 1)) == 1
-    assert events.count(("+", 2)) == 1
-    assert ("-", 1) in events
-
-
-# -- capacity ---------------------------------------------------------------
+    replay(
+        backend_name,
+        ("put", "a/k0", 1000, "w0", "t0", False),
+        ("put", "a/k0", 1000, "w0", "t1", False),
+    )
 
 
 def test_capacity_and_usage_track_contents(backend_name):
-    kernel, backend = build(backend_name)
-    assert backend.total_used == 0
-
-    def scenario():
-        yield from backend.put("a/k", "v", 100_000, caller="w0")
-
-    drive(kernel, scenario())
-    # Capacity may be provisioned lazily (Faa$T adds shards on first
-    # admission) but must exist once an object is resident.
-    assert backend.total_capacity > 0
-    assert backend.quota_capacity <= backend.total_capacity
-    # Usage reflects the object (erasure-coded layouts may round up to
-    # chunk granularity, never down).
-    assert backend.total_used >= 100_000
-    assert backend.total_used <= backend.total_capacity
+    machine = replay(backend_name, ("put", "a/k0", 100_000, "w0", "t0", False))
+    # One open log segment fits even ``ofc``'s pool.
+    assert machine.backend.total_used <= machine.backend.total_capacity
 
 
 # -- crash/restart consistency ----------------------------------------------
@@ -307,17 +195,11 @@ def test_crash_recover_never_resurrects_stale_flags(backend_name):
 
 
 def test_crashed_node_not_reported_as_location(backend_name):
-    kernel, backend = build(backend_name)
-
-    def seed():
-        for i in range(6):
-            yield from backend.put(f"a/k{i}", i, 1000, caller="w0")
-
-    drive(kernel, seed())
-    backend.crash("w0")
-    for i in range(6):
-        location = backend.location_of(f"a/k{i}")
-        assert location != "w0"
+    replay(
+        backend_name,
+        *[("put", key, 1000, "w0", "t0", False) for key in KEYS],
+        ("crash", "a/k0", "w0"),
+    )
 
 
 def test_fault_injector_end_to_end(backend_name):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cache.faast import FaaSTBackend, SHARED_APP
+from repro.cache import make_backend
+from repro.cache.faast import SHARED_APP
 from repro.core.config import OFCConfig
 from repro.kvcache.errors import CapacityExceeded, NoSuchKey
 from repro.sim import Kernel
@@ -22,7 +23,7 @@ def build(**overrides):
     for key, value in overrides.items():
         setattr(config, key, value)
     kernel = Kernel()
-    backend = FaaSTBackend(kernel, NODES, config=config, rng=None)
+    backend = make_backend("faast", kernel, NODES, config=config)
     backend.start()
     return kernel, backend
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.cache.infinicache import InfiniCacheBackend
+from repro.cache import make_backend
 from repro.core.config import OFCConfig
 from repro.kvcache.errors import CapacityExceeded, NoSuchKey
 from repro.sim import Kernel
 from repro.sim.latency import MB
+from tests.cache.test_backend_machine import KEYS, replay
 
 NODES = ["w0", "w1", "w2"]
 
@@ -24,7 +25,7 @@ def build(**overrides):
     for key, value in overrides.items():
         setattr(config, key, value)
     kernel = Kernel()
-    backend = InfiniCacheBackend(kernel, NODES, config=config, rng=None)
+    backend = make_backend("infinicache", kernel, NODES, config=config)
     backend.start()
     return kernel, backend
 
@@ -299,3 +300,85 @@ def test_dirty_without_backup_retained_not_dropped():
     obj = drive(kernel, read())
     assert obj.value == "v"
     assert backend.stats.lost_objects == 0
+
+
+#: Data-plane ops racing the warm-up that follows a reclamation: each
+#: lifetime-30 s sandbox (one per node) expires at the t = 30 s reclaim
+#: tick, taking every stripe placed on them below k, and the warm-ups
+#: yield while ops land.  Found by the contract machine; each step list
+#: is replayed through it, its loss model the assertion.
+WARM_UP_RACES = {
+    # The fetched backup was restored over a delete.
+    "delete-during-warm-up": [
+        ("put", "a/k1", 1 * MB, "w0", "t0", False),
+        ("advance", 30.0),
+        ("delete", "a/k1", "w0"),
+    ],
+    # The fetched backup was restored over a newer write.
+    "overwrite-during-warm-up": [
+        ("put", "a/k2", 1 * MB, "w0", "t0", False),
+        ("advance", 30.0),
+        ("put", "a/k2", 100_000, "w0", "t0", False),
+    ],
+    # A put whose every chunk is reclaimed mid-upload (IndexError).
+    "put-reclaimed-mid-upload": [
+        ("put", "a/k0", 2 * MB, "w0", "t0", False),
+        ("put", "a/k1", 100_000, "w0", "t0", False),
+        ("put", "a/k2", 100_000, "w0", "t0", False),
+        ("advance", 40.0),
+        ("delete", "a/k0", "w0"),
+        ("put", "a/k0", 100_000, "w0", "t0", False),
+        ("put", "a/k1", 100_000, "w0", "t0", False),
+    ],
+    # Chunks uploaded one by one onto sandboxes a crash had killed.
+    "crash-during-warm-up": [
+        *[("put", key, 100_000, "w0", "t0", False) for key in KEYS],
+        ("advance", 30.0),
+        ("crash", "a/k0", "w0"),
+        ("recover",),
+        ("restart",),
+        ("crash", "a/k2", "w0"),
+    ],
+    # A recovery running beside the warm-up left a dirty key unread.
+    "recover-during-warm-up": [
+        ("put", "a/k0", 100_000, "w0", "t0", False),
+        ("put", "a/k1", 100_000, "w0", "t0", False),
+        ("put", "a/k2", 1 * MB, "w0", "t0", False),
+        ("advance", 30.0),
+        ("crash", "a/k0", "w0"),
+        ("recover",),
+        ("restart",),
+        ("crash", "a/k2", "w0"),
+        ("put", "a/k2", 100_000, "w0", "t0", True),
+        ("recover",),
+    ],
+}
+
+
+@pytest.mark.parametrize("steps", WARM_UP_RACES.values(), ids=WARM_UP_RACES)
+def test_warm_up_races_keep_the_contract(steps):
+    replay("infinicache", *steps)
+
+
+def test_warm_up_evicts_clean_entries_to_restore_a_dirty_one():
+    """A dirty entry below k chunks, its backup fetched, in a full pool:
+    the warm-up makes room out of clean entries, as a put does, rather
+    than leaving write-back data unreadable (found by the contract
+    machine: a clean put during a crash had taken the room)."""
+    kernel, backend = build(infinicache_backup_period_s=10_000.0)
+
+    def seed():
+        yield from backend.put(
+            "a/d", "v", 1 * MB, caller="w0", flags={"dirty": True}
+        )
+        for i in range(3):
+            yield from backend.put(f"a/c{i}", "v", 1 * MB, caller="w0")
+
+    drive(kernel, seed())
+    assert backend.total_used == backend.total_capacity
+    for sandbox in backend._placement["a/d"][:2]:
+        backend._kill(sandbox)
+    drive(kernel, backend._restore_or_drop("a/d"))
+    assert backend.peek("a/d") is not None
+    assert backend.stats.evictions >= 1
+    assert backend.stats.dirty_retained == 0

@@ -130,6 +130,45 @@ def test_capacity_exhausted_raises(env):
         run(kernel, scenario())
 
 
+def test_refused_overwrite_is_not_resurrected_by_recovery():
+    """The master drops the old copy, then cannot fit the new one; the
+    caller sends the new value to the RSDS.  The backups' old copies
+    must go too, or recovery promotes the superseded value."""
+    kernel = Kernel()
+    cluster = CacheCluster(kernel, ["w0", "w1", "w2"], replication_factor=2)
+    for node in ("w0", "w1", "w2"):
+        cluster.server(node).resize(4 * MB)
+    run(kernel, cluster.put("a/k", "old", 1 * MB, caller="w0"))
+    run(kernel, cluster.put("a/fill", "x", 3 * MB, caller="w0"))
+    with pytest.raises(CapacityExceeded):
+        run(kernel, cluster.put("a/k", "new", 3 * MB, caller="w0"))
+    assert not cluster.contains("a/k")
+    assert not cluster.coordinator.holds("a/k")
+    assert not any(cluster.server(n).backup_has("a/k") for n in ("w1", "w2"))
+    cluster.crash("w0")
+    run(kernel, cluster.recover("w0"))
+    assert cluster.peek("a/k") is None
+    with pytest.raises(NoSuchKey):
+        run(kernel, cluster.get("a/k", caller="w1"))
+
+
+def test_refused_put_while_the_master_is_down_drops_the_backups():
+    """Same hazard with the master's node crashed: no survivor fits the
+    new value, and the old one must not come back with recovery."""
+    kernel = Kernel()
+    cluster = CacheCluster(kernel, ["w0", "w1", "w2"], replication_factor=2)
+    for node in ("w0", "w1", "w2"):
+        cluster.server(node).resize(4 * MB)
+    run(kernel, cluster.put("a/k", "old", 1 * MB, caller="w0"))
+    run(kernel, cluster.put("a/f1", "x", 3 * MB, caller="w1"))
+    run(kernel, cluster.put("a/f2", "x", 3 * MB, caller="w2"))
+    cluster.crash("w0")
+    with pytest.raises(CapacityExceeded):
+        run(kernel, cluster.put("a/k", "new", 2 * MB, caller="w1"))
+    run(kernel, cluster.recover("w0"))
+    assert cluster.peek("a/k") is None
+
+
 def test_put_spills_to_other_node_when_caller_full(env):
     kernel, cluster = env
     cluster.server("w0").resize(0)
