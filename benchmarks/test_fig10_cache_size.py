@@ -3,6 +3,7 @@
 import numpy as np
 
 from benchmarks.conftest import save_result
+from repro.bench.fig10 import per_minute
 from repro.bench.macro import run_macro
 from repro.bench.reporting import format_table
 from repro.sim.latency import GB
@@ -19,16 +20,9 @@ def test_fig10_cache_size(benchmark):
     )
     series = result.cache_series
     assert len(series) > 10
-    # Downsample to one row per minute for the artifact.
-    rows = []
-    next_minute = 0.0
-    for t, size in series:
-        if t >= next_minute:
-            rows.append((round(t / 60.0, 1), size / GB))
-            next_minute = t + 60.0
     table = format_table(
         ["minute", "cache size (GB)"],
-        rows,
+        per_minute(series),
         title="Figure 10 — OFC cache size over time (normal profile)",
     )
     save_result("fig10_cache_size", table)

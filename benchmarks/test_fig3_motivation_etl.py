@@ -1,38 +1,23 @@
 """Figure 3: ETL phase split on an S3-profile RSDS vs a Redis IMOC."""
 
 from benchmarks.conftest import save_result
-from repro.bench.fig3 import run_fig3_pipeline, run_fig3_single
-from repro.bench.reporting import format_table
+from repro.bench.etl import fig3_table, PIPELINE_SIZES, run_fig3, SINGLE_STAGE_SIZES
 from repro.sim.latency import MB
 
 
-def _rows_to_table(rows, title):
-    return format_table(
-        ["workload", "size", "backend", "E (s)", "T (s)", "L (s)", "E+L %"],
-        [
-            (
-                r.workload,
-                r.input_size,
-                r.backend,
-                r.extract_s,
-                r.transform_s,
-                r.load_s,
-                100 * r.el_fraction,
-            )
-            for r in rows
-        ],
-        title=title,
-    )
-
-
 def test_fig3a_single_stage(benchmark):
-    rows = benchmark.pedantic(run_fig3_single, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        run_fig3,
+        args=("sharp_resize", SINGLE_STAGE_SIZES),
+        rounds=1,
+        iterations=1,
+    )
     save_result(
         "fig3a_motivation_single",
-        _rows_to_table(rows, "Figure 3a — sharp_resize, S3 vs Redis"),
+        fig3_table(rows, "Figure 3a — sharp_resize, S3 vs Redis"),
     )
-    s3 = [r for r in rows if r.backend == "s3"]
-    redis = [r for r in rows if r.backend == "redis"]
+    s3 = [r for r in rows if r.config == "s3"]
+    redis = [r for r in rows if r.config == "redis"]
     # Paper: E&L is up to 97 % of total on S3 for a 128 kB image.
     assert max(r.el_fraction for r in s3) > 0.90
     # ...and negligible on the IMOC.
@@ -47,20 +32,20 @@ def test_fig3a_single_stage(benchmark):
 
 def test_fig3b_pipeline(benchmark):
     rows = benchmark.pedantic(
-        run_fig3_pipeline,
-        kwargs={"sizes": (5 * MB, 10 * MB, 30 * MB)},
+        run_fig3,
+        args=("map_reduce", PIPELINE_SIZES["map_reduce"]),
         rounds=1,
         iterations=1,
     )
     save_result(
         "fig3b_motivation_pipeline",
-        _rows_to_table(rows, "Figure 3b — MapReduce word count, S3 vs Redis"),
+        fig3_table(rows, "Figure 3b — MapReduce word count, S3 vs Redis"),
     )
     s3_30 = next(
-        r for r in rows if r.backend == "s3" and r.input_size == 30 * MB
+        r for r in rows if r.config == "s3" and r.input_size == 30 * MB
     )
     redis_30 = next(
-        r for r in rows if r.backend == "redis" and r.input_size == 30 * MB
+        r for r in rows if r.config == "redis" and r.input_size == 30 * MB
     )
     # Paper: E&L ~52 % of a 30 MB word count on the RSDS.
     assert 0.35 < s3_30.el_fraction < 0.75

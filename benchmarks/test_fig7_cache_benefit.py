@@ -3,7 +3,7 @@
 import pytest
 
 from benchmarks.conftest import save_result
-from repro.bench.fig7 import run_fig7_pipeline, run_fig7_single
+from repro.bench.etl import run_fig7
 from repro.bench.reporting import format_table
 from repro.sim.latency import KB, MB
 from repro.workloads.functions import FIGURE7_FUNCTIONS
@@ -39,7 +39,7 @@ def _by_config(rows, workload, size):
 def test_fig7_single_stage(benchmark):
     sizes = (1 * KB, 16 * KB, 64 * KB, 128 * KB)
     rows = benchmark.pedantic(
-        run_fig7_single,
+        run_fig7,
         args=(FIGURE7_FUNCTIONS,),
         kwargs={"sizes": sizes},
         rounds=1,
@@ -82,8 +82,8 @@ def test_fig7_single_stage(benchmark):
 )
 def test_fig7_pipelines(benchmark, app_name, sizes):
     rows = benchmark.pedantic(
-        run_fig7_pipeline,
-        args=(app_name,),
+        run_fig7,
+        args=([app_name],),
         kwargs={"sizes": sizes},
         rounds=1,
         iterations=1,

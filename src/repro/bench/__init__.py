@@ -7,12 +7,12 @@ tree wraps these drivers in pytest-benchmark targets, and the
 | Paper artifact | Driver |
 |----------------|--------------------------------------|
 | Figure 2       | :mod:`repro.bench.fig2`              |
-| Figure 3       | :mod:`repro.bench.fig3`              |
+| Figure 3       | :mod:`repro.bench.etl`               |
 | Table 1        | :mod:`repro.bench.table1`            |
 | Figure 5       | :mod:`repro.bench.fig5`              |
 | Figure 6       | :mod:`repro.bench.fig6`              |
 | §7.1.3         | :mod:`repro.bench.maturation`        |
-| Figure 7       | :mod:`repro.bench.fig7`              |
+| Figure 7       | :mod:`repro.bench.etl`               |
 | Figure 8       | :mod:`repro.bench.fig8`              |
 | Figure 9, Table 2 | :mod:`repro.bench.macro`          |
 | Figure 10      | :mod:`repro.bench.fig10`             |

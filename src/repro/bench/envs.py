@@ -5,6 +5,12 @@
 * **OWK-Redis** — stock platform, all data in a Redis-profile IMOC
   (best-case data access);
 * **OFC** — the full system.
+
+Every builder restarts the process-global id counters
+(:func:`repro.faas.reset_id_counters`) first: request ids seed the
+hidden footprint noise and pipeline ids end up in object keys, so a
+deployment must not depend on what ran before it in the process (or on
+the ``--workers`` fan-out, whose forked workers inherit the counters).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from repro.core.config import OFCConfig
 from repro.core.ofc import OFCPlatform
+from repro.faas import reset_id_counters
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RngRegistry
@@ -60,6 +67,7 @@ def _build_baseline(
     node_mb: float,
     seed: int,
 ) -> BaselineEnv:
+    reset_id_counters()
     kernel = Kernel()
     rng = RngRegistry(seed)
     store = ObjectStore(kernel, profile=profile, rng=rng.stream("rsds"))
@@ -98,6 +106,7 @@ def build_ofc_env(
     multi-tenant bench shortens it so thousands of one-off tenants do
     not pin idle sandboxes for the default ten minutes.
     """
+    reset_id_counters()
     platform_config = _platform_config(nodes, node_mb)
     if keepalive_s is not None:
         platform_config.keepalive_s = keepalive_s
@@ -126,29 +135,26 @@ def pretrain_function(
 
     Synthesises completed-invocation records from the hidden ground
     truth and feeds them to the ModelTrainer.  Results are memoized in
-    the shared warm-model cache (:mod:`repro.bench.model_cache`): a
-    cell whose (function, descriptors, config, profile, seed) match a
-    previous pretraining adopts the cached state and skips the feeding
-    loop entirely.
+    the process (:mod:`repro.bench.model_cache`): a deployment whose
+    (function, descriptors, config, profile, seed) match a previous
+    pretraining adopts the cached state and skips the feeding loop.
     """
     from repro.bench import model_cache
     from repro.bench.datasets import synthetic_record
 
-    cache_key = None
-    if model_cache.enabled():
-        cache_key = model_cache.pretrain_key(
-            model.name,
-            tenant,
-            n_samples,
-            seed,
-            descriptors,
-            ofc.trainer.config,
-            ofc.trainer.rsds_profile,
-        )
-        cached = model_cache.lookup(cache_key)
-        if cached is not None:
-            ofc.trainer.adopt_models(cached)
-            return
+    cache_key = model_cache.pretrain_key(
+        model.name,
+        tenant,
+        n_samples,
+        seed,
+        descriptors,
+        ofc.trainer.config,
+        ofc.trainer.rsds_profile,
+    )
+    cached = model_cache.lookup(cache_key)
+    if cached is not None:
+        ofc.trainer.adopt_models(cached)
+        return
 
     rng = np.random.default_rng(seed)
     spec_key = f"{tenant}/{model.name}"
@@ -159,5 +165,4 @@ def pretrain_function(
         ofc.trainer.on_completion(record)
     models = ofc.trainer.models_for(spec_key)
     ofc.trainer.retrain(models)
-    if cache_key is not None:
-        model_cache.store(cache_key, models)
+    model_cache.store(cache_key, models)

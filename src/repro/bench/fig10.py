@@ -19,6 +19,10 @@ from repro.sim.latency import GB
 from repro.workloads.faasload import TenantProfile
 
 
+#: The tenant profiles Figure 10 compares.
+PROFILES = ("NORMAL", "NAIVE", "ADVANCED")
+
+
 @dataclass
 class Fig10Series:
     profile: str
@@ -27,15 +31,17 @@ class Fig10Series:
     series: List[Tuple[float, int]]
     hit_ratio: float
 
-    def per_minute(self) -> List[Tuple[float, float]]:
-        """Downsample to (minute, cache GB) rows for reporting."""
-        rows: List[Tuple[float, float]] = []
-        next_minute = 0.0
-        for t, size in self.series:
-            if t >= next_minute:
-                rows.append((round(t / 60.0, 1), size / GB))
-                next_minute = t + 60.0
-        return rows
+
+def per_minute(series: Sequence[Tuple[float, int]]) -> List[Tuple[float, float]]:
+    """Downsample (sim seconds, cache bytes) samples to (minute, cache
+    GB) rows for reporting."""
+    rows: List[Tuple[float, float]] = []
+    next_minute = 0.0
+    for t, size in series:
+        if t >= next_minute:
+            rows.append((round(t / 60.0, 1), size / GB))
+            next_minute = t + 60.0
+    return rows
 
 
 def _fig10_cell(cell) -> Fig10Series:
@@ -52,26 +58,8 @@ def _fig10_cell(cell) -> Fig10Series:
 
 
 def run_fig10(
-    profiles: Sequence[str] = ("NORMAL", "NAIVE", "ADVANCED"),
-    duration_s: float = 900.0,
-    seed: int = 0,
-    workers: Optional[int] = None,
+    duration_s: float = 900.0, seed: int = 0, workers: Optional[int] = None
 ) -> List[Fig10Series]:
-    """Cache-size-over-time series for each tenant profile.
-
-    All profile cells share one pretraining (the warm-model cache key
-    does not involve the profile), so the parent prewarms once and
-    preloads every worker — cells start simulating immediately.
-    """
-    from repro.bench.macro import prewarm_macro_models
-    from repro.bench.model_cache import preload_blob
-
-    blob = prewarm_macro_models(TenantProfile[profiles[0]], seed=seed)
-    cells = [(profile, duration_s, seed) for profile in profiles]
-    return run_grid(
-        _fig10_cell,
-        cells,
-        workers=workers,
-        initializer=preload_blob,
-        initargs=(blob,),
-    )
+    """Cache-size-over-time series for each of :data:`PROFILES`."""
+    cells = [(profile, duration_s, seed) for profile in PROFILES]
+    return run_grid(_fig10_cell, cells, workers=workers)

@@ -41,15 +41,12 @@ def _time_predictions(model, rows, repeats: int = 3) -> List[float]:
 
 
 def run_fig6(
-    n_samples: int = 300,
-    interval_sizes=(8.0, 16.0),
-    seed: int = 0,
-    functions: Optional[List[str]] = None,
-    include_forest: bool = True,
+    n_samples: int = 300, seed: int = 0, functions: Optional[List[str]] = None
 ) -> List[Fig6Result]:
+    """J48 at 8 and 16 MB intervals; RandomForest at 16 MB."""
     names = functions or EVALUATION_FUNCTIONS
     results: List[Fig6Result] = []
-    for interval_mb in interval_sizes:
+    for interval_mb in (8.0, 16.0):
         j48_times: List[float] = []
         forest_times: List[float] = []
         for i, name in enumerate(names):
@@ -61,7 +58,7 @@ def run_fig6(
             )
             j48 = J48Classifier().fit(dataset)
             j48_times.extend(_time_predictions(j48, dataset.rows[:100]))
-            if include_forest and interval_mb == 16.0:
+            if interval_mb == 16.0:
                 forest = RandomForestClassifier(
                     n_trees=20, rng=np.random.default_rng(seed)
                 ).fit(dataset)

@@ -187,7 +187,7 @@ def run_fig8(
 
 
 def migration_time_sweep(
-    sizes_mb: Sequence[int] = (8, 64, 256, 512, 1024), seed: int = 0
+    sizes_mb: Sequence[int] = (8, 64, 256, 512, 1024),
 ) -> List[tuple]:
     """§7.2.1's migration-time ladder: aggregate hand-off time vs size.
 

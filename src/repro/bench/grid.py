@@ -63,7 +63,6 @@ from repro.cache import BACKENDS
 from repro.checks import check_history, HistoryRecorder
 from repro.checks.invariants import count_by_invariant
 from repro.core.config import OFCConfig
-from repro.faas import reset_id_counters
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule, ScheduleError
 from repro.faults.chaos import chaos_schedule, chaos_targets, shrink_schedule
 from repro.obs.export import export_json
@@ -266,11 +265,6 @@ def _sample_timeline(ofc, timeline: List[Dict[str, Any]]):
 def run_cell(cell: TenantCell) -> GridRow:
     """Deploy → warm → (inject) → measure → (settle, repair, audit).
     Module-level: the sweep runner pickles this into worker processes."""
-    # Process-global id counters leak across deployments (request ids
-    # end up inside pipeline object keys); reset them so a cell's grid
-    # row is identical whether it ran serially after another cell or
-    # alone in a worker process.
-    reset_id_counters()
     config = OFCConfig(
         cache_backend=cell.backend,
         tenant_quota_policy=cell.quota_policy,

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bench.envs import build_ofc_env, build_owk_swift_env, pretrain_function
+from repro.bench.reporting import improvement_pct
 from repro.bench.runner import run_grid
 from repro.sim.latency import KB, MB
 from repro.workloads.faasload import FaaSLoad, TenantProfile, TenantSpec
@@ -83,15 +84,14 @@ def run_macro(
     profile: TenantProfile,
     duration_s: float = 1800.0,
     tenants_per_workload: int = 1,
-    nodes: int = 4,
     node_mb: float = 16384.0,
     seed: int = 0,
-    pretrain: bool = True,
 ) -> MacroResult:
-    """One macro run.  ``system`` is "ofc" or "swift"."""
+    """One macro run on the default four nodes.  ``system`` is "ofc" or
+    "swift"."""
     specs = _tenant_specs(profile, tenants_per_workload)
     if system == "ofc":
-        deployment = build_ofc_env(nodes=nodes, node_mb=node_mb, seed=seed)
+        deployment = build_ofc_env(node_mb=node_mb, seed=seed)
         kernel, store, platform = (
             deployment.kernel,
             deployment.store,
@@ -99,7 +99,7 @@ def run_macro(
         )
     elif system == "swift":
         deployment = None
-        env = build_owk_swift_env(nodes=nodes, node_mb=node_mb, seed=seed)
+        env = build_owk_swift_env(node_mb=node_mb, seed=seed)
         kernel, store, platform = env.kernel, env.store, env.platform
     else:
         raise ValueError(f"unknown system: {system}")
@@ -107,7 +107,7 @@ def run_macro(
     injector = FaaSLoad(kernel, platform, store, rng=np.random.default_rng(seed))
     injector.prepare(specs)
 
-    if system == "ofc" and pretrain:
+    if system == "ofc":
         # The paper trains models offline from FaaSLoad telemetry; give
         # every single-stage tenant a mature model up front.
         for runtime in injector.tenants:
@@ -153,46 +153,6 @@ def run_macro(
     return result
 
 
-def prewarm_macro_models(
-    profile: TenantProfile,
-    tenants_per_workload: int = 1,
-    nodes: int = 4,
-    node_mb: float = 16384.0,
-    seed: int = 0,
-) -> bytes:
-    """Run the macro pretraining once in-process and return the
-    warm-model cache blob for runner initializers.
-
-    A sweep of N macro cells that share (workloads, seed, config) pays
-    the pretraining cost once in the parent instead of once per cell:
-    workers preloaded with the returned blob hit the cache for every
-    tenant and skip the feeding loop entirely.  Pretraining does not
-    depend on the tenant *profile* (booked memory is irrelevant to the
-    synthesized completions), so one prewarmed profile covers them all.
-    """
-    from repro.bench import model_cache
-
-    if model_cache.enabled():
-        deployment = build_ofc_env(nodes=nodes, node_mb=node_mb, seed=seed)
-        injector = FaaSLoad(
-            deployment.kernel,
-            deployment.platform,
-            deployment.store,
-            rng=np.random.default_rng(seed),
-        )
-        injector.prepare(_tenant_specs(profile, tenants_per_workload))
-        for runtime in injector.tenants:
-            if runtime.model is not None:
-                pretrain_function(
-                    deployment,
-                    runtime.model,
-                    runtime.descriptors,
-                    tenant=runtime.spec.tenant_id,
-                    seed=seed,
-                )
-    return model_cache.export_blob()
-
-
 def _macro_cell(cell) -> MacroResult:
     """One macro run as a runner cell; module-level for pickling."""
     system, profile, duration_s, tenants_per_workload, node_mb, seed = cell
@@ -228,21 +188,10 @@ def run_macro_comparison(
         (system, profile, duration_s, tenants_per_workload, node_mb, seed)
         for system in ("ofc", "swift")
     ]
-    # Ship whatever warm models the parent already holds; the OFC cell
-    # then skips any pretraining a previous run (or prewarm) covered.
-    from repro.bench.model_cache import export_blob, preload_blob
-
-    ofc, swift = run_grid(
-        _macro_cell,
-        cells,
-        workers=workers,
-        initializer=preload_blob,
-        initargs=(export_blob(),),
-    )
-    improvements = {}
-    for workload in MACRO_WORKLOADS:
-        base = swift.total_exec_s.get(workload, 0.0)
-        measured = ofc.total_exec_s.get(workload, 0.0)
-        if base > 0:
-            improvements[workload] = 100.0 * (base - measured) / base
+    ofc, swift = run_grid(_macro_cell, cells, workers=workers)
+    improvements = {
+        w: improvement_pct(swift.total_exec_s[w], ofc.total_exec_s.get(w, 0.0))
+        for w in MACRO_WORKLOADS
+        if swift.total_exec_s.get(w, 0.0) > 0
+    }
     return ofc, swift, improvements

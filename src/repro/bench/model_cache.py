@@ -1,66 +1,41 @@
-"""Shared warm-model cache for sweep pretraining (ROADMAP open item).
+"""In-process memo of sweep pretraining.
 
-Every macro-style sweep cell starts by maturing each tenant's models
-offline (:func:`repro.bench.envs.pretrain_function`).  The feeding loop
-is deterministic in its inputs — function model, tenant, descriptor
-set, sample count, seed, OFC config and RSDS latency profile — so its
-result can be computed once and reused by every cell that shares those
-inputs (the Faa$T observation: per-application cache state should be
-cheap to keep warm and share across instances).
+Every macro-style run starts by maturing each tenant's models offline
+(:func:`repro.bench.envs.pretrain_function`).  The feeding loop is
+deterministic in its inputs — function model, tenant, descriptor set,
+sample count, seed, OFC config and RSDS latency profile — so its result
+can be computed once and reused by every later run in the process that
+shares those inputs.
 
-The cache maps a content key to a *pickled* :class:`FunctionModels`
+The memo maps a content key to a *pickled* :class:`FunctionModels`
 snapshot.  Serializing at store time and deserializing a fresh copy on
-every hit keeps cells isolated: a cell that keeps training online never
-mutates another cell's starting state.  Hits restore bit-identical
-trainer state, so warm and cold cells produce identical results
-(``tests/bench/test_model_cache.py`` asserts identical macro hit
-ratios).
+every hit keeps runs isolated: a run that keeps training online never
+mutates another run's starting state.  Hits restore bit-identical
+trainer state, so warm and cold runs produce identical results
+(``tests/bench/test_model_cache.py`` asserts identical macro results).
 
-Cross-process sharing: :func:`export_blob` snapshots the parent's cache
-and :func:`preload_blob` is a ``ProcessPoolExecutor`` initializer that
-installs it in each worker (wired through ``repro.bench.runner``).
+Each process keeps its own memo: pool workers start from whatever the
+parent held when they forked and fill in the rest themselves.
 
 Invalidation: the key covers everything the pretraining result depends
 on, so stale hits cannot happen across configs/seeds; ``clear()``
-handles code changes to the trainer/tree themselves within one process.
+handles code changes to the trainer/tree themselves within one process,
+and ``perf/cells.py`` calls it before every repeat so that cold
+pretraining is part of the set-up it measures.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any, Dict, Optional, Sequence
 
 _CACHE: Dict[str, bytes] = {}
-_STATS = {"hits": 0, "misses": 0, "stores": 0}
-_ENABLED = True
-
-
-def enabled() -> bool:
-    return _ENABLED
-
-
-@contextmanager
-def disabled():
-    """Temporarily bypass the cache (the cold path, for comparisons)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def clear() -> None:
     _CACHE.clear()
-    _STATS["hits"] = _STATS["misses"] = _STATS["stores"] = 0
-
-
-def stats() -> Dict[str, int]:
-    return dict(_STATS, entries=len(_CACHE))
 
 
 def pretrain_key(
@@ -95,25 +70,9 @@ def pretrain_key(
 def lookup(key: str) -> Optional[Any]:
     """A fresh deserialized copy of the cached state, or None."""
     blob = _CACHE.get(key)
-    if blob is None:
-        _STATS["misses"] += 1
-        return None
-    _STATS["hits"] += 1
-    return pickle.loads(blob)
+    return None if blob is None else pickle.loads(blob)
 
 
 def store(key: str, models: Any) -> None:
     """Snapshot ``models`` now (later online training won't leak in)."""
     _CACHE[key] = pickle.dumps(models, protocol=pickle.HIGHEST_PROTOCOL)
-    _STATS["stores"] += 1
-
-
-def export_blob() -> bytes:
-    """The whole cache as one picklable payload for worker preloading."""
-    return pickle.dumps(_CACHE, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def preload_blob(blob: bytes) -> None:
-    """ProcessPoolExecutor initializer: install a parent's cache
-    snapshot in this process (idempotent in the serial path)."""
-    _CACHE.update(pickle.loads(blob))

@@ -11,8 +11,6 @@ needs without touching internal objects.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.bench.reporting import format_table
 from repro.obs import export
 from repro.obs import trace as obs_trace
@@ -21,17 +19,13 @@ from repro.workloads.faasload import TenantProfile
 DEFAULT_REPORT_PATH = "results/report.json"
 
 
-def run_report(
-    quick: bool = True,
-    out: str = DEFAULT_REPORT_PATH,
-    profile: TenantProfile = TenantProfile.NORMAL,
-    duration_s: Optional[float] = None,
-) -> str:
-    """Run the macro workload, export the report; returns a summary table."""
+def run_report(quick: bool = True, out: str = DEFAULT_REPORT_PATH) -> str:
+    """Run the normal-profile macro workload, export the report; returns
+    a summary table."""
     from repro.bench.macro import run_macro
 
-    if duration_s is None:
-        duration_s = 300.0 if quick else 1800.0
+    profile = TenantProfile.NORMAL
+    duration_s = 300.0 if quick else 1800.0
     obs_trace.reset_tracing()
     obs_trace.enable_tracing()
     try:

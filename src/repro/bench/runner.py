@@ -87,34 +87,21 @@ def run_cells(
     fn: Callable[[Any], Any],
     cells: Sequence[Any],
     workers: Optional[int] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple = (),
 ) -> List[CellOutcome]:
     """Run ``fn(cell)`` for every cell; results come back in cell order.
 
     ``fn`` and each cell must be picklable (module-level function,
     plain-data payload).  ``workers=None`` uses one worker per core;
     ``workers=1`` runs serially in-process (no executor, no overhead).
-
-    ``initializer``/``initargs`` run once per worker process before any
-    cell (the hook the warm-model cache uses to preload pretrained
-    models — see :mod:`repro.bench.model_cache`).  The serial path
-    calls it once in-process so ``workers=1`` stays equivalent.
     """
     if workers is None:
         workers = default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(cells) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [_run_cell((fn, cell, False)) for cell in cells]
     traced = tracing_enabled()
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(cells)),
-        initializer=initializer,
-        initargs=initargs,
-    ) as ex:
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as ex:
         outcomes = list(
             ex.map(_run_cell, [(fn, cell, traced) for cell in cells])
         )
@@ -128,13 +115,6 @@ def run_grid(
     fn: Callable[[Any], Any],
     cells: Sequence[Any],
     workers: Optional[int] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple = (),
 ) -> List[Any]:
     """Like :func:`run_cells` but returns just the raw results."""
-    return [
-        outcome.result
-        for outcome in run_cells(
-            fn, cells, workers, initializer=initializer, initargs=initargs
-        )
-    ]
+    return [outcome.result for outcome in run_cells(fn, cells, workers)]

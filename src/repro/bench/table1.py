@@ -46,17 +46,13 @@ def run_table1(
     folds: int = 5,
     seed: int = 0,
     functions: Optional[List[str]] = None,
-    algorithms: Optional[List[str]] = None,
-    interval_sizes: Optional[List[float]] = None,
 ) -> List[Table1Row]:
     rows: List[Table1Row] = []
-    algo_names = algorithms or list(ALGORITHMS)
-    for interval_mb in interval_sizes or INTERVAL_SIZES_MB:
+    for interval_mb in INTERVAL_SIZES_MB:
         datasets = all_function_datasets(
             n=n_samples, seed=seed, interval_mb=interval_mb, functions=functions
         )
-        for algo_name in algo_names:
-            make = ALGORITHMS[algo_name]
+        for algo_name, make in ALGORITHMS.items():
             exact_scores, eo_scores = [], []
             for fn_name, dataset in datasets.items():
                 result = cross_validate(

@@ -98,18 +98,17 @@ def _fig2(args) -> str:
 
 
 def _fig3(args) -> str:
-    from repro.bench.fig3 import run_fig3_pipeline, run_fig3_single
-
-    rows = run_fig3_single() + run_fig3_pipeline()
-    return format_table(
-        ["workload", "size", "backend", "E (s)", "T (s)", "L (s)", "E+L %"],
-        [
-            (r.workload, r.input_size, r.backend, r.extract_s, r.transform_s,
-             r.load_s, 100 * r.el_fraction)
-            for r in rows
-        ],
-        title="Figure 3 — motivation: RSDS vs IMOC",
+    from repro.bench.etl import (
+        fig3_table,
+        PIPELINE_SIZES,
+        run_fig3,
+        SINGLE_STAGE_SIZES,
     )
+
+    rows = run_fig3("sharp_resize", SINGLE_STAGE_SIZES) + run_fig3(
+        "map_reduce", PIPELINE_SIZES["map_reduce"]
+    )
+    return fig3_table(rows, "Figure 3 — motivation: RSDS vs IMOC")
 
 
 def _table1(args) -> str:
@@ -194,12 +193,12 @@ def _maturation(args) -> str:
 
 
 def _fig7(args) -> str:
-    from repro.bench.fig7 import run_fig7_single
+    from repro.bench.etl import run_fig7
     from repro.sim.latency import KB
     from repro.workloads.functions import FIGURE7_FUNCTIONS
 
     functions = FIGURE7_FUNCTIONS[:2] if args.quick else FIGURE7_FUNCTIONS
-    rows = run_fig7_single(functions, sizes=(16 * KB, 128 * KB), workers=args.workers)
+    rows = run_fig7(functions, sizes=(16 * KB, 128 * KB), workers=args.workers)
     return format_table(
         ["workload", "size", "config", "total (ms)"],
         [(r.workload, r.input_size, r.config, r.total_s * 1e3) for r in rows],
@@ -263,14 +262,14 @@ def _table2(args) -> str:
 
 
 def _fig10(args) -> str:
-    from repro.bench.fig10 import run_fig10
+    from repro.bench.fig10 import per_minute, run_fig10
 
     series = run_fig10(
         duration_s=300.0 if args.quick else 900.0, workers=args.workers
     )
     rows = []
     for s in series:
-        for minute, gb in s.per_minute():
+        for minute, gb in per_minute(s.series):
             rows.append((s.profile, minute, gb))
     return format_table(
         ["profile", "minute", "cache size (GB)"],

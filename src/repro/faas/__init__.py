@@ -53,11 +53,10 @@ def reset_id_counters() -> None:
     some ids leak into simulated state (pipeline intermediates embed
     the request id in their object keys), so back-to-back deployments
     in one process are not independent: the second sees different keys
-    than it would in a fresh process.  Benches that compare cells
-    against each other call this before building each deployment so a
-    cell's result does not depend on how many cells ran before it (or
-    on the ``--workers`` fan-out).  The bit-identity-gated benches
-    never reset — their schedules are frozen with the counters running.
+    than it would in a fresh process.  Every deployment builder of
+    :mod:`repro.bench.envs` calls this first, so a seeded result does
+    not depend on what ran before it in the process (or on the
+    ``--workers`` fan-out).
     """
     from repro.faas.pipeline import reset_pipeline_ids
     from repro.faas.records import reset_request_ids

@@ -20,9 +20,8 @@ def reset_request_ids() -> None:
 
     Request ids leak into object keys (pipeline intermediates embed
     them), so a deployment's cache behaviour depends on how many
-    invocations ran earlier in the same process.  Benches that promise
-    a deterministic grid regardless of worker fan-out reset the
-    counter before each cell (see :func:`repro.faas.reset_id_counters`).
+    invocations ran earlier in the same process.  Every bench deployment
+    builder resets it (see :func:`repro.faas.reset_id_counters`).
     """
     global _next_id
     _next_id = itertools.count(1)

@@ -2,8 +2,8 @@
 
 The JSON document written by :func:`export_json` is the repo's common
 observability format: ``repro report``, the ``--trace`` CLI flag and
-the CI bench gate (``scripts/check_bench.py``) all emit it, and
-:func:`load_json` round-trips it for programmatic consumers.
+the grid experiments all emit it, and :func:`load_json` round-trips it
+for programmatic consumers.
 """
 
 from __future__ import annotations

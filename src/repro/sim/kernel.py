@@ -45,8 +45,8 @@ little uniformity for speed:
 
 All of this changes wall-clock behaviour only: the delivery order of
 every occurrence is identical to the straightforward implementation,
-so seeded simulations produce bit-identical results (CI enforces this
-against ``scripts/bench_baseline.json``).
+so seeded simulations produce bit-identical results
+(``tests/bench/test_seeded_gate.py`` pins them).
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench import model_cache
 from repro.bench.datasets import (
     all_function_datasets,
     benefit_dataset,
@@ -15,8 +16,10 @@ from repro.bench.envs import (
     pretrain_function,
 )
 from repro.bench.fig2 import run_fig2
+from repro.bench.macro import run_macro
 from repro.bench.reporting import format_table, improvement_pct
 from repro.sim.latency import KB
+from repro.workloads.faasload import TenantProfile
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
 
@@ -51,6 +54,20 @@ def test_pretrain_function_matures_model():
     assert models.mature
     assert models.memory_model is not None
     assert models.benefit_model is not None
+
+
+def test_macro_does_not_depend_on_what_ran_before():
+    # Request ids are process-global and seed the hidden footprint
+    # noise: a deployment built after other invocations ran must still
+    # see the ids a fresh process would.
+    def table2():
+        model_cache.clear()
+        return run_macro("ofc", TenantProfile.NORMAL, duration_s=300.0).table2
+
+    first = table2()
+    for duration_s in (10.0, 60.0, 120.0, 300.0):
+        run_macro("swift", TenantProfile.NORMAL, duration_s=duration_s)
+        assert table2() == first, duration_s
 
 
 def test_function_dataset_shape_and_labels():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.envs import build_ofc_env
-from repro.faas import reset_id_counters
 from repro.faas.errors import FaaSError, OOMKilled, ResourceExhausted
 from repro.faas.invoker import Invoker
 from repro.faas.records import InvocationRecord, InvocationRequest
@@ -217,7 +216,6 @@ def test_audit_names_what_drifted():
 def test_audit_holds_through_a_memory_tight_cell():
     """Every invoker of a seeded cell with sandbox churn, hand-back and
     capacity rejections, audited every 100 completions."""
-    reset_id_counters()
     ofc = build_ofc_env(nodes=3, node_mb=2048.0, seed=5, keepalive_s=4.0)
     completions = []
 

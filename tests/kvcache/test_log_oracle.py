@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import invariant, rule, RuleBasedStateMachine
 
 from repro.bench.envs import build_ofc_env
-from repro.faas import reset_id_counters
 from repro.kvcache.errors import CacheError
 from repro.kvcache.log import ObjectLog
 from repro.workloads.tenants import TenantLoadEngine, TenantWorkloadConfig
@@ -127,7 +126,6 @@ def test_value_equal_dead_segments_are_told_apart():
 def _run_tight_cell():
     """A small memory-tight multi-tenant cell: churn makes the cache
     hand memory back, so resize/clean/migrate all run."""
-    reset_id_counters()
     ofc = build_ofc_env(nodes=3, node_mb=2048.0, seed=5, keepalive_s=4.0)
     records = []
     ofc.platform.completion_listeners.append(

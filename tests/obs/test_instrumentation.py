@@ -118,7 +118,6 @@ def _run_cell(monkeypatch, traced):
     from dataclasses import asdict
 
     from repro.bench.envs import build_ofc_env
-    from repro.faas import reset_id_counters
     from repro.sim import Kernel
     from repro.workloads.tenants import TenantLoadEngine, TenantWorkloadConfig
 
@@ -135,7 +134,6 @@ def _run_cell(monkeypatch, traced):
         reset_tracing()
         if traced:
             enable_tracing()
-        reset_id_counters()
         ofc = build_ofc_env(nodes=3, node_mb=2048.0, seed=5, keepalive_s=4.0)
         records = []
         ofc.platform.completion_listeners.append(
