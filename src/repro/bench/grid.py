@@ -66,7 +66,6 @@ from repro.core.config import OFCConfig
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule, ScheduleError
 from repro.faults.chaos import chaos_schedule, chaos_targets, shrink_schedule
 from repro.obs.export import export_json
-from repro.obs.registry import MetricsRegistry
 from repro.workloads.tenants import TenantLoadEngine, TenantWorkloadConfig
 
 #: Backends the sweeps compare, in a stable order.
@@ -552,17 +551,13 @@ def load_cell(
 @dataclass(frozen=True)
 class GridExperiment:
     """A grid definition: which cells, and which of the shared row's
-    columns its table, gauges and gauge labels show."""
+    columns its table shows."""
 
     name: str
     title: str
     cells: Callable[[bool, int], List[TenantCell]]
     #: Table columns: (header, row -> printed value).
     columns: Tuple[Tuple[str, Callable[[GridRow], Any]], ...]
-    #: Gauge label -> row field.
-    labels: Dict[str, str]
-    #: Gauges, named ``<experiment>_<row field>``: (row field, help).
-    gauges: Tuple[Tuple[str, str], ...]
 
 
 _OK_FAILED = (("ok", lambda r: r.completed), ("failed", lambda r: r.failed))
@@ -584,21 +579,6 @@ GRIDS: Dict[str, GridExperiment] = {
                 ("lat p90 (s)", lambda r: round(r.latency_p90_s, 3)),
                 ("rejected", lambda r: r.quota_rejections),
             ),
-            labels={
-                "policy": "quota_policy",
-                "n_tenants": "n_tenants",
-                "zipf_s": "zipf_s",
-            },
-            gauges=(
-                (
-                    "fairness_index",
-                    "Jain's index over per-tenant cache hit ratios",
-                ),
-                (
-                    "quota_rejections",
-                    "cache admissions refused by the tenant quota policy",
-                ),
-            ),
         ),
         GridExperiment(
             name="cachewars",
@@ -611,18 +591,6 @@ GRIDS: Dict[str, GridExperiment] = {
                 ("lat p50 (s)", lambda r: round(r.latency_p50_s, 4)),
                 ("lat p90 (s)", lambda r: round(r.latency_p90_s, 4)),
                 ("cost/1k inv", lambda r: round(r.cost_per_1k_invocations, 4)),
-            ),
-            labels={"backend": "backend"},
-            gauges=(
-                ("hit_ratio", "data-plane cache hit ratio per backend"),
-                (
-                    "latency_p90_s",
-                    "p90 across tenants of per-tenant mean latency",
-                ),
-                (
-                    "cost_per_1k_invocations",
-                    "normalized cache cost per 1000 completed invocations",
-                ),
             ),
         ),
         GridExperiment(
@@ -644,19 +612,6 @@ GRIDS: Dict[str, GridExperiment] = {
                     else r.violations_total,
                 ),
             ),
-            labels={
-                "backend": "backend",
-                "intensity": "intensity",
-                "quota": "quota_policy",
-            },
-            gauges=(
-                (
-                    "violations_total",
-                    "invariant violations found by the history checker "
-                    "per cell",
-                ),
-                ("ops", "data-plane operations recorded per cell"),
-            ),
         ),
         GridExperiment(
             name="faults",
@@ -673,11 +628,6 @@ GRIDS: Dict[str, GridExperiment] = {
                 ("recovered", lambda r: r.injector.get("recovered_objects", 0)),
                 ("repaired", lambda r: r.injector.get("repaired_keys", 0)),
                 ("dirty finals", lambda r: r.violations.get("dirty-final", 0)),
-            ),
-            labels={"crashes": "crashes"},
-            gauges=(
-                ("hit_ratio", "data-plane cache hit ratio per scenario"),
-                ("lost_objects", "cached objects with no surviving copy"),
             ),
         ),
     )
@@ -699,17 +649,8 @@ def export_grid(
     reproducers: Sequence[str] = (),
 ) -> dict:
     """Write the grid as a repro-obs document (returns it as a dict):
-    the definition's gauges, one summary collector named after the
-    experiment, and every row in full under ``meta.grid``."""
-    registry = MetricsRegistry()
-    for attr, help_text in grid.gauges:
-        gauge = registry.gauge(f"{grid.name}_{attr}", help=help_text)
-        for row in rows:
-            labels = {
-                label: getattr(row, source)
-                for label, source in grid.labels.items()
-            }
-            gauge.set(getattr(row, attr), **labels)
+    every row in full under ``meta.grid`` and one summary collector
+    named after the experiment."""
     fairness = [r.fairness_index for r in rows]
     summary = {
         "cells": len(rows),
@@ -726,11 +667,10 @@ def export_grid(
         "failing_cells": sum(1 for r in rows if r.violations_total > 0),
         "reproducers": list(reproducers),
     }
-    registry.register_collector(grid.name, lambda: summary)
     return export_json(
         out,
-        registry=registry,
         meta={"experiment": grid.name, "grid": [asdict(r) for r in rows]},
+        collected={grid.name: summary},
     )
 
 

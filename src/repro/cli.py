@@ -26,7 +26,7 @@ arguments; ``list`` prints the registry and ``all`` runs :data:`ALL`
 (the paper's artifacts plus ``faults``).
 
 ``report`` runs the macro workload and dumps the unified observability
-JSON (metrics + span summary) to ``--out``.  ``perf`` runs the
+JSON (collectors + span summary) to ``--out``.  ``perf`` runs the
 repository benchmark (``perf/run.py``; needs a source checkout) and
 appends what it measured to the ``--bench-out`` trajectory file; with
 ``--quick`` it runs the tiny smoke cells and appends nothing.
@@ -51,11 +51,12 @@ a plain schedule, or none, runs on the ``faults`` deployment for
 ``--duration S`` (``--quick``: at most 120).  It prints the cell's
 availability timeline, its failures by cause and its violations by
 invariant.
-``--trace PATH`` enables span tracing for any experiment and writes
-the trace summary to PATH.  A failing experiment prints its traceback
-to stderr and exits 1; ``run`` and the grids also exit 1 (table still
-printed) when the consistency audit finds violations, and ``perf`` (one
-line, no table) when the benchmark cannot be run or fails its checks.
+``--trace PATH`` enables span tracing for every command of the
+invocation and writes the trace summary to PATH.  A failing experiment
+prints its traceback to stderr and exits 1; ``run`` and the grids also
+exit 1 (table still printed) when the consistency audit finds
+violations, and ``perf`` (one line, no table) when the benchmark cannot
+be run or fails its checks.
 """
 
 from __future__ import annotations

@@ -1,28 +1,20 @@
-"""repro.obs — unified observability: tracing, metrics, exports.
+"""repro.obs — observability: span tracing, collectors, one document.
 
-* :mod:`repro.obs.trace` — :class:`Tracer` with nestable spans keyed to
+* :mod:`repro.obs.trace` — :class:`Tracer` with spans keyed to
   simulated time; a shared no-op :data:`NULL_TRACER` keeps the
   instrumented hot paths free when tracing is disabled (the default).
-* :mod:`repro.obs.registry` — :class:`MetricsRegistry` holding
-  counters/gauges/histograms with labels, plus lazy collectors that
-  absorb the pre-existing ad-hoc stats dataclasses.
-* :mod:`repro.obs.export` — the common JSON/CSV export format consumed
-  by ``repro report``, the ``--trace`` CLI flag and the CI bench gate.
+* :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the lazy
+  collectors that snapshot the components' stats objects.
+* :mod:`repro.obs.export` — :func:`export_json`, the one writer of the
+  repro-obs JSON document that ``repro report``, the ``--trace`` CLI
+  flag and the grid experiments emit.
 """
 
-from repro.obs.export import (
-    export_csv,
-    export_json,
-    load_json,
-    read_csv_rows,
-    spans_payload,
-    write_document,
-)
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.export import export_json, spans_payload
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import (
     absorb,
     active_tracers,
-    all_finished_spans,
     enable_tracing,
     merged_summary,
     NULL_TRACER,
@@ -36,25 +28,17 @@ from repro.obs.trace import (
 
 __all__ = [
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullTracer",
     "Span",
     "Tracer",
     "absorb",
     "active_tracers",
-    "all_finished_spans",
     "enable_tracing",
-    "export_csv",
     "export_json",
-    "load_json",
     "merged_summary",
-    "read_csv_rows",
     "reset_tracing",
     "spans_payload",
     "tracer_for_clock",
     "tracing_enabled",
-    "write_document",
 ]

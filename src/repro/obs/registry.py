@@ -1,217 +1,32 @@
-"""Central metrics registry: counters, gauges, histograms, collectors.
+"""The metrics registry: named lazy collectors.
 
-Two ways for a value to reach a snapshot:
-
-* **Instruments** — :class:`Counter`, :class:`Gauge` and
-  :class:`Histogram` created through the registry, each keeping one
-  value (or distribution) per label set.
-* **Collectors** — callables registered with
-  :meth:`MetricsRegistry.register_collector` that return a flat
-  ``{name: value}`` dict when a snapshot is taken.  This is how the
-  pre-existing ad-hoc stat dataclasses (``OFCMetrics``,
-  ``RcLibStats``, ``ClusterStats``, ``StoreStats``, …) are absorbed
-  without rewriting every increment site: they keep their attribute
-  API and the registry pulls their snapshots lazily, at zero cost
-  during the run itself.
+Every number a document reports already lives in some component's own
+stats object (``OFCMetrics``, ``RcLibStats``, ``ClusterStats``,
+``StoreStats``, …).  A collector, registered with
+:meth:`MetricsRegistry.register_collector`, is a callable returning
+such an object's flat ``{name: value}`` snapshot.  It runs only when
+:meth:`MetricsRegistry.snapshot` is taken, so the run itself pays
+nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
-
-LabelKey = Tuple[Tuple[str, str], ...]
-
-
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-class _Instrument:
-    kind = "abstract"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-
-    def series(self) -> List[dict]:
-        raise NotImplementedError
-
-
-class Counter(_Instrument):
-    """Monotonically increasing value per label set."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        """Sum across every label set."""
-        return sum(self._values.values())
-
-    def series(self) -> List[dict]:
-        return [
-            {"labels": dict(key), "value": value}
-            for key, value in sorted(self._values.items())
-        ]
-
-
-class Gauge(_Instrument):
-    """Last-written value per label set."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
-
-    def set(self, value: float, **labels: Any) -> None:
-        self._values[_label_key(labels)] = value
-
-    def add(self, amount: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def series(self) -> List[dict]:
-        return [
-            {"labels": dict(key), "value": value}
-            for key, value in sorted(self._values.items())
-        ]
-
-
-#: Default histogram buckets, in seconds: spans sub-millisecond cache
-#: hits through multi-second RSDS transfers.
-DEFAULT_BUCKETS = (
-    0.0001,
-    0.001,
-    0.01,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-    30.0,
-)
-
-
-class Histogram(_Instrument):
-    """Distribution per label set: count/sum/min/max + bucket counts."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ):
-        super().__init__(name, help)
-        self.buckets = tuple(sorted(buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        self._values: Dict[LabelKey, dict] = {}
-
-    def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        stats = self._values.get(key)
-        if stats is None:
-            stats = self._values[key] = {
-                "count": 0,
-                "sum": 0.0,
-                "min": value,
-                "max": value,
-                "bucket_counts": [0] * (len(self.buckets) + 1),
-            }
-        stats["count"] += 1
-        stats["sum"] += value
-        stats["min"] = min(stats["min"], value)
-        stats["max"] = max(stats["max"], value)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                stats["bucket_counts"][i] += 1
-                return
-        stats["bucket_counts"][-1] += 1  # overflow bucket
-
-    def stats(self, **labels: Any) -> Optional[dict]:
-        found = self._values.get(_label_key(labels))
-        if found is None:
-            return None
-        out = dict(found)
-        out["bucket_counts"] = list(found["bucket_counts"])
-        out["mean"] = found["sum"] / found["count"] if found["count"] else 0.0
-        return out
-
-    def series(self) -> List[dict]:
-        out = []
-        for key, stats in sorted(self._values.items()):
-            entry = dict(stats)
-            entry["bucket_counts"] = list(stats["bucket_counts"])
-            entry["mean"] = stats["sum"] / stats["count"] if stats["count"] else 0.0
-            out.append({"labels": dict(key), "value": entry})
-        return out
+__all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """Get-or-create instrument factory plus lazy collectors."""
+    """Lazy collectors, snapshotted together."""
 
     def __init__(self):
-        self._instruments: Dict[str, _Instrument] = {}
         self._collectors: Dict[str, Callable[[], Dict[str, Any]]] = {}
-
-    # -- instruments -----------------------------------------------------
-
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Instrument:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as {existing.kind}"
-                )
-            return existing
-        instrument = cls(name, help, **kwargs)
-        self._instruments[name] = instrument
-        return instrument
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, buckets=buckets)
-
-    def get(self, name: str) -> Optional[_Instrument]:
-        return self._instruments.get(name)
-
-    # -- collectors ------------------------------------------------------
 
     def register_collector(
         self, name: str, fn: Callable[[], Dict[str, Any]], replace: bool = False
     ) -> None:
         """Attach a lazy source of ``{metric: value}`` pairs.
 
-        The callable runs only when :meth:`snapshot` is taken, so
-        bridging an existing stats object costs nothing during a run.
         ``replace=True`` rebinds an already-registered name (last
         writer wins) instead of raising — for sources that are
         legitimately re-created on one deployment, like a second
@@ -221,23 +36,11 @@ class MetricsRegistry:
             raise ValueError(f"collector {name!r} already registered")
         self._collectors[name] = fn
 
-    # -- snapshot --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """One JSON-safe dict with every instrument and collector."""
-        metrics = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            entry = {
-                "kind": instrument.kind,
-                "help": instrument.help,
-                "series": instrument.series(),
+    def snapshot(self) -> Dict[str, Dict[str, Dict[str, Any]]]:
+        """``{"collected": {collector: {metric: value}}}``, taken now."""
+        return {
+            "collected": {
+                name: dict(self._collectors[name]())
+                for name in sorted(self._collectors)
             }
-            if isinstance(instrument, Histogram):
-                entry["buckets"] = list(instrument.buckets)
-            metrics[name] = entry
-        collected = {
-            name: dict(self._collectors[name]())
-            for name in sorted(self._collectors)
         }
-        return {"metrics": metrics, "collected": collected}

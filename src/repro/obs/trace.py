@@ -1,7 +1,7 @@
 """Tracing keyed to simulated time.
 
-A :class:`Tracer` produces nestable :class:`Span` objects whose start
-and end instants come from a *clock* callable — in this repo, a
+A :class:`Tracer` produces :class:`Span` objects whose start and end
+instants come from a *clock* callable — in this repo, a
 :class:`~repro.sim.kernel.Kernel`'s ``now`` — so traces line up exactly
 with the discrete-event timeline the paper's figures are drawn from.
 
@@ -24,7 +24,6 @@ Typical use from the CLI (``--trace``) or a test::
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "Tracer",
     "absorb",
     "active_tracers",
-    "all_finished_spans",
     "enable_tracing",
     "merged_summary",
     "reset_tracing",
@@ -45,40 +43,28 @@ __all__ = [
 
 
 class Span:
-    """One timed operation; nests via ``parent_id`` / :meth:`child`."""
+    """One timed operation: a name, its labels, its start and end."""
 
-    __slots__ = ("name", "span_id", "parent_id", "start", "end", "labels", "_tracer")
+    __slots__ = ("name", "start", "end", "labels", "_tracer")
 
     def __init__(
         self,
         tracer: "Tracer",
         name: str,
-        span_id: int,
-        parent_id: Optional[int],
         start: float,
         labels: Dict[str, object],
     ):
         self._tracer = tracer
         self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
         self.start = start
         self.end: Optional[float] = None
         self.labels = labels
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
 
     @property
     def duration(self) -> float:
         if self.end is None:
             raise ValueError(f"span {self.name!r} has not finished")
         return self.end - self.start
-
-    def child(self, name: str, **labels: object) -> "Span":
-        """Start a nested span under this one."""
-        return self._tracer.start(name, parent=self, **labels)
 
     def annotate(self, **labels: object) -> "Span":
         self.labels.update(labels)
@@ -93,27 +79,6 @@ class Span:
             self._tracer._record(self)
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start": self.start,
-            "end": self.end,
-            "duration_s": None if self.end is None else self.duration,
-            "labels": dict(self.labels),
-        }
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.finish()
-
-    def __repr__(self) -> str:
-        state = f"end={self.end}" if self.finished else "open"
-        return f"<Span {self.name!r} id={self.span_id} start={self.start} {state}>"
-
 
 class Tracer:
     """Collects finished spans; timestamps come from ``clock``."""
@@ -127,31 +92,20 @@ class Tracer:
         max_spans: int = 1_000_000,
     ):
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._ids = itertools.count(1)
         self.max_spans = max_spans
         self.spans: List[Span] = []
         self.started = 0
         self.dropped = 0
 
-    def start(self, name: str, parent: Optional[Span] = None, **labels: object) -> Span:
+    def start(self, name: str, **labels: object) -> Span:
         self.started += 1
-        return Span(
-            self,
-            name,
-            next(self._ids),
-            parent.span_id if parent is not None else None,
-            self._clock(),
-            labels,
-        )
+        return Span(self, name, self._clock(), labels)
 
     def _record(self, span: Span) -> None:
         if len(self.spans) < self.max_spans:
             self.spans.append(span)
         else:
             self.dropped += 1
-
-    def count(self, name: str) -> int:
-        return sum(1 for s in self.spans if s.name == name)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Aggregate finished spans by name: count/total/min/max/mean."""
@@ -182,10 +136,7 @@ class _NullSpan(Span):
     __slots__ = ()
 
     def __init__(self):
-        super().__init__(NULL_TRACER, "null", 0, None, 0.0, {})
-
-    def child(self, name: str, **labels: object) -> "Span":
-        return self
+        super().__init__(NULL_TRACER, "null", 0.0, {})
 
     def annotate(self, **labels: object) -> "Span":
         return self
@@ -202,11 +153,8 @@ class NullTracer(Tracer):
     def __init__(self):
         super().__init__(max_spans=0)
 
-    def start(self, name: str, parent: Optional[Span] = None, **labels: object) -> Span:
+    def start(self, name: str, **labels: object) -> Span:
         return NULL_SPAN
-
-    def _record(self, span: Span) -> None:  # pragma: no cover - unreachable
-        pass
 
 
 NULL_TRACER = NullTracer()
@@ -230,14 +178,10 @@ def enable_tracing() -> None:
     _enabled = True
 
 
-def disable_tracing() -> None:
-    global _enabled
-    _enabled = False
-
-
 def reset_tracing() -> None:
     """Disable tracing and drop every collected tracer."""
-    disable_tracing()
+    global _enabled
+    _enabled = False
     _tracers.clear()
 
 
@@ -256,10 +200,6 @@ def tracer_for_clock(clock: Callable[[], float]) -> Tracer:
 
 def active_tracers() -> List[Tracer]:
     return list(_tracers)
-
-
-def all_finished_spans() -> List[Span]:
-    return [span for tracer in _tracers for span in tracer.spans]
 
 
 def merged_summary(

@@ -213,9 +213,8 @@ def test_tenants_export_document(tmp_path):
     out = tmp_path / "results" / "tenants_grid.json"
     export_grid(GRIDS["tenants"], [result], str(out))
     doc = json.loads(out.read_text())
+    assert sorted(doc) == ["collected", "format", "meta", "version"]
     assert doc["meta"]["experiment"] == "tenants"
-    assert "tenants_fairness_index" in doc["metrics"]
-    assert "tenants_quota_rejections" in doc["metrics"]
     assert doc["collected"]["tenants"]["cells"] == 1
     row = doc["meta"]["grid"][0]
     assert row["quota_policy"] == "none"
@@ -230,8 +229,6 @@ def test_cachewars_export_document(tmp_path):
     out = tmp_path / "results" / "cachewars_grid.json"
     export_grid(GRIDS["cachewars"], [result], str(out))
     doc = json.loads(out.read_text())
-    assert "cachewars_hit_ratio" in doc["metrics"]
-    assert "cachewars_cost_per_1k_invocations" in doc["metrics"]
     assert doc["collected"]["cachewars"]["cells"] == 1
     assert doc["collected"]["cachewars"]["backends"] == ["ofc"]
     row = doc["meta"]["grid"][0]
@@ -247,9 +244,6 @@ def test_chaos_export_document(tmp_path):
     out = tmp_path / "chaos_grid.json"
     export_grid(GRIDS["chaos"], [result], str(out), reproducers=["r.json"])
     doc = json.loads(out.read_text())
-    assert "chaos_violations_total" in doc["metrics"] and "chaos_ops" in doc["metrics"]
-    labels = doc["metrics"]["chaos_ops"]["series"][0]["labels"]
-    assert labels == {"backend": "ofc", "intensity": "high", "quota": "none"}
     summary = doc["collected"]["chaos"]
     assert summary["ops"] == result.ops
     assert summary["crashes"] == result.crashes

@@ -1,27 +1,9 @@
-"""Round-trip tests for the observability exporters (repro.obs.export)."""
+"""The repro-obs writer (repro.obs.export)."""
 
-import io
+import json
 
-from repro.obs.export import (
-    csv_value,
-    export_csv,
-    export_json,
-    load_json,
-    read_csv_rows,
-    spans_payload,
-)
-from repro.obs.registry import MetricsRegistry
+from repro.obs.export import export_json, spans_payload
 from repro.obs.trace import Tracer
-
-
-def _sample_registry():
-    registry = MetricsRegistry()
-    registry.counter("hits").inc(3, node="n0")
-    registry.counter("hits").inc(1, node="n1")
-    registry.gauge("cache_bytes").set(2048.0)
-    registry.histogram("latency", buckets=(1.0, 10.0)).observe(0.5, op="get")
-    registry.register_collector("table2", lambda: {"hit_ratio": 0.75})
-    return registry
 
 
 def _sample_tracer():
@@ -37,34 +19,19 @@ def test_json_round_trip_via_path(tmp_path):
     path = tmp_path / "nested" / "report.json"
     document = export_json(
         path,
-        registry=_sample_registry(),
-        tracers=[_sample_tracer()],
         meta={"experiment": "unit"},
+        collected={"table2": {"hit_ratio": 0.75}},
+        tracers=[_sample_tracer()],
     )
-    loaded = load_json(path)
+    loaded = json.loads(path.read_text())
     assert loaded == document
+    assert sorted(loaded) == ["collected", "format", "meta", "spans", "version"]
     assert loaded["format"] == "repro-obs"
     assert loaded["version"] == 1
     assert loaded["meta"] == {"experiment": "unit"}
-    series = loaded["metrics"]["hits"]["series"]
-    assert {p["labels"]["node"]: p["value"] for p in series} == {
-        "n0": 3.0,
-        "n1": 1.0,
-    }
     assert loaded["collected"]["table2"]["hit_ratio"] == 0.75
     assert loaded["spans"]["finished"] == 1
     assert loaded["spans"]["summary"]["rsds.get"]["total_s"] == 2.0
-
-
-def test_json_export_to_file_object_with_spans():
-    buf = io.StringIO()
-    export_json(buf, tracers=[_sample_tracer()], include_spans=True)
-    buf.seek(0)
-    loaded = load_json(buf)
-    (span,) = loaded["spans"]["spans"]
-    assert span["name"] == "rsds.get"
-    assert span["duration_s"] == 2.0
-    assert span["labels"] == {"status": "ok"}
 
 
 def test_spans_payload_merges_tracers():
@@ -74,19 +41,3 @@ def test_spans_payload_merges_tracers():
     assert payload["dropped"] == 0
     assert payload["summary"]["rsds.get"]["count"] == 2
     assert payload["summary"]["rsds.get"]["mean_s"] == 2.0
-
-
-def test_csv_round_trip(tmp_path):
-    path = tmp_path / "metrics.csv"
-    count = export_csv(path, _sample_registry())
-    rows = read_csv_rows(path)
-    assert len(rows) == count
-    assert csv_value(rows, "hits") == 3.0  # first label set wins
-    assert csv_value(rows, "cache_bytes") == 2048.0
-    assert csv_value(rows, "latency", field="count") == 1.0
-    assert csv_value(rows, "latency", field="mean") == 0.5
-    assert csv_value(rows, "table2.hit_ratio") == 0.75
-    kinds = {row["metric"]: row["kind"] for row in rows}
-    assert kinds["hits"] == "counter"
-    assert kinds["cache_bytes"] == "gauge"
-    assert kinds["latency"] == "histogram"

@@ -94,7 +94,7 @@ def test_enabled_tracing_captures_invocation_lifecycle():
 
     spans = system.kernel.tracer.spans
     invoke_spans = [s for s in spans if s.name == "faas.invoke"]
-    assert all(s.finished and s.labels["status"] == "ok"
+    assert all(s.end is not None and s.labels["status"] == "ok"
                for s in invoke_spans)
 
 
@@ -171,4 +171,56 @@ def test_tracing_does_not_perturb_the_run(monkeypatch):
     tracer = traced.kernel.tracer
     finished = [p for p in traced_procs if p.processed]
     assert 0 < len(finished) < len(traced_procs)  # some loops never end
-    assert tracer.count("sim.process") == len(finished)
+    assert tracer.summary()["sim.process"]["count"] == len(finished)
+
+
+#: Every (collector, key) pair the repository benchmark reads from
+#: ``obs.snapshot()["collected"]`` (perf/cells.py: ``COUNTERS`` and
+#: ``counter_deltas``).  perf/tests sit outside tier-1, so the contract
+#: is pinned here, as a literal.
+BENCHMARK_READS = [
+    ("invokers", "cold_starts"), ("invokers", "capacity_rejections"),
+    ("invokers", "oom_kills"),
+    ("rclib", "hits_local"), ("rclib", "hits_remote"), ("rclib", "misses"),
+    ("rclib", "writes_cached"), ("rclib", "shadow_writes"),
+    ("rclib", "degraded_reads"), ("rclib", "degraded_writes"),
+    ("rclib", "bypass_reads"), ("rclib", "bypass_writes"),
+    ("rclib", "ephemeral_bytes"),
+    ("ofc", "scale_ups"), ("ofc", "scale_downs_plain"),
+    ("ofc", "scale_downs_migration"), ("ofc", "scale_downs_eviction"),
+    ("ofc", "evictions_pressure"), ("ofc", "intermediate_objects_removed"),
+    ("persistor", "completed"), ("persistor", "retries"),
+    ("persistor", "gave_up"), ("persistor", "scheduled"),
+    ("kvcache", "puts"), ("kvcache", "gets_local"), ("kvcache", "gets_remote"),
+    ("kvcache", "deletes"), ("kvcache", "migrations"),
+    ("kvcache", "migrated_bytes"), ("kvcache", "recovered_objects"),
+    ("kvcache", "lost_objects"),
+    ("rsds", "gets"), ("rsds", "puts"), ("rsds", "bytes_read"),
+    ("rsds", "bytes_written"), ("rsds", "unavailable_errors"),
+    ("checks", "ops"), ("checks", "violations_total"),
+    ("table2", "good_predictions"), ("table2", "bad_predictions"),
+    ("faults", "crashes"), ("faults", "outages"), ("faults", "brownouts"),
+    ("faults", "slow_network_episodes"), ("faults", "bypass_episodes"),
+]
+
+
+def test_collectors_hold_what_the_benchmark_reads():
+    from repro.bench.envs import build_ofc_env
+    from repro.faults import FaultInjector, FaultSchedule
+
+    ofc = build_ofc_env()
+    snap = ofc.obs.snapshot()
+    assert list(snap) == ["collected"]
+    assert sorted(snap["collected"]) == [
+        "cache_backend", "checks", "invokers", "kvcache", "ofc", "persistor",
+        "rclib", "rsds", "table2", "tenancy",
+    ]
+    FaultInjector(ofc, FaultSchedule([]))
+    collected = ofc.obs.snapshot()["collected"]
+    assert set(collected) == set(snap["collected"]) | {"faults"}
+    unreadable = [
+        (collector, key)
+        for collector, key in BENCHMARK_READS
+        if not isinstance(collected[collector].get(key), (int, float))
+    ]
+    assert unreadable == []
