@@ -3,25 +3,11 @@
 Paper: precision 98.8 %, recall 98.6 %, F-measure 98.7 %.
 """
 
-from benchmarks.conftest import save_result
-from repro.bench.reporting import format_table
-from repro.bench.table1 import run_benefit_model_eval
+from benchmarks.conftest import draw
 
 
 def test_cache_benefit_model(benchmark):
-    result = benchmark.pedantic(
-        run_benefit_model_eval, kwargs={"n_samples": 400}, rounds=1, iterations=1
-    )
-    table = format_table(
-        ["metric", "measured %", "paper %"],
-        [
-            ("precision", result["precision_pct"], 98.8),
-            ("recall", result["recall_pct"], 98.6),
-            ("F-measure", result["f_measure_pct"], 98.7),
-        ],
-        title="Cache-benefit prediction (J48, 5-fold CV)",
-    )
-    save_result("cache_benefit_model", table)
+    result = draw(benchmark, "cache_benefit_model")
     # The paper reports ~98.7 %; our synthetic workloads put more mass
     # near the 0.5 E+L-dominance boundary, so the bar is slightly lower
     # (shape: the classifier is strongly better than chance and usable).

@@ -2,30 +2,13 @@
 
 import numpy as np
 
-from benchmarks.conftest import save_result
-from repro.bench.fig10 import per_minute
-from repro.bench.macro import run_macro
-from repro.bench.reporting import format_table
+from benchmarks.conftest import draw
 from repro.sim.latency import GB
-from repro.workloads.faasload import TenantProfile
 
 
 def test_fig10_cache_size(benchmark):
-    result = benchmark.pedantic(
-        run_macro,
-        args=("ofc", TenantProfile.NORMAL),
-        kwargs={"duration_s": 900.0},
-        rounds=1,
-        iterations=1,
-    )
-    series = result.cache_series
+    series = draw(benchmark, "fig10_cache_size").cache_series
     assert len(series) > 10
-    table = format_table(
-        ["minute", "cache size (GB)"],
-        per_minute(series),
-        title="Figure 10 — OFC cache size over time (normal profile)",
-    )
-    save_result("fig10_cache_size", table)
     sizes = np.array([s for _t, s in series], dtype=float)
     total_node_memory = 4 * 16384 * 1024 * 1024
     # The cache always occupies a large share of the cluster...

@@ -1,25 +1,11 @@
 """Figure 2: memory usage vs input size and vs the sigma argument."""
 
-from benchmarks.conftest import save_result
-from repro.bench.fig2 import run_fig2
-from repro.bench.reporting import format_table
+from benchmarks.conftest import draw
 
 
 def test_fig2_memory_variability(benchmark):
-    result = benchmark.pedantic(run_fig2, rounds=1, iterations=1)
+    result = draw(benchmark, "fig2_memory_variability")
     memories = [m for _s, m in result.by_size]
-    table = format_table(
-        ["metric", "value"],
-        [
-            ("samples", len(result.by_size)),
-            ("memory min (MB)", min(memories)),
-            ("memory max (MB)", max(memories)),
-            ("spread at fixed byte size (MB)", result.spread_at_fixed_size_mb),
-            ("spread at fixed sigma (MB)", result.spread_at_fixed_sigma_mb),
-        ],
-        title="Figure 2 — wand_blur memory usage variability",
-    )
-    save_result("fig2_memory_variability", table)
     # Paper's claim: neither byte size nor sigma alone pins down memory.
     assert result.spread_at_fixed_size_mb > 30.0
     assert result.spread_at_fixed_sigma_mb > 100.0

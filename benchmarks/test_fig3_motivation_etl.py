@@ -1,21 +1,11 @@
 """Figure 3: ETL phase split on an S3-profile RSDS vs a Redis IMOC."""
 
-from benchmarks.conftest import save_result
-from repro.bench.etl import fig3_table, PIPELINE_SIZES, run_fig3, SINGLE_STAGE_SIZES
+from benchmarks.conftest import draw
 from repro.sim.latency import MB
 
 
 def test_fig3a_single_stage(benchmark):
-    rows = benchmark.pedantic(
-        run_fig3,
-        args=("sharp_resize", SINGLE_STAGE_SIZES),
-        rounds=1,
-        iterations=1,
-    )
-    save_result(
-        "fig3a_motivation_single",
-        fig3_table(rows, "Figure 3a — sharp_resize, S3 vs Redis"),
-    )
+    rows = draw(benchmark, "fig3a_motivation_single")
     s3 = [r for r in rows if r.config == "s3"]
     redis = [r for r in rows if r.config == "redis"]
     # Paper: E&L is up to 97 % of total on S3 for a 128 kB image.
@@ -31,16 +21,7 @@ def test_fig3a_single_stage(benchmark):
 
 
 def test_fig3b_pipeline(benchmark):
-    rows = benchmark.pedantic(
-        run_fig3,
-        args=("map_reduce", PIPELINE_SIZES["map_reduce"]),
-        rounds=1,
-        iterations=1,
-    )
-    save_result(
-        "fig3b_motivation_pipeline",
-        fig3_table(rows, "Figure 3b — MapReduce word count, S3 vs Redis"),
-    )
+    rows = draw(benchmark, "fig3b_motivation_pipeline")
     s3_30 = next(
         r for r in rows if r.config == "s3" and r.input_size == 30 * MB
     )

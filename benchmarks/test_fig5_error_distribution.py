@@ -1,31 +1,10 @@
 """Figure 5: distribution of J48 prediction errors at 16 MB intervals."""
 
-from benchmarks.conftest import save_result
-from repro.bench.fig5 import run_fig5
-from repro.bench.reporting import format_table
+from benchmarks.conftest import draw
 
 
 def test_fig5_error_distribution(benchmark):
-    result = benchmark.pedantic(
-        run_fig5, kwargs={"n_samples": 300}, rounds=1, iterations=1
-    )
-    histogram_rows = [
-        (offset, count)
-        for offset, count in result.offset_histogram.items()
-        if abs(offset) <= 8
-    ]
-    table = format_table(
-        ["interval offset", "count"],
-        histogram_rows,
-        title=(
-            "Figure 5 — J48 error distribution (16 MB intervals)\n"
-            f"EO fraction: {result.eo_fraction:.3f}   "
-            f"overpredictions within 3 intervals: "
-            f"{result.over_within_3_intervals:.3f}   "
-            f"mean waste: {result.mean_waste_mb:.1f} MB (paper: 26.8 MB)"
-        ),
-    )
-    save_result("fig5_error_distribution", table)
+    result = draw(benchmark, "fig5_error_distribution")
     # Paper: 90 % of overpredictions within 3 intervals of the truth.
     assert result.over_within_3_intervals > 0.80
     # Mean waste stays small (paper: 26.8 MB).

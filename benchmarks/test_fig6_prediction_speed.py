@@ -4,36 +4,11 @@ Paper: J48 median 3.19 us / p99 12.54 us at 16 MB intervals;
 RandomForest median 106.29 us / p99 173.05 us.
 """
 
-from benchmarks.conftest import save_result
-from repro.bench.fig6 import run_fig6
-from repro.bench.reporting import format_table
-
-SUBSET = [
-    "wand_blur",
-    "wand_sepia",
-    "sharp_resize",
-    "speech_recognize",
-    "video_transcode",
-    "text_summarize",
-]
+from benchmarks.conftest import draw
 
 
 def test_fig6_prediction_speed(benchmark):
-    results = benchmark.pedantic(
-        run_fig6,
-        kwargs={"n_samples": 250, "functions": SUBSET},
-        rounds=1,
-        iterations=1,
-    )
-    table = format_table(
-        ["algorithm", "interval", "median (us)", "p99 (us)", "samples"],
-        [
-            (r.algorithm, f"{r.interval_mb:.0f} MB", r.median_us, r.p99_us, r.samples)
-            for r in results
-        ],
-        title="Figure 6 — prediction time (wall clock)",
-    )
-    save_result("fig6_prediction_speed", table)
+    results = draw(benchmark, "fig6_prediction_speed")
     j48_16 = next(
         r for r in results if r.algorithm == "J48" and r.interval_mb == 16.0
     )

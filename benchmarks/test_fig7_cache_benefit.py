@@ -2,30 +2,8 @@
 
 import pytest
 
-from benchmarks.conftest import save_result
-from repro.bench.etl import run_fig7
-from repro.bench.reporting import format_table
-from repro.sim.latency import KB, MB
-from repro.workloads.functions import FIGURE7_FUNCTIONS
-
-
-def _table(rows, title):
-    return format_table(
-        ["workload", "size", "config", "E (s)", "T (s)", "L (s)", "total (s)"],
-        [
-            (
-                r.workload,
-                r.input_size,
-                r.config,
-                r.extract_s,
-                r.transform_s,
-                r.load_s,
-                r.total_s,
-            )
-            for r in rows
-        ],
-        title=title,
-    )
+from benchmarks.conftest import draw
+from repro.bench.artifacts import TABLES
 
 
 def _by_config(rows, workload, size):
@@ -37,20 +15,11 @@ def _by_config(rows, workload, size):
 
 
 def test_fig7_single_stage(benchmark):
-    sizes = (1 * KB, 16 * KB, 64 * KB, 128 * KB)
-    rows = benchmark.pedantic(
-        run_fig7,
-        args=(FIGURE7_FUNCTIONS,),
-        kwargs={"sizes": sizes},
-        rounds=1,
-        iterations=1,
-    )
-    save_result(
-        "fig7_single_stage", _table(rows, "Figure 7 — single-stage functions")
-    )
+    rows = draw(benchmark, "fig7_single_stage")
+    sizes = TABLES["fig7_single_stage"].full
     best_improvement = 0.0
-    for fn_name in FIGURE7_FUNCTIONS:
-        for size in sizes:
+    for fn_name in sizes["workloads"]:
+        for size in sizes["sizes"]:
             configs = _by_config(rows, fn_name, size)
             swift = configs["OWK-Swift"].total_s
             redis = configs["OWK-Redis"].total_s
@@ -74,21 +43,12 @@ def test_fig7_single_stage(benchmark):
 @pytest.mark.parametrize(
     "app_name,sizes",
     [
-        ("map_reduce", (5 * MB, 30 * MB)),
-        ("THIS", (25 * MB, 125 * MB)),
-        ("IMAD", (1 * MB, 4 * MB)),
-        ("image_processing", (64 * KB, 1 * MB)),
+        (app, TABLES[f"fig7_pipeline_{app}"].full["sizes"])
+        for app in ("map_reduce", "THIS", "IMAD", "image_processing")
     ],
 )
 def test_fig7_pipelines(benchmark, app_name, sizes):
-    rows = benchmark.pedantic(
-        run_fig7,
-        args=([app_name],),
-        kwargs={"sizes": sizes},
-        rounds=1,
-        iterations=1,
-    )
-    save_result(f"fig7_pipeline_{app_name}", _table(rows, f"Figure 7 — {app_name}"))
+    rows = draw(benchmark, f"fig7_pipeline_{app_name}")
     for size in sizes:
         configs = _by_config(rows, app_name, size)
         swift = configs["OWK-Swift"].total_s

@@ -1,31 +1,14 @@
 """Figure 8: impact of cache scaling on wand_sepia's latency."""
 
-from benchmarks.conftest import save_result
-from repro.bench.fig8 import migration_time_sweep, run_fig8
-from repro.bench.reporting import format_table
+from benchmarks.conftest import draw
+from repro.bench.artifacts import TABLES
+from repro.bench.fig8 import PAPER_MIGRATION_MS
 from repro.sim.latency import KB
 
 
 def test_fig8_scaling_impact(benchmark):
-    sizes = (1 * KB, 16 * KB, 1024 * KB, 3072 * KB)
-    rows = benchmark.pedantic(
-        run_fig8, kwargs={"sizes": sizes}, rounds=1, iterations=1
-    )
-    table = format_table(
-        ["scenario", "size (kB)", "scaling (ms)", "cgroup (ms)", "exec (ms)"],
-        [
-            (
-                r.scenario,
-                r.input_size // 1024,
-                r.scaling_time_s * 1e3,
-                r.cgroup_sys_time_s * 1e3,
-                r.exec_time_s * 1e3,
-            )
-            for r in rows
-        ],
-        title="Figure 8 — cache-scaling impact on wand_sepia",
-    )
-    save_result("fig8_scaling_impact", table)
+    rows = draw(benchmark, "fig8_scaling_impact")
+    sizes = TABLES["fig8_scaling_impact"].full["sizes"]
     by = {(r.scenario, r.input_size): r for r in rows}
     # Sc0 never scales the cache down.
     for size in sizes:
@@ -52,15 +35,6 @@ def test_fig8_scaling_impact(benchmark):
 
 
 def test_migration_time_ladder(benchmark):
-    ladder = benchmark.pedantic(migration_time_sweep, rounds=1, iterations=1)
-    table = format_table(
-        ["migrated (MB)", "time (ms)", "paper (ms)"],
-        [
-            (mb, seconds * 1e3, paper)
-            for (mb, seconds), paper in zip(ladder, [0.18, 1.2, 3.8, 7.5, 13.5])
-        ],
-        title="§7.2.1 — master hand-off migration times",
-    )
-    save_result("fig8_migration_ladder", table)
-    for (mb, seconds), paper_ms in zip(ladder, [0.18, 1.2, 3.8, 7.5, 13.5]):
+    ladder = draw(benchmark, "fig8_migration_ladder")
+    for (mb, seconds), paper_ms in zip(ladder, PAPER_MIGRATION_MS):
         assert abs(seconds * 1e3 - paper_ms) / paper_ms < 0.5

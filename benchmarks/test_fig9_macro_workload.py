@@ -1,53 +1,20 @@
 """Figure 9 + §7.2.2: macro workloads, OFC vs OWK-Swift.
 
-Three tenant profiles at 8 tenants, plus the 24-tenant contention run.
-Durations are shortened from the paper's 30 minutes to keep the bench
-quick; pass ``duration_s=1800`` to the driver for the full experiment.
+Three tenant profiles at 8 tenants, plus the 24-tenant contention run,
+at the durations :mod:`repro.bench.artifacts` defines (shorter than the
+paper's 30 minutes; ``run_macro_comparison(..., duration_s=1800)`` is
+the full experiment).
 """
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import save_result
-from repro.bench.macro import MACRO_WORKLOADS, run_macro_comparison
-from repro.bench.reporting import format_table
-from repro.workloads.faasload import TenantProfile
-
-DURATION_S = 900.0
+from benchmarks.conftest import draw
 
 
-@pytest.mark.parametrize(
-    "profile",
-    [TenantProfile.NORMAL, TenantProfile.NAIVE, TenantProfile.ADVANCED],
-    ids=["normal", "naive", "advanced"],
-)
+@pytest.mark.parametrize("profile", ["normal", "naive", "advanced"])
 def test_fig9_macro(benchmark, profile):
-    ofc, swift, improvements = benchmark.pedantic(
-        run_macro_comparison,
-        args=(profile,),
-        kwargs={"duration_s": DURATION_S},
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        (
-            w,
-            swift.total_exec_s.get(w, 0.0),
-            ofc.total_exec_s.get(w, 0.0),
-            improvements.get(w, 0.0),
-            ofc.completed.get(w, 0),
-        )
-        for w in MACRO_WORKLOADS
-    ]
-    table = format_table(
-        ["workload", "OWK-Swift (s)", "OFC (s)", "improvement %", "n"],
-        rows,
-        title=(
-            f"Figure 9 — total execution times, profile={profile.value}\n"
-            f"hit ratio: {ofc.hit_ratio:.3f}   failed: {ofc.failed_invocations}"
-        ),
-    )
-    save_result(f"fig9_macro_{profile.value}", table)
+    ofc, _swift, improvements = draw(benchmark, f"fig9_macro_{profile}")
     # OFC outperforms OWK-Swift for every workload (paper: 23.9-79.8 %).
     for workload, pct in improvements.items():
         assert pct > 0.0, workload
@@ -63,27 +30,7 @@ def test_fig9_macro(benchmark, profile):
 def test_macro_24_tenants(benchmark):
     """§7.2.2: 24 tenants (3 per workload) — contention lowers the hit
     ratio and the improvement, but nothing fails."""
-    ofc, swift, improvements = benchmark.pedantic(
-        run_macro_comparison,
-        args=(TenantProfile.NORMAL,),
-        kwargs={"duration_s": 600.0, "tenants_per_workload": 3},
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        (w, swift.total_exec_s.get(w, 0.0), ofc.total_exec_s.get(w, 0.0),
-         improvements.get(w, 0.0))
-        for w in MACRO_WORKLOADS
-    ]
-    table = format_table(
-        ["workload", "OWK-Swift (s)", "OFC (s)", "improvement %"],
-        rows,
-        title=(
-            "§7.2.2 — 24 tenants\n"
-            f"hit ratio: {ofc.hit_ratio:.3f}   failed: {ofc.failed_invocations}"
-        ),
-    )
-    save_result("fig9_macro_24tenants", table)
+    ofc, _swift, improvements = draw(benchmark, "fig9_macro_24tenants")
     assert ofc.failed_invocations == 0
     # Improvements shrink but OFC still wins overall.
     assert float(np.mean(list(improvements.values()))) > 4.0

@@ -4,31 +4,11 @@ Paper: median 100 invocations (11/19 functions mature at the first
 check), 75 % under 250, 95 % under 450.
 """
 
-from benchmarks.conftest import save_result
-from repro.bench.maturation import run_maturation
-from repro.bench.reporting import format_table
+from benchmarks.conftest import draw
 
 
 def test_maturation_quickness(benchmark):
-    result = benchmark.pedantic(
-        run_maturation, kwargs={"max_invocations": 500}, rounds=1, iterations=1
-    )
-    table = format_table(
-        ["function", "invocations to maturity"],
-        [
-            (name, count if count is not None else ">500")
-            for name, count in result.per_function.items()
-        ],
-        title=(
-            "Maturation quickness (§7.1.3)\n"
-            f"median={result.median:.0f} (paper 100)  "
-            f"p75={result.p75:.0f} (paper <250)  "
-            f"p95={result.p95:.0f} (paper <450)  "
-            f"matured at first check: {result.matured_at_first_check}/19 "
-            "(paper 11/19)"
-        ),
-    )
-    save_result("maturation_quickness", table)
+    result = draw(benchmark, "maturation_quickness")
     assert result.median <= 150
     assert result.p75 <= 300
     assert result.matured_at_first_check >= 8

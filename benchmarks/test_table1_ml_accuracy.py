@@ -1,41 +1,10 @@
 """Table 1: accuracy of the four tree learners x interval sizes."""
 
-import numpy as np
-
-from benchmarks.conftest import save_result
-from repro.bench.reporting import format_table
-from repro.bench.table1 import run_table1
-
-#: Representative subset keeps the benchmark under a couple of minutes;
-#: pass functions=None to run_table1 for the full 19-function sweep.
-SUBSET = [
-    "wand_blur",
-    "wand_sepia",
-    "wand_edge",
-    "sharp_resize",
-    "audio_compress",
-    "speech_recognize",
-    "video_transcode",
-    "text_summarize",
-]
+from benchmarks.conftest import draw
 
 
 def test_table1_ml_accuracy(benchmark):
-    rows = benchmark.pedantic(
-        run_table1,
-        kwargs={"n_samples": 400, "folds": 3, "functions": SUBSET},
-        rounds=1,
-        iterations=1,
-    )
-    table = format_table(
-        ["interval", "algorithm", "exact %", "exact-or-over %"],
-        [
-            (f"{r.interval_mb:.0f} MB", r.algorithm, r.exact_pct, r.exact_or_over_pct)
-            for r in rows
-        ],
-        title="Table 1 — memory-interval prediction accuracy",
-    )
-    save_result("table1_ml_accuracy", table)
+    rows = draw(benchmark, "table1_ml_accuracy")
 
     def get(interval, algo):
         return next(

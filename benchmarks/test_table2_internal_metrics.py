@@ -2,33 +2,13 @@
 
 import pytest
 
-from benchmarks.conftest import save_result
-from repro.bench.macro import run_macro
-from repro.bench.reporting import format_table
-from repro.workloads.faasload import TenantProfile
+from benchmarks.conftest import draw
+from repro.bench.artifacts import MACRO_S
 
 
-@pytest.mark.parametrize(
-    "profile",
-    [TenantProfile.NORMAL, TenantProfile.ADVANCED, TenantProfile.NAIVE],
-    ids=["normal", "advanced", "naive"],
-)
+@pytest.mark.parametrize("profile", ["normal", "advanced", "naive"])
 def test_table2_internal_metrics(benchmark, profile):
-    result = benchmark.pedantic(
-        run_macro,
-        args=("ofc", profile),
-        kwargs={"duration_s": 900.0},
-        rounds=1,
-        iterations=1,
-    )
-    table2 = result.table2
-    rows = [(key, value) for key, value in table2.items()]
-    table = format_table(
-        ["metric", "value"],
-        rows,
-        title=f"Table 2 — OFC internal metrics, profile={profile.value}",
-    )
-    save_result(f"table2_{profile.value}", table)
+    table2 = draw(benchmark, f"table2_{profile}").table2
 
     # Line 9 of Table 2: zero failed invocations in every profile.
     assert table2["failed_invocations"] == 0
@@ -47,6 +27,6 @@ def test_table2_internal_metrics(benchmark, profile):
     )
     assert scale_events > 20
     total_scale_time = table2["scale_up_time_s"] + table2["scale_down_time_s"]
-    assert total_scale_time < 0.02 * 900.0  # negligible vs the 15-min run
+    assert total_scale_time < 0.02 * MACRO_S  # negligible vs the run
     # Line 11: pipelines generate ephemeral data that the cache absorbs.
     assert table2["ephemeral_data_bytes"] > 0

@@ -24,6 +24,7 @@ from repro.core.config import OFCConfig
 from repro.core.ofc import OFCPlatform
 from repro.faas import reset_id_counters
 from repro.faas.platform import FaaSPlatform, PlatformConfig
+from repro.faas.records import skip_request_ids
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RngRegistry
 from repro.storage.latency_profiles import (
@@ -137,7 +138,9 @@ def pretrain_function(
     truth and feeds them to the ModelTrainer.  Results are memoized in
     the process (:mod:`repro.bench.model_cache`): a deployment whose
     (function, descriptors, config, profile, seed) match a previous
-    pretraining adopts the cached state and skips the feeding loop.
+    pretraining adopts the cached state and skips the feeding loop, but
+    still draws the ``n_samples`` request ids the loop's records would
+    have: ids seed the hidden footprint noise of every later invocation.
     """
     from repro.bench import model_cache
     from repro.bench.datasets import synthetic_record
@@ -154,6 +157,7 @@ def pretrain_function(
     cached = model_cache.lookup(cache_key)
     if cached is not None:
         ofc.trainer.adopt_models(cached)
+        skip_request_ids(n_samples)
         return
 
     rng = np.random.default_rng(seed)

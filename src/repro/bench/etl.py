@@ -23,7 +23,7 @@ app; :class:`_Workload` hides the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,28 +32,15 @@ from repro.bench.envs import (
     build_owk_redis_env,
     build_owk_swift_env,
 )
-from repro.bench.reporting import format_table
 from repro.bench.runner import run_grid
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.records import InvocationRequest
 from repro.sim.kernel import Kernel
-from repro.sim.latency import KB, MB
 from repro.storage.latency_profiles import REDIS_PROFILE, S3_PROFILE
 from repro.storage.object_store import ObjectStore
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
 from repro.workloads.pipelines import ALL_PIPELINES
-
-#: Figure 3a's ``sharp_resize`` input sizes.
-SINGLE_STAGE_SIZES = (1 * KB, 16 * KB, 32 * KB, 64 * KB, 128 * KB)
-
-#: Pipelines and the input sizes used for them (bytes).
-PIPELINE_SIZES: Dict[str, Sequence[int]] = {
-    "map_reduce": (5 * MB, 10 * MB, 30 * MB),
-    "THIS": (25 * MB, 50 * MB, 125 * MB),
-    "IMAD": (1 * MB, 2 * MB, 4 * MB),
-    "image_processing": (64 * KB, 256 * KB, 1 * MB),
-}
 
 #: Node memory for Figure 7: wide fan-out keeps many 1 GB sandboxes
 #: alive concurrently (the paper's nodes had 512 GB).
@@ -177,25 +164,6 @@ def run_fig3(workload: str, sizes: Sequence[int], seed: int = 0) -> List[EtlRow]
     return rows
 
 
-def fig3_table(rows: Sequence[EtlRow], title: str) -> str:
-    return format_table(
-        ["workload", "size", "backend", "E (s)", "T (s)", "L (s)", "E+L %"],
-        [
-            (
-                r.workload,
-                r.input_size,
-                r.config,
-                r.extract_s,
-                r.transform_s,
-                r.load_s,
-                100 * r.el_fraction,
-            )
-            for r in rows
-        ],
-        title=title,
-    )
-
-
 def _fig7_cell(cell) -> List[EtlRow]:
     """One (workload, size) cell: all five configurations.  Module-level
     and payload-picklable for the parallel runner."""
@@ -227,18 +195,13 @@ def _fig7_cell(cell) -> List[EtlRow]:
 
 def run_fig7(
     workloads: Sequence[str],
-    sizes: Optional[Sequence[int]] = None,
+    sizes: Sequence[int],
     seed: int = 0,
     workers: Optional[int] = None,
 ) -> List[EtlRow]:
     """Figure 7: every workload at every size under all five
-    configurations, one runner cell per (workload, size); ``sizes=None``
-    means each pipeline's :data:`PIPELINE_SIZES`."""
-    cells = [
-        (name, size, seed)
-        for name in workloads
-        for size in (sizes or PIPELINE_SIZES[name])
-    ]
+    configurations, one runner cell per (workload, size)."""
+    cells = [(name, size, seed) for name in workloads for size in sizes]
     return [
         row for rows in run_grid(_fig7_cell, cells, workers=workers) for row in rows
     ]

@@ -29,7 +29,7 @@ class Fig2Result:
     spread_at_fixed_sigma_mb: float
 
 
-def run_fig2(n: int = 300, seed: int = 0) -> Fig2Result:
+def run_fig2(n: int, seed: int = 0) -> Fig2Result:
     model = get_function_model("wand_blur")
     rng = np.random.default_rng(seed)
     corpus = MediaCorpus(np.random.default_rng(seed + 1))

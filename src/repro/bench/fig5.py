@@ -30,7 +30,7 @@ class Fig5Result:
 
 
 def run_fig5(
-    n_samples: int = 400,
+    n_samples: int,
     interval_mb: float = 16.0,
     seed: int = 0,
     functions: Optional[List[str]] = None,

@@ -41,7 +41,7 @@ def _time_predictions(model, rows, repeats: int = 3) -> List[float]:
 
 
 def run_fig6(
-    n_samples: int = 300, seed: int = 0, functions: Optional[List[str]] = None
+    n_samples: int, seed: int = 0, functions: Optional[List[str]] = None
 ) -> List[Fig6Result]:
     """J48 at 8 and 16 MB intervals; RandomForest at 16 MB."""
     names = functions or EVALUATION_FUNCTIONS

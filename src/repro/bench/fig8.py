@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.envs import build_ofc_env, pretrain_function
+from repro.bench.envs import build_ofc_env
 from repro.bench.runner import run_grid
 from repro.faas.platform import SizingDecision
 from repro.faas.records import InvocationRequest
@@ -30,7 +30,8 @@ from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
 
 SCENARIOS = ("Sc0", "Sc1", "Sc2", "Sc3")
-DEFAULT_SIZES = (1 * KB, 16 * KB, 256 * KB, 1024 * KB, 3072 * KB)
+#: §7.2.1's hand-off times (ms) at :func:`migration_time_sweep`'s sizes.
+PAPER_MIGRATION_MS = (0.18, 1.2, 3.8, 7.5, 13.5)
 
 
 @dataclass
@@ -178,7 +179,7 @@ def _fig8_cell(cell) -> Fig8Row:
 
 
 def run_fig8(
-    sizes: Sequence[int] = DEFAULT_SIZES,
+    sizes: Sequence[int],
     seed: int = 0,
     workers: Optional[int] = None,
 ) -> List[Fig8Row]:
@@ -191,8 +192,8 @@ def migration_time_sweep(
 ) -> List[tuple]:
     """§7.2.1's migration-time ladder: aggregate hand-off time vs size.
 
-    Returns (migrated MB, seconds) pairs; the paper reports 0.18 ms for
-    8 MB up to 13.5 ms for 1 GB.
+    Returns (migrated MB, seconds) pairs; the paper reports
+    :data:`PAPER_MIGRATION_MS`.
     """
     from repro.sim.latency import MIGRATION
 

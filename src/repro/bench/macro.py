@@ -1,9 +1,12 @@
-"""Macro experiments (§7.2.2): Figure 9, Figure 10 and Table 2.
+"""Macro experiments (§7.2.2): Figure 9, Table 2 and Figure 10.
 
 FaaSLoad emulates 8 tenants (the six wand functions plus MapReduce and
 THIS), firing for 30 simulated minutes with exponential inter-arrival
 times (mean 60 s).  Three tenant profiles are compared — naive,
-advanced, normal — each against the OWK-Swift baseline.
+advanced, normal — each against the OWK-Swift baseline.  The three
+artifacts are views of the same runs: Figure 9 compares execution
+times, Table 2 is the OFC run's internal counters, Figure 10 its cache
+size over time (:func:`per_minute`).
 
 A 24-tenant variant (3 per workload) reproduces the paper's
 higher-contention observation: lower hit ratio and smaller (but still
@@ -13,17 +16,15 @@ positive) improvements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.envs import build_ofc_env, build_owk_swift_env, pretrain_function
 from repro.bench.reporting import improvement_pct
 from repro.bench.runner import run_grid
-from repro.sim.latency import KB, MB
+from repro.sim.latency import GB, KB, MB
 from repro.workloads.faasload import FaaSLoad, TenantProfile, TenantSpec
-from repro.workloads.functions import get_function_model
-from repro.workloads.media import MediaCorpus
 
 #: The 8 workloads of Figure 9 (one tenant each in the 8-tenant runs).
 MACRO_WORKLOADS = [
@@ -151,6 +152,18 @@ def run_macro(
         result.hit_ratio = deployment.rclib_stats.hit_ratio
         result.obs_snapshot = deployment.obs.snapshot()
     return result
+
+
+def per_minute(series: Sequence[Tuple[float, int]]) -> List[Tuple[float, float]]:
+    """Downsample (sim seconds, cache bytes) samples to (minute, cache
+    GB) rows for reporting."""
+    rows: List[Tuple[float, float]] = []
+    next_minute = 0.0
+    for t, size in series:
+        if t >= next_minute:
+            rows.append((round(t / 60.0, 1), size / GB))
+            next_minute = t + 60.0
+    return rows
 
 
 def _macro_cell(cell) -> MacroResult:

@@ -23,6 +23,8 @@ from repro.workloads.media import MediaCorpus
 
 @dataclass
 class MaturationResult:
+    #: The budget: invocations streamed per function at most.
+    max_invocations: int
     #: function -> invocations needed (None = did not mature in budget).
     per_function: Dict[str, Optional[int]]
     median: float
@@ -52,7 +54,7 @@ def _stream_function(
 
 
 def run_maturation(
-    max_invocations: int = 600,
+    max_invocations: int,
     seed: int = 0,
     functions: Optional[List[str]] = None,
     config: Optional[OFCConfig] = None,
@@ -72,6 +74,7 @@ def run_maturation(
     ]
     first_check = OFCConfig().min_history_for_maturity
     return MaturationResult(
+        max_invocations=max_invocations,
         per_function=per_function,
         median=float(np.median(censored)),
         p75=float(np.percentile(censored, 75)),

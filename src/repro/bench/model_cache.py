@@ -11,8 +11,9 @@ The memo maps a content key to a *pickled* :class:`FunctionModels`
 snapshot.  Serializing at store time and deserializing a fresh copy on
 every hit keeps runs isolated: a run that keeps training online never
 mutates another run's starting state.  Hits restore bit-identical
-trainer state, so warm and cold runs produce identical results
-(``tests/bench/test_model_cache.py`` asserts identical macro results).
+trainer state and draw the request ids cold pretraining would have, so
+warm and cold runs produce identical results
+(``tests/bench/test_model_cache.py`` asserts identical macro records).
 
 Each process keeps its own memo: pool workers start from whatever the
 parent held when they forked and fill in the rest themselves.

@@ -42,8 +42,8 @@ class Table1Row:
 
 
 def run_table1(
-    n_samples: int = 300,
-    folds: int = 5,
+    n_samples: int,
+    folds: int,
     seed: int = 0,
     functions: Optional[List[str]] = None,
 ) -> List[Table1Row]:
@@ -72,7 +72,7 @@ def run_table1(
 
 
 def run_benefit_model_eval(
-    n_samples: int = 300, seed: int = 0, functions: Optional[List[str]] = None
+    n_samples: int, seed: int = 0, functions: Optional[List[str]] = None
 ) -> Dict[str, float]:
     """§7.1.1 'Prediction of cache benefit': J48 precision/recall/F.
 

@@ -15,11 +15,13 @@ Usage::
     python -m repro.cli chaos --quick
     python -m repro.cli run --faults examples/faults/crash_restart.json
 
-Each experiment prints the same rows the corresponding paper artifact
-reports. Heavy experiments accept ``--quick`` to shrink sample counts.
-Sweep experiments (fig7, fig8, fig9, fig10) fan independent cells
-across processes; ``--workers N`` caps the fan-out (``--workers 1``
-forces the serial path, the default is one worker per core).
+The twelve paper artifacts (fig2 … fig10) are the entries of
+:data:`repro.bench.artifacts.ARTIFACTS`: each prints its tables exactly
+as ``results/<stem>.txt`` holds them, or, under ``--quick``, the tables
+with quick sizes at those sizes.  The sweeps (fig7, fig8, fig9) fan
+independent cells across processes; ``--workers N`` caps the fan-out
+(``--workers 1`` forces the serial path, the default is one worker per
+core).
 
 Every command is one entry of :data:`COMMANDS` taking the parsed
 arguments; ``list`` prints the registry and ``all`` runs :data:`ALL`
@@ -31,17 +33,10 @@ repository benchmark (``perf/run.py``; needs a source checkout) and
 appends what it measured to the ``--bench-out`` trajectory file; with
 ``--quick`` it runs the tiny smoke cells and appends nothing.
 ``tenants``, ``cachewars``, ``chaos`` and ``faults`` are the four
-definitions of the one grid experiment (:mod:`repro.bench.grid`): a
-seeded multi-tenant population (Zipf app popularity, diurnal/bursty
-arrivals) streamed through one deployment per cell, swept over tenant
-count × skew × cache quota policy (fairness), over every registered
-cache architecture (OFC harvested, Faa$T-style cachelets,
-InfiniCache-style erasure-coded lambdas: hit ratio / latency / cost),
-over backend × fault intensity with a history recorder auditing
-consistency invariants (acked-write durability, stale reads,
-read-your-writes, version order), or over no fault vs a mid-run node
-crash and restart on identical arrivals (availability).  Each writes
-its grid — one shared row per cell — to ``--grid-out`` (default
+definitions of the one grid experiment (:mod:`repro.bench.grid`:
+fairness across quota policies, the cache architectures head to head,
+fuzzed faults audited for consistency, a crash and restart).  Each
+writes its grid — one shared row per cell — to ``--grid-out`` (default
 ``results/<name>_grid.json``); failing cells are ddmin-shrunk and the
 minimal schedule exported as a runnable reproducer under
 ``examples/faults/``.
@@ -67,6 +62,7 @@ import traceback
 from functools import partial
 from typing import Callable, Dict
 
+from repro.bench.artifacts import ARTIFACTS, render_artifact
 from repro.bench.reporting import format_table
 
 
@@ -84,199 +80,9 @@ class ExperimentFailed(Exception):
         self.reason = reason
 
 
-def _fig2(args) -> str:
-    from repro.bench.fig2 import run_fig2
-
-    result = run_fig2(n=150 if args.quick else 400)
-    return format_table(
-        ["metric", "value"],
-        [
-            ("spread at fixed byte size (MB)", result.spread_at_fixed_size_mb),
-            ("spread at fixed sigma (MB)", result.spread_at_fixed_sigma_mb),
-        ],
-        title="Figure 2 — wand_blur memory variability",
-    )
-
-
-def _fig3(args) -> str:
-    from repro.bench.etl import (
-        fig3_table,
-        PIPELINE_SIZES,
-        run_fig3,
-        SINGLE_STAGE_SIZES,
-    )
-
-    rows = run_fig3("sharp_resize", SINGLE_STAGE_SIZES) + run_fig3(
-        "map_reduce", PIPELINE_SIZES["map_reduce"]
-    )
-    return fig3_table(rows, "Figure 3 — motivation: RSDS vs IMOC")
-
-
-def _table1(args) -> str:
-    from repro.bench.table1 import run_table1
-
-    functions = (
-        ["wand_blur", "wand_sepia", "sharp_resize", "video_transcode"]
-        if args.quick
-        else None
-    )
-    rows = run_table1(
-        n_samples=200 if args.quick else 400,
-        folds=3 if args.quick else 5,
-        functions=functions,
-    )
-    return format_table(
-        ["interval", "algorithm", "exact %", "exact-or-over %"],
-        [
-            (f"{r.interval_mb:.0f} MB", r.algorithm, r.exact_pct,
-             r.exact_or_over_pct)
-            for r in rows
-        ],
-        title="Table 1 — ML accuracy",
-    )
-
-
-def _benefit(args) -> str:
-    from repro.bench.table1 import run_benefit_model_eval
-
-    result = run_benefit_model_eval(n_samples=200 if args.quick else 400)
-    return format_table(
-        ["metric", "%"],
-        [(k, v) for k, v in result.items()],
-        title="Cache-benefit model (§7.1.1)",
-    )
-
-
-def _fig5(args) -> str:
-    from repro.bench.fig5 import run_fig5
-
-    result = run_fig5(n_samples=200 if args.quick else 400)
-    return format_table(
-        ["metric", "value"],
-        [
-            ("EO fraction", result.eo_fraction),
-            ("overpredictions within 3 intervals", result.over_within_3_intervals),
-            ("mean waste (MB)", result.mean_waste_mb),
-        ],
-        title="Figure 5 — error distribution",
-    )
-
-
-def _fig6(args) -> str:
-    from repro.bench.fig6 import run_fig6
-
-    functions = ["wand_sepia", "sharp_resize"] if args.quick else None
-    rows = run_fig6(n_samples=150 if args.quick else 300, functions=functions)
-    return format_table(
-        ["algorithm", "interval", "median (us)", "p99 (us)"],
-        [
-            (r.algorithm, f"{r.interval_mb:.0f} MB", r.median_us, r.p99_us)
-            for r in rows
-        ],
-        title="Figure 6 — prediction speed",
-    )
-
-
-def _maturation(args) -> str:
-    from repro.bench.maturation import run_maturation
-
-    result = run_maturation(max_invocations=300 if args.quick else 500)
-    rows = [
-        (name, count if count is not None else "(not matured)")
-        for name, count in result.per_function.items()
-    ]
-    rows.append(("median", result.median))
-    rows.append(("p75", result.p75))
-    rows.append(("p95", result.p95))
-    return format_table(
-        ["function", "invocations"], rows, title="§7.1.3 — maturation"
-    )
-
-
-def _fig7(args) -> str:
-    from repro.bench.etl import run_fig7
-    from repro.sim.latency import KB
-    from repro.workloads.functions import FIGURE7_FUNCTIONS
-
-    functions = FIGURE7_FUNCTIONS[:2] if args.quick else FIGURE7_FUNCTIONS
-    rows = run_fig7(functions, sizes=(16 * KB, 128 * KB), workers=args.workers)
-    return format_table(
-        ["workload", "size", "config", "total (ms)"],
-        [(r.workload, r.input_size, r.config, r.total_s * 1e3) for r in rows],
-        title="Figure 7 — single-stage (subset)",
-    )
-
-
-def _fig8(args) -> str:
-    from repro.bench.fig8 import run_fig8
-    from repro.sim.latency import KB
-
-    full = (1 * KB, 16 * KB, 1024 * KB, 3072 * KB)
-    sizes = (16 * KB, 1024 * KB) if args.quick else full
-    rows = run_fig8(sizes=sizes, workers=args.workers)
-    return format_table(
-        ["scenario", "size (kB)", "scaling (ms)", "exec (ms)"],
-        [
-            (r.scenario, r.input_size // 1024, r.scaling_time_s * 1e3,
-             r.exec_time_s * 1e3)
-            for r in rows
-        ],
-        title="Figure 8 — scaling impact",
-    )
-
-
-def _fig9(args) -> str:
-    from repro.bench.macro import MACRO_WORKLOADS, run_macro_comparison
-    from repro.workloads.faasload import TenantProfile
-
-    ofc, swift, improvements = run_macro_comparison(
-        TenantProfile.NORMAL,
-        duration_s=300.0 if args.quick else 1800.0,
-        workers=args.workers,
-    )
-    return format_table(
-        ["workload", "OWK-Swift (s)", "OFC (s)", "improvement %"],
-        [
-            (w, swift.total_exec_s.get(w, 0.0), ofc.total_exec_s.get(w, 0.0),
-             improvements.get(w, 0.0))
-            for w in MACRO_WORKLOADS
-        ],
-        title=(
-            "Figure 9 — macro (normal profile); "
-            f"hit ratio {ofc.hit_ratio:.3f}, failed {ofc.failed_invocations}"
-        ),
-    )
-
-
-def _table2(args) -> str:
-    from repro.bench.macro import run_macro
-    from repro.workloads.faasload import TenantProfile
-
-    result = run_macro(
-        "ofc", TenantProfile.NORMAL, duration_s=300.0 if args.quick else 1800.0
-    )
-    return format_table(
-        ["metric", "value"],
-        list(result.table2.items()),
-        title="Table 2 — OFC internal metrics",
-    )
-
-
-def _fig10(args) -> str:
-    from repro.bench.fig10 import per_minute, run_fig10
-
-    series = run_fig10(
-        duration_s=300.0 if args.quick else 900.0, workers=args.workers
-    )
-    rows = []
-    for s in series:
-        for minute, gb in per_minute(s.series):
-            rows.append((s.profile, minute, gb))
-    return format_table(
-        ["profile", "minute", "cache size (GB)"],
-        rows,
-        title="Figure 10 — OFC cache size over time",
-    )
+def _artifact(name: str, args) -> str:
+    """Paper artifact ``name`` of :mod:`repro.bench.artifacts`."""
+    return render_artifact(name, quick=args.quick, workers=args.workers)
 
 
 def _run_schedule(args) -> str:
@@ -356,18 +162,7 @@ def _perf(args) -> str:
 
 #: The one registry: command name -> ``fn(parsed args) -> printed text``.
 COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "table1": _table1,
-    "benefit": _benefit,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "maturation": _maturation,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "table2": _table2,
-    "fig10": _fig10,
+    **{name: partial(_artifact, name) for name in ARTIFACTS},
     "faults": partial(_grid, "faults"),
 }
 #: What ``all`` runs: the paper's artifacts and the availability

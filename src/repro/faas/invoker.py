@@ -7,6 +7,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.faas.dataclient import DataClient
 from repro.faas.errors import FaaSError, OOMKilled, ResourceExhausted
+from repro.faas.keepalive import FixedKeepAlive, KeepAlivePolicy
 from repro.faas.records import InvocationRecord
 from repro.faas.registry import FunctionSpec
 from repro.faas.sandbox import Sandbox, SandboxState
@@ -220,7 +221,9 @@ class Invoker:
         self.kernel = kernel
         self.node_id = node_id
         self.total_memory_mb = total_memory_mb
-        self.keepalive_s = keepalive_s
+        #: How long an idle sandbox survives (swapped by
+        #: :meth:`FaaSPlatform.set_keepalive_policy`).
+        self.keepalive_policy: KeepAlivePolicy = FixedKeepAlive(keepalive_s)
         self.rng = rng
         self.sandboxes: List[Sandbox] = []
         #: Creation-ordered sandboxes per function key (a view over
@@ -235,8 +238,6 @@ class Invoker:
         self._committed_cache: Optional[float] = None
         self.cache_reserved_mb = 0.0
         self.slack_mb = 0.0
-        #: Optional adaptive keep-alive policy; None = fixed timeout.
-        self.keepalive_policy = None
         #: Hook: generator ``(invoker, needed_mb) -> bool`` that tries to
         #: free node memory (OFC shrinks its cache here).
         self.ensure_capacity: Optional[Callable[..., Generator]] = None
@@ -422,10 +423,7 @@ class Invoker:
     def _schedule_reap(self, sandbox: Sandbox) -> None:
         """Arm the keep-alive timer for an idle sandbox."""
         generation = sandbox.use_generation
-        if self.keepalive_policy is not None:
-            timeout_s = self.keepalive_policy.timeout_for(sandbox)
-        else:
-            timeout_s = self.keepalive_s
+        timeout_s = self.keepalive_policy.timeout_for(sandbox)
 
         # One reap timer per invocation end is hot; call_later replaces
         # the generator+Process with two plain events on the exact same

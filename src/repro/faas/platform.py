@@ -8,6 +8,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from repro.faas.dataclient import DataClient, DirectStoreClient
 from repro.faas.errors import OOMKilled, ResourceExhausted
 from repro.faas.invoker import Invoker
+from repro.faas.keepalive import FixedKeepAlive, KeepAlivePolicy
 from repro.faas.pipeline import Pipeline, PipelineRecord, StageRecord
 from repro.faas.records import InvocationRecord, InvocationRequest
 from repro.faas.registry import FunctionRegistry, FunctionSpec
@@ -76,15 +77,10 @@ class FaaSPlatform:
         self.rng = rng
         self.registry = FunctionRegistry()
         self.invokers: List[Invoker] = [
-            Invoker(
-                kernel,
-                node_id,
-                self.config.node_memory_mb,
-                keepalive_s=self.config.keepalive_s,
-                rng=rng,
-            )
+            Invoker(kernel, node_id, self.config.node_memory_mb, rng=rng)
             for node_id in self.config.node_ids
         ]
+        self.set_keepalive_policy(FixedKeepAlive(self.config.keepalive_s))
         self.scheduler: Scheduler = scheduler or HomeWorkerScheduler()
         self.sizing_policy: Optional[Callable[..., Generator]] = None
         #: ``(invoker, record) -> DataClient`` — OFC installs rclib here.
@@ -100,16 +96,16 @@ class FaaSPlatform:
         #: so million-invocation runs do not accumulate a record list;
         #: completion_listeners remain the delivery path either way.
         self.keep_records = True
-        self.keepalive_policy = None
 
     # -- deployment ---------------------------------------------------------
 
     def register_function(self, spec: FunctionSpec) -> None:
         self.registry.register(spec)
 
-    def set_keepalive_policy(self, policy) -> None:
+    def set_keepalive_policy(self, policy: KeepAlivePolicy) -> None:
         """Install a keep-alive policy on every invoker (see
-        :mod:`repro.faas.keepalive`)."""
+        :mod:`repro.faas.keepalive`); the default is
+        ``FixedKeepAlive(config.keepalive_s)``."""
         self.keepalive_policy = policy
         for invoker in self.invokers:
             invoker.keepalive_policy = policy
@@ -133,8 +129,7 @@ class FaaSPlatform:
     ) -> Generator[Any, Any, InvocationRecord]:
         """Run one invocation to completion (public API)."""
         spec = self.registry.get(request.tenant, request.function)
-        if self.keepalive_policy is not None:
-            self.keepalive_policy.record_invocation(request.key, self.kernel.now)
+        self.keepalive_policy.record_invocation(request.key, self.kernel.now)
         record = InvocationRecord(
             request=request,
             submitted_at=self.kernel.now,

@@ -27,6 +27,12 @@ def reset_request_ids() -> None:
     _next_id = itertools.count(1)
 
 
+def skip_request_ids(n: int) -> None:
+    """Advance the request-id counter past ``n`` ids, as if ``n``
+    requests had been built."""
+    next(itertools.islice(_next_id, n, n), None)
+
+
 @dataclass
 class InvocationRequest:
     """One function invocation request as received by the Controller."""

@@ -10,7 +10,7 @@ from repro.bench import model_cache
 from repro.bench.macro import run_macro
 from repro.core.config import OFCConfig
 from repro.storage.latency_profiles import SWIFT_PROFILE
-from repro.workloads.faasload import TenantProfile
+from repro.workloads.faasload import FaaSLoad, TenantProfile
 from repro.workloads.functions import get_function_model
 
 
@@ -22,24 +22,40 @@ def _fresh_cache():
 
 
 def _short_macro():
-    return run_macro("ofc", TenantProfile.NORMAL, duration_s=20.0, seed=0)
+    return run_macro("ofc", TenantProfile.NORMAL, duration_s=300.0, seed=0)
 
 
 def test_warm_macro_matches_cold_exactly(monkeypatch):
-    stored = []
-    store = model_cache.store
+    stored, records = [], []
+    store, run = model_cache.store, FaaSLoad.run
 
     def counting_store(key, models):
         stored.append(key)
         store(key, models)
 
+    def recording_run(self, duration_s):
+        results = run(self, duration_s)
+        records.append(
+            [
+                (r.request.request_id, r.peak_memory_mb, r.finished_at)
+                for runtime in results.values()
+                for r in runtime.records
+            ]
+        )
+        return results
+
     monkeypatch.setattr(model_cache, "store", counting_store)
+    monkeypatch.setattr(FaaSLoad, "run", recording_run)
     cold = _short_macro()
     assert stored  # the cold run pretrained and memoized
     stored.clear()
     warm = _short_macro()
     assert not stored  # every tenant hit the memo
-    # The warm run is the same simulation, not an approximation.
+    # The warm run is the same simulation, not an approximation: every
+    # invocation draws the same request id, hence the same hidden
+    # footprint noise.
+    cold_records, warm_records = records
+    assert cold_records and warm_records == cold_records
     assert warm.hit_ratio == cold.hit_ratio
     assert warm.total_exec_s == cold.total_exec_s
     assert warm.completed == cold.completed
