@@ -11,8 +11,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.trainer import cache_benefit_label
-from repro.faas.records import InvocationRecord, InvocationRequest, Phases
+from repro.core.trainer import cache_benefit_label, ModelTrainer, TrainingSample
 from repro.ml.dataset import Dataset
 from repro.ml.intervals import MemoryIntervals
 from repro.storage.latency_profiles import SWIFT_PROFILE
@@ -33,22 +32,23 @@ def feature_row(media, args) -> Dict:
     return row
 
 
-def synthetic_record(
-    model: FunctionModel, media, args, rng, tenant: str
-) -> InvocationRecord:
-    """The telemetry one completed invocation of ``model`` on ``media``
-    would have left, from the hidden ground truth (``rng`` draws the
-    footprint noise)."""
-    record = InvocationRecord(
-        request=InvocationRequest(function=model.name, tenant=tenant, args=args),
-        status="ok",
-        peak_memory_mb=model.footprint_mb(media, args, rng),
+def synthetic_sample(
+    trainer: ModelTrainer, model: FunctionModel, media, args, rng
+) -> TrainingSample:
+    """The training sample ``trainer`` would take from one completed
+    invocation of ``model`` on ``media``, from the hidden ground truth
+    (``rng`` draws the footprint noise)."""
+    return TrainingSample(
         features=feature_row(media, args),
+        memory_label=trainer.intervals.label(model.footprint_mb(media, args, rng)),
+        cache_label=cache_benefit_label(
+            media.size,
+            model.output_size(media, args),
+            model.transform_time(media, args),
+            trainer.rsds_profile,
+            trainer.config.cache_benefit_threshold,
+        ),
     )
-    record.phases = Phases(transform=model.transform_time(media, args))
-    record.bytes_in = media.size
-    record.bytes_out = model.output_size(media, args)
-    return record
 
 
 def _sampled_dataset(

@@ -134,17 +134,19 @@ def pretrain_function(
     training data and scripts; this is the equivalent shortcut for
     benches that need mature models from the first invocation).
 
-    Synthesises completed-invocation records from the hidden ground
-    truth and feeds them to the ModelTrainer.  Results are memoized in
-    the process (:mod:`repro.bench.model_cache`): a deployment whose
-    (function, descriptors, config, profile, seed) match a previous
-    pretraining adopts the cached state and skips the feeding loop, but
-    still draws the ``n_samples`` request ids the loop's records would
-    have: ids seed the hidden footprint noise of every later invocation.
+    Synthesises ``n_samples`` training samples from the hidden ground
+    truth and hands them to :meth:`ModelTrainer.ingest`.  Results are
+    memoized in the process (:mod:`repro.bench.model_cache`): a
+    deployment whose (function, descriptors, config, profile, seed)
+    match a previous pretraining adopts the cached state instead.
+    Either way ``n_samples`` request ids are skipped, one per
+    synthesised invocation, so the ids (which seed the hidden footprint
+    noise of every later invocation) do not depend on the memo.
     """
     from repro.bench import model_cache
-    from repro.bench.datasets import synthetic_record
+    from repro.bench.datasets import synthetic_sample
 
+    skip_request_ids(n_samples)
     cache_key = model_cache.pretrain_key(
         model.name,
         tenant,
@@ -157,16 +159,15 @@ def pretrain_function(
     cached = model_cache.lookup(cache_key)
     if cached is not None:
         ofc.trainer.adopt_models(cached)
-        skip_request_ids(n_samples)
         return
 
     rng = np.random.default_rng(seed)
-    spec_key = f"{tenant}/{model.name}"
-    for _ in range(n_samples):
-        media = descriptors[int(rng.integers(0, len(descriptors)))]
-        args = model.sample_args(rng)
-        record = synthetic_record(model, media, args, rng, tenant)
-        ofc.trainer.on_completion(record)
-    models = ofc.trainer.models_for(spec_key)
-    ofc.trainer.retrain(models)
+
+    def samples():
+        for _ in range(n_samples):
+            media = descriptors[int(rng.integers(0, len(descriptors)))]
+            args = model.sample_args(rng)
+            yield synthetic_sample(ofc.trainer, model, media, args, rng)
+
+    models = ofc.trainer.ingest(f"{tenant}/{model.name}", samples())
     model_cache.store(cache_key, models)

@@ -1,20 +1,24 @@
 """§7.1.3: model maturation quickness.
 
-For each function, stream synthetic invocation telemetry through a
-fresh ModelTrainer and record how many invocations the memory model
-needs before it satisfies the maturation criterion.  The paper reports:
-median 100 invocations (11 of 19 functions mature at the first check),
-75 % under 250, 95 % under 450.
+For each function, stream synthetic training samples into a fresh
+ModelTrainer (:meth:`ModelTrainer.ingest`, the path pretraining takes)
+until the memory model satisfies the maturation criterion, and record
+how many invocations that took.  The check runs at every retrain point
+from ``min_history_for_maturity`` on, and once more at a budget that
+is not itself a retrain point.  The paper reports: median 100
+invocations (11 of 19 functions mature at the first check), 75 % under
+250, 95 % under 450.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.bench.datasets import synthetic_record
+from repro.bench.datasets import synthetic_sample
 from repro.core.config import OFCConfig
 from repro.core.trainer import ModelTrainer
 from repro.workloads.functions import ALL_FUNCTIONS, EVALUATION_FUNCTIONS
@@ -34,23 +38,34 @@ class MaturationResult:
 
 
 def _stream_function(
-    trainer: ModelTrainer,
+    config: OFCConfig,
     model,
     max_invocations: int,
     seed: int,
 ) -> Optional[int]:
+    trainer = ModelTrainer(config)
+    models = trainer.models_for(f"t0/{model.name}")
     rng = np.random.default_rng(seed)
     corpus = MediaCorpus(np.random.default_rng(seed + 1))
-    key = f"t0/{model.name}"
-    for _i in range(max_invocations):
-        media = corpus.generate(model.input_kind)
-        args = model.sample_args(rng)
-        record = synthetic_record(model, media, args, rng, "t0")
-        trainer.on_completion(record)
-        models = trainer.models_for(key)
-        if models.mature:
-            return models.matured_after
-    return None
+
+    def samples():
+        for _ in range(max_invocations):
+            if models.mature:
+                return
+            media = corpus.generate(model.input_kind)
+            args = model.sample_args(rng)
+            yield synthetic_sample(trainer, model, media, args, rng)
+
+    trainer.ingest(models.function_key, samples())
+    return models.matured_after
+
+
+def _first_check(config: OFCConfig) -> int:
+    """The first retrain point (a multiple of ``retrain_every``) at or
+    past ``min_history_for_maturity``: where the maturation check first
+    runs."""
+    every = config.retrain_every
+    return max(1, math.ceil(config.min_history_for_maturity / every)) * every
 
 
 def run_maturation(
@@ -59,12 +74,12 @@ def run_maturation(
     functions: Optional[List[str]] = None,
     config: Optional[OFCConfig] = None,
 ) -> MaturationResult:
+    config = config or OFCConfig()
     names = functions or EVALUATION_FUNCTIONS
     per_function: Dict[str, Optional[int]] = {}
     for i, name in enumerate(names):
-        trainer = ModelTrainer(config or OFCConfig())
         per_function[name] = _stream_function(
-            trainer, ALL_FUNCTIONS[name], max_invocations, seed + i
+            config, ALL_FUNCTIONS[name], max_invocations, seed + i
         )
     matured = [v for v in per_function.values() if v is not None]
     # Functions that never matured count as the budget (pessimistic).
@@ -72,7 +87,7 @@ def run_maturation(
         v if v is not None else max_invocations
         for v in per_function.values()
     ]
-    first_check = OFCConfig().min_history_for_maturity
+    first_check = _first_check(config)
     return MaturationResult(
         max_invocations=max_invocations,
         per_function=per_function,

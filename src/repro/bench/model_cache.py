@@ -1,18 +1,19 @@
 """In-process memo of sweep pretraining.
 
 Every macro-style run starts by maturing each tenant's models offline
-(:func:`repro.bench.envs.pretrain_function`).  The feeding loop is
-deterministic in its inputs — function model, tenant, descriptor set,
-sample count, seed, OFC config and RSDS latency profile — so its result
-can be computed once and reused by every later run in the process that
-shares those inputs.
+(:func:`repro.bench.envs.pretrain_function`, which hands synthetic
+samples to :meth:`ModelTrainer.ingest`).  That is deterministic in its
+inputs — function model, tenant, descriptor set, sample count, seed,
+OFC config and RSDS latency profile — so its result can be computed
+once and reused by every later run in the process that shares those
+inputs.
 
 The memo maps a content key to a *pickled* :class:`FunctionModels`
 snapshot.  Serializing at store time and deserializing a fresh copy on
 every hit keeps runs isolated: a run that keeps training online never
 mutates another run's starting state.  Hits restore bit-identical
-trainer state and draw the request ids cold pretraining would have, so
-warm and cold runs produce identical results
+trainer state, and hits and misses skip the same request ids, so warm
+and cold runs produce identical results
 (``tests/bench/test_model_cache.py`` asserts identical macro records).
 
 Each process keeps its own memo: pool workers start from whatever the

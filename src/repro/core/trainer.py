@@ -1,8 +1,9 @@
 """ModelTrainer: per-function model lifecycle (§5.3).
 
-The trainer listens to invocation completions, curates a small but
-valuable training set per function, checks the maturation criterion,
-and (re)trains two J48 models per function:
+The trainer listens to invocation completions (offline telemetry, such
+as pretraining's, enters through :meth:`ModelTrainer.ingest`), curates
+a small but valuable training set per function, checks the maturation
+criterion, and (re)trains two J48 models per function:
 
 * the **memory model** — a classifier over memory intervals;
 * the **cache-benefit model** — a binary classifier predicting whether
@@ -16,7 +17,7 @@ underprediction samples carry a higher weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.config import OFCConfig
 from repro.faas.records import InvocationRecord
@@ -154,11 +155,46 @@ class ModelTrainer:
         if retrain_now or models.invocations_seen % self.config.retrain_every == 0:
             self.retrain(models)
 
+    def ingest(
+        self, function_key: str, samples: Iterable[TrainingSample]
+    ) -> FunctionModels:
+        """Learn offline from telemetry that carries no prediction.
+
+        Leaves the trees, curated set, maturity and versions that one
+        :meth:`on_completion` per sample followed by a trailing
+        :meth:`retrain` would: every sample is appended and maturity is
+        checked at the same retrain points.  Only the trees that
+        sequence reads are fitted, though (so ``retrains`` counts
+        fewer): the memory tree at each retrain point from
+        ``min_history_for_maturity`` on while the model is immature
+        (the maturation check reads it), and both trees once at the
+        end.  ``samples`` is consumed lazily, so a generator may stop
+        once ``models.mature``.
+        """
+        models = self.models_for(function_key)
+        config = self.config
+        checked: Optional[Dataset] = None
+        for sample in samples:
+            models.invocations_seen += 1
+            models.add_sample(sample)
+            if (
+                not models.mature
+                and models.invocations_seen % config.retrain_every == 0
+                and models.invocations_seen >= config.min_history_for_maturity
+            ):
+                checked = self._fit_memory(models)
+                if checked is not None:
+                    self._update_maturity(models, checked)
+        if checked is not None and len(checked) == len(models.samples):
+            # The last check fitted the memory tree on this very set.
+            self._fit_benefit(models, checked)
+        else:
+            self.retrain(models)
+        return models
+
     # -- training -----------------------------------------------------------
 
     def retrain(self, models: FunctionModels, force: bool = False) -> None:
-        if len(models.samples) < 2:
-            return
         if (
             not force
             and models.memory_model is not None
@@ -170,30 +206,47 @@ class ModelTrainer:
             # completion appends a sample.)
             models.retrains_skipped += 1
             return
+        dataset = self._fit_memory(models)
+        if dataset is not None:
+            self._fit_benefit(models, dataset)
+            self._update_maturity(models, dataset)
+
+    def _fit_memory(self, models: FunctionModels) -> Optional[Dataset]:
+        """Fit the memory tree on the curated set; returns the dataset
+        it was fitted on (None: too few samples to fit)."""
         samples = models.samples
+        if len(samples) < 2:
+            return None
         dataset = Dataset(
             [s.features for s in samples],
             [s.memory_label for s in samples],
             weights=[s.weight for s in samples],
         )
         if dataset.n_classes < 1:
-            return
+            return None
         models.memory_model = J48Classifier().fit(dataset)
+        models.retrains += 1
+        return dataset
+
+    def _fit_benefit(self, models: FunctionModels, dataset: Dataset) -> None:
+        """Complete a retrain: fit the benefit tree on ``dataset`` (the
+        memory tree's), then publish both."""
         # One feature table, two label vectors: the benefit model sees
         # the same rows, unweighted.
         models.benefit_model = J48Classifier().fit(
-            dataset.relabel([s.cache_label for s in samples])
+            dataset.relabel([s.cache_label for s in models.samples])
         )
-        models.retrains += 1
         models.fitted_version = models.samples_version
         self._publish_models(models)
+
+    def _update_maturity(self, models: FunctionModels, dataset: Dataset) -> None:
         if (
             not models.mature
             and models.invocations_seen >= self.config.min_history_for_maturity
+            and self._check_maturity(models, dataset)
         ):
-            if self._check_maturity(models, dataset):
-                models.mature = True
-                models.matured_after = models.invocations_seen
+            models.mature = True
+            models.matured_after = models.invocations_seen
 
     def _publish_models(self, models: FunctionModels) -> None:
         if self.registry is not None and models.function_key in self.registry:

@@ -17,7 +17,9 @@ from repro.bench.envs import (
 )
 from repro.bench.fig2 import run_fig2
 from repro.bench.macro import run_macro
+from repro.bench.maturation import run_maturation
 from repro.bench.reporting import format_table, improvement_pct
+from repro.core.config import OFCConfig
 from repro.sim.latency import KB
 from repro.workloads.faasload import TenantProfile
 from repro.workloads.functions import get_function_model
@@ -54,6 +56,23 @@ def test_pretrain_function_matures_model():
     assert models.mature
     assert models.memory_model is not None
     assert models.benefit_model is not None
+
+
+@pytest.mark.parametrize(
+    "min_history,first_check,at_first", [(50, 50, 0), (110, 125, 1)]
+)
+def test_maturation_counts_first_checks_under_its_own_config(
+    min_history, first_check, at_first
+):
+    # The first check is the first retrain point (every 25) at or past
+    # min_history_for_maturity, of the config the run was given.
+    result = run_maturation(
+        150,
+        functions=["wand_sepia", "wand_flip", "wand_contrast", "speech_recognize"],
+        config=OFCConfig(min_history_for_maturity=min_history),
+    )
+    matured = list(result.per_function.values())
+    assert matured.count(first_check) == result.matured_at_first_check == at_first
 
 
 def test_macro_does_not_depend_on_what_ran_before():
