@@ -12,6 +12,16 @@ criterion, and (re)trains two J48 models per function:
 Training-set curation after maturity (§5.3.3): only underpredictions
 and extreme overpredictions (k - k* > 6 intervals) are added, and
 underprediction samples carry a higher weight.
+
+Both paths fit only the trees something reads.  The predictor reads
+the memory tree once the function is mature and the benefit tree from
+10 samples on; the maturation check reads the memory tree at each
+retrain point from ``min_history_for_maturity`` on.  So before that
+point an online retrain fits the benefit tree alone, and pretraining
+(:meth:`ModelTrainer.ingest`) fits the memory tree at the checks and
+both trees once at the end.  ``tests/core/test_online_training_oracle.py``
+and ``tests/bench/test_pretrain_oracle.py`` hold both against the loop
+that fits both trees at every retrain point.
 """
 
 from __future__ import annotations
@@ -113,47 +123,61 @@ class ModelTrainer:
     # -- ingestion -----------------------------------------------------------
 
     def on_completion(self, record: InvocationRecord) -> None:
-        """Platform completion listener: learn from one invocation."""
+        """Platform completion listener: learn from one invocation.
+
+        A retrain point fits only the trees something reads.  Short of
+        ``min_history_for_maturity`` invocations, that is the benefit
+        tree (the predictor reads it from 10 samples on); from the first
+        maturation check on, and so always after maturity, it is both
+        (:meth:`retrain`).  A completion that curation drops builds no
+        sample.
+        """
         if record.status != "ok" or not record.features:
             return
         models = self.models_for(record.request.key)
         models.invocations_seen += 1
+        config = self.config
         true_label = self.intervals.label(record.peak_memory_mb)
-        sample = TrainingSample(
-            features=dict(record.features),
-            memory_label=true_label,
-            cache_label=cache_benefit_label(
-                record.bytes_in,
-                record.bytes_out,
-                record.phases.transform,
-                self.rsds_profile,
-                self.config.cache_benefit_threshold,
-            ),
-        )
+        keep = True
+        weight = 1.0
         retrain_now = False
         if models.mature and record.predicted_interval is not None:
             predicted = record.predicted_interval
             if predicted >= true_label:
                 self.good_predictions += 1
+                # Exact/near predictions are not added (the set stays
+                # small); extreme overpredictions are.
+                keep = predicted - true_label > config.extreme_over_intervals
             else:
                 self.bad_predictions += 1
-            under = predicted < true_label
-            extreme_over = (
-                predicted - true_label > self.config.extreme_over_intervals
-            )
-            if under:
-                sample.weight = self.config.underprediction_weight
-                models.add_sample(sample)
+                weight = config.underprediction_weight
                 # §5.3.1: memory exhaustion corrections happen quickly.
-                if record.oom_kills > 0:
-                    retrain_now = True
-            elif extreme_over:
-                models.add_sample(sample)
-            # Exact/near predictions are not added (the set stays small).
-        else:
-            models.add_sample(sample)
-        if retrain_now or models.invocations_seen % self.config.retrain_every == 0:
-            self.retrain(models)
+                retrain_now = record.oom_kills > 0
+        if keep:
+            models.add_sample(
+                TrainingSample(
+                    features=dict(record.features),
+                    memory_label=true_label,
+                    cache_label=cache_benefit_label(
+                        record.bytes_in,
+                        record.bytes_out,
+                        record.phases.transform,
+                        self.rsds_profile,
+                        config.cache_benefit_threshold,
+                    ),
+                    weight=weight,
+                )
+            )
+        if retrain_now or models.invocations_seen % config.retrain_every == 0:
+            # A mature function is past the first check: maturity is only
+            # ever granted from min_history_for_maturity invocations on.
+            if models.invocations_seen >= config.min_history_for_maturity:
+                self.retrain(models)
+            elif len(models.samples) >= 2:
+                # Nothing reads a memory tree yet; drop one pretraining
+                # left, so that a set memory tree is always current.
+                models.memory_model = None
+                self._fit_benefit(models, self._table(models))
 
     def ingest(
         self, function_key: str, samples: Iterable[TrainingSample]
@@ -161,14 +185,14 @@ class ModelTrainer:
         """Learn offline from telemetry that carries no prediction.
 
         Leaves the trees, curated set, maturity and versions that one
-        :meth:`on_completion` per sample followed by a trailing
-        :meth:`retrain` would: every sample is appended and maturity is
-        checked at the same retrain points.  Only the trees that
-        sequence reads are fitted, though (so ``retrains`` counts
-        fewer): the memory tree at each retrain point from
-        ``min_history_for_maturity`` on while the model is immature
-        (the maturation check reads it), and both trees once at the
-        end.  ``samples`` is consumed lazily, so a generator may stop
+        completion per sample, fitting both trees at every retrain
+        point, followed by a trailing :meth:`retrain` would: every
+        sample is appended and maturity is checked at the same retrain
+        points.  Only the trees that sequence reads are fitted, though
+        (so ``retrains`` counts fewer): the memory tree at each retrain
+        point from ``min_history_for_maturity`` on while the model is
+        immature (the maturation check reads it), and both trees once at
+        the end.  ``samples`` is consumed lazily, so a generator may stop
         once ``models.mature``.
         """
         models = self.models_for(function_key)
@@ -211,17 +235,21 @@ class ModelTrainer:
             self._fit_benefit(models, dataset)
             self._update_maturity(models, dataset)
 
-    def _fit_memory(self, models: FunctionModels) -> Optional[Dataset]:
-        """Fit the memory tree on the curated set; returns the dataset
-        it was fitted on (None: too few samples to fit)."""
+    def _table(self, models: FunctionModels) -> Dataset:
+        """The curated set as the memory tree's (weighted) dataset."""
         samples = models.samples
-        if len(samples) < 2:
-            return None
-        dataset = Dataset(
+        return Dataset(
             [s.features for s in samples],
             [s.memory_label for s in samples],
             weights=[s.weight for s in samples],
         )
+
+    def _fit_memory(self, models: FunctionModels) -> Optional[Dataset]:
+        """Fit the memory tree on the curated set; returns the dataset
+        it was fitted on (None: too few samples to fit)."""
+        if len(models.samples) < 2:
+            return None
+        dataset = self._table(models)
         if dataset.n_classes < 1:
             return None
         models.memory_model = J48Classifier().fit(dataset)
@@ -229,8 +257,8 @@ class ModelTrainer:
         return dataset
 
     def _fit_benefit(self, models: FunctionModels, dataset: Dataset) -> None:
-        """Complete a retrain: fit the benefit tree on ``dataset`` (the
-        memory tree's), then publish both."""
+        """Complete a retrain: fit the benefit tree on ``dataset``'s
+        feature table, then publish both trees."""
         # One feature table, two label vectors: the benefit model sees
         # the same rows, unweighted.
         models.benefit_model = J48Classifier().fit(

@@ -154,7 +154,11 @@ class FaaSPlatform:
         memory_mb = self._clamp_memory(decision.memory_mb)
 
         excluded: set = set()
-        failure: Optional[Exception] = None  # what ended the last attempt
+        # What ended the last attempt, as the record's error message.  The
+        # text, not the exception: its traceback holds this frame, so
+        # keeping it here would make the record, request, monitor and
+        # data client cyclic garbage.
+        failure = "ResourceExhausted: no worker node to schedule on"
         for _attempt in range(self.config.max_retries + 1):
             node = self.scheduler.choose_node(
                 request, memory_mb, self.invokers, exclude=excluded
@@ -172,7 +176,7 @@ class FaaSPlatform:
             except OOMKilled as exc:
                 # §5.3.1: immediately retried with the limit raised to
                 # the amount set by the tenant.
-                failure = exc
+                failure = f"{type(exc).__name__}: {exc}"
                 memory_mb = self._clamp_memory(spec.booked_memory_mb)
                 record.retries += 1
                 # Reset phase accounting: the retry is a fresh run.
@@ -182,7 +186,7 @@ class FaaSPlatform:
                 record.bytes_in = 0
                 record.bytes_out = 0
             except ResourceExhausted as exc:
-                failure = exc
+                failure = f"{type(exc).__name__}: {exc}"
                 excluded.add(node.node_id)
                 record.retries += 1
             except (StoreUnavailable, NoSuchObject) as exc:
@@ -191,16 +195,12 @@ class FaaSPlatform:
                 # another node cannot help, and letting the exception
                 # escape would tear down the whole driver. Found by the
                 # chaos harness (rsds_outage episodes during load).
-                failure = exc
+                failure = f"{type(exc).__name__}: {exc}"
                 break
         if record.status != "ok":
             record.status = "failed"
             record.finished_at = self.kernel.now
-            record.error = (
-                f"{type(failure).__name__}: {failure}"
-                if failure is not None
-                else "ResourceExhausted: no worker node to schedule on"
-            )
+            record.error = failure
         if span is not None:
             span.finish(status=record.status, retries=record.retries)
         if self.keep_records:

@@ -25,11 +25,12 @@ What the loop fuses, relative to dispatching every occurrence through
 * the heap/FIFO drain, the ``_TRIGGERED`` delivery arm and the process
   resume are one flat function — a process wake runs the generator
   ``send`` directly (two frames per event saved);
-* **fused callback delivery**: a triggered event whose callback is a
-  :meth:`Process._resume` bound method (the overwhelmingly common case —
-  one process blocked on a timeout, an event or another process)
-  delivers by running the generator ``send``/``throw`` inline, and list
-  (fan-in) deliveries inline each process-resume element the same way;
+* **fused callback delivery**: a triggered event whose waiter is a
+  :class:`Process` (the overwhelmingly common case — one process
+  blocked on a timeout, an event or another process; a process waits as
+  itself, so the class test is the whole check) delivers by running the
+  generator ``send``/``throw`` inline, and list (fan-in) deliveries
+  inline each process element the same way;
   only foreign callables (condition checks, ``call_later`` arms, span
   closers, user hooks) still dispatch through a call;
 * **direct resume**: when a resumed process yields a positive delay and
@@ -119,13 +120,13 @@ while True:
     if target._state != _PROCESSED:
         waiters = target.callbacks
         if waiters is None:
-            target.callbacks = {proc}._cb
+            target.callbacks = {proc}
         elif waiters.__class__ is list:
-            waiters.append({proc}._cb)
+            waiters.append({proc})
         else:
-            target.callbacks = [waiters, {proc}._cb]
+            target.callbacks = [waiters, {proc}]
     else:
-        target.wait({proc}._cb)
+        target.wait({proc})
     break"""
 
 #: ``{direct_resume}``: the wake is the next occurrence whatever its
@@ -177,9 +178,9 @@ if state == _TRIGGERED:
         exc = event._exception
         if exc is not None and not event.defused:
             raise exc
-    elif callbacks.__class__ is _MethodType and callbacks.__func__ is _PROC_RESUME:
+    elif callbacks.__class__ is Process:
         event.callbacks = None
-        proc = callbacks.__self__
+        proc = callbacks
         value = event._value
         exc = event._exception
 {deliver_one}
@@ -187,13 +188,10 @@ if state == _TRIGGERED:
         event.callbacks = None
         if callbacks.__class__ is list:
             for callback in callbacks:
-                if (
-                    callback.__class__ is not _MethodType
-                    or callback.__func__ is not _PROC_RESUME
-                ):
+                if callback.__class__ is not Process:
                     callback(event)
                     continue
-                proc = callback.__self__
+                proc = callback
                 value = event._value
                 exc = event._exception
 {deliver_each}
@@ -330,8 +328,8 @@ def compile_dispatch(kernel_internals: dict) -> tuple:
 
     Called once from the bottom of :mod:`repro.sim.kernel`;
     ``kernel_internals`` supplies ``heappush``/``heappop``, the event
-    state constants, the ``Process._resume`` identity pair used by the
-    fused delivery arms and ``SimulationError``, so this module never
+    state constants, the ``Process`` class the fused delivery arms
+    recognize a waiter by and ``SimulationError``, so this module never
     imports the kernel (no circular import).  The pseudo file name
     ``<sim-fastpath>`` is what profiles and tracebacks attribute the
     loop to (``perf/attribution.py`` files it under the ``sim`` layer).

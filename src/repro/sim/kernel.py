@@ -21,6 +21,10 @@ little uniformity for speed:
 * ``callbacks`` stores ``None`` (no waiter), a single callable (the
   overwhelmingly common case: the one process blocked on the event) or
   a list (fan-in), avoiding a list allocation per event;
+* a process waits as itself: :class:`Process` is callable
+  (``__call__`` is :meth:`Process._resume`), so the waiter it registers
+  is the process object — no bound method per process, and no
+  process → bound method → process cycle left for the collector;
 * occurrences scheduled for the *current* instant — process starts and
   terminations, ``succeed()``/``fail()``, zero timeouts — go to a FIFO
   deque (``_immediate``) instead of the heap: no entry tuple, no
@@ -250,9 +254,13 @@ class Process(Event):
     is unchanged.  Nothing can take a process off the event or the
     sleep it is blocked on, so a pending process found on the queue is
     always due: its bootstrap slot or the end of its sleep.
+
+    A process is its own waiter: calling it with an event resumes it
+    (``__call__`` is :meth:`_resume`), so the process object itself is
+    what it registers on the events it yields.
     """
 
-    __slots__ = ("generator", "name", "_cb", "_send", "_throw")
+    __slots__ = ("generator", "name", "_send", "_throw")
 
     def __init__(self, kernel: "Kernel", generator: Generator, name: str = ""):
         try:
@@ -277,9 +285,6 @@ class Process(Event):
                 self.name = generator.__name__
             except AttributeError:
                 self.name = "process"
-        # The one bound resume callback this process ever registers;
-        # binding it once avoids a method-object allocation per yield.
-        self._cb = self._resume
         # Bootstrap: the process object itself takes the queue slot the
         # first resume fires from (no kick Event needed).
         kernel._ipush(self)
@@ -344,13 +349,15 @@ class Process(Event):
         if target._state != _PROCESSED:
             callbacks = target.callbacks
             if callbacks is None:
-                target.callbacks = self._cb
+                target.callbacks = self
             elif callbacks.__class__ is list:
-                callbacks.append(self._cb)
+                callbacks.append(self)
             else:
-                target.callbacks = [callbacks, self._cb]
+                target.callbacks = [callbacks, self]
         else:
-            target.wait(self._cb)
+            target.wait(self)
+
+    __call__ = _resume
 
 
 #: Shared sentinel delivered on a process's first resume: a bare Event
@@ -616,10 +623,9 @@ Kernel.run, Kernel.run_until = _fastpath.compile_dispatch(
         "_TRIGGERED": _TRIGGERED,
         "_PROCESSED": _PROCESSED,
         "_INF": _INF,
-        # The fused delivery arms recognize a process-resume callback by
-        # identity: a bound method whose function is Process._resume.
-        "_MethodType": type(_BOOTSTRAP._run_callbacks),
-        "_PROC_RESUME": Process._resume,
+        # The fused delivery arms recognize a waiting process by its
+        # class: the waiter a process registers is the process itself.
+        "Process": Process,
         "SimulationError": SimulationError,
     }
 )

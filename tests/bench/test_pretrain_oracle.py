@@ -2,10 +2,11 @@
 state the per-record loop left.
 
 The oracle is the loop pretraining used to run: one synthetic
-``InvocationRecord`` per sample through ``ModelTrainer.on_completion``
-(which fits both trees at every retrain point), then a trailing
-``retrain()``.  ``ModelTrainer.ingest`` fits the memory tree only where
-the maturation check reads it, and both trees once at the end; the
+``InvocationRecord`` per sample through the online reference loop
+(``tests.core.reference_trainer.reference_on_completion``, which fits
+both trees at every retrain point), then a trailing ``retrain()``.
+``ModelTrainer.ingest`` fits the memory tree only where the maturation
+check reads it, and both trees once at the end; the
 trees, the curated set, the maturity verdict, the versions and the next
 request id must come out identical, and only the fit count may drop.
 
@@ -32,6 +33,7 @@ from repro.faas import reset_id_counters
 from repro.faas.records import InvocationRecord, InvocationRequest, Phases
 from repro.workloads.functions import ALL_FUNCTIONS, EVALUATION_FUNCTIONS
 from repro.workloads.media import MediaCorpus
+from tests.core.reference_trainer import reference_on_completion
 
 #: Before the first check (100), just past it (a trailing check off the
 #: retrain points), pretraining's default, and the maturation budget.
@@ -75,7 +77,7 @@ def per_record_loop(model, draws):
     oracle = {}
     for n, (media, args, rng) in enumerate(islice(draws, max(N_SAMPLES)), 1):
         record = _record(model, media, args, rng)
-        trainer.on_completion(record)
+        reference_on_completion(trainer, record)
         if n in N_SAMPLES:
             snapshot = pickle.loads(pickle.dumps(models))
             trainer.retrain(snapshot)

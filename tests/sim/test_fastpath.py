@@ -482,13 +482,19 @@ def test_generated_source_has_one_advance_template():
 
 def test_generated_loops_store_only_what_something_reads():
     """The per-resume store budget: the clock, and an event's state,
-    waiters, outcome and ``defused`` handshake — nothing per process."""
+    waiters, outcome and ``defused`` handshake — nothing per process.
+    A process waits as itself: the loops register and recognize the
+    process object, never a bound method of it."""
     import ast
 
-    stored = {
-        node.attr
+    attributes = [
+        node
         for node in ast.walk(ast.parse(fastpath.dispatch_source()))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-    }
+        if isinstance(node, ast.Attribute)
+    ]
+    stored = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)}
     assert stored == {"now", "_state", "callbacks", "defused", "_value", "_exception"}
-    assert Process.__slots__ == ("generator", "name", "_cb", "_send", "_throw")
+    loaded = {node.attr for node in attributes}
+    assert not loaded & {"_cb", "_resume", "__func__", "__self__"}
+    assert Process.__slots__ == ("generator", "name", "_send", "_throw")
+    assert Process.__call__ is Process._resume
