@@ -71,9 +71,14 @@ def _build_baseline(
     reset_id_counters()
     kernel = Kernel()
     rng = RngRegistry(seed)
-    store = ObjectStore(kernel, profile=profile, rng=rng.stream("rsds"))
+    # Latency jitter only: cursors over pre-drawn standard normals, as
+    # in OFCPlatform (see repro.sim.rng).
+    store = ObjectStore(kernel, profile=profile, rng=rng.batched_stream("rsds"))
     platform = FaaSPlatform(
-        kernel, store, _platform_config(nodes, node_mb), rng=rng.stream("platform")
+        kernel,
+        store,
+        _platform_config(nodes, node_mb),
+        rng=rng.batched_stream("platform"),
     )
     env = BaselineEnv(label=label, kernel=kernel, store=store, platform=platform)
     env.seed_buckets()

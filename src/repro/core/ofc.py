@@ -24,10 +24,8 @@ from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.records import InvocationRecord, InvocationRequest
 from repro.kvcache.cluster import CacheCluster
 from repro.kvcache.errors import NoSuchKey
-from repro.kvcache.objects import LOCAL_READ
 from repro.obs.registry import MetricsRegistry
 from repro.sim.kernel import Kernel
-from repro.sim.latency import OFC_CONTROL_OVERHEAD, PLATFORM_OVERHEAD
 from repro.sim.rng import RngRegistry
 from repro.storage.errors import StoreUnavailable
 from repro.storage.latency_profiles import LatencyProfile, SWIFT_PROFILE
@@ -56,32 +54,19 @@ class OFCPlatform:
         self.kernel = kernel or Kernel()
         self.config = config or OFCConfig()
         self.rng = RngRegistry(seed)
-        # Streams whose every draw is one fixed lognormal jitter config
-        # are served batched (pre-drawn vectors, bit-identical — see
-        # repro.sim.rng).  "rsds" (profile-dependent jitters) and
-        # "platform" (shared with invokers: COLD_START's sigma differs)
-        # mix parameters and must stay scalar.
-        cache_rng = self.rng.batched_stream(
-            "cache", "lognormal", mean=0.0, sigma=LOCAL_READ.jitter
-        )
-        predictor_rng = self.rng.batched_stream(
-            "predictor",
-            "lognormal",
-            mean=0.0,
-            sigma=OFC_CONTROL_OVERHEAD.jitter,
-        )
-        persistor_rng = self.rng.batched_stream(
-            "persistor", "lognormal", mean=0.0, sigma=PLATFORM_OVERHEAD.jitter
-        )
+        # The five streams feed LatencyModel jitter only, one standard
+        # normal per draw whatever the model's sigma, so each is a cursor
+        # over pre-drawn standard normals (bit-identical — see
+        # repro.sim.rng).  "platform" is shared with the invokers.
         self.store = ObjectStore(
-            self.kernel, profile=rsds_profile, rng=self.rng.stream("rsds")
+            self.kernel, profile=rsds_profile, rng=self.rng.batched_stream("rsds")
         )
         platform_config = platform_config or PlatformConfig()
         self.platform = FaaSPlatform(
             self.kernel,
             self.store,
             platform_config,
-            rng=self.rng.stream("platform"),
+            rng=self.rng.batched_stream("platform"),
         )
         # The pluggable cache architecture (see repro.cache; imported
         # here, not at module scope — repro.cache itself pulls in
@@ -96,7 +81,7 @@ class OFCPlatform:
             self.kernel,
             platform_config.node_ids,
             config=self.config,
-            rng=cache_rng,
+            rng=self.rng.batched_stream("cache"),
             max_object_size=self.config.max_cacheable_bytes,
         )
         #: The RAMCloud-style cluster: the backend itself on "ofc",
@@ -130,13 +115,13 @@ class OFCPlatform:
             self.trainer,
             store=self.store,
             config=self.config,
-            rng=predictor_rng,
+            rng=self.rng.batched_stream("predictor"),
         )
         self.persistor = PersistorService(
             self.kernel,
             self.store,
             self.backend,
-            rng=persistor_rng,
+            rng=self.rng.batched_stream("persistor"),
             on_persisted=self._on_persisted,
             requeue=self.config.persistor_requeue,
         )

@@ -2,14 +2,18 @@
 
 A :class:`LatencyModel` turns an operation on ``nbytes`` of payload into
 a duration: ``base + nbytes / bandwidth``, scaled by a bounded lognormal
-jitter factor.  The constants used across the repository are calibrated
-to the numbers the OFC paper reports (§6.4, §7.2.1): e.g. the cgroup
-resize of ~24 ms, RAMCloud scaling in the hundreds of microseconds, and
-object migration of 0.18 ms for 8 MB up to 13.5 ms for 1 GB.
+jitter factor ``exp(σ·z)``: one standard normal ``z`` per jittered draw,
+whatever σ is, which is why every latency stream can be served as a
+cursor over pre-drawn standard normals (:mod:`repro.sim.rng`).  The
+constants used across the repository are calibrated to the numbers the
+OFC paper reports (§6.4, §7.2.1): e.g. the cgroup resize of ~24 ms,
+RAMCloud scaling in the hundreds of microseconds, and object migration
+of 0.18 ms for 8 MB up to 13.5 ms for 1 GB.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,14 +56,21 @@ class LatencyModel:
         return duration
 
     def sample(self, rng: Optional[np.random.Generator], nbytes: int = 0) -> float:
-        """Draw one duration for an operation on ``nbytes``."""
+        """Draw one duration for an operation on ``nbytes``.
+
+        ``rng`` is a ``numpy.random.Generator`` or a
+        :class:`~repro.sim.rng.BatchedStream`; either serves the one
+        standard normal a jittered sample consumes.
+        """
         duration = self.mean(nbytes)
         if self.jitter > 0.0 and rng is not None:
-            # min/max instead of np.clip: identical on scalars (clip is
-            # max-then-min) without the ufunc machinery per draw.  `rng`
-            # may be a BatchedStream serving pre-drawn lognormals — the
-            # call signature is the contract it validates against.
-            factor = rng.lognormal(mean=0.0, sigma=self.jitter)
+            # Generator.lognormal(0, σ) is exp(0 + σ·z) on one standard
+            # normal z, with the C library's exp — which math.exp is —
+            # so this is its value bit for bit (tests/sim/
+            # test_latency_rng.py).  min/max instead of np.clip:
+            # identical on scalars (clip is max-then-min) without the
+            # ufunc machinery per draw.
+            factor = math.exp(self.jitter * rng.standard_normal())
             if factor < _JITTER_FLOOR:
                 factor = _JITTER_FLOOR
             elif factor > _JITTER_CEIL:

@@ -4,17 +4,18 @@ Every stochastic component of the simulation draws from its own named
 stream so that (a) runs are reproducible for a given seed and (b) adding
 randomness to one component never perturbs another component's draws.
 
-Streams whose *every* draw is one fixed (distribution, parameters)
-configuration can be served through :class:`BatchedStream`, which
-pre-draws vectors and hands out scalars from a cursor.  numpy's
-vectorized draws consume the underlying bit stream exactly like repeated
-scalar draws for the distributions allowed here (asserted per
-distribution in ``tests/sim/test_rng_batched.py``), so batching is
+The latency streams draw nothing but standard normals: every
+:class:`~repro.sim.latency.LatencyModel` jitter is ``lognormal(0, σ)``,
+which numpy computes as ``exp(0 + σ·z)`` from ONE standard normal ``z``
+whatever σ is, and ``LatencyModel.sample`` does that arithmetic itself.
+So a stream shared by models of different σ (the store's profile, the
+platform's cold/warm starts) is served by a :class:`BatchedStream`, a
+cursor over pre-drawn standard normals: numpy's vectorized
+``standard_normal(n)`` consumes the bit stream exactly like ``n``
+scalar draws (``tests/sim/test_rng_batched.py``), so batching is
 bit-identical — provided nothing else draws from the wrapped generator.
-Streams that mix distributions or parameters (workload generators, the
-store's profile-dependent jitters, the platform/invoker stream) must
-stay scalar; :class:`RngRegistry` enforces that a name is handed out
-either raw or batched, never both.
+:class:`RngRegistry` enforces that a name is handed out either raw or
+batched, never both.
 """
 
 from __future__ import annotations
@@ -29,110 +30,33 @@ DEFAULT_BATCH = 1024
 
 
 class BatchedStream:
-    """Cursor over pre-drawn vectors of ONE fixed-parameter distribution.
+    """Cursor over pre-drawn standard normals of one generator.
 
-    Exposes the distribution's draw method under its numpy name (e.g.
-    ``stream.lognormal(mean=0.0, sigma=0.05)``) so call sites keep the
-    ``numpy.random.Generator`` calling convention; the arguments are
-    validated against the batch configuration on every call and a
-    mismatch raises — a silent scalar fallback could not be bit-identical
-    once a vector has been prefetched.  The check compares one tuple,
-    ``(kind, *parameter values)``, built once here: it runs per draw.
+    ``standard_normal()`` is its only draw, under numpy's name, so a
+    :class:`~repro.sim.latency.LatencyModel` draws from a cursor and from
+    a raw ``numpy.random.Generator`` with the same line.
     """
 
-    #: Distributions verified batchable (vectorized == sequential draws),
-    #: each with its parameter names in numpy's order.
-    KINDS = {
-        "random": (),
-        "uniform": ("low", "high"),
-        "exponential": ("scale",),
-        "pareto": ("a",),
-        "lognormal": ("mean", "sigma"),
-        "standard_normal": (),
-        "normal": ("loc", "scale"),
-        "geometric": ("p",),
-    }
+    __slots__ = ("generator", "batch", "_buf", "_pos")
 
-    __slots__ = (
-        "generator", "kind", "params", "batch", "_call", "_buf", "_pos", "_end"
-    )
-
-    def __init__(
-        self,
-        generator: np.random.Generator,
-        kind: str,
-        batch: int = DEFAULT_BATCH,
-        **params: float,
-    ):
-        if kind not in self.KINDS:
-            raise ValueError(
-                f"distribution {kind!r} is not verified batchable "
-                f"(allowed: {', '.join(self.KINDS)})"
-            )
+    def __init__(self, generator: np.random.Generator, batch: int = DEFAULT_BATCH):
         if batch < 1:
             raise ValueError("batch must be >= 1")
         self.generator = generator
-        self.kind = kind
-        self.params = dict(params)
         self.batch = int(batch)
-        self._call = (kind, *(params.get(name) for name in self.KINDS[kind]))
         self._buf: List[float] = []
-        self._pos = 0
-        self._end = 0
+        self._pos = self.batch
 
-    def draw(self) -> float:
-        """Next scalar of the configured distribution."""
+    def standard_normal(self) -> float:
+        """The next standard normal of the wrapped generator."""
         pos = self._pos
-        if pos >= self._end:
+        if pos == self.batch:
             # .tolist() converts to Python floats once per batch: the
             # values are bitwise what sequential scalar draws return.
-            self._buf = getattr(self.generator, self.kind)(
-                size=self.batch, **self.params
-            ).tolist()
-            self._end = len(self._buf)
+            self._buf = self.generator.standard_normal(self.batch).tolist()
             pos = 0
         self._pos = pos + 1
         return self._buf[pos]
-
-    def _mismatch(self, kind: str, params: dict) -> RuntimeError:
-        return RuntimeError(
-            f"BatchedStream serves {self.kind}({self.params}); "
-            f"refusing {kind}({params}) — draws are prefetched, so a "
-            "scalar fallback would break bit-identity. Use a raw stream "
-            "for mixed-distribution draw sites."
-        )
-
-    # -- numpy.random.Generator-style façade -------------------------------
-
-    def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
-        if self._call != ("lognormal", mean, sigma):
-            raise self._mismatch("lognormal", {"mean": mean, "sigma": sigma})
-        return self.draw()
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        if self._call != ("uniform", low, high):
-            raise self._mismatch("uniform", {"low": low, "high": high})
-        return self.draw()
-
-    def exponential(self, scale: float = 1.0) -> float:
-        if self._call != ("exponential", scale):
-            raise self._mismatch("exponential", {"scale": scale})
-        return self.draw()
-
-    def pareto(self, a: float) -> float:
-        if self._call != ("pareto", a):
-            raise self._mismatch("pareto", {"a": a})
-        return self.draw()
-
-    def random(self) -> float:
-        if self._call != ("random",):
-            raise self._mismatch("random", {})
-        return self.draw()
-
-    def standard_normal(self) -> float:
-        if self._call != ("standard_normal",):
-            raise self._mismatch("standard_normal", {})
-        return self.draw()
 
 
 class RngRegistry:
@@ -165,36 +89,21 @@ class RngRegistry:
             self._streams[name] = self._seeded(name)
         return self._streams[name]
 
-    def batched_stream(
-        self,
-        name: str,
-        kind: str,
-        batch: int = DEFAULT_BATCH,
-        **params: float,
-    ) -> BatchedStream:
-        """A :class:`BatchedStream` over the named stream.
+    def batched_stream(self, name: str) -> BatchedStream:
+        """The :class:`BatchedStream` over the named stream.
 
-        Only valid for streams whose every draw uses this one
-        configuration; the registry refuses to also hand out the raw
-        generator for ``name`` (and vice versa) because interleaved
-        direct draws would break the cursor's bit-identity.
+        The registry refuses to also hand out the raw generator for
+        ``name`` (and vice versa): interleaved direct draws would break
+        the cursor's bit-identity.
         """
-        existing = self._batched.get(name)
-        if existing is not None:
-            if existing.kind != kind or existing.params != params:
-                raise RuntimeError(
-                    f"stream {name!r} already batched as "
-                    f"{existing.kind}({existing.params})"
-                )
-            return existing
         if name in self._streams:
             raise RuntimeError(
                 f"stream {name!r} was already handed out raw; batching it "
                 "now would desynchronize earlier scalar draws"
             )
-        wrapped = BatchedStream(self._seeded(name), kind, batch, **params)
-        self._batched[name] = wrapped
-        return wrapped
+        if name not in self._batched:
+            self._batched[name] = BatchedStream(self._seeded(name))
+        return self._batched[name]
 
     def fork(self, salt: int) -> "RngRegistry":
         """A registry whose streams are all independent of this one's."""

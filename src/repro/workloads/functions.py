@@ -15,12 +15,20 @@ Calibration notes (tied to the paper's numbers):
   (§7.2.1: 180 ms total on OWK-Swift, 32 ms on OFC-LocalHit).
 * Footprint noise is a few MB (additive) plus ~1.5 % (multiplicative),
   which produces Table 1's accuracy ladder across 8/16/32 MB intervals.
+
+Footprint noise comes from one of two places.  A deployed body
+(:meth:`FunctionModel.make_body`) computes the noiseless footprint and
+applies the invocation's own pair of standard normals,
+:func:`truth_noise` ``(truth_seed, request_id)``, so a retried request
+sees the same footprint.  Offline callers (pretraining, Figure 2,
+booking estimates) pass a generator to ``footprint_mb`` and the pair is
+drawn from it (:func:`noisy`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,24 +49,165 @@ NOISE_ADD_MB = 1.2
 NOISE_MUL = 0.005
 
 
-def _truth_rng(seed: int, request_id: int) -> np.random.Generator:
-    """Deterministic per-invocation RNG for the hidden footprint noise."""
-    digest = hashlib.sha256(f"{seed}:{request_id}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+def apply_noise(value_mb: float, noise: Tuple[float, float]) -> float:
+    """``value_mb`` under one invocation's ``(mul_z, add_z)`` normals."""
+    mul_z, add_z = noise
+    noisy_mb = value_mb * (1.0 + mul_z * NOISE_MUL)
+    noisy_mb += add_z * NOISE_ADD_MB
+    return max(1.0, noisy_mb)
 
 
-def _noisy(value_mb: float, rng: Optional[np.random.Generator]) -> float:
+def noisy(value_mb: float, rng: Optional[np.random.Generator]) -> float:
+    """``value_mb`` with noise drawn from ``rng`` (None: noiseless)."""
     if rng is None:
         return value_mb
-    # One vectorized standard_normal(2) instead of two scalar normal()
-    # calls: numpy draws normal(mu, sigma) as mu + sigma * N(0,1) from
-    # the same bit stream, so the values (and stream position) are
-    # bitwise what the two scalar draws returned; .tolist() keeps the
-    # Python-float type downstream consumers (JSON export) expect.
-    mul_z, add_z = rng.standard_normal(2).tolist()
-    noisy = value_mb * (1.0 + mul_z * NOISE_MUL)
-    noisy += add_z * NOISE_ADD_MB
-    return max(1.0, noisy)
+    # .tolist() keeps the Python-float type downstream consumers (JSON
+    # export) expect; standard_normal(2) draws what two scalar calls do.
+    return apply_noise(value_mb, rng.standard_normal(2).tolist())
+
+
+# -- the hidden per-invocation noise -------------------------------------------
+#
+# The noise of request ``r`` under truth seed ``s`` is, by definition,
+#
+#     np.random.default_rng(e).standard_normal(2)
+#     with e = int.from_bytes(sha256(f"{s}:{r}")[:8], "big"),
+#
+# and building that generator (SeedSequence, PCG64, Generator) per
+# invocation costs more than drawing from it.  The seeding is a fixed
+# integer function of e, so it is computed here for a block of
+# consecutive request ids at once:
+#
+# * ``SeedSequence(e)`` hashes the entropy words (e's 32-bit halves; a
+#   second word of 0 is what a one-word e pads to) into a 4-word pool
+#   with ``hashmix``/``mix``, whose hash-constant schedule does not
+#   depend on the data, then ``generate_state(4, uint64)`` hashes the
+#   pool into 8 words.  That is uint32 arithmetic, done on whole blocks
+#   with numpy (uint32 arrays wrap exactly like numpy's C code).
+# * ``PCG64`` seeds its 128-bit LCG with ``pcg_setseq_128_srandom_r``.
+#
+# A call then only sets the state of one private PCG64 and draws its two
+# normals.  ``tests/workloads/test_truth_noise.py`` holds all of it to
+# the ``default_rng`` form bit for bit.
+
+#: Request ids per derived block, and blocks kept (oldest built leaves
+#: first).  Request ids reach the bodies nearly in order; an OOM retry
+#: re-runs one a few hundred ids back, which four blocks still hold.
+_NOISE_BLOCK = 256
+_NOISE_WINDOW = 4
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy/random/bit_generator.pyx (SeedSequence).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+# numpy/random/src/pcg64 (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> List[Tuple[Any, Any]]:
+    """Per step, the constant a hash xors in and the one it multiplies by."""
+    consts = []
+    for _ in range(count):
+        following = (init * mult) & _MASK32
+        consts.append((np.uint32(init), np.uint32(following)))
+        init = following
+    return consts
+
+
+# mix_entropy: one hashmix per pool word, then one per ordered pair.
+_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+# generate_state(4, uint64): 8 uint32 words.
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _seed_states(entropy: np.ndarray) -> List[Tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence(e))`` for each uint64 e."""
+    steps = iter(_MIX_CONSTS)
+
+    def hashmix(value):
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ (value >> _XSHIFT)
+
+    low = (entropy & np.uint64(_MASK32)).astype(np.uint32)
+    high = (entropy >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    words = []
+    for index, (xor, mult) in enumerate(_STATE_CONSTS):
+        value = (pool[index % _POOL_SIZE] ^ xor) * mult
+        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # Little-endian pairs of uint32 words are the four uint64 words.
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[2 * i] | (words[2 * i + 1] << np.uint64(32))).tolist()
+        for i in range(4)
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        initstate = (s_hi << 64) | s_lo
+        states.append((((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _block_states(seed: int, block: int) -> bytes:
+    """The block's ``(state, inc)`` pairs as 16-byte big-endian integers,
+    packed into one object: kept as 512 long-lived ints, four blocks
+    fragmented the heap enough to add about 0.3 MB of peak RSS."""
+    first = block * _NOISE_BLOCK
+    digests = b"".join(
+        hashlib.sha256(f"{seed}:{request_id}".encode()).digest()[:8]
+        for request_id in range(first, first + _NOISE_BLOCK)
+    )
+    entropy = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    return b"".join(
+        state.to_bytes(16, "big") + inc.to_bytes(16, "big")
+        for state, inc in _seed_states(entropy)
+    )
+
+
+#: Derived blocks by ``(seed, block)``: a cache, never part of a value.
+_blocks: Dict[Tuple[int, int], bytes] = {}
+#: The one generator every call reseeds.  Made with the first block, so
+#: that importing this module does not load ``numpy.random``.
+_generator: Optional[np.random.Generator] = None
+
+
+def truth_noise(seed: int, request_id: int) -> Tuple[float, float]:
+    """The ``(mul_z, add_z)`` normals of invocation ``request_id``."""
+    global _generator
+    block, offset = divmod(request_id, _NOISE_BLOCK)
+    key = (seed, block)
+    states = _blocks.get(key)
+    if states is None:
+        if _generator is None:
+            _generator = np.random.Generator(np.random.PCG64())
+        states = _blocks[key] = _block_states(seed, block)
+        if len(_blocks) > _NOISE_WINDOW:
+            del _blocks[next(iter(_blocks))]
+    at = 32 * offset
+    _generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": int.from_bytes(states[at : at + 16], "big"),
+            "inc": int.from_bytes(states[at + 16 : at + 32], "big"),
+        },
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _generator.standard_normal(), _generator.standard_normal()
 
 
 class FunctionModel:
@@ -103,8 +252,10 @@ class FunctionModel:
             bucket, name = request.input_ref.split("/", 1)
             obj = yield from ctx.read(bucket, name)
             media = obj.payload
-            rng = _truth_rng(truth_seed, request.request_id)
-            footprint = self.footprint_mb(media, ctx.args, rng)
+            footprint = apply_noise(
+                self.footprint_mb(media, ctx.args),
+                truth_noise(truth_seed, request.request_id),
+            )
             duration = self.transform_time(media, ctx.args)
             yield from ctx.compute(duration, footprint)
             out_size = self.output_size(media, ctx.args)
@@ -153,7 +304,7 @@ class _ImageFunction(FunctionModel):
     def footprint_mb(self, media, args, rng=None) -> float:
         decoded = media.decoded_mb
         footprint = self.runtime_base_mb + decoded * self._work_copies(media, args)
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args) -> float:
         return self.fixed_s + media.decoded_mb * self.per_mb_s
@@ -381,7 +532,7 @@ class AudioCompress(_AudioFunction):
         footprint = (
             self.runtime_base_mb + decoded * 1.3 + 0.04 * bitrate
         )
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args):
         return 0.02 + media.duration_s * 0.015
@@ -397,7 +548,7 @@ class AudioNormalize(_AudioFunction):
     def footprint_mb(self, media: AudioDescriptor, args, rng=None):
         # Two-pass: full decoded buffer plus an analysis window.
         footprint = self.runtime_base_mb + media.decoded_mb * 2.1
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args):
         return 0.015 + media.duration_s * 0.01
@@ -420,7 +571,7 @@ class SpeechRecognize(_AudioFunction):
             + model_mb.get(language, 50.0)
             + media.decoded_mb * 1.6
         )
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args):
         return 0.2 + media.duration_s * 0.08
@@ -447,7 +598,7 @@ class VideoGrayscale(_VideoFunction):
         # Decoder pipeline buffers a GOP worth of frames.
         gop = 12 if media.codec == "mpeg2" else 30
         footprint = self.runtime_base_mb + media.frame_mb * gop * 1.4
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args):
         return 0.05 + media.frames * media.frame_mb * 0.0006
@@ -470,7 +621,7 @@ class VideoTranscode(_VideoFunction):
         lookahead = {"h264": 24, "vp9": 48, "mpeg2": 8}
         frames_buffered = lookahead.get(target, 24) + 12
         footprint = self.runtime_base_mb + media.frame_mb * frames_buffered * 1.5
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args):
         target = args.get("target_codec", "h264")
@@ -497,7 +648,7 @@ class VideoThumbnail(_VideoFunction):
         footprint = (
             self.runtime_base_mb + media.frame_mb * (8 + n_thumbs) * 1.2
         )
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args):
         n_thumbs = float(args.get("n_thumbs", 4))
@@ -526,7 +677,7 @@ class TextSummarize(FunctionModel):
         # Token graph: ~8x the raw text plus sentence-rank matrices.
         text_mb = media.size / MB
         footprint = self.runtime_base_mb + text_mb * 8.0
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args):
         return 0.02 + media.n_words * 2.2e-6
@@ -547,7 +698,7 @@ class WordcountMap(FunctionModel):
     def footprint_mb(self, media: TextDescriptor, args, rng=None):
         text_mb = media.size / MB
         footprint = self.runtime_base_mb + text_mb * 3.2
-        return _noisy(footprint, rng)
+        return noisy(footprint, rng)
 
     def transform_time(self, media, args):
         return 0.01 + media.n_words * 1.1e-6

@@ -13,7 +13,11 @@
 
 Every stage is a :class:`StageFunction` with its own hidden footprint
 and duration model; intermediate objects carry feature metadata so
-OFC's per-function predictors work on pipeline stages too.
+OFC's per-function predictors work on pipeline stages too.  A stage's
+body applies the same per-invocation footprint noise as a single-stage
+function (:func:`repro.workloads.functions.truth_noise`, keyed by the
+stage invocation's request id); ``footprint_mb(..., rng)`` draws it from
+``rng`` instead, for offline callers.
 """
 
 from __future__ import annotations
@@ -21,12 +25,10 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.faas.pipeline import fan_out_over_refs, Pipeline, Stage
 from repro.faas.registry import FunctionSpec
 from repro.sim.latency import KB, MB
-from repro.workloads.functions import _noisy, _truth_rng
+from repro.workloads.functions import apply_noise, noisy, truth_noise
 from repro.workloads.media import (
     ImageDescriptor,
     MediaCorpus,
@@ -73,8 +75,10 @@ class StageFunction:
                 bucket, name = ref.split("/", 1)
                 obj = yield from ctx.read(bucket, name)
                 payloads.append(obj.payload)
-            rng = _truth_rng(truth_seed, request.request_id)
-            footprint = self.footprint_mb(payloads, ctx.args, rng)
+            footprint = apply_noise(
+                self.footprint_mb(payloads, ctx.args),
+                truth_noise(truth_seed, request.request_id),
+            )
             duration = self.duration_s(payloads, ctx.args)
             yield from ctx.compute(duration, footprint)
             for out_name, payload, size in self.outputs(
@@ -146,7 +150,7 @@ class MRSplit(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         doc: TextDescriptor = payloads[0]
-        return _noisy(self.runtime_base_mb + doc.size / MB * 2.2, rng)
+        return noisy(self.runtime_base_mb + doc.size / MB * 2.2, rng)
 
     def duration_s(self, payloads, args):
         doc: TextDescriptor = payloads[0]
@@ -175,7 +179,7 @@ class MRMap(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         chunk: TextDescriptor = payloads[0]
-        return _noisy(self.runtime_base_mb + chunk.size / MB * 3.2, rng)
+        return noisy(self.runtime_base_mb + chunk.size / MB * 3.2, rng)
 
     def duration_s(self, payloads, args):
         chunk: TextDescriptor = payloads[0]
@@ -197,7 +201,7 @@ class MRReduce(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         total = sum(p.size for p in payloads) / MB
-        return _noisy(self.runtime_base_mb + total * 6.0, rng)
+        return noisy(self.runtime_base_mb + total * 6.0, rng)
 
     def duration_s(self, payloads, args):
         total_words = sum(p.n_words for p in payloads)
@@ -245,7 +249,7 @@ class ThisDecode(StageFunction):
     def footprint_mb(self, payloads, args, rng=None):
         seg: VideoDescriptor = payloads[0]
         gop = 12 if seg.codec == "mpeg2" else 24
-        return _noisy(self.runtime_base_mb + seg.frame_mb * gop * 1.5, rng)
+        return noisy(self.runtime_base_mb + seg.frame_mb * gop * 1.5, rng)
 
     def duration_s(self, payloads, args):
         seg: VideoDescriptor = payloads[0]
@@ -276,7 +280,7 @@ class ThisAnalyze(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         frames: VideoDescriptor = payloads[0]
-        return _noisy(
+        return noisy(
             self.runtime_base_mb + frames.size / MB * 4.0 + frames.frame_mb * 6,
             rng,
         )
@@ -298,7 +302,7 @@ class ThisMerge(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         total = sum(p.size for p in payloads) / MB
-        return _noisy(self.runtime_base_mb + total * 3.0, rng)
+        return noisy(self.runtime_base_mb + total * 3.0, rng)
 
     def duration_s(self, payloads, args):
         return 0.02 + len(payloads) * 0.004
@@ -348,7 +352,7 @@ class ImadExtract(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         bundle = payloads[0]
-        return _noisy(self.runtime_base_mb + bundle.size / MB * 3.5, rng)
+        return noisy(self.runtime_base_mb + bundle.size / MB * 3.5, rng)
 
     def duration_s(self, payloads, args):
         return 0.02 + payloads[0].size / MB * 0.01
@@ -370,7 +374,7 @@ class ImadStatic(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         manifest: TextDescriptor = payloads[0]
-        return _noisy(self.runtime_base_mb + manifest.size / MB * 12.0, rng)
+        return noisy(self.runtime_base_mb + manifest.size / MB * 12.0, rng)
 
     def duration_s(self, payloads, args):
         return 0.05 + payloads[0].size / MB * 0.06
@@ -389,7 +393,7 @@ class ImadClassify(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         findings: TextDescriptor = payloads[0]
-        return _noisy(self.runtime_base_mb + findings.size / MB * 6.0, rng)
+        return noisy(self.runtime_base_mb + findings.size / MB * 6.0, rng)
 
     def duration_s(self, payloads, args):
         return 0.12 + payloads[0].n_words * 3e-6
@@ -407,7 +411,7 @@ class ImadReport(StageFunction):
     runtime_base_mb = 58.0
 
     def footprint_mb(self, payloads, args, rng=None):
-        return _noisy(self.runtime_base_mb + 4.0, rng)
+        return noisy(self.runtime_base_mb + 4.0, rng)
 
     def duration_s(self, payloads, args):
         return 0.015
@@ -452,7 +456,7 @@ class IpExtractMeta(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         img: ImageDescriptor = payloads[0]
-        return _noisy(self.runtime_base_mb + img.decoded_mb * 1.1, rng)
+        return noisy(self.runtime_base_mb + img.decoded_mb * 1.1, rng)
 
     def duration_s(self, payloads, args):
         return 0.008 + payloads[0].decoded_mb * 0.001
@@ -471,7 +475,7 @@ class IpTransform(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         img: ImageDescriptor = payloads[0]
-        return _noisy(self.runtime_base_mb + img.decoded_mb * 2.4, rng)
+        return noisy(self.runtime_base_mb + img.decoded_mb * 2.4, rng)
 
     def duration_s(self, payloads, args):
         return 0.012 + payloads[0].decoded_mb * 0.005
@@ -489,7 +493,7 @@ class IpThumbnail(StageFunction):
 
     def footprint_mb(self, payloads, args, rng=None):
         img: ImageDescriptor = payloads[0]
-        return _noisy(self.runtime_base_mb + img.decoded_mb * 1.6, rng)
+        return noisy(self.runtime_base_mb + img.decoded_mb * 1.6, rng)
 
     def duration_s(self, payloads, args):
         return 0.01 + payloads[0].decoded_mb * 0.003

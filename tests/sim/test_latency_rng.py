@@ -1,10 +1,50 @@
 """Unit tests for latency models and RNG streams."""
 
+import dataclasses
+import importlib
+import math
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.sim import LatencyModel, RngRegistry
 from repro.sim.latency import GB, MB, MIGRATION
+
+
+def declared_sigmas():
+    """Every jitter σ a module-level LatencyModel in ``repro`` declares,
+    directly or as a field of a module-level dataclass (a profile)."""
+    sigmas = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            candidates = [value]
+            if dataclasses.is_dataclass(value) and not isinstance(value, type):
+                candidates += [getattr(value, f.name) for f in dataclasses.fields(value)]
+            sigmas.update(
+                c.jitter for c in candidates if isinstance(c, LatencyModel) and c.jitter
+            )
+    return sorted(sigmas)
+
+
+def test_declared_sigmas_cover_the_profiles():
+    from repro.storage.latency_profiles import REDIS_PROFILE, SWIFT_PROFILE
+
+    sigmas = declared_sigmas()
+    assert MIGRATION.jitter in sigmas
+    assert SWIFT_PROFILE.read.jitter in sigmas and REDIS_PROFILE.read.jitter in sigmas
+
+
+@pytest.mark.parametrize("sigma", declared_sigmas())
+def test_exp_of_scaled_standard_normal_is_numpy_lognormal(sigma):
+    # LatencyModel.sample computes Generator.lognormal(0, σ) as
+    # math.exp(σ·z) from one standard normal z: bit for bit.
+    n = 200_000
+    normals = np.random.default_rng(17).standard_normal(n).tolist()
+    lognormals = np.random.default_rng(17).lognormal(0.0, sigma, n).tolist()
+    assert [math.exp(sigma * z) for z in normals] == lognormals
 
 
 def test_mean_without_bandwidth():

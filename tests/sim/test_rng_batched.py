@@ -1,8 +1,10 @@
 """Invariants the RNG fast path leans on.
 
 Three pillars: (1) vectorized draws consume the bit stream exactly like
-repeated scalar draws, per distribution — this is what makes
-:class:`BatchedStream` bit-identical; (2) registry streams are stable by
+repeated scalar draws — this is what makes :class:`BatchedStream`, a
+cursor over pre-drawn standard normals, bit-identical, and a
+cursor-fed :meth:`LatencyModel.sample` equal to numpy's
+``lognormal(0, σ)`` for any mix of σ; (2) registry streams are stable by
 name across instances and independent across forks; (3) the registry
 refuses raw/batched double-issue, which would silently desynchronize
 the cursor.
@@ -11,9 +13,17 @@ the cursor.
 import numpy as np
 import pytest
 
+from repro.sim.latency import (
+    _JITTER_CEIL,
+    _JITTER_FLOOR,
+    COLD_START,
+    PLATFORM_OVERHEAD,
+    WARM_START,
+)
 from repro.sim.rng import BatchedStream, DEFAULT_BATCH, RngRegistry
+from repro.storage.latency_profiles import SWIFT_PROFILE
 
-#: Every distribution BatchedStream accepts, with representative params.
+#: numpy distributions whose vectorized draws equal sequential scalars.
 DISTRIBUTIONS = [
     ("random", {}),
     ("uniform", {"low": 0.25, "high": 4.0}),
@@ -25,9 +35,19 @@ DISTRIBUTIONS = [
     ("geometric", {"p": 0.3}),
 ]
 
+#: Models of three different σ, as one shared stream serves them.
+MIXED = [COLD_START, SWIFT_PROFILE.read, PLATFORM_OVERHEAD, WARM_START]
+
 
 def _pair(seed=1234):
     return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def lognormal_sample(model, generator, nbytes=0):
+    """``LatencyModel.sample`` as numpy's lognormal draw defines it."""
+    factor = generator.lognormal(mean=0.0, sigma=model.jitter)
+    factor = min(max(factor, _JITTER_FLOOR), _JITTER_CEIL)
+    return model.mean(nbytes) * factor
 
 
 @pytest.mark.parametrize("kind,params", DISTRIBUTIONS)
@@ -42,49 +62,38 @@ def test_vectorized_draws_match_sequential_scalars(kind, params):
     assert batched_gen.random() == scalar_gen.random()
 
 
-@pytest.mark.parametrize("kind,params", DISTRIBUTIONS)
-def test_batched_stream_draw_parity(kind, params):
-    batched_gen, scalar_gen = _pair(seed=77)
-    stream = BatchedStream(batched_gen, kind, batch=16, **params)
-    # 3 refills and a partial batch.
-    expected = [float(getattr(scalar_gen, kind)(**params)) for _ in range(53)]
-    assert [stream.draw() for _ in range(53)] == expected
-
-
 def test_batched_stream_facade_serves_matching_calls():
     batched_gen, scalar_gen = _pair(seed=5)
-    stream = BatchedStream(batched_gen, "lognormal", batch=8, mean=0.0, sigma=0.05)
-    expected = [scalar_gen.lognormal(mean=0.0, sigma=0.05) for _ in range(20)]
-    got = [stream.lognormal(mean=0.0, sigma=0.05) for _ in range(20)]
-    assert got == expected
+    stream = BatchedStream(batched_gen, batch=8)
+    # Two refills and a partial batch.
+    expected = [scalar_gen.standard_normal() for _ in range(20)]
+    assert [stream.standard_normal() for _ in range(20)] == expected
 
 
 def test_batched_stream_rejects_mismatched_params():
-    stream = BatchedStream(
-        np.random.default_rng(0), "lognormal", mean=0.0, sigma=0.05
-    )
-    stream.lognormal(mean=0.0, sigma=0.05)  # warms the buffer
-    with pytest.raises(RuntimeError, match="bit-identity"):
-        stream.lognormal(mean=0.0, sigma=0.08)
-    with pytest.raises(RuntimeError, match="bit-identity"):
+    # The cursor draws standard normals only: a call site written for
+    # another distribution fails instead of desynchronizing the stream.
+    stream = BatchedStream(np.random.default_rng(0))
+    stream.standard_normal()  # warms the buffer
+    with pytest.raises(AttributeError):
+        stream.lognormal(mean=0.0, sigma=0.05)
+    with pytest.raises(AttributeError):
         stream.uniform(0.0, 1.0)
-
-
-def test_batched_stream_rejects_unverified_distribution():
-    with pytest.raises(ValueError, match="not verified batchable"):
-        BatchedStream(np.random.default_rng(0), "binomial", n=3, p=0.5)
+    with pytest.raises(ValueError, match="batch"):
+        BatchedStream(np.random.default_rng(0), batch=0)
 
 
 def test_latency_model_accepts_batched_stream():
-    from repro.sim.latency import PLATFORM_OVERHEAD
-
     scalar_gen = np.random.default_rng(9)
-    batched = BatchedStream(
-        np.random.default_rng(9), "lognormal", mean=0.0, sigma=0.05
-    )
-    scalar = [PLATFORM_OVERHEAD.sample(scalar_gen) for _ in range(50)]
-    served = [PLATFORM_OVERHEAD.sample(batched) for _ in range(50)]
-    assert served == scalar
+    reference_gen = np.random.default_rng(9)
+    batched = BatchedStream(np.random.default_rng(9), batch=16)
+    sequence = [(MIXED[i % 7 % 4], (i * 7919) % (4 << 20)) for i in range(300)]
+    scalar = [model.sample(scalar_gen, nbytes) for model, nbytes in sequence]
+    served = [model.sample(batched, nbytes) for model, nbytes in sequence]
+    reference = [
+        lognormal_sample(model, reference_gen, nbytes) for model, nbytes in sequence
+    ]
+    assert served == scalar == reference
 
 
 # -- registry invariants ----------------------------------------------------
@@ -106,12 +115,11 @@ def test_streams_differ_by_name_and_seed():
 
 
 def test_batched_stream_matches_raw_stream_sequence():
-    raw = RngRegistry(seed=7).stream("cache")
-    batched = RngRegistry(seed=7).batched_stream(
-        "cache", "lognormal", mean=0.0, sigma=0.05
-    )
-    expected = [raw.lognormal(mean=0.0, sigma=0.05) for _ in range(30)]
-    assert [batched.draw() for _ in range(30)] == expected
+    raw = RngRegistry(seed=7).stream("platform")
+    batched = RngRegistry(seed=7).batched_stream("platform")
+    models = [MIXED[i % 3] for i in range(DEFAULT_BATCH + 30)]
+    expected = [lognormal_sample(model, raw) for model in models]
+    assert [model.sample(batched) for model in models] == expected
 
 
 def test_fork_streams_are_independent_and_deterministic():
@@ -131,16 +139,13 @@ def test_registry_refuses_raw_then_batched_and_vice_versa():
     reg = RngRegistry(seed=0)
     reg.stream("cache")
     with pytest.raises(RuntimeError, match="already handed out raw"):
-        reg.batched_stream("cache", "lognormal", mean=0.0, sigma=0.05)
+        reg.batched_stream("cache")
     reg2 = RngRegistry(seed=0)
-    reg2.batched_stream("persistor", "lognormal", mean=0.0, sigma=0.05)
+    reg2.batched_stream("persistor")
     with pytest.raises(RuntimeError, match="served batched"):
         reg2.stream("persistor")
-    # Re-requesting the identical batched config returns the same cursor.
-    again = reg2.batched_stream("persistor", "lognormal", mean=0.0, sigma=0.05)
-    assert again is reg2._batched["persistor"]
-    with pytest.raises(RuntimeError, match="already batched"):
-        reg2.batched_stream("persistor", "lognormal", mean=0.0, sigma=0.08)
+    # Re-requesting the name returns the same cursor.
+    assert reg2.batched_stream("persistor") is reg2._batched["persistor"]
 
 
 def test_default_batch_is_sane():
