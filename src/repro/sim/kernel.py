@@ -32,12 +32,12 @@ little uniformity for speed:
   are always older (pushed while the clock was still behind ``T``)
   than immediate entries created at ``T``, so draining heap-then-FIFO
   preserves the exact global schedule order;
-* :meth:`Kernel.run` and :meth:`Kernel.run_until` are generated: one
-  flat loop with callback delivery and the process resume inlined (see
-  :mod:`repro.sim.fastpath`, which holds their source and is compiled
-  and attached at the bottom of this module).  The plain spelling of
-  the same loop is :meth:`Kernel.step` → :meth:`Event._run_callbacks`
-  → :meth:`Process._resume`; tests drive it as the reference;
+* :meth:`Kernel.run` and :meth:`Kernel.run_until` share one flat
+  drain loop, :meth:`Kernel._drain`, with callback delivery to a
+  single waiting process and the process resume inlined once.  The
+  plain spelling of the same loop is :meth:`Kernel.step` →
+  :meth:`Event._run_callbacks` → :meth:`Process._resume`; tests drive
+  it as the reference;
 * tracing is decided once per kernel and costs nothing when off: a
   :class:`Process` carries no span state, and a kernel constructed with
   tracing on only has :meth:`Kernel.process` register one extra
@@ -155,9 +155,8 @@ class Event:
         return self
 
     def _run_callbacks(self) -> None:
-        # NOTE: the generated Kernel.run/run_until inline the _TRIGGERED
-        # arm of this method (fastpath._DISPATCH_ARMS); any change here
-        # must be mirrored there.
+        # Kernel._drain inlines the _TRIGGERED arm of this method for a
+        # single waiting process; keep the two in step.
         if self._state == _PROCESSED:
             # Redelivery slot for a waiter that registered after this
             # event was processed (see wait()); the failure, if any, was
@@ -300,8 +299,8 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator once.
 
-        NOTE: the generated Kernel.run/run_until inline this method
-        (fastpath._ADVANCE); any change here must be mirrored there.
+        :meth:`Kernel._drain` inlines this method (its one process
+        advance); keep the two in step.
         """
         kernel = self.kernel
         try:
@@ -555,8 +554,9 @@ class Kernel:
     def step(self) -> None:
         """Process exactly one occurrence, the straightforward way.
 
-        ``run``/``run_until`` do not call this (they inline it); it is
-        the reference they are tested against, and a debugging aid.
+        ``run``/``run_until`` do not call this (:meth:`_drain` inlines
+        it); it is the reference they are tested against, and a
+        debugging aid.
         """
         queue = self._queue
         immediate = self._immediate
@@ -569,7 +569,170 @@ class Kernel:
             event = immediate.popleft()  # IndexError mirrors empty heap
         event._run_callbacks()
 
-    # run() and run_until() are generated: see the bottom of the module.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains or the clock reaches ``until``.
+
+        When ``until`` is given, the clock is advanced to exactly
+        ``until`` even if the queue drains earlier.
+        """
+        if until is None:
+            self._drain(_INF, None)
+            return
+        if until < self.now:
+            raise SimulationError(f"until={until} is in the past (now={self.now})")
+        self._drain(until, None)
+        self.now = max(self.now, until)
+
+    def run_until(self, event: Event) -> Any:
+        """Step the loop only until ``event`` is processed, then stop.
+
+        Unlike :meth:`run_process`, pending future work (keep-alive
+        timers, background persistors, …) is left on the queue, so the
+        clock does not race ahead of the event being waited on.
+        """
+        if event._state != _PROCESSED:
+            self._drain(_INF, event)
+        return event.value
+
+    def _drain(self, limit: float, awaited: Optional[Event]) -> None:
+        """The dispatch loop: :meth:`step` until the heap top lies past
+        ``limit``, the queue drains, or ``awaited`` is processed.
+
+        Each occurrence is picked by :meth:`step`'s rule and dispatched
+        in one flat body.  A triggered event whose waiter is a single
+        :class:`Process` (the common case; a process waits as itself,
+        so the class test is the whole check) and a pending process's
+        wake both run the one inlined :meth:`Process._resume` below.
+        Lists, foreign callables and late-wait redelivery go through a
+        call, as does the delivery of ``awaited`` (so ``run_until``
+        returns at the instant it is processed).
+
+        **Direct resume**: when a resumed process yields a positive
+        delay, the FIFO is empty and its wake is strictly earlier than
+        the heap top and within ``limit``, the loop advances the clock
+        and resumes the generator at once — no heap push/pop, no
+        sequence number.  The wake would be the next occurrence whatever
+        its sequence number, and nothing runs between the skipped push
+        and pop, so nothing can observe the elided entry; sequence
+        numbers only break ties between co-resident heap entries, so the
+        skipped mint leaves every other mint in the same relative order.
+        Delivery order, and hence every seeded schedule, is that of
+        :meth:`step` (``tests/sim/reference_kernel.py``).
+        """
+        queue = self._queue
+        immediate = self._immediate
+        ipush = self._ipush
+        seqn = self._seqn
+        popleft = immediate.popleft
+        when = self.now
+        while True:
+            # Heap entries at the current instant are older than every
+            # FIFO entry, so they go first.
+            if queue and (not immediate or queue[0][0] == when):
+                entry = heappop(queue)
+                if entry[0] > limit:  # rare: put it back
+                    heappush(queue, entry)
+                    return
+                self.now = when = entry[0]
+                event = entry[2]
+            elif immediate:
+                event = popleft()
+            elif awaited is None:
+                return
+            else:
+                raise SimulationError(
+                    "queue drained before the awaited event triggered"
+                )
+            state = event._state
+            if state == _TRIGGERED:
+                event._state = _PROCESSED
+                callbacks = event.callbacks
+                if callbacks.__class__ is Process and event is not awaited:
+                    event.callbacks = None
+                    proc = callbacks
+                    value = event._value
+                    exc = event._exception
+                else:
+                    # Event._run_callbacks from here on.
+                    if callbacks is not None:
+                        event.callbacks = None
+                        if callbacks.__class__ is list:
+                            for callback in callbacks:
+                                callback(event)
+                        else:
+                            callbacks(event)
+                    exc = event._exception
+                    if exc is not None and not event.defused:
+                        raise exc
+                    if event is awaited:
+                        return
+                    continue
+            elif state == _PENDING:
+                # A process's bootstrap or sleep wake: always due.
+                proc = event
+                value = exc = None
+            else:
+                event._run_callbacks()
+                continue
+            # Process._resume, inlined; ``when`` follows a direct resume.
+            send = proc._send
+            while True:
+                try:
+                    if exc is None:
+                        target = send(value)
+                    else:
+                        event.defused = True
+                        target = proc._throw(exc)
+                        exc = None
+                except StopIteration as stop:
+                    proc._value = stop.value
+                    proc._state = _TRIGGERED
+                    ipush(proc)
+                    break
+                except BaseException as failure:
+                    proc._exception = failure
+                    proc.defused = False
+                    proc._state = _TRIGGERED
+                    ipush(proc)
+                    break
+                cls = target.__class__
+                if cls is float or cls is int:
+                    if target < 0:
+                        raise SimulationError(f"negative sleep delay: {target}")
+                    wake = when + target
+                    if wake == when:
+                        ipush(proc)
+                    elif (
+                        not immediate
+                        and (not queue or wake < queue[0][0])
+                        and wake <= limit
+                    ):
+                        self.now = when = wake
+                        value = None
+                        continue
+                    else:
+                        heappush(queue, (wake, seqn(), proc))
+                    break
+                try:
+                    foreign = target.kernel is not self
+                except AttributeError:
+                    raise SimulationError(
+                        f"process {proc.name!r} yielded {target!r}, "
+                        "expected an Event"
+                    ) from None
+                if foreign:
+                    raise SimulationError("yielded an event from another kernel")
+                if target._state != _PROCESSED:
+                    waiters = target.callbacks
+                    if waiters is None:
+                        target.callbacks = proc
+                    elif waiters.__class__ is list:
+                        waiters.append(proc)
+                    else:
+                        target.callbacks = [waiters, proc]
+                else:
+                    target.wait(proc)
+                break
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Convenience: run ``generator`` to completion, return its value."""
@@ -607,25 +770,3 @@ def delay_until(now: float, t: float) -> float:
             d = nextafter(d, 0.0)
     return d
 
-
-# ---------------------------------------------------------------------------
-# Kernel.run / Kernel.run_until: generated by repro.sim.fastpath from one
-# dispatch template and compiled once per interpreter.  Imported last so
-# the fastpath module can be handed this module's internals without a
-# circular import.
-from repro.sim import fastpath as _fastpath  # noqa: E402
-
-Kernel.run, Kernel.run_until = _fastpath.compile_dispatch(
-    {
-        "heappop": heappop,
-        "heappush": heappush,
-        "_PENDING": _PENDING,
-        "_TRIGGERED": _TRIGGERED,
-        "_PROCESSED": _PROCESSED,
-        "_INF": _INF,
-        # The fused delivery arms recognize a waiting process by its
-        # class: the waiter a process registers is the process itself.
-        "Process": Process,
-        "SimulationError": SimulationError,
-    }
-)

@@ -1,8 +1,9 @@
 """The dispatch oracle: ``run``/``run_until`` as plain ``step()`` calls.
 
-``Kernel.step()`` → ``Event/Process._run_callbacks`` → the hand-written
-``Process._resume`` is the straightforward spelling of the generated
-loop in :mod:`repro.sim.fastpath`.  Suites compare the two on a
+``Kernel.step()`` → ``Event/Process._run_callbacks`` →
+``Process._resume`` is the straightforward spelling of the drain loop
+behind ``Kernel.run``/``run_until`` (``Kernel._drain``, which inlines
+the same steps).  Suites compare the two on a
 :class:`StepKernel`, or — where the kernel is built deep inside a
 deployment — with ``monkeypatch.setattr(Kernel, "run", StepKernel.run)``.
 """

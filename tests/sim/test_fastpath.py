@@ -1,7 +1,7 @@
-"""Dispatch-order parity: the generated loop against the step oracle.
+"""Dispatch-order parity: the drain loop against the step oracle.
 
 Every test drives the same scenario through a production ``Kernel``
-(the generated ``run``/``run_until`` of :mod:`repro.sim.fastpath`) and a
+(``run``/``run_until`` over the one loop, ``Kernel._drain``) and a
 ``StepKernel`` (``step()`` → ``_run_callbacks`` → ``Process._resume``,
 see ``reference_kernel.py``), and requires the observable traces —
 (time, tag) logs, return values, final clocks — to be *equal*, not
@@ -11,16 +11,22 @@ run-until, limits, call_later); ``test_kernel_properties.py`` checks the
 space between them.
 """
 
+import ast
+import inspect
+import pathlib
+import textwrap
+
 import pytest
 
-from repro.sim import fastpath
+import repro
+from repro.sim import kernel as kernel_module
 from repro.sim.kernel import Kernel, Process, SimulationError
 from tests.sim.reference_kernel import StepKernel
 
 
 @pytest.fixture
 def both_kernels():
-    """Yield a factory for (generated-loop, step-oracle) kernel pairs."""
+    """Yield a factory for (drain-loop, step-oracle) kernel pairs."""
     return lambda: (Kernel(), StepKernel())
 
 
@@ -438,17 +444,17 @@ def test_mixed_scenario_parity(both_kernels):
 # -- one loop ---------------------------------------------------------------
 
 
-def test_every_kernel_runs_the_generated_loop():
+def test_every_kernel_runs_the_one_loop():
     """Clean, traced and fault-injected kernels share one run/run_until:
-    class attributes compiled from the generated source, nothing
+    ordinary methods written in ``repro/sim/kernel.py``, nothing
     per-instance to select."""
     from repro.core.ofc import OFCPlatform
     from repro.faults.injector import FaultInjector
     from repro.faults.schedule import FaultSchedule
     from repro.obs import trace as trace_mod
 
-    assert Kernel.run.__code__.co_filename == "<sim-fastpath>"
-    assert Kernel.run_until.__code__.co_filename == "<sim-fastpath>"
+    for method in (Kernel.run, Kernel.run_until, Kernel._drain):
+        assert method.__code__.co_filename == kernel_module.__file__
     trace_mod.enable_tracing()
     try:
         traced = Kernel()
@@ -462,35 +468,23 @@ def test_every_kernel_runs_the_generated_loop():
         assert kernel.run_until.__func__ is Kernel.run_until
 
 
-def test_generated_source_has_one_advance_template():
-    import ast
-
-    src = fastpath.dispatch_source()
-    tree = ast.parse(src)
-    names = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
-    assert names == ["run", "run_until"]
-    # Three dispatch sites x three generator advances, all from the one
-    # _ADVANCE template: its termination arm appears nowhere else.
-    assert src.count("except StopIteration as stop:") == 9
-    templates = [
-        value
-        for name, value in vars(fastpath).items()
-        if name.isupper() and isinstance(value, str)
-    ]
-    assert sum(t.count("except StopIteration") for t in templates) == 1
+def test_kernel_has_one_inlined_advance():
+    """Process._resume and its one inlined copy in the loop: the
+    termination arm of a generator advance appears nowhere else."""
+    src = inspect.getsource(kernel_module)
+    assert src.count("except StopIteration") == 2
+    for method in (Process._resume, Kernel._drain):
+        assert inspect.getsource(method).count("except StopIteration") == 1
 
 
-def test_generated_loops_store_only_what_something_reads():
+def test_loop_stores_only_what_something_reads():
     """The per-resume store budget: the clock, and an event's state,
     waiters, outcome and ``defused`` handshake — nothing per process.
-    A process waits as itself: the loops register and recognize the
+    A process waits as itself: the loop registers and recognizes the
     process object, never a bound method of it."""
-    import ast
-
+    loop = ast.parse(textwrap.dedent(inspect.getsource(Kernel._drain)))
     attributes = [
-        node
-        for node in ast.walk(ast.parse(fastpath.dispatch_source()))
-        if isinstance(node, ast.Attribute)
+        node for node in ast.walk(loop) if isinstance(node, ast.Attribute)
     ]
     stored = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)}
     assert stored == {"now", "_state", "callbacks", "defused", "_value", "_exception"}
@@ -498,3 +492,18 @@ def test_generated_loops_store_only_what_something_reads():
     assert not loaded & {"_cb", "_resume", "__func__", "__self__"}
     assert Process.__slots__ == ("generator", "name", "_send", "_throw")
     assert Process.__call__ is Process._resume
+
+
+def test_no_code_is_compiled_at_run_time():
+    """Every loop is written out: nothing under ``src/repro`` calls the
+    ``exec`` or ``compile`` builtins."""
+    calls = []
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("exec", "compile")
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

@@ -89,14 +89,14 @@ def test_all_of_collects_every_value(n):
     assert kernel.run_process(proc()) == list(range(n))
 
 
-# -- the generated loop against the step oracle, over generated programs ----
+# -- the drain loop against the step oracle, over generated programs -------
 #
 # A program is a handful of processes, each a list of ops drawn from
 # everything a process can do to the kernel, plus a driver that slices
 # the run with run(until=...) / run_until(...).  The (time, tag) log,
 # every process's outcome, every exception that escapes the loop and the
-# final clock must be equal on Kernel (repro.sim.fastpath's generated
-# run/run_until) and StepKernel (step() -> _run_callbacks -> _resume).
+# final clock must be equal on Kernel (run/run_until over Kernel._drain)
+# and StepKernel (step() -> _run_callbacks -> _resume).
 
 N_EVENTS = 3
 #: Few distinct values, so same-instant ties are common; 0 and the ints
