@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from repro.storage.meta import StoredObject
+from repro.storage.meta import ObjectMeta, StoredObject
 from repro.storage.object_store import ObjectStore
 
 
@@ -41,15 +41,18 @@ class DirectStoreClient(DataClient):
     """Reads and writes straight to one object store.
 
     Used by both baselines: OWK-Swift (store has the Swift latency
-    profile) and OWK-Redis (store has the Redis profile).
+    profile) and OWK-Redis (store has the Redis profile).  Each method
+    hands back the store's own generator rather than wrapping it in a
+    pass-through one, so every resumption of an RSDS operation skips a
+    frame.  Callers ``yield from`` the result at once, as with any
+    client.
     """
 
     def __init__(self, store: ObjectStore):
         self.store = store
 
     def read(self, bucket: str, name: str) -> Generator[Any, Any, StoredObject]:
-        obj = yield from self.store.get(bucket, name, internal=True)
-        return obj
+        return self.store.get(bucket, name, internal=True)
 
     def write(
         self,
@@ -61,9 +64,9 @@ class DirectStoreClient(DataClient):
         user_meta: Optional[Dict[str, Any]] = None,
         intermediate: bool = False,
         pipeline_id: Optional[str] = None,
-    ) -> Generator[Any, Any, None]:
+    ) -> Generator[Any, Any, ObjectMeta]:
         self.store.ensure_bucket(bucket)
-        yield from self.store.put(
+        return self.store.put(
             bucket,
             name,
             payload,
@@ -74,4 +77,4 @@ class DirectStoreClient(DataClient):
         )
 
     def delete(self, bucket: str, name: str) -> Generator[Any, Any, None]:
-        yield from self.store.delete(bucket, name, internal=True)
+        return self.store.delete(bucket, name, internal=True)

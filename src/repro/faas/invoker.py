@@ -61,16 +61,12 @@ class InvocationContext:
         self.sandbox = sandbox
         self.data = data
         self.monitor = monitor
-        #: Scratch space for pipeline stages to pass values forward.
-        self.locals: Dict[str, Any] = {}
+        #: The request's arguments, read by every function body.
+        self.args: Dict[str, Any] = record.request.args
 
     @property
     def request(self):
         return self.record.request
-
-    @property
-    def args(self) -> Dict[str, Any]:
-        return self.record.request.args
 
     def read(self, bucket: str, name: str):
         start = self.kernel.now

@@ -84,8 +84,10 @@ class FaaSPlatform:
         self.scheduler: Scheduler = scheduler or HomeWorkerScheduler()
         self.sizing_policy: Optional[Callable[..., Generator]] = None
         #: ``(invoker, record) -> DataClient`` — OFC installs rclib here.
+        #: The stock client is stateless, so every attempt shares one.
+        direct = DirectStoreClient(store)
         self.data_client_factory: Callable[..., DataClient] = (
-            lambda invoker, record: DirectStoreClient(store)
+            lambda invoker, record: direct
         )
         self.monitor_factory: Optional[Callable[..., Any]] = None
         self.completion_listeners: List[Callable[[InvocationRecord], None]] = []
@@ -146,12 +148,14 @@ class FaaSPlatform:
         yield PLATFORM_OVERHEAD.sample(self.rng)
         if self.sizing_policy is not None:
             decision = yield from self.sizing_policy(request, spec, record)
+            record.predicted_memory_mb = decision.predicted_mb
+            record.should_cache = decision.should_cache
+            record.features = decision.features
+            memory_mb = self._clamp_memory(decision.memory_mb)
         else:
-            decision = SizingDecision(memory_mb=spec.booked_memory_mb)
-        record.predicted_memory_mb = decision.predicted_mb
-        record.should_cache = decision.should_cache
-        record.features = decision.features
-        memory_mb = self._clamp_memory(decision.memory_mb)
+            # The booking, with SizingDecision's defaults for the rest.
+            record.should_cache = True
+            memory_mb = self._clamp_memory(spec.booked_memory_mb)
 
         excluded: set = set()
         # What ended the last attempt, as the record's error message.  The

@@ -60,9 +60,13 @@ class LatencyModel:
 
         ``rng`` is a ``numpy.random.Generator`` or a
         :class:`~repro.sim.rng.BatchedStream`; either serves the one
-        standard normal a jittered sample consumes.
+        standard normal a jittered sample consumes.  The jitter scales
+        :meth:`mean`, computed inline here (every modelled latency on
+        the invocation path comes through this method).
         """
-        duration = self.mean(nbytes)
+        duration = self.base_s
+        if self.bandwidth_bps:
+            duration += nbytes / self.bandwidth_bps
         if self.jitter > 0.0 and rng is not None:
             # Generator.lognormal(0, σ) is exp(0 + σ·z) on one standard
             # normal z, with the C library's exp — which math.exp is —

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Deque, Union
 
 from repro.sim.kernel import Event, Kernel, SimulationError
 
@@ -14,6 +14,15 @@ class Resource:
     A process takes a unit with ``yield resource.acquire()`` and must
     hand it back with ``resource.release()``.  Models the concurrency
     limit of the storage service (:mod:`repro.storage.object_store`).
+
+    ``acquire()`` returns the bare delay ``0.0`` when a unit is free: a
+    process yielding it is re-queued on the kernel's FIFO at the slot a
+    succeeded :class:`Event` would have taken, and resumes with ``None``
+    as it would from that event, so a grant that does not wait costs no
+    event.  Only an acquirer that has to queue gets an :class:`Event`,
+    which :meth:`release` succeeds.  Yield the result at once: the
+    equivalence holds because nothing is scheduled between the call and
+    the ``yield`` (``tests/sim/test_resource_oracle.py``).
     """
 
     def __init__(self, kernel: Kernel, capacity: int):
@@ -28,13 +37,12 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    def acquire(self) -> Event:
-        event = Event(self.kernel)
+    def acquire(self) -> Union[float, Event]:
         if self.in_use < self.capacity:
             self.in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
+            return 0.0
+        event = Event(self.kernel)
+        self._waiters.append(event)
         return event
 
     def release(self) -> None:

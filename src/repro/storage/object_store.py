@@ -95,7 +95,9 @@ class ObjectStore:
         self._buckets[name] = _Bucket(name)
 
     def ensure_bucket(self, name: str) -> None:
-        self._buckets.setdefault(name, _Bucket(name))
+        # Every write path calls this; build a bucket only when missing.
+        if name not in self._buckets:
+            self._buckets[name] = _Bucket(name)
 
     def has_bucket(self, name: str) -> bool:
         return name in self._buckets

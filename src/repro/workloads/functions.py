@@ -28,6 +28,8 @@ drawn from it (:func:`noisy`).
 from __future__ import annotations
 
 import hashlib
+import math
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -86,9 +88,10 @@ def noisy(value_mb: float, rng: Optional[np.random.Generator]) -> float:
 #   with numpy (uint32 arrays wrap exactly like numpy's C code).
 # * ``PCG64`` seeds its 128-bit LCG with ``pcg_setseq_128_srandom_r``.
 #
-# A call then only sets the state of one private PCG64 and draws its two
-# normals.  ``tests/workloads/test_truth_noise.py`` holds all of it to
-# the ``default_rng`` form bit for bit.
+# The block then sets one private PCG64 to each id's state in turn and
+# draws that id's two normals there, so a call is two indexings into the
+# block's 512 doubles.  ``tests/workloads/test_truth_noise.py`` holds
+# all of it to the ``default_rng`` form bit for bit.
 
 #: Request ids per derived block, and blocks kept (oldest built leaves
 #: first).  Request ids reach the bodies nearly in order; an OOM retry
@@ -162,52 +165,55 @@ def _seed_states(entropy: np.ndarray) -> List[Tuple[int, int]]:
     return states
 
 
-def _block_states(seed: int, block: int) -> bytes:
-    """The block's ``(state, inc)`` pairs as 16-byte big-endian integers,
-    packed into one object: kept as 512 long-lived ints, four blocks
-    fragmented the heap enough to add about 0.3 MB of peak RSS."""
+#: The one generator every block reseeds.  Made with the first block, so
+#: that importing this module does not load ``numpy.random``.
+_generator: Optional[np.random.Generator] = None
+
+
+def _block_noise(seed: int, block: int) -> array:
+    """The block's ``(mul_z, add_z)`` pairs, flattened into one
+    ``array('d')`` of 512 doubles (4 KB): kept as 512 long-lived Python
+    objects per block, four blocks fragmented the heap enough to add
+    about 0.3 MB of peak RSS."""
+    global _generator
+    if _generator is None:
+        _generator = np.random.Generator(np.random.PCG64())
+    bit_generator = _generator.bit_generator
+    draw = _generator.standard_normal
     first = block * _NOISE_BLOCK
     digests = b"".join(
         hashlib.sha256(f"{seed}:{request_id}".encode()).digest()[:8]
         for request_id in range(first, first + _NOISE_BLOCK)
     )
     entropy = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
-    return b"".join(
-        state.to_bytes(16, "big") + inc.to_bytes(16, "big")
-        for state, inc in _seed_states(entropy)
-    )
+    noise = array("d")
+    for state, inc in _seed_states(entropy):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        noise.append(draw())
+        noise.append(draw())
+    return noise
 
 
 #: Derived blocks by ``(seed, block)``: a cache, never part of a value.
-_blocks: Dict[Tuple[int, int], bytes] = {}
-#: The one generator every call reseeds.  Made with the first block, so
-#: that importing this module does not load ``numpy.random``.
-_generator: Optional[np.random.Generator] = None
+_blocks: Dict[Tuple[int, int], array] = {}
 
 
 def truth_noise(seed: int, request_id: int) -> Tuple[float, float]:
     """The ``(mul_z, add_z)`` normals of invocation ``request_id``."""
-    global _generator
     block, offset = divmod(request_id, _NOISE_BLOCK)
     key = (seed, block)
-    states = _blocks.get(key)
-    if states is None:
-        if _generator is None:
-            _generator = np.random.Generator(np.random.PCG64())
-        states = _blocks[key] = _block_states(seed, block)
+    noise = _blocks.get(key)
+    if noise is None:
+        noise = _blocks[key] = _block_noise(seed, block)
         if len(_blocks) > _NOISE_WINDOW:
             del _blocks[next(iter(_blocks))]
-    at = 32 * offset
-    _generator.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {
-            "state": int.from_bytes(states[at : at + 16], "big"),
-            "inc": int.from_bytes(states[at + 16 : at + 32], "big"),
-        },
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return _generator.standard_normal(), _generator.standard_normal()
+    at = 2 * offset
+    return noise[at], noise[at + 1]
 
 
 class FunctionModel:
@@ -323,7 +329,7 @@ class WandBlur(_ImageFunction):
         # step interacts with channel count (Figure 2's "non-trivial"
         # relation to sigma).
         sigma = float(args.get("sigma", 1.0))
-        return 2.0 + 0.6 * np.ceil(sigma / 1.5) * (media.channels / 3.0)
+        return 2.0 + 0.6 * math.ceil(sigma / 1.5) * (media.channels / 3.0)
 
     def transform_time(self, media, args):
         sigma = float(args.get("sigma", 1.0))
@@ -383,7 +389,7 @@ class WandDenoise(_ImageFunction):
 
     def _work_copies(self, media, args):
         strength = float(args.get("strength", 1.0))
-        return 2.2 + 0.5 * np.floor(strength)
+        return 2.2 + 0.5 * math.floor(strength)
 
     def transform_time(self, media, args):
         strength = float(args.get("strength", 1.0))
@@ -401,7 +407,7 @@ class WandEdge(_ImageFunction):
 
     def _work_copies(self, media, args):
         radius = float(args.get("radius", 1.0))
-        return 2.5 + 0.25 * np.ceil(radius)
+        return 2.5 + 0.25 * math.ceil(radius)
 
     def output_size(self, media, args):
         return max(256, int(media.size * 0.6))  # edge maps compress well
@@ -416,7 +422,7 @@ class WandSharpen(_ImageFunction):
 
     def _work_copies(self, media, args):
         sigma = float(args.get("sigma", 1.0))
-        return 2.0 + 0.5 * np.ceil(sigma / 2.0)
+        return 2.0 + 0.5 * math.ceil(sigma / 2.0)
 
 
 class WandGrayscale(_ImageFunction):

@@ -5,6 +5,22 @@ allocates an event only where something waits on it.  These counts are
 the machine-independent guard of that: a Transform phase simulated
 slice by slice again, or an RSDS operation that goes back to
 ``kernel.timeout()``, moves them.
+
+A warm stock invocation builds, per attempt, no ``DirectStoreClient``
+(the platform shares one), no ``SizingDecision`` (none without a sizing
+policy) and no plain :class:`Event` for its two uncontended RSDS slot
+grants, which are bare ``0.0`` delays.  What it still allocates per
+invocation:
+
+* the ``InvocationRequest`` and ``InvocationRecord`` (with its
+  ``Phases``, ``features`` and ``output_refs``);
+* the invocation's :class:`Process` and ``InvocationContext``;
+* the keep-alive reap timer: one ``call_later`` arming event, its fire
+  :class:`Timeout` and three closures (the delay thunk, the reap check
+  and the arming callback);
+* on the data plane, the GET's ``StoredObject``/``ObjectMeta`` copy and
+  the PUT's stored object, its metadata and the metadata copy returned;
+* the generator frames of the body and of the data-plane calls.
 """
 
 import sys
@@ -12,8 +28,10 @@ import sys
 import numpy as np
 
 from repro.bench.envs import build_owk_swift_env
+from repro.faas.dataclient import DirectStoreClient
+from repro.faas.platform import SizingDecision
 from repro.faas.records import InvocationRequest
-from repro.sim.kernel import Kernel, Process, Timeout
+from repro.sim.kernel import Event, Kernel, Process, Timeout
 from repro.sim.latency import KB
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
@@ -66,6 +84,40 @@ def test_one_warm_invocation_event_budget(monkeypatch):
     monkeypatch.setattr(Timeout, "__init__", counted_timeout_init)
     monkeypatch.setattr(Kernel, "timeout", counted_timeout_factory)
 
+    # Plain events, by the module that asked for each: the constructor,
+    # the factory and call_later's arming event (built in place).
+    events = []
+    per_attempt = []  # data clients and sizing decisions
+    event_init, event_factory, call_later = (
+        Event.__init__, Kernel.event, Kernel.call_later,
+    )
+    client_init, decision_init = DirectStoreClient.__init__, SizingDecision.__init__
+
+    def counted_event_init(self, *a, **kw):
+        events.append(sys._getframe(1).f_globals["__name__"])
+        event_init(self, *a, **kw)
+
+    def counted_event_factory(self, *a, **kw):
+        events.append(sys._getframe(1).f_globals["__name__"])
+        return event_factory(self, *a, **kw)
+
+    def counted_call_later(self, *a, **kw):
+        events.append(sys._getframe(1).f_globals["__name__"])
+        return call_later(self, *a, **kw)
+
+    def counted(init):
+        def construct(self, *a, **kw):
+            per_attempt.append(type(self).__name__)
+            init(self, *a, **kw)
+
+        return construct
+
+    monkeypatch.setattr(Event, "__init__", counted_event_init)
+    monkeypatch.setattr(Kernel, "event", counted_event_factory)
+    monkeypatch.setattr(Kernel, "call_later", counted_call_later)
+    monkeypatch.setattr(DirectStoreClient, "__init__", counted(client_init))
+    monkeypatch.setattr(SizingDecision, "__init__", counted(decision_init))
+
     record = invoke()
 
     assert record.status == "ok" and not record.cold_start
@@ -74,6 +126,10 @@ def test_one_warm_invocation_event_budget(monkeypatch):
     # The keep-alive reap timer's fire event, armed by call_later; the
     # RSDS read and write sleep on bare delays.
     assert timeouts == ["repro.sim.kernel"]
+    # The reap timer's arming event is the only plain one: the two
+    # uncontended slot grants allocate none.
+    assert events == ["repro.faas.invoker"]
+    assert per_attempt == []
     # Extract: slot grant + GET latency.  Transform: one sleep (no limit
     # crossing).  Load: slot grant + PUT latency.
     assert len(resumptions) == 5
