@@ -217,7 +217,7 @@ class CacheBackend:
     def _delay(self, model, nbytes: int = 0) -> float:
         # Bare-delay float for the caller to yield: bit-identical to a
         # kernel.timeout() (same queue slot, same sequence number — see
-        # Process._resume's float arm) without the Timeout allocation.
+        # Process._resume's float arm) without allocating an event.
         return model.sample(self.rng, nbytes)
 
     def _remote_delay(self, model, nbytes: int = 0) -> float:

@@ -112,15 +112,6 @@ class Dataset:
             self._order_cache[name] = order
         return order
 
-    def nominal_values(self, name: str) -> List[Any]:
-        """The ensemble of values a nominal feature takes (§5.1.2)."""
-        seen: List[Any] = []
-        for row in self.rows:
-            value = row.get(name)
-            if value not in seen:
-                seen.append(value)
-        return seen
-
     # -- manipulation ---------------------------------------------------------
 
     def relabel(self, labels: Sequence[int]) -> "Dataset":

@@ -22,7 +22,6 @@ from repro.sim.kernel import (
     Kernel,
     Process,
     SimulationError,
-    Timeout,
 )
 from repro.sim.latency import LatencyModel
 from repro.sim.resources import Resource
@@ -38,5 +37,4 @@ __all__ = [
     "Resource",
     "RngRegistry",
     "SimulationError",
-    "Timeout",
 ]

@@ -14,10 +14,10 @@ Hot-path notes
 This module is the innermost loop of every experiment, so it trades a
 little uniformity for speed:
 
-* every event class uses ``__slots__`` and flattened constructors (no
-  ``super().__init__`` chain on the per-occurrence path), and the
-  constructors skip fields that are never read for that class (a
-  :class:`Timeout` cannot fail, so ``defused`` is never consulted);
+* every occurrence on the queue is an :class:`Event` (a timeout is an
+  event born triggered) or a :class:`Process`, with ``__slots__`` and
+  flattened constructors (no ``super().__init__`` chain on the
+  per-occurrence path) that set all seven event fields;
 * ``callbacks`` stores ``None`` (no waiter), a single callable (the
   overwhelmingly common case: the one process blocked on the event) or
   a list (fan-in), avoiding a list allocation per event;
@@ -147,9 +147,6 @@ class Event:
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
-        # (Re)initialize here so subclasses whose constructors skip the
-        # field (Process) are safe to fail externally.
-        self.defused = False
         self._state = _TRIGGERED
         self.kernel._ipush(self)
         return self
@@ -192,13 +189,8 @@ class Event:
                 self.callbacks = [callbacks, callback]
             return
         # Already done: deliver on a fresh queue slot, preserving the
-        # invariant that callbacks never run re-entrantly.  The slot is
-        # read guarded because flattened constructors skip it.
-        try:
-            redeliver = self._redeliver
-        except AttributeError:
-            redeliver = None
-        if redeliver is None:
+        # invariant that callbacks never run re-entrantly.
+        if self._redeliver is None:
             # The event carries its own redelivery slot: no proxy Event.
             self._redeliver = [callback]
             self.kernel._ipush(self)
@@ -216,38 +208,12 @@ class Event:
             self.kernel._ipush(proxy)
 
 
-class Timeout(Event):
-    """An event that triggers ``delay`` seconds after creation.
-
-    A timeout is born triggered and can never fail, so the flattened
-    constructor skips ``defused``/``_redeliver`` (every read of those
-    fields is either unreachable for timeouts or guarded).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        self.kernel = kernel
-        self.callbacks = None
-        self._state = _TRIGGERED
-        self._value = value
-        self._exception = None
-        now = kernel.now
-        when = now + delay
-        if when == now:
-            kernel._ipush(self)
-        else:
-            heappush(kernel._queue, (when, kernel._seqn(), self))
-
-
 class Process(Event):
     """A running generator; also an event that triggers on termination.
 
     Besides events, a process may ``yield`` a bare ``float``/``int``
     delay — the fast sleep path.  The process itself is enqueued for
-    the wake instant (no Timeout object, no callback registration),
+    the wake instant (no timeout event, no callback registration),
     consuming exactly the sequence number the equivalent
     ``kernel.timeout(delay)`` would have, so the global schedule order
     is unchanged.  Nothing can take a process off the event or the
@@ -274,8 +240,8 @@ class Process(Event):
         self._state = _PENDING
         self._value = None
         self._exception = None
-        # defused is initialized by the failure-termination paths in
-        # _resume — the only flows that ever read it for a process.
+        self.defused = False
+        self._redeliver = None
         self.generator = generator
         if name:
             self.name = name
@@ -318,7 +284,6 @@ class Process(Event):
         except BaseException as failure:  # noqa: BLE001 - propagate via event
             # Any escape terminates the process as a failure of its event.
             self._exception = failure
-            self.defused = False
             self._state = _TRIGGERED
             kernel._ipush(self)
             return
@@ -359,11 +324,9 @@ class Process(Event):
     __call__ = _resume
 
 
-#: Shared sentinel delivered on a process's first resume: a bare Event
-#: shell whose only readable fields are a None value and no exception.
-_BOOTSTRAP = Event.__new__(Event)
-_BOOTSTRAP._value = None
-_BOOTSTRAP._exception = None
+#: Shared sentinel delivered on a process's first resume: a None value
+#: and no exception.
+_BOOTSTRAP = Event(None)
 
 
 class AllOf(Event):
@@ -396,7 +359,7 @@ class AllOf(Event):
             event.defused = True
             self.fail(event._exception)
         elif self._pending == 0:
-            # Every member has been processed (a Timeout is born
+            # Every member has been processed (a timeout is born
             # triggered, but has not occurred until its callbacks run)
             # and none failed.
             self.succeed({member: member._value for member in self.events})
@@ -445,7 +408,9 @@ class Kernel:
     # -- factories -------------------------------------------------------
 
     def event(self, _new=Event.__new__, _cls=Event) -> Event:
-        # Flattened copy of Event.__init__ (same trick as timeout()).
+        # Flattened copy of Event.__init__: the factory skips the extra
+        # constructor frame (and binds its globals as defaults — the
+        # classic CPython trick).
         event = _new(_cls)
         event.kernel = self
         event.callbacks = None
@@ -460,13 +425,11 @@ class Kernel:
         self,
         delay: float,
         value: Any = None,
-        _new=Timeout.__new__,
-        _cls=Timeout,
+        _new=Event.__new__,
+        _cls=Event,
         _push=heappush,
-    ) -> Timeout:
-        # Flattened copy of Timeout.__init__: timeouts dominate event
-        # traffic, so the factory skips the extra constructor frame (and
-        # binds its globals as defaults — the classic CPython trick).
+    ) -> Event:
+        """An event born triggered that occurs ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         timeout = _new(_cls)
@@ -475,6 +438,8 @@ class Kernel:
         timeout._state = _TRIGGERED
         timeout._value = value
         timeout._exception = None
+        timeout.defused = False
+        timeout._redeliver = None
         now = self.now
         when = now + delay
         if when == now:
@@ -501,8 +466,6 @@ class Kernel:
         self,
         delay_fn: Callable[[], float],
         callback: Optional[Callable[[Event], None]] = None,
-        _new=Event.__new__,
-        _cls=Event,
     ) -> None:
         """Run ``callback`` after ``delay_fn()`` sim-seconds, cheaply.
 
@@ -517,11 +480,11 @@ class Kernel:
         consuming *exactly* the queue slots of that process, so
         schedules stay bit-identical:
 
-        * an arming event on the FIFO **now**, whose callback runs at
+        * an arming timeout on the FIFO **now**, whose callback runs at
           the process's bootstrap-resume position and evaluates
           ``delay_fn`` there (RNG draws land at the same point in the
           stream as the generator body would draw them);
-        * the fire event on the heap (or FIFO for a zero/underflowed
+        * the fire timeout on the heap (or FIFO for a zero/underflowed
           delay), minting its sequence number at that same position —
           ``callback`` runs where the post-sleep body would.
 
@@ -530,21 +493,10 @@ class Kernel:
         effect, so it is elided.  Exceptions from ``callback`` surface
         out of ``run()`` at the wake instant, like a process failure.
         """
-        kernel = self
-
         def _arm(_event: Event) -> None:
-            fire = kernel.timeout(delay_fn())
-            if callback is not None:
-                fire.callbacks = callback
+            self.timeout(delay_fn()).callbacks = callback
 
-        arming = _new(_cls)
-        arming.kernel = kernel
-        arming.callbacks = _arm
-        arming._state = _TRIGGERED
-        arming._value = None
-        arming._exception = None
-        arming.defused = False
-        self._ipush(arming)
+        self.timeout(0.0).callbacks = _arm
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -691,7 +643,6 @@ class Kernel:
                     break
                 except BaseException as failure:
                     proc._exception = failure
-                    proc.defused = False
                     proc._state = _TRIGGERED
                     ipush(proc)
                     break

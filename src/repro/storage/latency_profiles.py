@@ -34,7 +34,6 @@ class LatencyProfile:
     write: LatencyModel
     delete: LatencyModel
     stat: LatencyModel
-    list: LatencyModel
     shadow_write: LatencyModel
 
 
@@ -44,7 +43,6 @@ SWIFT_PROFILE = LatencyProfile(
     write=LatencyModel(base_s=108e-3, bandwidth_bps=180 * MB, jitter=0.06),
     delete=LatencyModel(base_s=25e-3, jitter=0.06),
     stat=LatencyModel(base_s=12e-3, jitter=0.06),
-    list=LatencyModel(base_s=20e-3, jitter=0.06),
     shadow_write=LatencyModel(base_s=11e-3, jitter=0.05),
 )
 
@@ -54,7 +52,6 @@ S3_PROFILE = LatencyProfile(
     write=LatencyModel(base_s=85e-3, bandwidth_bps=150 * MB, jitter=0.08),
     delete=LatencyModel(base_s=30e-3, jitter=0.08),
     stat=LatencyModel(base_s=15e-3, jitter=0.08),
-    list=LatencyModel(base_s=25e-3, jitter=0.08),
     shadow_write=LatencyModel(base_s=12e-3, jitter=0.05),
 )
 
@@ -64,6 +61,5 @@ REDIS_PROFILE = LatencyProfile(
     write=LatencyModel(base_s=0.45e-3, bandwidth_bps=1.0 * GB, jitter=0.05),
     delete=LatencyModel(base_s=0.3e-3, jitter=0.05),
     stat=LatencyModel(base_s=0.25e-3, jitter=0.05),
-    list=LatencyModel(base_s=0.5e-3, jitter=0.05),
     shadow_write=LatencyModel(base_s=0.4e-3, jitter=0.05),
 )

@@ -40,7 +40,6 @@ class StoreStats:
     puts: int = 0
     deletes: int = 0
     stats_ops: int = 0
-    lists: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
     shadow_puts: int = 0
@@ -120,7 +119,7 @@ class ObjectStore:
     def _rsds_delay(self, model, nbytes: int = 0) -> float:
         # A bare delay for the caller to yield, as CacheBackend._delay:
         # same queue slot and sequence number as a kernel.timeout(), no
-        # Timeout object per RSDS operation.
+        # event object per RSDS operation.
         duration = model.sample(self.rng, nbytes)
         faults = self.faults
         if faults is not None:
@@ -292,16 +291,6 @@ class ObjectStore:
             yield self._rsds_delay(self.profile.stat)
             self.stats.stats_ops += 1
             return obj.meta.copy()
-        finally:
-            self._slots.release()
-
-    def list_objects(self, bucket: str) -> Generator[Any, Any, List[str]]:
-        yield self._slots.acquire()
-        try:
-            names = sorted(self._bucket(bucket).objects)
-            yield self._rsds_delay(self.profile.list)
-            self.stats.lists += 1
-            return names
         finally:
             self._slots.release()
 

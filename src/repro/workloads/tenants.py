@@ -100,20 +100,6 @@ class DiurnalEnvelope:
         omega = 2.0 * math.pi / self.period_s
         return 1.0 + self.amplitude * math.sin(omega * (t - self.phase_s))
 
-    def integrate(self, t0: float, t1: float) -> float:
-        """Analytic ``∫ rate(t) dt`` over ``[t0, t1]``.
-
-        Over one full period this equals ``period_s`` exactly (the
-        envelope redistributes arrivals within the day, it does not add
-        any): the test suite checks the numeric integral against this.
-        """
-        omega = 2.0 * math.pi / self.period_s
-        swing = (
-            math.cos(omega * (t0 - self.phase_s))
-            - math.cos(omega * (t1 - self.phase_s))
-        )
-        return (t1 - t0) + (self.amplitude / omega) * swing
-
 
 @dataclass
 class TenantWorkloadConfig:

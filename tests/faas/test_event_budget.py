@@ -15,9 +15,9 @@ invocation:
 * the ``InvocationRequest`` and ``InvocationRecord`` (with its
   ``Phases``, ``features`` and ``output_refs``);
 * the invocation's :class:`Process` and ``InvocationContext``;
-* the keep-alive reap timer: one ``call_later`` arming event, its fire
-  :class:`Timeout` and three closures (the delay thunk, the reap check
-  and the arming callback);
+* the keep-alive reap timer: one ``call_later``, whose arming and fire
+  events are two ``Kernel.timeout`` events, and three closures (the
+  delay thunk, the reap check and the arming callback);
 * on the data plane, the GET's ``StoredObject``/``ObjectMeta`` copy and
   the PUT's stored object, its metadata and the metadata copy returned;
 * the generator frames of the body and of the data-plane calls.
@@ -31,7 +31,7 @@ from repro.bench.envs import build_owk_swift_env
 from repro.faas.dataclient import DirectStoreClient
 from repro.faas.platform import SizingDecision
 from repro.faas.records import InvocationRequest
-from repro.sim.kernel import Event, Kernel, Process, Timeout
+from repro.sim.kernel import Event, Kernel, Process
 from repro.sim.latency import KB
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
@@ -63,30 +63,23 @@ def test_one_warm_invocation_event_budget(monkeypatch):
     del resumptions[:]
 
     processes = []
-    timeouts = []  # the module that asked for each Timeout
-    process_init, timeout_init, timeout_factory = (
-        Process.__init__, Timeout.__init__, Kernel.timeout,
-    )
+    timeouts = []  # the module that asked for each Kernel.timeout
+    process_init, timeout_factory = Process.__init__, Kernel.timeout
 
     def counted_process(self, *a, **kw):
         processes.append(self)
         process_init(self, *a, **kw)
-
-    def counted_timeout_init(self, *a, **kw):
-        timeouts.append(sys._getframe(1).f_globals["__name__"])
-        timeout_init(self, *a, **kw)
 
     def counted_timeout_factory(self, *a, **kw):
         timeouts.append(sys._getframe(1).f_globals["__name__"])
         return timeout_factory(self, *a, **kw)
 
     monkeypatch.setattr(Process, "__init__", counted_process)
-    monkeypatch.setattr(Timeout, "__init__", counted_timeout_init)
     monkeypatch.setattr(Kernel, "timeout", counted_timeout_factory)
 
-    # Plain events, by the module that asked for each: the constructor,
-    # the factory and call_later's arming event (built in place).
-    events = []
+    # Plain events and call_later timers, by the module that asked for
+    # each.
+    events, timers = [], []
     per_attempt = []  # data clients and sizing decisions
     event_init, event_factory, call_later = (
         Event.__init__, Kernel.event, Kernel.call_later,
@@ -102,7 +95,7 @@ def test_one_warm_invocation_event_budget(monkeypatch):
         return event_factory(self, *a, **kw)
 
     def counted_call_later(self, *a, **kw):
-        events.append(sys._getframe(1).f_globals["__name__"])
+        timers.append(sys._getframe(1).f_globals["__name__"])
         return call_later(self, *a, **kw)
 
     def counted(init):
@@ -123,12 +116,13 @@ def test_one_warm_invocation_event_budget(monkeypatch):
     assert record.status == "ok" and not record.cold_start
     # The invocation itself; reap timer and docker-update are call_later.
     assert len(processes) == 1
-    # The keep-alive reap timer's fire event, armed by call_later; the
-    # RSDS read and write sleep on bare delays.
-    assert timeouts == ["repro.sim.kernel"]
-    # The reap timer's arming event is the only plain one: the two
-    # uncontended slot grants allocate none.
-    assert events == ["repro.faas.invoker"]
+    # The keep-alive reap timer, whose arming and fire events are the
+    # only timeouts: the RSDS read and write (repro.storage.object_store)
+    # sleep on bare delays.
+    assert timers == ["repro.faas.invoker"]
+    assert timeouts == ["repro.sim.kernel", "repro.sim.kernel"]
+    # No plain event: the two uncontended slot grants allocate none.
+    assert events == []
     assert per_attempt == []
     # Extract: slot grant + GET latency.  Transform: one sleep (no limit
     # crossing).  Load: slot grant + PUT latency.

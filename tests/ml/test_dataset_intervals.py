@@ -42,11 +42,6 @@ def test_dataset_column_extraction():
     assert list(ds.column("kind")) == ["a", "b", "a"]
 
 
-def test_dataset_nominal_values_ensemble():
-    ds = small_dataset()
-    assert ds.nominal_values("kind") == ["a", "b"]
-
-
 def test_dataset_subset():
     ds = small_dataset()
     sub = ds.subset([0, 2])

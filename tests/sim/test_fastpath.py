@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.sim import kernel as kernel_module
-from repro.sim.kernel import Kernel, Process, SimulationError
+from repro.sim.kernel import Event, Kernel, Process, SimulationError
 from tests.sim.reference_kernel import StepKernel
 
 
@@ -492,6 +492,32 @@ def test_loop_stores_only_what_something_reads():
     assert not loaded & {"_cb", "_resume", "__func__", "__self__"}
     assert Process.__slots__ == ("generator", "name", "_send", "_throw")
     assert Process.__call__ is Process._resume
+
+
+def test_every_event_is_built_with_every_event_field():
+    """One field layout: whatever puts an occurrence on the queue sets
+    all seven ``Event.__slots__``, so no read of one needs a guard."""
+    k = Kernel()
+    k.call_later(lambda: 3.0)
+    arming = k._immediate[0]
+    k.step()  # the arming callback puts the fire event on the heap
+    fire = k._queue[0][2]
+
+    def body():
+        yield 1.0
+
+    built = [
+        arming,
+        fire,
+        k.event(),
+        k.timeout(1.0),
+        k.process(body()),
+        k.all_of([k.timeout(2.0)]),
+        Event(k),
+    ]
+    for event in built:
+        for field in Event.__slots__:
+            getattr(event, field)  # AttributeError if a constructor skipped it
 
 
 def test_no_code_is_compiled_at_run_time():

@@ -204,18 +204,6 @@ def test_meta_copy_carries_every_field():
     assert clone.user_meta is not meta.user_meta
 
 
-def test_list_objects_sorted(env):
-    kernel, store = env
-
-    def scenario():
-        for name in ["zeta", "alpha", "mid"]:
-            yield from store.put("b", name, None, size=1)
-        names = yield from store.list_objects("b")
-        return names
-
-    assert run(kernel, scenario()) == ["alpha", "mid", "zeta"]
-
-
 def test_latency_scales_with_size(env):
     kernel, store = env
     store.rng = None
