@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.bench.envs import build_ofc_env, build_owk_swift_env, pretrain_function
 from repro.bench.reporting import improvement_pct
 from repro.bench.runner import run_grid
@@ -89,7 +87,13 @@ def run_macro(
     seed: int = 0,
 ) -> MacroResult:
     """One macro run on the default four nodes.  ``system`` is "ofc" or
-    "swift"."""
+    "swift".
+
+    ``seed`` varies only the deployment (platform and storage latency
+    jitter) and pretraining.  Arrivals, arguments, inputs and function
+    ground truth come from the injector's ``truth_seed`` (0), so every
+    seed replays the same load.
+    """
     specs = _tenant_specs(profile, tenants_per_workload)
     if system == "ofc":
         deployment = build_ofc_env(node_mb=node_mb, seed=seed)
@@ -105,7 +109,7 @@ def run_macro(
     else:
         raise ValueError(f"unknown system: {system}")
 
-    injector = FaaSLoad(kernel, platform, store, rng=np.random.default_rng(seed))
+    injector = FaaSLoad(kernel, platform, store)
     injector.prepare(specs)
 
     if system == "ofc":
@@ -194,6 +198,8 @@ def run_macro_comparison(
     testbed had 512 GB workers; memory exhaustion from sheer sandbox
     count is not the phenomenon under study).  The two runs are
     independent simulations and fan out across ``workers`` processes.
+    Both replay the same load whatever ``seed`` is: it reaches only
+    platform jitter and pretraining (see :func:`run_macro`).
     """
     if node_mb is None:
         node_mb = 16384.0 * max(1, tenants_per_workload)

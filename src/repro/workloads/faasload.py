@@ -2,7 +2,9 @@
 
 FaaSLoad prepares input datasets in the RSDS, registers each tenant's
 function with a booked memory that matches the tenant's *profile*, and
-fires invocations at configurable intervals (periodic or exponential).
+fires invocations at configurable intervals (periodic, exponential or
+bursty) through the driver every injector shares,
+:func:`repro.workloads.tenants.stream_load`.
 
 Tenant profiles (§7.2.2):
 
@@ -17,17 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.faas.platform import FaaSPlatform
 from repro.faas.records import InvocationRecord, InvocationRequest
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import Event, Kernel
 from repro.sim.latency import KB, MB
 from repro.workloads.functions import FunctionModel, get_function_model
 from repro.workloads.media import MediaCorpus
-from repro.workloads.pipelines import get_pipeline_app, PipelineApp
+from repro.workloads.pipelines import ALL_PIPELINES, get_pipeline_app, PipelineApp
+from repro.workloads.tenants import estimate_max_footprint_mb, seed_inputs, stream_load
 
 
 class TenantProfile(Enum):
@@ -61,24 +64,7 @@ class TenantSpec:
 
     @property
     def is_pipeline(self) -> bool:
-        from repro.workloads.pipelines import ALL_PIPELINES
-
         return self.workload in ALL_PIPELINES
-
-
-def estimate_max_footprint_mb(
-    model: FunctionModel,
-    corpus_descriptors: List[Any],
-    rng: np.random.Generator,
-    samples: int = 200,
-) -> float:
-    """The 'advanced' tenant's estimate: max footprint over past runs."""
-    peak = 0.0
-    for _ in range(samples):
-        media = corpus_descriptors[int(rng.integers(0, len(corpus_descriptors)))]
-        args = model.sample_args(rng)
-        peak = max(peak, model.footprint_mb(media, args, rng))
-    return peak
 
 
 def booked_memory_for(
@@ -106,22 +92,54 @@ class TenantRuntime:
     #: identical across compared systems regardless of interleaving.
     rng: Optional[np.random.Generator] = None
 
+    def arrivals(self, deadline: float, start: float = 0.0) -> Iterator[float]:
+        """Lazy arrival times in ``[start, deadline]``, drawn from
+        ``rng`` one interval at a time."""
+        spec = self.spec
+        t = start
+        while True:
+            if spec.arrival == "periodic":
+                wait = spec.mean_interval_s
+            elif spec.arrival == "bursty":
+                # Within a burst: short gaps; burst ends with probability
+                # 1/burst_size, then a long idle gap follows. The long
+                # gap is scaled so the long-run mean rate matches
+                # ``mean_interval_s``.
+                if self.rng.random() < 1.0 / max(spec.burst_size, 1.0):
+                    gap = spec.mean_interval_s * spec.burst_size - (
+                        spec.burst_size - 1
+                    ) * spec.burst_gap_s
+                    wait = float(self.rng.exponential(max(gap, spec.burst_gap_s)))
+                else:
+                    wait = spec.burst_gap_s
+            else:
+                wait = float(self.rng.exponential(spec.mean_interval_s))
+            if t + wait > deadline:
+                return
+            t += wait
+            yield t
+
 
 class FaaSLoad:
-    """Prepares datasets and drives multi-tenant invocation schedules."""
+    """Prepares datasets and drives multi-tenant invocation schedules.
+
+    Every tenant draws its arrivals, inputs and arguments from its own
+    generator, seeded from ``truth_seed`` and its position, so the
+    schedule is the same on every compared system.  :meth:`run` fires
+    through :func:`~repro.workloads.tenants.stream_load` and keeps each
+    tenant's records in firing order.
+    """
 
     def __init__(
         self,
         kernel: Kernel,
         platform: FaaSPlatform,
         store,
-        rng: Optional[np.random.Generator] = None,
         truth_seed: int = 0,
     ):
         self.kernel = kernel
         self.platform = platform
         self.store = store
-        self.rng = rng or np.random.default_rng(0)
         self.truth_seed = truth_seed
         self.tenants: List[TenantRuntime] = []
 
@@ -162,17 +180,9 @@ class FaaSLoad:
                     spec.n_inputs,
                     sizes=spec.input_sizes,
                 )
-                self.store.ensure_bucket("inputs")
-                for i, media in enumerate(runtime.descriptors):
-                    name = f"{spec.tenant_id}-{spec.workload}-in{i}"
-                    yield from self.store.put(
-                        "inputs",
-                        name,
-                        media,
-                        size=media.size,
-                        user_meta=media.features(),
-                    )
-                    runtime.input_refs.append(f"inputs/{name}")
+                runtime.input_refs = yield from seed_inputs(
+                    self.store, spec.tenant_id, spec.workload, runtime.descriptors
+                )
                 advanced = estimate_max_footprint_mb(
                     runtime.model,
                     runtime.descriptors,
@@ -190,76 +200,35 @@ class FaaSLoad:
 
     # -- injection --------------------------------------------------------------
 
-    def _next_interval(self, runtime: TenantRuntime) -> float:
+    def _fire(self, runtime: TenantRuntime) -> Event:
         spec = runtime.spec
-        if spec.arrival == "periodic":
-            return spec.mean_interval_s
-        if spec.arrival == "bursty":
-            # Within a burst: short gaps; burst ends with probability
-            # 1/burst_size, then a long idle gap follows. The long gap
-            # is scaled so the long-run mean rate matches
-            # ``mean_interval_s``.
-            if runtime.rng.random() < 1.0 / max(spec.burst_size, 1.0):
-                gap = spec.mean_interval_s * spec.burst_size - (
-                    spec.burst_size - 1
-                ) * spec.burst_gap_s
-                return float(runtime.rng.exponential(max(gap, spec.burst_gap_s)))
-            return spec.burst_gap_s
-        return float(runtime.rng.exponential(spec.mean_interval_s))
-
-    def _tenant_loop(self, runtime: TenantRuntime, deadline: float):
-        spec = runtime.spec
-        pending = []
-        while True:
-            wait = self._next_interval(runtime)
-            if self.kernel.now + wait > deadline:
-                break
-            yield wait
-            runtime.invocations_fired += 1
-            if runtime.app is not None:
-                refs = runtime.input_refs[
-                    int(runtime.rng.integers(0, len(runtime.input_refs)))
-                ]
-                process = self.kernel.process(
-                    self.platform.invoke_pipeline(
-                        runtime.app.pipeline,
-                        tenant=spec.tenant_id,
-                        input_refs=list(refs),
-                    ),
-                    name=f"{spec.tenant_id}-pipeline",
-                )
-            else:
-                ref = runtime.input_refs[
-                    int(runtime.rng.integers(0, len(runtime.input_refs)))
-                ]
-                args = runtime.model.sample_args(runtime.rng)
-                request = InvocationRequest(
-                    function=spec.workload,
-                    tenant=spec.tenant_id,
-                    args=args,
-                    input_ref=ref,
-                )
-                process = self.platform.submit(request)
-            pending.append(process)
-        # Wait for in-flight work before finishing.
-        if pending:
-            yield self.kernel.all_of(pending)
-        for process in pending:
-            result = process.value
-            if runtime.app is not None:
-                runtime.pipeline_records.append(result)
-            else:
-                runtime.records.append(result)
+        runtime.invocations_fired += 1
+        ref = runtime.input_refs[int(runtime.rng.integers(0, len(runtime.input_refs)))]
+        if runtime.app is not None:
+            process = self.kernel.process(
+                self.platform.invoke_pipeline(
+                    runtime.app.pipeline, tenant=spec.tenant_id, input_refs=list(ref)
+                ),
+                name=f"{spec.tenant_id}-pipeline",
+            )
+            kept = runtime.pipeline_records
+        else:
+            request = InvocationRequest(
+                function=spec.workload,
+                tenant=spec.tenant_id,
+                args=runtime.model.sample_args(runtime.rng),
+                input_ref=ref,
+            )
+            process = self.platform.submit(request)
+            kept = runtime.records
+        # The record takes its slot now and fills it when it lands, so
+        # the list keeps firing order whatever order completions arrive.
+        slot = len(kept)
+        kept.append(None)
+        process.wait(lambda done: kept.__setitem__(slot, done.value))
+        return process
 
     def run(self, duration_s: float) -> Dict[str, TenantRuntime]:
         """Inject load for ``duration_s`` of simulated time (blocking)."""
-        deadline = self.kernel.now + duration_s
-        loops = [
-            self.kernel.process(
-                self._tenant_loop(runtime, deadline),
-                name=f"faasload-{runtime.spec.tenant_id}",
-            )
-            for runtime in self.tenants
-        ]
-        self.kernel.run_until(self.kernel.all_of(loops))
+        stream_load(self.kernel, self.tenants, self._fire, duration_s)
         return {runtime.spec.tenant_id: runtime for runtime in self.tenants}

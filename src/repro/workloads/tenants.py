@@ -1,7 +1,7 @@
-"""Trace-driven multi-tenant workload engine (streaming, memory-flat).
+"""Trace-driven multi-tenant workload engine and the one load driver.
 
 The FaaSLoad injector (:mod:`repro.workloads.faasload`) models a
-handful of cooperative tenants, one kernel process each.  This module
+handful of cooperative tenants with explicit profiles.  This module
 scales the load axis to *tens of thousands* of tenants shaped like
 public FaaS traces (the Azure Functions characterization): app
 popularity is Zipf-distributed over the existing function models,
@@ -10,13 +10,14 @@ process is an inhomogeneous Poisson stream under a shared diurnal
 envelope with short geometric bursts layered on top.
 
 Nothing is materialized up front.  Each tenant owns a lazy arrival
-generator; :class:`MergedArrivalStream` heap-merges them so the engine
+generator; :class:`MergedArrivalStream` heap-merges them so the driver
 holds exactly one pending arrival per live tenant — O(tenants) state
 regardless of how many invocations the run produces (the test suite
-streams 100k invocations and asserts the bound).  One driver process
-pulls the merged stream and fires invocations into the platform; the
-per-tenant results are folded into streaming aggregates rather than
-kept as record lists.
+streams 100k invocations and asserts the bound).  Both injectors run
+through :func:`stream_load`: one driver process pulls the merged
+stream, fires each arrival into the platform and counts what is in
+flight until the last invocation lands.  The engine folds per-tenant
+results into streaming aggregates rather than keeping record lists.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.faas.records import InvocationRecord, InvocationRequest
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import delay_until, Event, Kernel
 from repro.sim.latency import KB, MB
-from repro.workloads.faasload import estimate_max_footprint_mb
 from repro.workloads.functions import (
     EVALUATION_FUNCTIONS,
     FunctionModel,
@@ -47,6 +48,7 @@ __all__ = [
     "TenantStream",
     "TenantWorkloadConfig",
     "ZipfSampler",
+    "stream_load",
     "synthesize_tenants",
 ]
 
@@ -220,46 +222,112 @@ def synthesize_tenants(config: TenantWorkloadConfig) -> List[TenantStream]:
 class MergedArrivalStream:
     """Heap-merge of per-tenant arrival generators.
 
-    Holds one ``(next_time, tenant_index)`` entry per live tenant —
-    never more, no matter how long the merged stream runs.  Iterating
-    yields ``(time, tenant)`` in global time order.
+    Takes any tenants with an ``arrivals(deadline, start)`` generator
+    and holds one ``(next_time, draw, tenant, arrivals)`` entry per
+    live tenant — never more, no matter how long the merged stream
+    runs.  Iterating yields ``(time, tenant)`` in global time order.  A
+    tenant's next arrival is drawn only when the following item is
+    asked for, after the consumer has acted on the current one, and
+    equal times go in the order they were drawn: the order in which one
+    sleeping process per tenant would wake.
     """
 
-    def __init__(
-        self,
-        tenants: Sequence[TenantStream],
-        deadline: float,
-        start: float = 0.0,
-    ):
-        self._heap: List[Tuple[float, int]] = []
-        self._generators: Dict[int, Iterator[float]] = {}
-        self._tenants: Dict[int, TenantStream] = {}
+    def __init__(self, tenants: Sequence[Any], deadline: float, start: float = 0.0):
+        self._draws = count()
+        self._heap: List[Tuple[float, int, Any, Iterator[float]]] = []
         for tenant in tenants:
-            gen = tenant.arrivals(deadline, start=start)
-            first = next(gen, None)
-            if first is None:
-                continue
-            self._generators[tenant.index] = gen
-            self._tenants[tenant.index] = tenant
-            heapq.heappush(self._heap, (first, tenant.index))
+            arrivals = tenant.arrivals(deadline, start=start)
+            first = next(arrivals, None)
+            if first is not None:
+                self._heap.append((first, next(self._draws), tenant, arrivals))
+        heapq.heapify(self._heap)
 
     @property
     def pending_count(self) -> int:
         """Live per-tenant entries — the stream's entire pending state."""
         return len(self._heap)
 
-    def __iter__(self) -> Iterator[Tuple[float, TenantStream]]:
-        heap = self._heap
+    def __iter__(self) -> Iterator[Tuple[float, Any]]:
+        heap, draws = self._heap, self._draws
         while heap:
-            when, index = heapq.heappop(heap)
-            tenant = self._tenants[index]
-            following = next(self._generators[index], None)
-            if following is None:
-                del self._generators[index]
-                del self._tenants[index]
-            else:
-                heapq.heappush(heap, (following, index))
+            when, _draw, tenant, arrivals = heap[0]
             yield when, tenant
+            following = next(arrivals, None)
+            if following is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (following, next(draws), tenant, arrivals))
+
+
+def stream_load(
+    kernel: Kernel,
+    tenants: Sequence[Any],
+    fire: Callable[[Any], Event],
+    duration_s: float,
+) -> None:
+    """Fire ``tenants``' arrivals for ``duration_s`` simulated seconds
+    from now, then wait for everything fired to land (blocking).
+
+    One driver process pulls the :class:`MergedArrivalStream`, lands on
+    each arrival instant and calls ``fire(tenant)``, which starts one
+    invocation or pipeline and returns its process.  A count of fired
+    processes not yet terminated is the only per-invocation state, and
+    this returns at the instant the last of them lands.
+    """
+    deadline = kernel.now + duration_s
+    in_flight = 0
+    drained: Optional[Event] = None
+
+    def landed(_process: Event) -> None:
+        nonlocal in_flight
+        in_flight -= 1
+        if in_flight == 0 and drained is not None:
+            drained.succeed()
+
+    def driver():
+        nonlocal in_flight, drained
+        # Streams start at the current simulated time: preparation
+        # (seeding inputs) consumed simulated seconds, and arrivals
+        # scheduled before "now" would all fire in one burst.
+        for when, tenant in MergedArrivalStream(tenants, deadline, kernel.now):
+            while kernel.now != when:
+                yield delay_until(kernel.now, when)
+            in_flight += 1
+            fire(tenant).wait(landed)
+        if in_flight:
+            drained = kernel.event()
+            yield drained
+
+    kernel.run_until(kernel.process(driver(), name="load-driver"))
+
+
+def estimate_max_footprint_mb(
+    model: FunctionModel,
+    corpus_descriptors: List[Any],
+    rng: np.random.Generator,
+    samples: int = 200,
+) -> float:
+    """The 'advanced' tenant's estimate: max footprint over past runs."""
+    peak = 0.0
+    for _ in range(samples):
+        media = corpus_descriptors[int(rng.integers(0, len(corpus_descriptors)))]
+        args = model.sample_args(rng)
+        peak = max(peak, model.footprint_mb(media, args, rng))
+    return peak
+
+
+def seed_inputs(store, tenant_id: str, app: str, descriptors: List[Any]):
+    """Put one tenant's inputs into the ``inputs`` bucket (a process
+    body); returns their refs in descriptor order."""
+    store.ensure_bucket("inputs")
+    refs = []
+    for i, media in enumerate(descriptors):
+        name = f"{tenant_id}-{app}-in{i}"
+        yield from store.put(
+            "inputs", name, media, size=media.size, user_meta=media.features()
+        )
+        refs.append(f"inputs/{name}")
+    return refs
 
 
 @dataclass
@@ -296,11 +364,10 @@ class TenantLoadStats:
 class TenantLoadEngine:
     """Streams a synthesized tenant population into one deployment.
 
-    Unlike :class:`~repro.workloads.faasload.FaaSLoad` (one process and
-    one record list per tenant) this engine runs a single driver
-    process over the merged arrival stream and keeps only O(tenants)
-    aggregates, so the invocation count is bounded by simulated time,
-    not by memory.
+    It fires through :func:`stream_load`, as
+    :class:`~repro.workloads.faasload.FaaSLoad` does, but switches the
+    platform's record list off and keeps only O(tenants) aggregates, so
+    the invocation count is bounded by simulated time, not by memory.
     """
 
     def __init__(
@@ -316,8 +383,6 @@ class TenantLoadEngine:
         self.config = config or TenantWorkloadConfig()
         self.tenants: List[TenantStream] = []
         self.stats = TenantLoadStats()
-        self._drained = None
-        self._driver_done = False
 
     # -- preparation -----------------------------------------------------
 
@@ -345,7 +410,6 @@ class TenantLoadEngine:
 
     def _prepare_all(self):
         config = self.config
-        self.store.ensure_bucket("inputs")
         corpus = MediaCorpus(np.random.default_rng([config.seed, 17]))
         booked: Dict[str, float] = {}
         for app in dict.fromkeys(t.app for t in self.tenants):
@@ -364,24 +428,37 @@ class TenantLoadEngine:
                 config.n_inputs,
                 sizes=list(config.input_sizes),
             )
-            for i, media in enumerate(descriptors):
-                name = f"{tenant.tenant_id}-{tenant.app}-in{i}"
-                yield from self.store.put(
-                    "inputs",
-                    name,
-                    media,
-                    size=media.size,
-                    user_meta=media.features(),
-                )
-                tenant.input_refs.append(f"inputs/{name}")
+            tenant.input_refs = yield from seed_inputs(
+                self.store, tenant.tenant_id, tenant.app, descriptors
+            )
 
     # -- injection -------------------------------------------------------
 
-    def _on_completion(self, record: InvocationRecord) -> None:
-        tenant_id = record.request.tenant
-        agg = self.stats.per_tenant.get(tenant_id)
+    def _fire(self, tenant: TenantStream) -> Event:
+        ref = tenant.input_refs[
+            int(tenant.args_rng.integers(0, len(tenant.input_refs)))
+        ]
+        model = get_function_model(tenant.app)
+        request = InvocationRequest(
+            function=tenant.app,
+            tenant=tenant.tenant_id,
+            args=model.sample_args(tenant.args_rng),
+            input_ref=ref,
+        )
+        agg = self.stats.per_tenant.get(tenant.tenant_id)
         if agg is None:
-            return  # another injector's tenant (shared platform)
+            agg = self.stats.per_tenant[tenant.tenant_id] = TenantAggregate()
+        agg.submitted += 1
+        self.stats.submitted += 1
+        process = self.kernel.process(
+            self.platform.invoke(request), name=f"tn-invoke-{tenant.app}"
+        )
+        # The record is folded into the aggregates when it lands and is
+        # not retained, keeping live state at O(tenants).
+        process.wait(lambda done: self._fold(agg, done.value))
+        return process
+
+    def _fold(self, agg: TenantAggregate, record: InvocationRecord) -> None:
         if record.status == "ok":
             agg.completed += 1
             self.stats.completed += 1
@@ -396,46 +473,6 @@ class TenantLoadEngine:
             failures[cause] = failures.get(cause, 0) + 1
         if record.cold_start:
             agg.cold_starts += 1
-        if (
-            self._driver_done
-            and self._drained is not None
-            and self.stats.completed + self.stats.failed
-            >= self.stats.submitted
-        ):
-            gate, self._drained = self._drained, None
-            gate.succeed()
-
-    def _drive(self, deadline: float):
-        # Streams start at the current simulated time: preparation
-        # (seeding thousands of inputs) consumed simulated seconds, and
-        # arrivals scheduled before "now" would all fire in one burst.
-        stream = MergedArrivalStream(
-            self.tenants, deadline, start=self.kernel.now
-        )
-        for when, tenant in stream:
-            wait = when - self.kernel.now
-            if wait > 0.0:
-                yield wait
-            ref = tenant.input_refs[
-                int(tenant.args_rng.integers(0, len(tenant.input_refs)))
-            ]
-            model = get_function_model(tenant.app)
-            request = InvocationRequest(
-                function=tenant.app,
-                tenant=tenant.tenant_id,
-                args=model.sample_args(tenant.args_rng),
-                input_ref=ref,
-            )
-            agg = self.stats.per_tenant.get(tenant.tenant_id)
-            if agg is None:
-                agg = self.stats.per_tenant[tenant.tenant_id] = TenantAggregate()
-            agg.submitted += 1
-            self.stats.submitted += 1
-            # Fire and forget: completion lands in _on_completion; no
-            # handle is retained, keeping live state at O(tenants).
-            self.kernel.process(
-                self.platform.invoke(request), name=f"tn-invoke-{tenant.app}"
-            )
 
     def reset_stats(self) -> None:
         """Discard accumulated aggregates (e.g. after a warmup run)."""
@@ -447,22 +484,9 @@ class TenantLoadEngine:
         again to continue streaming from the current simulated time."""
         if not self.tenants:
             self.prepare()
-        self._driver_done = False
-        self.platform.completion_listeners.append(self._on_completion)
         kept, self.platform.keep_records = self.platform.keep_records, False
         try:
-            deadline = self.kernel.now + duration_s
-            driver = self.kernel.process(
-                self._drive(deadline), name="tenants-driver"
-            )
-            self.kernel.run_until(driver)
-            self._driver_done = True
-            while (
-                self.stats.completed + self.stats.failed < self.stats.submitted
-            ):
-                self._drained = self.kernel.event()
-                self.kernel.run_until(self._drained)
+            stream_load(self.kernel, self.tenants, self._fire, duration_s)
         finally:
             self.platform.keep_records = kept
-            self.platform.completion_listeners.remove(self._on_completion)
         return self.stats

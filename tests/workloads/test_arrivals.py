@@ -1,5 +1,8 @@
 """Tests for FaaSLoad arrival processes."""
 
+from itertools import islice
+from math import inf
+
 import numpy as np
 import pytest
 
@@ -18,13 +21,13 @@ def make_injector():
     store.create_bucket("inputs")
     store.create_bucket("outputs")
     platform = FaaSPlatform(kernel, store, PlatformConfig(node_memory_mb=8192))
-    return FaaSLoad(kernel, platform, store, rng=np.random.default_rng(0))
+    return FaaSLoad(kernel, platform, store)
 
 
 def sample_intervals(spec, n=3000):
-    injector = make_injector()
     runtime = TenantRuntime(spec=spec, rng=np.random.default_rng(1))
-    return np.array([injector._next_interval(runtime) for _ in range(n)])
+    instants = list(islice(runtime.arrivals(deadline=inf, start=0.0), n))
+    return np.diff([0.0] + instants)
 
 
 def test_periodic_intervals_are_constant():

@@ -104,7 +104,7 @@ def test_estimate_max_footprint_is_an_upper_envelope():
 
 def test_faasload_injects_and_collects(env):
     kernel, store, platform = env
-    load = FaaSLoad(kernel, platform, store, rng=np.random.default_rng(4))
+    load = FaaSLoad(kernel, platform, store)
     load.prepare(
         [
             TenantSpec(
@@ -137,7 +137,7 @@ def test_faasload_injects_and_collects(env):
 
 def test_faasload_pipeline_tenant(env):
     kernel, store, platform = env
-    load = FaaSLoad(kernel, platform, store, rng=np.random.default_rng(4))
+    load = FaaSLoad(kernel, platform, store)
     load.prepare(
         [
             TenantSpec(
