@@ -4,8 +4,8 @@ Five synthetic patterns in events per second: the sleep chain is the
 dominant one in the real simulations (all model code sleeps via bare
 delays), the others cover the rest of the dispatch loop.  Tracing is a
 per-kernel decision made at construction, so a kernel built while
-tracing is disabled must pay (almost) nothing for the observability
-layer — the null-tracer run asserts that bound.
+tracing is disabled has no tracer and pays nothing for the
+observability layer; a traced kernel must stay within a bound of it.
 """
 
 from time import perf_counter
@@ -133,9 +133,9 @@ def test_kernel_patterns_report(benchmark):
     assert all(rate > 50_000 for rate in rates.values())
 
 
-def test_null_tracer_overhead_is_bounded(benchmark):
-    # Tracing off (the default): kernels get the shared NULL_TRACER and
-    # the run loop never consults it on the hot path.
+def test_tracing_overhead_is_bounded(benchmark):
+    # Tracing off (the default): kernels have no tracer, and the run loop
+    # never consults it on the hot path.
     reset_tracing()
     off = max(_sleep() for _ in range(3))
     try:

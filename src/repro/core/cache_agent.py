@@ -125,23 +125,29 @@ class CacheAgent:
         self._retarget_queued = False
         target = self.target_capacity_bytes()
         current = self.server.capacity
-        span = self.kernel.tracer.start("cache.retarget", node=self.node_id)
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start("cache.retarget", node=self.node_id)
+            if tracer is not None
+            else None
+        )
         if target > current:
             started = self.kernel.now
             yield from self.cluster.scale_up(self.node_id, target - current)
             self.invoker.cache_reserved_mb = self.server.capacity / MB
             self.metrics.scale_ups += 1
             self.metrics.scale_up_time_s += self.kernel.now - started
-            span.annotate(direction="grow")
+            direction = "grow"
         elif target < current:
             yield from self._shrink_to(target)
-            span.annotate(direction="shrink")
+            direction = "shrink"
         else:
-            span.annotate(direction="steady")
+            direction = "steady"
         self.metrics.record_cache_size(
             self.kernel.now, self.cluster.total_capacity
         )
-        span.finish()
+        if span is not None:
+            span.finish(direction=direction)
 
     # -- shrinking ------------------------------------------------------------------
 
@@ -179,7 +185,12 @@ class CacheAgent:
 
     def _shrink_locked(self, target_bytes: int) -> Generator:
         started = self.kernel.now
-        span = self.kernel.tracer.start("cache.shrink", node=self.node_id)
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start("cache.shrink", node=self.node_id)
+            if tracer is not None
+            else None
+        )
         evicted = False
         migrated = False
         goal = target_bytes
@@ -260,9 +271,10 @@ class CacheAgent:
         else:
             self.metrics.scale_downs_plain += 1
         self.metrics.scale_down_time_s += self.kernel.now - started
-        span.finish(
-            mode="migration" if migrated else ("eviction" if evicted else "plain")
-        )
+        if span is not None:
+            span.finish(
+                mode="migration" if migrated else ("eviction" if evicted else "plain")
+            )
 
     def _reclaim_order(self) -> Callable:
         """Sort key for pass-2 reclamation, valid for one sort.
@@ -342,7 +354,12 @@ class CacheAgent:
 
     def run_periodic_eviction(self) -> Generator:
         """Evict cold objects: n_access < 5 or idle > 30 min."""
-        span = self.kernel.tracer.start("cache.evict_sweep", node=self.node_id)
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start("cache.evict_sweep", node=self.node_id)
+            if tracer is not None
+            else None
+        )
         now = self.kernel.now
         for obj in self._local_masters():
             # Never evict very young objects (they may belong to an
@@ -394,7 +411,8 @@ class CacheAgent:
                 ),
                 decay=self.node_id == min(servers),
             )
-        span.finish()
+        if span is not None:
+            span.finish()
         self._queue_retarget()
 
     # -- slack pool (§6.4) ------------------------------------------------

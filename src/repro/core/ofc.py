@@ -340,13 +340,12 @@ class OFCPlatform:
     # -- reporting (Table 2) ----------------------------------------------
 
     def table2_snapshot(self) -> Dict[str, Any]:
-        failed = sum(1 for r in self.platform.records if r.status == "failed")
         snap = self.metrics.snapshot()
         snap.update(
             {
                 "good_predictions": self.trainer.good_predictions,
                 "bad_predictions": self.trainer.bad_predictions,
-                "failed_invocations": failed,
+                "failed_invocations": self.platform.failed_invocations,
                 "cache_hit_ratio": round(self.rclib_stats.hit_ratio, 4),
                 "ephemeral_data_bytes": self.rclib_stats.ephemeral_bytes,
             }

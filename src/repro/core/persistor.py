@@ -95,7 +95,12 @@ class PersistorService:
         def persistor():
             # The persistor runs as a FaaS helper function: it pays the
             # platform dispatch overhead before touching the RSDS.
-            span = self.kernel.tracer.start("persistor.flush", final=final)
+            tracer = self.kernel.tracer
+            span = (
+                tracer.start("persistor.flush", final=final)
+                if tracer is not None
+                else None
+            )
             yield PLATFORM_OVERHEAD.sample(self.rng)
             ok = False
             gave_up = False
@@ -138,7 +143,8 @@ class PersistorService:
                 # write-back re-schedules the persist once the RSDS
                 # recovers, so the update is never silently dropped.
                 self.stats.gave_up += 1
-                span.finish(status="unavailable")
+                if span is not None:
+                    span.finish(status="unavailable")
                 if self._pending.get(key) is done:
                     del self._pending[key]
                 done.succeed(False)
@@ -156,7 +162,8 @@ class PersistorService:
                     self.on_persisted(key, final, version)
             else:
                 self.stats.superseded += 1
-            span.finish(status="completed" if ok else "superseded")
+            if span is not None:
+                span.finish(status="completed" if ok else "superseded")
             if self._pending.get(key) is done:
                 del self._pending[key]
             done.succeed(ok)

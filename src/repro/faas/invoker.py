@@ -146,7 +146,7 @@ class InvocationContext:
         tracer = kernel.tracer
         span = (
             tracer.start("faas.compute", function=record.request.function)
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         start = now = kernel.now
@@ -452,7 +452,7 @@ class Invoker:
         tracer = self.kernel.tracer
         span = (
             tracer.start("faas.execute", node=self.node_id, function=spec.key)
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         try:

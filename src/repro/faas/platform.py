@@ -92,12 +92,10 @@ class FaaSPlatform:
         self.monitor_factory: Optional[Callable[..., Any]] = None
         self.completion_listeners: List[Callable[[InvocationRecord], None]] = []
         self.pipeline_listeners: List[Callable[[PipelineRecord], None]] = []
-        self.records: List[InvocationRecord] = []
         self.pipeline_records: List[PipelineRecord] = []
-        #: Streaming injectors (repro.workloads.tenants) switch this off
-        #: so million-invocation runs do not accumulate a record list;
-        #: completion_listeners remain the delivery path either way.
-        self.keep_records = True
+        #: Invocations that ended ``failed`` (Table 2); the records
+        #: themselves reach only the completion_listeners.
+        self.failed_invocations = 0
 
     # -- deployment ---------------------------------------------------------
 
@@ -142,7 +140,7 @@ class FaaSPlatform:
             tracer.start(
                 "faas.invoke", function=request.function, tenant=request.tenant
             )
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         yield PLATFORM_OVERHEAD.sample(self.rng)
@@ -205,10 +203,9 @@ class FaaSPlatform:
             record.status = "failed"
             record.finished_at = self.kernel.now
             record.error = failure
+            self.failed_invocations += 1
         if span is not None:
             span.finish(status=record.status, retries=record.retries)
-        if self.keep_records:
-            self.records.append(record)
         for listener in self.completion_listeners:
             listener(record)
         return record
@@ -237,8 +234,11 @@ class FaaSPlatform:
             pipeline_id=pipeline_id,
             submitted_at=self.kernel.now,
         )
-        span = self.kernel.tracer.start(
-            "faas.pipeline", pipeline=pipeline.name, tenant=tenant
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start("faas.pipeline", pipeline=pipeline.name, tenant=tenant)
+            if tracer is not None
+            else None
         )
         prev_refs = list(input_refs or [])
         last = len(pipeline.stages) - 1
@@ -271,7 +271,8 @@ class FaaSPlatform:
                 ref for r in stage_record.records for ref in r.output_refs
             ]
         prec.finished_at = self.kernel.now
-        span.finish(status=prec.status, stages=len(prec.stage_records))
+        if span is not None:
+            span.finish(status=prec.status, stages=len(prec.stage_records))
         self.pipeline_records.append(prec)
         for listener in self.pipeline_listeners:
             listener(prec)

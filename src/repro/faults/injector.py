@@ -127,7 +127,8 @@ class FaultInjector:
     # -- node events -------------------------------------------------------
 
     def _crash(self, node: str) -> Generator:
-        span = self.kernel.tracer.start("fault.crash", node=node)
+        tracer = self.kernel.tracer
+        span = tracer.start("fault.crash", node=node) if tracer is not None else None
         self.backend.crash(node)
         self.stats.crashes += 1
         # Failure detection: recovery starts after the membership
@@ -137,25 +138,31 @@ class FaultInjector:
         self.stats.recovered_objects += recovered
         repaired = yield from self.backend.repair()
         self.stats.repaired_keys += repaired
-        span.finish(recovered=recovered, repaired=repaired)
+        if span is not None:
+            span.finish(recovered=recovered, repaired=repaired)
 
     def _restart(self, node: str) -> Generator:
-        span = self.kernel.tracer.start("fault.restart", node=node)
+        tracer = self.kernel.tracer
+        span = tracer.start("fault.restart", node=node) if tracer is not None else None
         purged = self.backend.restart(node)
         self.stats.restarts += 1
         self.stats.purged_backups += purged
         # The node's storage is available again: restore redundancy.
         repaired = yield from self.backend.repair()
         self.stats.repaired_keys += repaired
-        span.finish(purged=purged, repaired=repaired)
+        if span is not None:
+            span.finish(purged=purged, repaired=repaired)
 
     # -- episodes ----------------------------------------------------------
 
     def _episode(self, event: FaultEvent) -> Generator:
         kind = event.kind
         state = self.state
-        span = self.kernel.tracer.start(
-            f"fault.{kind}", duration=event.duration, scale=event.scale
+        tracer = self.kernel.tracer
+        span = (
+            tracer.start(f"fault.{kind}", duration=event.duration, scale=event.scale)
+            if tracer is not None
+            else None
         )
         if kind == "rsds_outage":
             self.stats.outages += 1
@@ -180,4 +187,5 @@ class FaultInjector:
                 state.exit_slow_network(event.scale)
             else:
                 state.exit_bypass()
-            span.finish()
+            if span is not None:
+                span.finish()

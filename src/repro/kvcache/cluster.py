@@ -187,7 +187,7 @@ class CacheCluster(CacheBackend):
                 caller=caller,
                 placement="local" if master_id == caller else "remote",
             )
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         master = self.coordinator.server(master_id)
@@ -270,7 +270,7 @@ class CacheCluster(CacheBackend):
         master_id = self.location_of(key)
         if master_id is None:
             self.stats.misses += 1
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.start("kvcache.get", caller=caller).finish(status="miss")
             raise NoSuchKey(key)
         span = (
@@ -279,7 +279,7 @@ class CacheCluster(CacheBackend):
                 caller=caller,
                 status="local" if master_id == caller else "remote",
             )
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         master = self.coordinator.server(master_id)
@@ -345,7 +345,7 @@ class CacheCluster(CacheBackend):
         tracer = self.kernel.tracer
         span = (
             tracer.start("kvcache.delete", caller=caller)
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         master = self.coordinator.server(master_id)
@@ -438,7 +438,7 @@ class CacheCluster(CacheBackend):
         tracer = self.kernel.tracer
         span = (
             tracer.start("kvcache.migrate", source=master_id, bytes=obj.size)
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         # Promote from the new master's local (buffered) backup copy and
@@ -610,7 +610,8 @@ class CacheCluster(CacheBackend):
         factor (run after a crashed node rejoins, or opportunistically).
         Returns the number of keys brought back to full replication.
         """
-        span = self.kernel.tracer.start("kvcache.repair")
+        tracer = self.kernel.tracer
+        span = tracer.start("kvcache.repair") if tracer is not None else None
         repaired = 0
         for key in sorted(self._under_replicated):
             master_id = self.location_of(key)
@@ -626,5 +627,6 @@ class CacheCluster(CacheBackend):
                 repaired += 1
         self.stats.repairs += 1
         self.stats.repaired_objects += repaired
-        span.finish(repaired=repaired)
+        if span is not None:
+            span.finish(repaired=repaired)
         return repaired

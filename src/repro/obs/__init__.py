@@ -1,8 +1,8 @@
 """repro.obs — observability: span tracing, collectors, one document.
 
 * :mod:`repro.obs.trace` — :class:`Tracer` with spans keyed to
-  simulated time; a shared no-op :data:`NULL_TRACER` keeps the
-  instrumented hot paths free when tracing is disabled (the default).
+  simulated time; a kernel built with tracing disabled (the default)
+  has no tracer, and no instrumented site calls into this package.
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the lazy
   collectors that snapshot the components' stats objects.
 * :mod:`repro.obs.export` — :func:`export_json`, the one writer of the
@@ -17,8 +17,6 @@ from repro.obs.trace import (
     active_tracers,
     enable_tracing,
     merged_summary,
-    NULL_TRACER,
-    NullTracer,
     reset_tracing,
     Span,
     Tracer,
@@ -27,9 +25,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "NULL_TRACER",
     "MetricsRegistry",
-    "NullTracer",
     "Span",
     "Tracer",
     "absorb",

@@ -7,10 +7,9 @@ with the discrete-event timeline the paper's figures are drawn from.
 
 Tracing is **off by default**: every :class:`~repro.sim.kernel.Kernel`
 asks :func:`tracer_for_clock` for its tracer, and unless
-:func:`enable_tracing` was called first the shared :data:`NULL_TRACER`
-is returned.  The null tracer hands out one immortal no-op span, so an
-instrumented call site costs a method call and a small kwargs dict —
-nothing is recorded and no per-span object is allocated.
+:func:`enable_tracing` was called first it gets ``None``.  Every
+instrumented call site starts a span only under ``if tracer is not
+None``, so an untraced run executes no code of this package.
 
 Typical use from the CLI (``--trace``) or a test::
 
@@ -27,8 +26,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "TraceDigest",
     "Tracer",
@@ -66,10 +63,6 @@ class Span:
             raise ValueError(f"span {self.name!r} has not finished")
         return self.end - self.start
 
-    def annotate(self, **labels: object) -> "Span":
-        self.labels.update(labels)
-        return self
-
     def finish(self, **labels: object) -> "Span":
         """Close the span at the clock's current instant (idempotent)."""
         if self.end is None:
@@ -82,9 +75,6 @@ class Span:
 
 class Tracer:
     """Collects finished spans; timestamps come from ``clock``."""
-
-    #: Call sites may gate expensive label computation on this flag.
-    enabled = True
 
     def __init__(
         self,
@@ -130,43 +120,13 @@ class Tracer:
         return out
 
 
-class _NullSpan(Span):
-    """The immortal span the null tracer hands to every call site."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        super().__init__(NULL_TRACER, "null", 0.0, {})
-
-    def annotate(self, **labels: object) -> "Span":
-        return self
-
-    def finish(self, **labels: object) -> "Span":
-        return self
-
-
-class NullTracer(Tracer):
-    """No-op tracer: records nothing, allocates nothing per call."""
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__(max_spans=0)
-
-    def start(self, name: str, **labels: object) -> Span:
-        return NULL_SPAN
-
-
-NULL_TRACER = NullTracer()
-NULL_SPAN = _NullSpan()
-
 # -- global switch -----------------------------------------------------------
 #
 # Experiments build their kernels deep inside bench functions, so the
 # CLI cannot hand a tracer down explicitly.  Instead the kernel asks
-# this module for one at construction time; enable_tracing() flips all
-# kernels built afterwards to real tracers, which are kept here so the
-# caller can collect every trace after the run.
+# this module for one at construction time; after enable_tracing() every
+# kernel built gets a tracer, which is kept here so the caller can
+# collect every trace after the run.
 
 _enabled = False
 _tracers: List[Tracer] = []
@@ -189,10 +149,10 @@ def tracing_enabled() -> bool:
     return _enabled
 
 
-def tracer_for_clock(clock: Callable[[], float]) -> Tracer:
-    """The tracer a new kernel should use (null unless enabled)."""
+def tracer_for_clock(clock: Callable[[], float]) -> Optional[Tracer]:
+    """The tracer a new kernel should use (``None`` unless enabled)."""
     if not _enabled:
-        return NULL_TRACER
+        return None
     tracer = Tracer(clock)
     _tracers.append(tracer)
     return tracer

@@ -38,10 +38,11 @@ little uniformity for speed:
   plain spelling of the same loop is :meth:`Kernel.step` →
   :meth:`Event._run_callbacks` → :meth:`Process._resume`; tests drive
   it as the reference;
-* tracing is decided once per kernel and costs nothing when off: a
-  :class:`Process` carries no span state, and a kernel constructed with
-  tracing on only has :meth:`Kernel.process` register one extra
-  callback on the process's termination;
+* tracing is decided once per kernel and costs nothing when off: the
+  kernel's ``tracer`` is ``None`` unless tracing was on when it was
+  built, a :class:`Process` carries no span state, and a traced kernel
+  only has :meth:`Kernel.process` register one extra callback on the
+  process's termination;
 * starting a process enqueues the process object itself instead of a
   bootstrap :class:`Event`, and waiting on an already-processed event
   reuses the event's own delivery slot (``_redeliver``) instead of
@@ -382,7 +383,6 @@ class Kernel:
         "_ipush",
         "_seqn",
         "tracer",
-        "_tracing",
     )
 
     def __init__(self):
@@ -398,12 +398,11 @@ class Kernel:
         # identically to the classic counter).
         self._ipush = self._immediate.append
         self._seqn = count(1).__next__
-        #: Observability hook: the shared no-op tracer unless tracing was
-        #: globally enabled (see :mod:`repro.obs.trace`) before this
-        #: kernel was built.  Components reach it as ``kernel.tracer``.
+        #: Observability hook: a :class:`~repro.obs.trace.Tracer` if
+        #: tracing was globally enabled (see :mod:`repro.obs.trace`)
+        #: before this kernel was built, else ``None``.  Components reach
+        #: it as ``kernel.tracer`` and start spans only when it is set.
         self.tracer = tracer_for_clock(lambda: self.now)
-        # Cached once: whether process() attaches a span (see below).
-        self._tracing = self.tracer.enabled
 
     # -- factories -------------------------------------------------------
 
@@ -450,7 +449,7 @@ class Kernel:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         proc = Process(self, generator, name=name)
-        if self._tracing:
+        if self.tracer is not None:
             # The ``sim.process`` span closes from a callback on the
             # process's own termination event, so a traced kernel runs
             # the same loop, arm for arm, as an untraced one.

@@ -140,7 +140,7 @@ class ObjectStore:
         tracer = self.kernel.tracer
         span = (
             tracer.start("rsds.get", internal=internal)
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         yield self._slots.acquire()
@@ -182,7 +182,7 @@ class ObjectStore:
         tracer = self.kernel.tracer
         span = (
             tracer.start("rsds.put", internal=internal, shadow=shadow)
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         yield self._slots.acquire()
@@ -238,7 +238,7 @@ class ObjectStore:
         kept in order (§6.2).
         """
         tracer = self.kernel.tracer
-        span = tracer.start("rsds.persist") if tracer.enabled else None
+        span = tracer.start("rsds.persist") if tracer is not None else None
         yield self._slots.acquire()
         try:
             self._check_available("persist")
@@ -262,7 +262,7 @@ class ObjectStore:
         tracer = self.kernel.tracer
         span = (
             tracer.start("rsds.delete", internal=internal)
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         yield self._slots.acquire()

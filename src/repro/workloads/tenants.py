@@ -365,9 +365,10 @@ class TenantLoadEngine:
     """Streams a synthesized tenant population into one deployment.
 
     It fires through :func:`stream_load`, as
-    :class:`~repro.workloads.faasload.FaaSLoad` does, but switches the
-    platform's record list off and keeps only O(tenants) aggregates, so
-    the invocation count is bounded by simulated time, not by memory.
+    :class:`~repro.workloads.faasload.FaaSLoad` does, but keeps only
+    O(tenants) aggregates of what it fired (the platform keeps no
+    records), so the invocation count is bounded by simulated time, not
+    by memory.
     """
 
     def __init__(
@@ -484,9 +485,5 @@ class TenantLoadEngine:
         again to continue streaming from the current simulated time."""
         if not self.tenants:
             self.prepare()
-        kept, self.platform.keep_records = self.platform.keep_records, False
-        try:
-            stream_load(self.kernel, self.tenants, self._fire, duration_s)
-        finally:
-            self.platform.keep_records = kept
+        stream_load(self.kernel, self.tenants, self._fire, duration_s)
         return self.stats

@@ -68,8 +68,7 @@ def test_relaxed_mode_persists_lazily_on_eviction(relaxed):
 def test_relaxed_overwrite_versions_monotonic(relaxed):
     deploy(relaxed)
     refs = seed_images(relaxed, n=1)
-    invoke(relaxed, ref=refs[0])
-    first = relaxed.platform.records[-1]
+    first = invoke(relaxed, ref=refs[0])
     key = first.output_refs[0]
     v1 = relaxed.cluster.peek(key).version if relaxed.cluster.contains(key) else 0
     assert v1 >= 1

@@ -140,12 +140,10 @@ def test_persistor_version_ordering(ofc):
 def test_rclib_delete_removes_everywhere(ofc):
     deploy(ofc)
     refs = seed_images(ofc, n=1)
-    invoke(ofc, ref=refs[0])
+    record = invoke(ofc, ref=refs[0])
     assert ofc.cluster.contains(refs[0])
     bucket, name = refs[0].split("/", 1)
-    client = ofc._make_data_client(
-        ofc.platform.invokers[0], ofc.platform.records[-1]
-    )
+    client = ofc._make_data_client(ofc.platform.invokers[0], record)
     ofc.kernel.run_until(ofc.kernel.process(client.delete(bucket, name)))
     assert not ofc.cluster.contains(refs[0])
     assert not ofc.store.contains(bucket, name)

@@ -202,9 +202,11 @@ def test_records_accumulate(env):
     kernel, store, platform = env
     deploy(platform)
     seed_input(kernel, store)
-    for _ in range(3):
-        invoke(kernel, platform, input_ref="inputs/in")
-    assert len(platform.records) == 3
+    delivered = []
+    platform.completion_listeners.append(delivered.append)
+    returned = [invoke(kernel, platform, input_ref="inputs/in") for _ in range(3)]
+    assert delivered == returned
+    assert len(delivered) == 3
 
 
 def test_home_worker_affinity(env):

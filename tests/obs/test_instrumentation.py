@@ -1,18 +1,19 @@
 """Instrumentation smoke tests: spans and registry on a live system."""
 
+import os
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 
+import repro.obs
 from repro.core import OFCPlatform
 from repro.faas.platform import PlatformConfig
 from repro.faas.records import InvocationRequest
-from repro.obs import (
-    enable_tracing,
-    merged_summary,
-    NULL_TRACER,
-    reset_tracing,
-)
-from repro.sim.latency import KB
+from repro.obs import enable_tracing, merged_summary, reset_tracing
+from repro.sim import Kernel
+from repro.sim.latency import KB, MB
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
 
@@ -70,15 +71,15 @@ def run_some_invocations(system, n=6):
 
 def test_kernel_tracer_is_null_by_default():
     system = build_system()
-    assert system.kernel.tracer is NULL_TRACER
+    assert system.kernel.tracer is None
     run_some_invocations(system, n=2)
-    assert system.kernel.tracer.spans == []
+    assert system.kernel.tracer is None
 
 
 def test_enabled_tracing_captures_invocation_lifecycle():
     enable_tracing()
     system = build_system()
-    assert system.kernel.tracer is not NULL_TRACER
+    assert system.kernel.tracer is not None
 
     records = run_some_invocations(system, n=6)
     assert all(r.status == "ok" for r in records)
@@ -118,7 +119,6 @@ def _run_cell(monkeypatch, traced):
     from dataclasses import asdict
 
     from repro.bench.envs import build_ofc_env
-    from repro.sim import Kernel
     from repro.workloads.tenants import TenantLoadEngine, TenantWorkloadConfig
 
     procs = []
@@ -162,7 +162,7 @@ def test_tracing_does_not_perturb_the_run(monkeypatch):
     ``sim.process`` span per process, closed when it terminates."""
     plain, plain_records, plain_procs = _run_cell(monkeypatch, traced=False)
     traced, traced_records, traced_procs = _run_cell(monkeypatch, traced=True)
-    assert plain.kernel.tracer is NULL_TRACER
+    assert plain.kernel.tracer is None
     assert plain_records, "cell completed no invocations"
     assert traced_records == plain_records
     assert traced.kernel.now == plain.kernel.now
@@ -172,6 +172,82 @@ def test_tracing_does_not_perturb_the_run(monkeypatch):
     finished = [p for p in traced_procs if p.processed]
     assert 0 < len(finished) < len(traced_procs)  # some loops never end
     assert tracer.summary()["sim.process"]["count"] == len(finished)
+
+
+def test_table2_counts_failures_of_streamed_runs(monkeypatch):
+    """Table 2 counts every failed invocation, also those a streaming
+    injector fired (the platform keeps no record list to scan)."""
+    ofc, records, _procs = _run_cell(monkeypatch, traced=False)
+    failed = sum(1 for *_, status, _phases in records if status == "failed")
+    assert failed > 0, "the memory-tight cell failed no invocation"
+    assert ofc.table2_snapshot()["failed_invocations"] == failed
+
+
+_OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
+
+
+def _faasload_with_a_pipeline_tenant(monkeypatch):
+    from repro.bench.envs import build_ofc_env
+    from repro.workloads.faasload import FaaSLoad, TenantSpec
+
+    ofc = build_ofc_env(seed=3)
+    load = FaaSLoad(ofc.kernel, ofc.platform, ofc.store)
+    load.prepare(
+        [
+            TenantSpec("fn", "wand_sepia", mean_interval_s=5.0, n_inputs=2),
+            TenantSpec(
+                "mr", "map_reduce", mean_interval_s=20.0, input_sizes=[4 * MB]
+            ),
+        ]
+    )
+    load.run(duration_s=60.0)
+
+
+def _crash_restart_faults_cell(monkeypatch):
+    from repro.bench.grid import crash_restart_schedule, faults_cell, run_cell
+
+    row = run_cell(faults_cell(60.0, crash_restart_schedule(60.0)))
+    assert row.crashes == 1
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        partial(_run_cell, traced=False),
+        _faasload_with_a_pipeline_tenant,
+        _crash_restart_faults_cell,
+    ],
+    ids=["tenant_cell", "faasload_map_reduce", "faults_crash_restart"],
+)
+def test_untraced_run_executes_no_obs_code(monkeypatch, run):
+    """With tracing off, no span site calls into ``repro.obs``: a
+    profiler watches every kernel dispatch (the run phase; building a
+    kernel asks ``tracer_for_clock``, registering a collector reaches the
+    registry, and both stay outside) for a frame of the package."""
+    calls = 0
+    obs_frames = set()
+
+    def profiler(frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+            if frame.f_code.co_filename.startswith(_OBS_DIR):
+                obs_frames.add(frame.f_code.co_name)
+
+    drain = Kernel._drain
+
+    def profiled_drain(self, limit, awaited):
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            drain(self, limit, awaited)
+        finally:
+            sys.setprofile(previous)
+
+    monkeypatch.setattr(Kernel, "_drain", profiled_drain)
+    run(monkeypatch)
+    assert calls, "the profiler saw no dispatch"
+    assert obs_frames == set()
 
 
 #: Every (collector, key) pair the repository benchmark reads from
