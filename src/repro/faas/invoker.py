@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.faas.dataclient import DataClient
@@ -11,7 +12,7 @@ from repro.faas.keepalive import FixedKeepAlive, KeepAlivePolicy
 from repro.faas.records import InvocationRecord
 from repro.faas.registry import FunctionSpec
 from repro.faas.sandbox import Sandbox, SandboxState
-from repro.sim.kernel import delay_until, Kernel
+from repro.sim.kernel import delay_until, Event, Kernel
 from repro.sim.latency import COLD_START, DOCKER_UPDATE, WARM_START
 
 #: Simulation granularity of the Transform phase's memory ramp: the
@@ -402,7 +403,8 @@ class Invoker:
         self.stats.resizes += 1
         # Fire-and-forget docker-update sleep: the delay thunk runs at
         # the bootstrap-resume position of the generator process it
-        # replaced, so the RNG draw lands at the same point in the stream.
+        # replaced, so the RNG draw lands at the same point in the
+        # stream; nothing waits on the wake, so none is scheduled.
         rng = self.rng
         self.kernel.call_later(lambda: DOCKER_UPDATE.sample(rng))
 
@@ -417,22 +419,40 @@ class Invoker:
         self._notify("destroyed", sandbox)
 
     def _schedule_reap(self, sandbox: Sandbox) -> None:
-        """Arm the keep-alive timer for an idle sandbox."""
-        generation = sandbox.use_generation
+        """Move an idle sandbox's keep-alive deadline to ``timeout_for``
+        from now.
+
+        A timer is armed only when none is pending or the new deadline
+        is earlier than the pending one (an adaptive policy may shorten
+        it); a later deadline is left to the pending timer, which sleeps
+        on to it when it fires.  ``tests/faas/reference_reap.py`` holds
+        the one-timer-per-invocation reaper this replaces as the oracle.
+        """
         timeout_s = self.keepalive_policy.timeout_for(sandbox)
+        reap_at = sandbox.reap_at = self.kernel.now + timeout_s
+        if reap_at < sandbox.reap_timer_at:
+            self._arm_reap(sandbox, timeout_s)
 
-        # One reap timer per invocation end is hot; call_later replaces
-        # the generator+Process with two plain events on the exact same
-        # queue slots (bit-identical schedules).
-        def reap(_event):
-            if (
-                sandbox.alive
-                and sandbox.idle
-                and sandbox.use_generation == generation
-            ):
-                self.destroy_sandbox(sandbox, reaped=True)
+    def _arm_reap(self, sandbox: Sandbox, delay: float) -> None:
+        kernel = self.kernel
+        # The timer's value names its sandbox; ``_reap`` reads it there.
+        kernel.timeout(delay, sandbox).callbacks = self._reap
+        sandbox.reap_timer_at = kernel.now + delay
 
-        self.kernel.call_later(lambda: timeout_s, reap)
+    def _reap(self, timer: Event) -> None:
+        sandbox = timer.value
+        now = self.kernel.now
+        if sandbox.reap_timer_at != now:
+            return  # superseded by an earlier deadline
+        sandbox.reap_timer_at = inf
+        if sandbox.state is not SandboxState.IDLE:
+            return  # dead, or busy: its next invocation end re-arms
+        if now < sandbox.reap_at:
+            # Reused since the timer was armed: sleep on to the latest
+            # deadline (``delay_until`` may stop short; then hop again).
+            self._arm_reap(sandbox, delay_until(now, sandbox.reap_at))
+        else:
+            self.destroy_sandbox(sandbox, reaped=True)
 
     # -- execution ----------------------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Optional
+from math import inf
 
 _next_id = itertools.count(1)
 
@@ -47,9 +47,13 @@ class Sandbox:
         self.state = SandboxState.STARTING
         #: Number of invocations served (warm reuse counter).
         self.invocations = 0
-        #: Generation counter for keep-alive bookkeeping: bumped on each
-        #: use so that stale reap timers can detect they are outdated.
-        self.use_generation = 0
+        #: Keep-alive deadline: the instant an idle sandbox is reaped,
+        #: set by the invoker at every invocation end.
+        self.reap_at = inf
+        #: When the sandbox's one pending reap timer fires (``inf``: none
+        #: pending).  A timer that fires at any other instant was
+        #: superseded by an earlier deadline and does nothing.
+        self.reap_timer_at = inf
 
     @property
     def alive(self) -> bool:
@@ -71,7 +75,6 @@ class Sandbox:
                 f"{self.sandbox_id}: reserve in state {self.state}"
             )
         self.state = SandboxState.BUSY
-        self.use_generation += 1
 
     def begin_invocation(self, now: float) -> None:
         if self.state != SandboxState.BUSY:
@@ -88,7 +91,6 @@ class Sandbox:
             )
         self.state = SandboxState.IDLE
         self.last_used_at = now
-        self.use_generation += 1
 
     def set_limit(self, memory_mb: float) -> None:
         """Apply a new cgroup memory limit (the latency of the docker

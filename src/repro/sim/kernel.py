@@ -489,11 +489,16 @@ class Kernel:
 
         The generic process also ipushes a no-op termination event; with
         the handle discarded it has no callbacks and no observable
-        effect, so it is elided.  Exceptions from ``callback`` surface
-        out of ``run()`` at the wake instant, like a process failure.
+        effect, so it is elided.  So is the fire timeout when there is
+        no ``callback``: the arming slot still evaluates ``delay_fn``
+        (its draw is what the sleep was for), and nothing waits on the
+        wake.  Exceptions from ``callback`` surface out of ``run()`` at
+        the wake instant, like a process failure.
         """
         def _arm(_event: Event) -> None:
-            self.timeout(delay_fn()).callbacks = callback
+            delay = delay_fn()
+            if callback is not None:
+                self.timeout(delay).callbacks = callback
 
         self.timeout(0.0).callbacks = _arm
 

@@ -15,12 +15,13 @@ invocation:
 * the ``InvocationRequest`` and ``InvocationRecord`` (with its
   ``Phases``, ``features`` and ``output_refs``);
 * the invocation's :class:`Process` and ``InvocationContext``;
-* the keep-alive reap timer: one ``call_later``, whose arming and fire
-  events are two ``Kernel.timeout`` events, and three closures (the
-  delay thunk, the reap check and the arming callback);
 * on the data plane, the GET's ``StoredObject``/``ObjectMeta`` copy and
   the PUT's stored object, its metadata and the metadata copy returned;
 * the generator frames of the body and of the data-plane calls.
+
+Nothing for the keep-alive: the invocation end moves the sandbox's
+deadline later, and the one reap timer the cold start armed stays
+pending until it fires (and re-arms onto the deadline).
 """
 
 import sys
@@ -31,8 +32,10 @@ from repro.bench.envs import build_owk_swift_env
 from repro.faas.dataclient import DirectStoreClient
 from repro.faas.platform import SizingDecision
 from repro.faas.records import InvocationRequest
+from repro.faas.sandbox import Sandbox
 from repro.sim.kernel import Event, Kernel, Process
 from repro.sim.latency import KB
+from repro.workloads.faasload import FaaSLoad, TenantSpec
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
 from tests.faas.conftest import logging_resumptions
@@ -114,13 +117,13 @@ def test_one_warm_invocation_event_budget(monkeypatch):
     record = invoke()
 
     assert record.status == "ok" and not record.cold_start
-    # The invocation itself; reap timer and docker-update are call_later.
+    # The invocation itself; docker-update (no resize here) is call_later.
     assert len(processes) == 1
-    # The keep-alive reap timer, whose arming and fire events are the
-    # only timeouts: the RSDS read and write (repro.storage.object_store)
-    # sleep on bare delays.
-    assert timers == ["repro.faas.invoker"]
-    assert timeouts == ["repro.sim.kernel", "repro.sim.kernel"]
+    # No timer and no timeout: the sandbox's reap timer is already
+    # armed for an earlier instant than the new deadline, and the RSDS
+    # read and write (repro.storage.object_store) sleep on bare delays.
+    assert timers == []
+    assert timeouts == []
     # No plain event: the two uncontended slot grants allocate none.
     assert events == []
     assert per_attempt == []
@@ -128,3 +131,30 @@ def test_one_warm_invocation_event_budget(monkeypatch):
     # crossing).  Load: slot grant + PUT latency.
     assert len(resumptions) == 5
     assert resumptions[2] - resumptions[1] == record.phases.transform
+
+
+def test_pending_reap_timers_are_one_per_live_sandbox():
+    """After a FaaSLoad run has drained, the heap holds nothing but
+    keep-alive reap timers, at most one per live sandbox."""
+    env = build_owk_swift_env(nodes=2, node_mb=16384.0, seed=0)
+    load = FaaSLoad(env.kernel, env.platform, env.store, truth_seed=0)
+    load.prepare(
+        [
+            TenantSpec(
+                tenant_id=f"tenant-{function}",
+                workload=function,
+                mean_interval_s=2.0,
+                arrival="exponential",
+                input_sizes=[16 * KB, 64 * KB],
+                n_inputs=2,
+            )
+            for function in ("wand_blur", "wand_sepia", "wand_resize", "wand_edge")
+        ]
+    )
+    load.run(180.0)
+    live = [s for invoker in env.platform.invokers for s in invoker.sandboxes]
+    assert sum(t.invocations_fired for t in load.tenants) > 300
+    assert len(live) >= 4
+    timers = [entry[2]._value for entry in env.kernel._queue]
+    assert all(type(sandbox) is Sandbox for sandbox in timers)
+    assert len({id(sandbox) for sandbox in timers}) == len(timers) <= len(live)

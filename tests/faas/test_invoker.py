@@ -145,13 +145,13 @@ def test_reap_timer_respects_reuse():
     sandbox.begin_invocation(kernel.now)
     sandbox.end_invocation(kernel.now)
     invoker._schedule_reap(sandbox)
-    # Re-use at t+50: bumps the generation, the old timer is stale.
+    # Re-use at t+50: the deadline moves to t+150.
     kernel.run(until=kernel.now + 50.0)
     sandbox.reserve()
     sandbox.begin_invocation(kernel.now)
     sandbox.end_invocation(kernel.now)
     invoker._schedule_reap(sandbox)
-    kernel.run(until=kernel.now + 60.0)  # old timer fires here: no-op
+    kernel.run(until=kernel.now + 60.0)  # the timer fires here and re-arms
     assert sandbox.alive
     kernel.run(until=kernel.now + 200.0)  # new timer reaps eventually
     assert not sandbox.alive

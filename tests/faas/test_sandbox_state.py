@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.faas.invoker import Invoker
+from repro.faas.records import InvocationRecord, InvocationRequest
+from repro.faas.registry import FunctionSpec
 from repro.faas.sandbox import Sandbox, SandboxState
+from repro.sim import Kernel
 
 
 def make(limit=256.0):
@@ -41,13 +45,29 @@ def test_end_without_begin_state_rejected():
         sandbox.end_invocation(now=0.0)
 
 
-def test_generation_bumps_on_use():
-    sandbox = make()
-    g0 = sandbox.use_generation
-    sandbox.reserve()
-    sandbox.begin_invocation(now=0.0)
-    sandbox.end_invocation(now=1.0)
-    assert sandbox.use_generation >= g0 + 2
+def test_every_invocation_end_moves_the_keepalive_deadline():
+    """The deadline is ``now + timeout`` after every invocation end,
+    whether the next deadline lies later or earlier."""
+    kernel = Kernel()
+    invoker = Invoker(kernel, "w0", 2048.0, keepalive_s=100.0)
+    timeouts = iter([100.0, 250.0, 30.0])
+    invoker.keepalive_policy.timeout_for = lambda _sandbox: next(timeouts)
+
+    def body(ctx):
+        yield ctx.args["s"]
+
+    fn = FunctionSpec(name="f", tenant="t", body=body)
+    deadlines = []
+    for gap in (0.0, 5.0, 7.5):
+        kernel.run(until=kernel.now + gap)
+        request = InvocationRequest("f", "t", args={"s": 2.0})
+        record = InvocationRecord(request=request, submitted_at=kernel.now)
+        kernel.run_until(kernel.process(invoker.execute(fn, record, 256.0, None)))
+        (sandbox,) = invoker.sandboxes
+        deadlines.append((sandbox.reap_at, record.finished_at))
+    assert [reap_at for reap_at, _ in deadlines] == [
+        end + timeout for (_, end), timeout in zip(deadlines, (100.0, 250.0, 30.0))
+    ]
 
 
 def test_kill_makes_dead_and_not_idle():

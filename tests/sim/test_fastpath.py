@@ -400,6 +400,28 @@ def test_call_later_zero_delay_fires_this_instant(both_kernels):
         assert log == [1.0]
 
 
+def test_call_later_without_callback_draws_and_schedules_no_wake(both_kernels):
+    """Nothing waits on a callback-less sleep: its delay is drawn at the
+    arming slot and no fire event reaches the queue."""
+    for kernel in both_kernels():
+        draws = []
+
+        def draw():
+            draws.append(kernel.now)
+            return 3.0
+
+        def spawner():
+            yield 1.0
+            kernel.call_later(draw)
+            assert draws == []  # drawn at the arming slot, not inline
+
+        kernel.process(spawner())
+        kernel.run()
+        assert draws == [1.0]
+        assert kernel.now == 1.0  # no wake at 4.0
+        assert not kernel._queue and not kernel._immediate
+
+
 def test_mixed_scenario_parity(both_kernels):
     """Sleeps, a shared gate, timeouts and process joins interleaved."""
 
@@ -498,7 +520,7 @@ def test_every_event_is_built_with_every_event_field():
     """One field layout: whatever puts an occurrence on the queue sets
     all seven ``Event.__slots__``, so no read of one needs a guard."""
     k = Kernel()
-    k.call_later(lambda: 3.0)
+    k.call_later(lambda: 3.0, lambda _event: None)
     arming = k._immediate[0]
     k.step()  # the arming callback puts the fire event on the heap
     fire = k._queue[0][2]
