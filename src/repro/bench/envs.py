@@ -11,17 +11,17 @@ Every builder restarts the process-global id counters
 hidden footprint noise and pipeline ids end up in object keys, so a
 deployment must not depend on what ran before it in the process (or on
 the ``--workers`` fan-out, whose forked workers inherit the counters).
+Each builder imports the system it builds, so a stock deployment loads
+no OFC core, no RAMCloud cluster and no learner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import OFCConfig
-from repro.core.ofc import OFCPlatform
 from repro.faas import reset_id_counters
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.records import skip_request_ids
@@ -33,6 +33,10 @@ from repro.storage.latency_profiles import (
     SWIFT_PROFILE,
 )
 from repro.storage.object_store import ObjectStore
+
+if TYPE_CHECKING:
+    from repro.core.config import OFCConfig
+    from repro.core.ofc import OFCPlatform
 
 #: Node memory used across benches: modest so memory pressure is real.
 DEFAULT_NODE_MB = 16384.0
@@ -112,6 +116,8 @@ def build_ofc_env(
     multi-tenant bench shortens it so thousands of one-off tenants do
     not pin idle sandboxes for the default ten minutes.
     """
+    from repro.core.ofc import OFCPlatform
+
     reset_id_counters()
     platform_config = _platform_config(nodes, node_mb)
     if keepalive_s is not None:

@@ -8,19 +8,32 @@ implements, :class:`CacheBackend`, lives in :mod:`repro.kvcache.backend`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import List, Optional, TYPE_CHECKING
 
-from repro.cache.faast import FaaSTBackend
-from repro.cache.infinicache import InfiniCacheBackend
-from repro.cache.ofc_backend import OFCCacheBackend
+from repro import lazy_exports
 from repro.core.config import OFCConfig
-from repro.kvcache.backend import CacheBackend, CostMeter
-from repro.sim.kernel import Kernel
 
-BACKENDS: Dict[str, Type[CacheBackend]] = {
-    OFCCacheBackend.name: OFCCacheBackend,
-    FaaSTBackend.name: FaaSTBackend,
-    InfiniCacheBackend.name: InfiniCacheBackend,
+if TYPE_CHECKING:
+    from repro.kvcache.backend import CacheBackend
+    from repro.sim.kernel import Kernel
+
+#: Public name -> the module that defines it, imported on first access.
+_EXPORTS = {
+    "CacheBackend": "repro.kvcache.backend",
+    "CostMeter": "repro.kvcache.backend",
+    "FaaSTBackend": ".faast",
+    "InfiniCacheBackend": ".infinicache",
+    "OFCCacheBackend": ".ofc_backend",
+}
+_lazy_all, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ = ["BACKENDS", "make_backend", *_lazy_all]
+
+#: Architecture name (each class's ``name``) -> the class that builds
+#: it, resolved on use so a deployment imports only its own.
+BACKENDS = {
+    "ofc": "OFCCacheBackend",
+    "faast": "FaaSTBackend",
+    "infinicache": "InfiniCacheBackend",
 }
 
 
@@ -37,11 +50,12 @@ def make_backend(
     ``config`` defaults to :class:`OFCConfig`'s defaults, and
     ``max_object_size`` to that config's ``max_cacheable_bytes``."""
     try:
-        backend_cls = BACKENDS[name]
+        class_name = BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown cache backend {name!r}; known: {sorted(BACKENDS)}"
         ) from None
+    backend_cls = __getattr__(class_name)
     config = config or OFCConfig()
     if max_object_size is None:
         max_object_size = config.max_cacheable_bytes
@@ -49,14 +63,3 @@ def make_backend(
         kernel, node_ids, config=config, rng=rng,
         max_object_size=max_object_size,
     )
-
-
-__all__ = [
-    "BACKENDS",
-    "CacheBackend",
-    "CostMeter",
-    "FaaSTBackend",
-    "InfiniCacheBackend",
-    "OFCCacheBackend",
-    "make_backend",
-]

@@ -21,28 +21,20 @@ into the Opportunistic FaaS Cache:
 * :class:`~repro.core.ofc.OFCPlatform` — the assembled system.
 """
 
-from repro.core.cache_agent import CacheAgent
-from repro.core.config import OFCConfig
-from repro.core.features import extract_features
-from repro.core.metrics import OFCMetrics
-from repro.core.monitor import Monitor
-from repro.core.ofc import OFCPlatform
-from repro.core.persistor import PersistorService
-from repro.core.predictor import Predictor
-from repro.core.proxy import RcLibClient
-from repro.core.routing import OFCScheduler
-from repro.core.trainer import ModelTrainer
+from repro import lazy_exports
 
-__all__ = [
-    "CacheAgent",
-    "extract_features",
-    "ModelTrainer",
-    "Monitor",
-    "OFCConfig",
-    "OFCMetrics",
-    "OFCPlatform",
-    "PersistorService",
-    "Predictor",
-    "RcLibClient",
-    "OFCScheduler",
-]
+#: Public name -> the module that defines it, imported on first access.
+_EXPORTS = {
+    "CacheAgent": ".cache_agent",
+    "extract_features": ".features",
+    "ModelTrainer": ".trainer",
+    "Monitor": ".monitor",
+    "OFCConfig": ".config",
+    "OFCMetrics": ".metrics",
+    "OFCPlatform": ".ofc",
+    "OFCScheduler": ".routing",
+    "PersistorService": ".persistor",
+    "Predictor": ".predictor",
+    "RcLibClient": ".proxy",
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -35,8 +35,6 @@ class OFCConfig:
     underprediction_weight: float = 3.0
     #: E+L fraction above which caching is considered beneficial (§5.2).
     cache_benefit_threshold: float = 0.5
-    #: Ablation: disable the benefit classifier (cache everything).
-    use_benefit_model: bool = True
 
     # -- monitor (§5.3.1) ------------------------------------------------------
     #: Dynamic cap raising only for invocations running at least this long.

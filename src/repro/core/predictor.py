@@ -60,11 +60,7 @@ class Predictor:
             memory_mb = intervals.allocation_mb(raw, self.config.bump_intervals)
             self.mature_predictions += 1
         should_cache = True
-        if (
-            self.config.use_benefit_model
-            and models.benefit_model is not None
-            and len(models.samples) >= 10
-        ):
+        if models.benefit_model is not None and len(models.samples) >= 10:
             should_cache = bool(models.benefit_model.predict_one(features))
         record.predicted_interval = predicted_interval
         return SizingDecision(

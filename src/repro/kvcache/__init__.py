@@ -19,29 +19,20 @@ the cluster derives from it and ``repro.core`` imports the cluster,
 while ``repro.cache`` imports ``repro.core``.
 """
 
-from repro.kvcache.cluster import CacheCluster
-from repro.kvcache.coordinator import Coordinator
-from repro.kvcache.errors import (
-    CacheError,
-    CapacityExceeded,
-    NoSuchKey,
-    ObjectTooLarge,
-    ServerDown,
-)
-from repro.kvcache.log import ObjectLog, Segment
-from repro.kvcache.objects import CacheObject
-from repro.kvcache.server import CacheServer
+from repro import lazy_exports
 
-__all__ = [
-    "CacheCluster",
-    "CacheError",
-    "CacheObject",
-    "CacheServer",
-    "CapacityExceeded",
-    "Coordinator",
-    "NoSuchKey",
-    "ObjectLog",
-    "ObjectTooLarge",
-    "Segment",
-    "ServerDown",
-]
+#: Public name -> the module that defines it, imported on first access.
+_EXPORTS = {
+    "CacheCluster": ".cluster",
+    "CacheError": ".errors",
+    "CacheObject": ".objects",
+    "CacheServer": ".server",
+    "CapacityExceeded": ".errors",
+    "Coordinator": ".coordinator",
+    "NoSuchKey": ".errors",
+    "ObjectLog": ".log",
+    "ObjectTooLarge": ".errors",
+    "Segment": ".log",
+    "ServerDown": ".errors",
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

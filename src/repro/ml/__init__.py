@@ -10,31 +10,21 @@ evaluation metrics (exact / exact-or-over accuracy, precision/recall/F,
 k-fold cross-validation) used by Table 1 and §7.1.
 """
 
-from repro.ml.dataset import Dataset
-from repro.ml.forest import RandomForestClassifier, RandomTreeClassifier
-from repro.ml.hoeffding import HoeffdingTreeClassifier
-from repro.ml.intervals import MemoryIntervals
-from repro.ml.metrics import (
-    accuracy,
-    confusion_matrix,
-    cross_validate,
-    eo_accuracy,
-    f_measure,
-    precision_recall,
-)
-from repro.ml.tree import J48Classifier
+from repro import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "HoeffdingTreeClassifier",
-    "J48Classifier",
-    "MemoryIntervals",
-    "RandomForestClassifier",
-    "RandomTreeClassifier",
-    "accuracy",
-    "confusion_matrix",
-    "cross_validate",
-    "eo_accuracy",
-    "f_measure",
-    "precision_recall",
-]
+#: Public name -> the module that defines it, imported on first access.
+_EXPORTS = {
+    "Dataset": ".dataset",
+    "HoeffdingTreeClassifier": ".hoeffding",
+    "J48Classifier": ".tree",
+    "MemoryIntervals": ".intervals",
+    "RandomForestClassifier": ".forest",
+    "RandomTreeClassifier": ".forest",
+    "accuracy": ".metrics",
+    "confusion_matrix": ".metrics",
+    "cross_validate": ".metrics",
+    "eo_accuracy": ".metrics",
+    "f_measure": ".metrics",
+    "precision_recall": ".metrics",
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

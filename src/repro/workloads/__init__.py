@@ -11,40 +11,24 @@ after the paper's own Figure 2 (no precise correlation with byte size
 or any single argument alone).
 """
 
-from repro.workloads.faasload import FaaSLoad, TenantProfile, TenantSpec
-from repro.workloads.functions import (
-    ALL_FUNCTIONS,
-    FIGURE7_FUNCTIONS,
-    FunctionModel,
-    get_function_model,
-)
-from repro.workloads.media import (
-    AudioDescriptor,
-    ImageDescriptor,
-    MediaCorpus,
-    TextDescriptor,
-    VideoDescriptor,
-)
-from repro.workloads.pipelines import (
-    ALL_PIPELINES,
-    get_pipeline_app,
-    PipelineApp,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ALL_FUNCTIONS",
-    "ALL_PIPELINES",
-    "AudioDescriptor",
-    "FIGURE7_FUNCTIONS",
-    "FaaSLoad",
-    "FunctionModel",
-    "ImageDescriptor",
-    "MediaCorpus",
-    "PipelineApp",
-    "TenantProfile",
-    "TenantSpec",
-    "TextDescriptor",
-    "VideoDescriptor",
-    "get_function_model",
-    "get_pipeline_app",
-]
+#: Public name -> the module that defines it, imported on first access.
+_EXPORTS = {
+    "ALL_FUNCTIONS": ".functions",
+    "ALL_PIPELINES": ".pipelines",
+    "AudioDescriptor": ".media",
+    "FIGURE7_FUNCTIONS": ".functions",
+    "FaaSLoad": ".faasload",
+    "FunctionModel": ".functions",
+    "ImageDescriptor": ".media",
+    "MediaCorpus": ".media",
+    "PipelineApp": ".pipelines",
+    "TenantProfile": ".faasload",
+    "TenantSpec": ".faasload",
+    "TextDescriptor": ".media",
+    "VideoDescriptor": ".media",
+    "get_function_model": ".functions",
+    "get_pipeline_app": ".pipelines",
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

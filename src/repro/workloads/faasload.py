@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -29,8 +29,14 @@ from repro.sim.kernel import Event, Kernel
 from repro.sim.latency import KB, MB
 from repro.workloads.functions import FunctionModel, get_function_model
 from repro.workloads.media import MediaCorpus
-from repro.workloads.pipelines import ALL_PIPELINES, get_pipeline_app, PipelineApp
 from repro.workloads.tenants import estimate_max_footprint_mb, seed_inputs, stream_load
+
+if TYPE_CHECKING:
+    from repro.workloads.pipelines import PipelineApp
+
+#: The names of :data:`repro.workloads.pipelines.ALL_PIPELINES`, so
+#: telling a pipeline tenant from a single function imports no pipeline.
+PIPELINE_NAMES = frozenset({"map_reduce", "THIS", "IMAD", "image_processing"})
 
 
 class TenantProfile(Enum):
@@ -64,7 +70,7 @@ class TenantSpec:
 
     @property
     def is_pipeline(self) -> bool:
-        return self.workload in ALL_PIPELINES
+        return self.workload in PIPELINE_NAMES
 
 
 def booked_memory_for(
@@ -161,6 +167,8 @@ class FaaSLoad:
             )
             corpus = MediaCorpus(np.random.default_rng([self.truth_seed, index]))
             if spec.is_pipeline:
+                from repro.workloads.pipelines import get_pipeline_app
+
                 runtime.app = get_pipeline_app(spec.workload)
                 runtime.app.register(
                     self.platform, tenant=spec.tenant_id, truth_seed=self.truth_seed

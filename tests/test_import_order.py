@@ -4,8 +4,10 @@
 cluster derives from the backend contract, so the contract must live
 where ``repro.kvcache`` can import it without pulling in ``repro.cache``
 or ``repro.core`` — or whichever of them a process imports first would
-meet the other half-initialised.  One subprocess per entry point, since
-a module imported once stays imported.
+meet the other half-initialised.  A package resolves its exports on
+use, so each entry point is imported and every name in its ``__all__``
+read.  One subprocess per entry point, since a module imported once
+stays imported.
 """
 
 import os
@@ -21,7 +23,9 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 SCRIPT = """
 import sys
-import {module}
+import {module} as package
+for name in getattr(package, "__all__", ()):
+    getattr(package, name)
 print(" ".join(name for name in sys.modules if name.startswith("repro.")))
 """
 
