@@ -14,7 +14,6 @@ import numpy as np
 from repro.core.trainer import cache_benefit_label, ModelTrainer, TrainingSample
 from repro.ml.dataset import Dataset
 from repro.ml.intervals import MemoryIntervals
-from repro.storage.latency_profiles import SWIFT_PROFILE
 from repro.workloads.functions import (
     ALL_FUNCTIONS,
     EVALUATION_FUNCTIONS,
@@ -45,7 +44,6 @@ def synthetic_sample(
             media.size,
             model.output_size(media, args),
             model.transform_time(media, args),
-            trainer.rsds_profile,
             trainer.config.cache_benefit_threshold,
         ),
     )
@@ -121,7 +119,6 @@ def benefit_dataset(
             media.size,
             model.output_size(media, args),
             model.transform_time(media, args),
-            SWIFT_PROFILE,
             threshold,
         ),
     )

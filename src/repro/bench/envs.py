@@ -26,12 +26,8 @@ from repro.faas import reset_id_counters
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.records import skip_request_ids
 from repro.sim.kernel import Kernel
+from repro.sim.latency import LatencyProfile, REDIS_PROFILE, SWIFT_PROFILE
 from repro.sim.rng import RngRegistry
-from repro.storage.latency_profiles import (
-    LatencyProfile,
-    REDIS_PROFILE,
-    SWIFT_PROFILE,
-)
 from repro.storage.object_store import ObjectStore
 
 if TYPE_CHECKING:
@@ -148,7 +144,7 @@ def pretrain_function(
     Synthesises ``n_samples`` training samples from the hidden ground
     truth and hands them to :meth:`ModelTrainer.ingest`.  Results are
     memoized in the process (:mod:`repro.bench.model_cache`): a
-    deployment whose (function, descriptors, config, profile, seed)
+    deployment whose (function, descriptors, config, seed)
     match a previous pretraining adopts the cached state instead.
     Either way ``n_samples`` request ids are skipped, one per
     synthesised invocation, so the ids (which seed the hidden footprint
@@ -165,7 +161,6 @@ def pretrain_function(
         seed,
         descriptors,
         ofc.trainer.config,
-        ofc.trainer.rsds_profile,
     )
     cached = model_cache.lookup(cache_key)
     if cached is not None:

@@ -36,7 +36,7 @@ from repro.bench.runner import run_grid
 from repro.faas.platform import FaaSPlatform, PlatformConfig
 from repro.faas.records import InvocationRequest
 from repro.sim.kernel import Kernel
-from repro.storage.latency_profiles import REDIS_PROFILE, S3_PROFILE
+from repro.sim.latency import REDIS_PROFILE, S3_PROFILE
 from repro.storage.object_store import ObjectStore
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus

@@ -3,10 +3,9 @@
 Every macro-style run starts by maturing each tenant's models offline
 (:func:`repro.bench.envs.pretrain_function`, which hands synthetic
 samples to :meth:`ModelTrainer.ingest`).  That is deterministic in its
-inputs — function model, tenant, descriptor set, sample count, seed,
-OFC config and RSDS latency profile — so its result can be computed
-once and reused by every later run in the process that shares those
-inputs.
+inputs — function model, tenant, descriptor set, sample count, seed
+and OFC config — so its result can be computed once and reused by every
+later run in the process that shares those inputs.
 
 The memo maps a content key to a *pickled* :class:`FunctionModels`
 snapshot.  Serializing at store time and deserializing a fresh copy on
@@ -47,11 +46,10 @@ def pretrain_key(
     seed: int,
     descriptors: Sequence[Any],
     config: Any,
-    profile: Any,
 ) -> str:
     """Content hash of every input the pretraining result depends on:
     (function spec, input descriptor ensemble, sample count, seed,
-    OFC config, RSDS latency profile)."""
+    OFC config)."""
     descriptor_print = tuple(
         (d.size, tuple(sorted(d.features().items()))) for d in descriptors
     )
@@ -63,7 +61,6 @@ def pretrain_key(
             int(seed),
             descriptor_print,
             tuple(sorted(asdict(config).items())),
-            profile.name,
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -37,16 +37,18 @@ from zlib import crc32
 from repro.core.config import OFCConfig
 from repro.kvcache.backend import CacheBackend
 from repro.kvcache.errors import CapacityExceeded, NoSuchKey, ObjectTooLarge
-from repro.kvcache.objects import (
+from repro.kvcache.objects import CacheObject
+from repro.sim.kernel import Kernel
+from repro.sim.latency import (
     BACKUP_WRITE,
-    CacheObject,
+    CACHE_SCALE_EVICT,
+    CACHE_SCALE_PLAIN,
     LOCAL_READ,
     LOCAL_WRITE,
+    MB,
     REMOTE_READ,
     REMOTE_WRITE,
 )
-from repro.sim.kernel import Kernel
-from repro.sim.latency import CACHE_SCALE_EVICT, CACHE_SCALE_PLAIN, MB
 
 #: Application key for objects without a tenant attribution.
 SHARED_APP = "_shared"

@@ -32,14 +32,9 @@ from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
 from repro.core.config import OFCConfig
 from repro.kvcache.backend import CacheBackend
 from repro.kvcache.errors import CapacityExceeded, NoSuchKey, ObjectTooLarge
-from repro.kvcache.objects import (
-    BACKUP_WRITE,
-    CacheObject,
-    REMOTE_READ,
-    REMOTE_WRITE,
-)
+from repro.kvcache.objects import CacheObject
 from repro.sim.kernel import Kernel
-from repro.sim.latency import MB
+from repro.sim.latency import BACKUP_WRITE, MB, REMOTE_READ, REMOTE_WRITE
 
 
 @dataclass

@@ -267,12 +267,6 @@ class HistoryRecorder:
             self._inner_factory(invoker, record), record, self
         )
 
-    def detach(self) -> None:
-        """Restore the original factory (recorded history is kept)."""
-        self.ofc.platform.data_client_factory = self._inner_factory
-        if getattr(self.ofc, "checks_recorder", None) is self:
-            self.ofc.checks_recorder = None
-
     def snapshot(self) -> Dict[str, Any]:
         """The ``checks`` collector payload (O(1): streamed counters)."""
         violations: Dict[str, int] = {}

@@ -26,9 +26,9 @@ from repro.kvcache.cluster import CacheCluster
 from repro.kvcache.errors import NoSuchKey
 from repro.obs.registry import MetricsRegistry
 from repro.sim.kernel import Kernel
+from repro.sim.latency import SWIFT_PROFILE
 from repro.sim.rng import RngRegistry
 from repro.storage.errors import StoreUnavailable
-from repro.storage.latency_profiles import LatencyProfile, SWIFT_PROFILE
 from repro.storage.object_store import ObjectStore
 
 
@@ -48,7 +48,6 @@ class OFCPlatform:
         kernel: Optional[Kernel] = None,
         config: Optional[OFCConfig] = None,
         platform_config: Optional[PlatformConfig] = None,
-        rsds_profile: LatencyProfile = SWIFT_PROFILE,
         seed: int = 0,
     ):
         self.kernel = kernel or Kernel()
@@ -59,7 +58,7 @@ class OFCPlatform:
         # over pre-drawn standard normals (bit-identical — see
         # repro.sim.rng).  "platform" is shared with the invokers.
         self.store = ObjectStore(
-            self.kernel, profile=rsds_profile, rng=self.rng.batched_stream("rsds")
+            self.kernel, profile=SWIFT_PROFILE, rng=self.rng.batched_stream("rsds")
         )
         platform_config = platform_config or PlatformConfig()
         self.platform = FaaSPlatform(
@@ -107,9 +106,7 @@ class OFCPlatform:
         )
         self.backend.on_object_admitted = self._on_object_admitted
         self.backend.on_object_removed = self._on_object_removed
-        self.trainer = ModelTrainer(
-            self.config, self.platform.registry, rsds_profile=rsds_profile
-        )
+        self.trainer = ModelTrainer(self.config, self.platform.registry)
         self.predictor = Predictor(
             self.kernel,
             self.trainer,
@@ -275,9 +272,6 @@ class OFCPlatform:
                     yield from self.backend.delete(key, caller="external")
                 except NoSuchKey:
                     pass
-            agent = self.agents.get(self.backend.location_of(key) or "")
-            if agent is not None:
-                agent._queue_retarget()
 
         self.kernel.process(discard(), name=f"discard-final-{key}")
 

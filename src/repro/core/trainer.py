@@ -34,7 +34,7 @@ from repro.faas.records import InvocationRecord
 from repro.ml.dataset import Dataset
 from repro.ml.intervals import MemoryIntervals
 from repro.ml.tree import J48Classifier
-from repro.storage.latency_profiles import LatencyProfile, SWIFT_PROFILE
+from repro.sim.latency import SWIFT_PROFILE
 
 
 @dataclass
@@ -77,35 +77,26 @@ def cache_benefit_label(
     bytes_in: int,
     bytes_out: int,
     transform_s: float,
-    profile: LatencyProfile,
     threshold: float,
 ) -> int:
     """Would E+L dominate an invocation *without* a cache (§5.2)?
 
-    Uses the RSDS latency profile and the transfer volumes, so the
-    label is cache-independent even when the invocation itself was
+    Uses the Swift RSDS latency profile and the transfer volumes, so
+    the label is cache-independent even when the invocation itself was
     served from the cache.
     """
-    est_extract = profile.read.mean(bytes_in)
-    est_load = profile.write.mean(bytes_out)
+    est_extract = SWIFT_PROFILE.read.mean(bytes_in)
+    est_load = SWIFT_PROFILE.write.mean(bytes_out)
     total = est_extract + est_load + transform_s
-    if total <= 0.0:
-        return 0
     return int((est_extract + est_load) / total > threshold)
 
 
 class ModelTrainer:
     """Accumulates telemetry and maintains the per-function models."""
 
-    def __init__(
-        self,
-        config: Optional[OFCConfig] = None,
-        registry=None,
-        rsds_profile: LatencyProfile = SWIFT_PROFILE,
-    ):
+    def __init__(self, config: Optional[OFCConfig] = None, registry=None):
         self.config = config or OFCConfig()
         self.registry = registry
-        self.rsds_profile = rsds_profile
         self.intervals = MemoryIntervals(
             interval_mb=self.config.interval_mb,
             max_mb=self.config.max_memory_mb,
@@ -162,7 +153,6 @@ class ModelTrainer:
                         record.bytes_in,
                         record.bytes_out,
                         record.phases.transform,
-                        self.rsds_profile,
                         config.cache_benefit_threshold,
                     ),
                     weight=weight,
@@ -328,11 +318,3 @@ class ModelTrainer:
         if under_total == 0:
             return True
         return under_near / under_total >= self.config.maturity_near_threshold
-
-    # -- aggregate stats -------------------------------------------------------
-
-    def maturity_report(self) -> Dict[str, Optional[int]]:
-        """function key -> invocations needed to mature (None if not yet)."""
-        return {
-            key: models.matured_after for key, models in self._models.items()
-        }

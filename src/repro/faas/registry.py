@@ -57,12 +57,6 @@ class FunctionRegistry:
         except KeyError:
             raise NoSuchFunction(f"{tenant}/{name}") from None
 
-    def get_by_key(self, key: str) -> FunctionSpec:
-        try:
-            return self._functions[key]
-        except KeyError:
-            raise NoSuchFunction(key) from None
-
     def __contains__(self, key: str) -> bool:
         return key in self._functions
 

@@ -19,19 +19,20 @@ from repro.kvcache.errors import (
     NoSuchKey,
     ObjectTooLarge,
 )
-from repro.kvcache.objects import (
+from repro.kvcache.objects import CacheObject, MAX_OBJECT_SIZE
+from repro.kvcache.server import CacheServer
+from repro.sim.kernel import Kernel
+from repro.sim.latency import (
     BACKUP_WRITE,
-    CacheObject,
+    CACHE_SCALE_EVICT,
+    CACHE_SCALE_PLAIN,
     DISK_READ,
     LOCAL_READ,
     LOCAL_WRITE,
-    MAX_OBJECT_SIZE,
+    MIGRATION,
     REMOTE_READ,
     REMOTE_WRITE,
 )
-from repro.kvcache.server import CacheServer
-from repro.sim.kernel import Kernel
-from repro.sim.latency import CACHE_SCALE_EVICT, CACHE_SCALE_PLAIN, MIGRATION
 
 
 @dataclass

@@ -1,11 +1,11 @@
-"""Cache object records and op latency models."""
+"""Cache object records."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
-from repro.sim.latency import GB, LatencyModel, MB
+from repro.sim.latency import MB
 
 #: Maximum object size admitted to the cache; the paper raised
 #: RAMCloud's 1 MB default to 10 MB (§6.1 footnote).
@@ -44,22 +44,3 @@ class CacheObject:
             flags=dict(self.flags),
         )
 
-
-# ---------------------------------------------------------------------------
-# Op latencies.
-#
-# Local (caller is the master's node) operations are RAM-speed.  Remote
-# operations pay the full OFC redirection path (proxy, coordinator
-# lookup, remote server); the paper's RemoteHit numbers (§7.2.1: +2.5 ms
-# on wand_denoise, +12.76 % worst case single-stage) calibrate the
-# remote-read base near 2.3 ms.
-# ---------------------------------------------------------------------------
-
-LOCAL_READ = LatencyModel(base_s=15e-6, bandwidth_bps=8 * GB, jitter=0.05)
-LOCAL_WRITE = LatencyModel(base_s=30e-6, bandwidth_bps=5 * GB, jitter=0.05)
-REMOTE_READ = LatencyModel(base_s=2.3e-3, bandwidth_bps=1.1 * GB, jitter=0.05)
-REMOTE_WRITE = LatencyModel(base_s=2.5e-3, bandwidth_bps=1.0 * GB, jitter=0.05)
-#: Reading a backup copy from local disk when promoting it to master.
-DISK_READ = LatencyModel(base_s=90e-6, bandwidth_bps=500 * MB, jitter=0.05)
-#: Writing a replica to a backup's buffered log (async flush to disk).
-BACKUP_WRITE = LatencyModel(base_s=60e-6, bandwidth_bps=1.0 * GB, jitter=0.05)

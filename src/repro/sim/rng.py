@@ -13,9 +13,8 @@ platform's cold/warm starts) is served by a :class:`BatchedStream`, a
 cursor over pre-drawn standard normals: numpy's vectorized
 ``standard_normal(n)`` consumes the bit stream exactly like ``n``
 scalar draws (``tests/sim/test_rng_batched.py``), so batching is
-bit-identical — provided nothing else draws from the wrapped generator.
-:class:`RngRegistry` enforces that a name is handed out either raw or
-batched, never both.
+bit-identical — provided nothing else draws from the wrapped generator,
+which is why :class:`RngRegistry` hands out batched streams only.
 """
 
 from __future__ import annotations
@@ -60,51 +59,25 @@ class BatchedStream:
 
 
 class RngRegistry:
-    """Hands out independent ``numpy.random.Generator`` streams by name."""
+    """Hands out independent :class:`BatchedStream` cursors by name."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._streams: Dict[str, np.random.Generator] = {}
         self._batched: Dict[str, BatchedStream] = {}
 
     def _seeded(self, name: str) -> np.random.Generator:
+        """The generator behind ``name``: its seed is derived from
+        (registry seed, name), so the same name always yields the same
+        sequence for a given seed."""
         seed_seq = np.random.SeedSequence(
             entropy=self.seed,
             spawn_key=tuple(name.encode("utf-8")),
         )
         return np.random.default_rng(seed_seq)
 
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the stream for ``name``, creating it on first use.
-
-        The stream's seed is derived from (registry seed, name) so the
-        same name always yields the same sequence for a given seed.
-        """
-        if name in self._batched:
-            raise RuntimeError(
-                f"stream {name!r} is served batched; drawing from the "
-                "raw generator would desynchronize the prefetched cursor"
-            )
-        if name not in self._streams:
-            self._streams[name] = self._seeded(name)
-        return self._streams[name]
-
     def batched_stream(self, name: str) -> BatchedStream:
-        """The :class:`BatchedStream` over the named stream.
-
-        The registry refuses to also hand out the raw generator for
-        ``name`` (and vice versa): interleaved direct draws would break
-        the cursor's bit-identity.
-        """
-        if name in self._streams:
-            raise RuntimeError(
-                f"stream {name!r} was already handed out raw; batching it "
-                "now would desynchronize earlier scalar draws"
-            )
+        """The :class:`BatchedStream` over the named stream, created on
+        first use."""
         if name not in self._batched:
             self._batched[name] = BatchedStream(self._seeded(name))
         return self._batched[name]
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry whose streams are all independent of this one's."""
-        return RngRegistry(seed=(self.seed * 1_000_003 + salt) & 0x7FFFFFFF)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.sim.kernel import Kernel
+from repro.sim.latency import LatencyProfile, SWIFT_PROFILE
 from repro.sim.resources import Resource
 from repro.storage.errors import (
     BucketExists,
@@ -25,7 +26,6 @@ from repro.storage.errors import (
     NoSuchObject,
     StoreUnavailable,
 )
-from repro.storage.latency_profiles import LatencyProfile, SWIFT_PROFILE
 from repro.storage.meta import ObjectMeta, StoredObject
 
 #: A webhook is a generator function: ``hook(op, meta) -> Generator``.
@@ -303,8 +303,3 @@ class ObjectStore:
     def contains(self, bucket: str, name: str) -> bool:
         bkt = self._buckets.get(bucket)
         return bkt is not None and name in bkt.objects
-
-    def object_count(self, bucket: Optional[str] = None) -> int:
-        if bucket is not None:
-            return len(self._bucket(bucket).objects)
-        return sum(len(b.objects) for b in self._buckets.values())

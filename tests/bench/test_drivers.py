@@ -20,7 +20,7 @@ from repro.bench.macro import run_macro
 from repro.bench.maturation import run_maturation
 from repro.bench.reporting import format_table, improvement_pct
 from repro.core.config import OFCConfig
-from repro.sim.latency import KB
+from repro.sim.latency import KB, REDIS_PROFILE, SWIFT_PROFILE
 from repro.workloads.faasload import TenantProfile
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
@@ -40,8 +40,8 @@ def test_env_builders_produce_ready_deployments():
 def test_env_builders_use_correct_profiles():
     swift = build_owk_swift_env(seed=0)
     redis = build_owk_redis_env(seed=0)
-    assert swift.store.profile.name == "swift"
-    assert redis.store.profile.name == "redis"
+    assert swift.store.profile is SWIFT_PROFILE
+    assert redis.store.profile is REDIS_PROFILE
     assert swift.store.profile.read.base_s > 50 * redis.store.profile.read.base_s
 
 

@@ -9,7 +9,6 @@ import pytest
 from repro.bench import model_cache
 from repro.bench.macro import run_macro
 from repro.core.config import OFCConfig
-from repro.storage.latency_profiles import SWIFT_PROFILE
 from repro.workloads.faasload import FaaSLoad, TenantProfile
 from repro.workloads.functions import get_function_model
 
@@ -79,7 +78,6 @@ def test_key_covers_inputs():
         seed=0,
         descriptors=[_Descriptor(10)],
         config=OFCConfig(),
-        profile=SWIFT_PROFILE,
     )
     key = model_cache.pretrain_key(**base)
     assert key == model_cache.pretrain_key(**base)  # deterministic

@@ -92,17 +92,6 @@ def test_snapshot_and_checks_collector():
     assert collected["violations_total"] == 0
 
 
-def test_detach_restores_factory():
-    ofc = make_ofc()
-    original = ofc.platform.data_client_factory
-    recorder = HistoryRecorder(ofc)
-    assert ofc.platform.data_client_factory is not original
-    recorder.detach()
-    assert ofc.platform.data_client_factory is original
-    assert ofc.checks_recorder is None
-    assert ofc.obs.snapshot()["collected"]["checks"]["attached"] == 0
-
-
 def test_streamed_counters_match_history():
     """Snapshot counters are streamed (O(1)), so they must agree with a
     scan of the kept records — including failed ops."""

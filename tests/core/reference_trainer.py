@@ -31,7 +31,6 @@ def reference_on_completion(trainer: ModelTrainer, record: InvocationRecord) -> 
             record.bytes_in,
             record.bytes_out,
             record.phases.transform,
-            trainer.rsds_profile,
             config.cache_benefit_threshold,
         ),
     )

@@ -1,14 +1,10 @@
 """Tests for the ModelTrainer maturation and the Predictor."""
 
-import dataclasses
-
 import numpy as np
 
 from repro.core import OFCConfig
-from repro.core.trainer import cache_benefit_label, ModelTrainer
+from repro.core.trainer import ModelTrainer
 from repro.faas.records import InvocationRecord, InvocationRequest, Phases
-from repro.sim.latency import LatencyModel
-from repro.storage.latency_profiles import SWIFT_PROFILE
 from tests.core.conftest import deploy, invoke, seed_images
 
 
@@ -115,10 +111,6 @@ def test_cache_benefit_label_depends_on_el_dominance():
         make_record(transform_s=30.0, bytes_in=1_000, bytes_out=1_000)
     )
     assert [s.cache_label for s in trainer.models_for("t/f").samples] == [1, 0]
-    # An invocation that took no time at all has nothing to dominate.
-    free = LatencyModel(base_s=0.0)
-    instant = dataclasses.replace(SWIFT_PROFILE, read=free, write=free)
-    assert cache_benefit_label(0, 0, 0.0, instant, threshold=0.5) == 0
 
 
 def test_failed_records_are_ignored():
@@ -133,9 +125,8 @@ def test_maturity_report():
     trainer = ModelTrainer(OFCConfig())
     feed(trainer, 100, fn="a")
     feed(trainer, 10, fn="b")
-    report = trainer.maturity_report()
-    assert report["t/a"] == 100
-    assert report["t/b"] is None
+    assert trainer.models_for("t/a").matured_after == 100
+    assert trainer.models_for("t/b").matured_after is None
 
 
 # -- Predictor integration ----------------------------------------------------

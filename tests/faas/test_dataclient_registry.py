@@ -69,7 +69,6 @@ def test_registry_lookup_by_tenant_and_name():
     spec = FunctionSpec(name="f", tenant="t", body=body)
     registry.register(spec)
     assert registry.get("t", "f") is spec
-    assert registry.get_by_key("t/f") is spec
     assert "t/f" in registry
     assert "t/g" not in registry
 
@@ -78,8 +77,6 @@ def test_registry_unknown_function_raises():
     registry = FunctionRegistry()
     with pytest.raises(NoSuchFunction):
         registry.get("t", "ghost")
-    with pytest.raises(NoSuchFunction):
-        registry.get_by_key("t/ghost")
 
 
 def test_registry_same_name_different_tenants():

@@ -256,10 +256,10 @@ def test_inactive_fault_state_is_schedule_neutral():
         from repro.sim.rng import RngRegistry
 
         rng = RngRegistry(17)
-        cluster = CacheCluster(kernel, ["w0", "w1", "w2"], rng=rng.stream("c"))
+        cluster = CacheCluster(kernel, ["w0", "w1", "w2"], rng=rng.batched_stream("c"))
         for node in ("w0", "w1", "w2"):
             cluster.server(node).resize(64 * MB)
-        store = ObjectStore(kernel, rng=rng.stream("s"))
+        store = ObjectStore(kernel, rng=rng.batched_stream("s"))
         store.create_bucket("b")
         if attach_state:
             state = FaultState()

@@ -319,15 +319,3 @@ def test_concurrency_limit_queues_requests():
     kernel.process(writer("b"))
     kernel.run()
     assert done[1] == pytest.approx(2 * done[0], rel=0.01)
-
-
-def test_object_count(env):
-    kernel, store = env
-
-    def scenario():
-        yield from store.put("b", "x", None, size=1)
-        yield from store.put("b", "y", None, size=1)
-
-    run(kernel, scenario())
-    assert store.object_count("b") == 2
-    assert store.object_count() == 2
