@@ -9,10 +9,11 @@ remote path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from repro.kvcache.backend import CacheBackend
-from repro.kvcache.coordinator import Coordinator
+from repro.kvcache.coordinator import Coordinator, Placement
 from repro.kvcache.errors import (
     CacheError,
     CapacityExceeded,
@@ -33,6 +34,8 @@ from repro.sim.latency import (
     REMOTE_READ,
     REMOTE_WRITE,
 )
+
+_capacity = attrgetter("capacity")
 
 
 @dataclass
@@ -97,7 +100,7 @@ class CacheCluster(CacheBackend):
 
     @property
     def total_capacity(self) -> int:
-        return sum(s.capacity for s in self.coordinator.servers.values())
+        return sum(map(_capacity, self.coordinator.servers.values()))
 
     @property
     def total_used(self) -> int:
@@ -115,6 +118,39 @@ class CacheCluster(CacheBackend):
         snap["live_servers"] = len(self.coordinator.live_servers())
         return snap
 
+    def audit(self) -> None:
+        """Recompute placement from the servers and raise
+        :class:`CacheError` naming what drifted: a master copy its record
+        does not place there (or on a down server), a master named as
+        its own backup, a named up backup without a copy or with one
+        newer than the record, an up server's backup copy of a recorded
+        key its record does not name, and ``_backup_bytes``."""
+        placements = self.coordinator.placements
+        drift = []
+        for sid, server in self.coordinator.servers.items():
+            for key in server._master:
+                record = placements.get(key)
+                if not server.up or record is None or record.master != sid:
+                    drift.append(f"{key}: master copy on {sid}, unrecorded")
+            for key, copy in server._backup.items():
+                record = placements.get(key)
+                if server.up and record is not None and sid not in record.backups:
+                    drift.append(f"{key}: v{copy.version} on {sid}, unnamed")
+            held = sum(copy.size for copy in server._backup.values())
+            if server._backup_bytes != held:
+                drift.append(f"{sid}: _backup_bytes {server._backup_bytes} != {held}")
+        for key, record in placements.items():
+            if record.master in record.backups:
+                drift.append(f"{key}: master {record.master} is also a backup")
+            for sid in record.backups:
+                server = self.coordinator.servers[sid]
+                copy = server._backup.get(key)
+                if server.up and (copy is None or copy.version > record.version):
+                    version = copy and copy.version
+                    drift.append(f"{key}: v{record.version}, {sid} holds v{version}")
+        if drift:
+            raise CacheError("placement drifted: " + "; ".join(drift))
+
     def _mark_under_replicated(self, key: str) -> None:
         if self.coordinator.replication_factor <= 0:
             return
@@ -125,9 +161,9 @@ class CacheCluster(CacheBackend):
     def location_of(self, key: str) -> Optional[str]:
         """Node currently holding the master (in-memory) copy, if any."""
         coordinator = self.coordinator
-        master_id = coordinator.master_of(key)
-        if master_id is not None and coordinator.servers[master_id].master_has(key):
-            return master_id
+        record = coordinator.placements.get(key)
+        if record is not None and key in coordinator.servers[record.master]._master:
+            return record.master
         return None
 
     def objects(self) -> Iterator[Tuple[str, CacheObject]]:
@@ -136,20 +172,20 @@ class CacheCluster(CacheBackend):
             for obj in server.master_objects():
                 yield server.server_id, obj
 
-    def _backup_copies(self, key: str) -> Iterator[CacheObject]:
-        """The live backup copies of ``key`` its placement names."""
-        coordinator = self.coordinator
-        for backup_id in coordinator.backups_of(key):
-            copy = coordinator.server(backup_id).backup_peek(key)
-            if copy is not None:
-                yield copy
+    def _backup_copies(self, key: str, record: Placement) -> List[CacheObject]:
+        """The live backup copies of ``key`` its placement ``record`` names."""
+        copies = []
+        for backup_id in record.backups:
+            backup = self.coordinator.servers[backup_id]
+            if backup.up and key in backup._backup:
+                copies.append(backup._backup[key])
+        return copies
 
-    def _highest_surviving_version(self, key: str) -> int:
+    def _highest_surviving_version(self, key: str, record: Placement) -> int:
         """Best version knowledge for ``key`` after a master loss:
         the coordinator's placement record and any live replica copy."""
         return max(
-            [self.coordinator.version_of(key)]
-            + [copy.version for copy in self._backup_copies(key)]
+            [record.version] + [c.version for c in self._backup_copies(key, record)]
         )
 
     # -- data plane ---------------------------------------------------------------
@@ -174,13 +210,19 @@ class CacheCluster(CacheBackend):
         """
         if size > self.max_object_size:
             raise ObjectTooLarge(f"{key}: {size} bytes")
-        existing_master = self.location_of(key)
-        master_id = existing_master or self.coordinator.choose_master(
-            size, preferred=caller
-        )
-        if master_id is None:
-            self._drop_replicas(key)
-            raise CapacityExceeded(f"no server can fit {size} bytes")
+        coordinator = self.coordinator
+        servers = coordinator.servers
+        record = coordinator.placements.get(key)
+        master_id = None if record is None else record.master
+        old = None if record is None else servers[master_id]._master.get(key)
+        if old is None:
+            master_id = coordinator.choose_master(size, preferred=caller)
+            if master_id is None:
+                self._drop_replicas(key)
+                raise CapacityExceeded(f"no server can fit {size} bytes")
+            # A recovery between a promotion and its re-record leaves the
+            # master copy on a server the record does not name yet.
+            old = servers[master_id]._master.get(key)
         tracer = self.kernel.tracer
         span = (
             tracer.start(
@@ -191,33 +233,25 @@ class CacheCluster(CacheBackend):
             if tracer is not None
             else None
         )
-        master = self.coordinator.server(master_id)
+        master = servers[master_id]
         version = 1
-        if master.master_has(key):
-            old = master.master_get(key)
+        if old is not None:
             version = old.version + 1
             master.master_delete(key)
             self._removed(old)
-        elif self.coordinator.holds(key):
+        elif record is not None:
             # The previous master copy died with its node.  Seed the
             # version past the highest surviving replica / coordinator
             # record; restarting at 1 would make ``persist_payload``
             # ordering treat this newer data as stale.
-            version = self._highest_surviving_version(key) + 1
-        if master.backup_has(key):
+            version = self._highest_surviving_version(key, record) + 1
+        if key in master._backup:
             # This server held a backup copy and is becoming the
             # master: drop the stale disk copy so a later promotion
             # cannot resurrect it.
             master.backup_delete(key)
-        obj = CacheObject(
-            key=key,
-            value=value,
-            size=size,
-            version=version,
-            created_at=self.kernel.now,
-            t_access=self.kernel.now,
-            flags=dict(flags or {}),
-        )
+        now = self.kernel.now
+        obj = CacheObject(key, value, size, version, now, 0, now, dict(flags or {}))
         try:
             master.master_put(obj)
         except CapacityExceeded:
@@ -231,16 +265,15 @@ class CacheCluster(CacheBackend):
         else:
             yield self._remote_delay(REMOTE_WRITE, size)
         # Replicate to backups (buffered log writes, issued in parallel:
-        # the slowest one bounds the latency).
-        backup_ids = self.coordinator.backups_of(key) or set(
-            self.coordinator.choose_backups(key, master_id)
-        )
+        # the slowest one bounds the latency, so their order is moot).
+        record = coordinator.placements.get(key)
+        backup_ids = () if record is None else record.backups
         longest = 0.0
         kept_backups = []
-        for backup_id in backup_ids:
+        for backup_id in backup_ids or coordinator.choose_backups(key, master_id):
             if backup_id == master_id:
                 continue
-            backup = self.coordinator.server(backup_id)
+            backup = servers[backup_id]
             if not backup.up:
                 continue
             backup.backup_put(obj.copy())
@@ -251,12 +284,10 @@ class CacheCluster(CacheBackend):
             if faults is not None:
                 longest *= faults.network_latency_scale
             yield longest
-        self.coordinator.record_placement(
-            key, master_id, kept_backups, version=version
-        )
+        coordinator.record_placement(key, master_id, kept_backups, version=version)
         # Down backups silently drop out of the placement; track the
         # key so the repair pass can restore the replication factor.
-        if len(kept_backups) < self.coordinator.replication_factor:
+        if len(kept_backups) < coordinator.replication_factor:
             self._mark_under_replicated(key)
         else:
             self._under_replicated.discard(key)
@@ -268,12 +299,15 @@ class CacheCluster(CacheBackend):
     def get(self, key: str, caller: str) -> Generator[Any, Any, CacheObject]:
         """Read an object's master copy; raises NoSuchKey on miss."""
         tracer = self.kernel.tracer
-        master_id = self.location_of(key)
-        if master_id is None:
+        record = self.coordinator.placements.get(key)
+        servers = self.coordinator.servers
+        obj = None if record is None else servers[record.master]._master.get(key)
+        if obj is None:
             self.stats.misses += 1
             if tracer is not None:
                 tracer.start("kvcache.get", caller=caller).finish(status="miss")
             raise NoSuchKey(key)
+        master_id = record.master
         span = (
             tracer.start(
                 "kvcache.get",
@@ -283,8 +317,6 @@ class CacheCluster(CacheBackend):
             if tracer is not None
             else None
         )
-        master = self.coordinator.server(master_id)
-        obj = master.master_get(key)
         if master_id == caller:
             yield self._delay(LOCAL_READ, obj.size)
         else:
@@ -297,23 +329,14 @@ class CacheCluster(CacheBackend):
             self.stats.gets_remote += 1
         if span is not None:
             span.finish(bytes=obj.size)
-        return CacheObject(
-            key=obj.key,
-            value=obj.value,
-            size=obj.size,
-            version=obj.version,
-            created_at=obj.created_at,
-            n_access=obj.n_access,
-            t_access=obj.t_access,
-            flags=dict(obj.flags),
-        )
+        return obj.copy()
 
     def peek(self, key: str) -> Optional[CacheObject]:
         """Control-plane read without latency or access accounting."""
-        master_id = self.location_of(key)
-        if master_id is None:
+        record = self.coordinator.placements.get(key)
+        if record is None:
             return None
-        return self.coordinator.server(master_id).master_get(key)
+        return self.coordinator.servers[record.master]._master.get(key)
 
     def set_flags(self, key: str, **flags: Any) -> None:
         """Update the flags of every copy a promotion could serve: the
@@ -322,16 +345,17 @@ class CacheCluster(CacheBackend):
         with the master copy dead, the newest surviving backups (else a
         persistor completion between crash and recovery is forgotten).
         """
-        obj = self.peek(key)
+        record = self.coordinator.placements.get(key)
+        if record is None:
+            raise NoSuchKey(key)
+        obj = self.coordinator.servers[record.master]._master.get(key)
         if obj is not None:
             obj.flags.update(flags)
             version = obj.version
-        elif self.coordinator.holds(key):
-            version = self._highest_surviving_version(key)
         else:
-            raise NoSuchKey(key)
+            version = self._highest_surviving_version(key, record)
         updated = False
-        for copy in self._backup_copies(key):
+        for copy in self._backup_copies(key, record):
             if copy.version == version:
                 copy.flags.update(flags)
                 updated = True
@@ -340,20 +364,19 @@ class CacheCluster(CacheBackend):
 
     def delete(self, key: str, caller: str) -> Generator[Any, Any, None]:
         """Remove an object from the cache everywhere (master+backups)."""
-        master_id = self.coordinator.master_of(key)
-        if master_id is None:
+        record = self.coordinator.placements.get(key)
+        if record is None:
             raise NoSuchKey(key)
+        master_id = record.master
         tracer = self.kernel.tracer
         span = (
             tracer.start("kvcache.delete", caller=caller)
             if tracer is not None
             else None
         )
-        master = self.coordinator.server(master_id)
-        if master.master_has(key):
-            removed = master.master_get(key)
-            master.master_delete(key)
-            self._removed(removed)
+        master = self.coordinator.servers[master_id]
+        if key in master._master:
+            self._removed(master.master_delete(key))
         self._drop_replicas(key)
         model = LOCAL_WRITE if master_id == caller else REMOTE_WRITE
         yield self._delay(model)
@@ -365,8 +388,9 @@ class CacheCluster(CacheBackend):
         """Forget ``key``'s placement and delete its live backup copies
         (a down node's copy is purged when the node restarts)."""
         coordinator = self.coordinator
-        for backup_id in coordinator.backups_of(key):
-            backup = coordinator.server(backup_id)
+        record = coordinator.placements.get(key)
+        for backup_id in () if record is None else record.backups:
+            backup = coordinator.servers[backup_id]
             if backup.up:
                 backup.backup_delete(key)
         coordinator.forget(key)
@@ -425,20 +449,21 @@ class CacheCluster(CacheBackend):
         backup.  No inter-node payload transfer occurs.  Returns the new
         master id, or None when no backup can take over.
         """
-        master_id = self.location_of(key)
-        if master_id is None:
+        coordinator = self.coordinator
+        record = coordinator.placements.get(key)
+        old_master = None if record is None else coordinator.servers[record.master]
+        obj = None if old_master is None else old_master._master.get(key)
+        if obj is None:
             # Unknown, or the master copy is gone (typically its node
             # crashed under a concurrent shrink loop): surface the
             # regular miss the callers already handle, never ServerDown.
             raise NoSuchKey(key)
-        old_master = self.coordinator.servers[master_id]
-        obj = old_master.master_get(key)
-        new_master = self.coordinator.choose_new_master(key, obj.size, target)
+        new_master = coordinator.choose_new_master(key, obj.size, target)
         if new_master is None:
             return None
         tracer = self.kernel.tracer
         span = (
-            tracer.start("kvcache.migrate", source=master_id, bytes=obj.size)
+            tracer.start("kvcache.migrate", source=record.master, bytes=obj.size)
             if tracer is not None
             else None
         )
@@ -453,7 +478,7 @@ class CacheCluster(CacheBackend):
         promoted.t_access = obj.t_access
         promoted.flags = dict(obj.flags)
         old_master.demote(key)
-        self.coordinator.record_master_change(key, new_master.server_id)
+        coordinator.record_master_change(key, new_master.server_id)
         yield self._remote_delay(MIGRATION, obj.size)
         self.stats.migrations += 1
         self.stats.migrated_bytes += obj.size
@@ -507,9 +532,10 @@ class CacheCluster(CacheBackend):
         clean surviving copy at the same version proves the persist
         completed and the promoted copy must not re-trigger it.
         """
-        if obj.flags.get("dirty", False) and any(
+        record = self.coordinator.placements.get(key)
+        if record is not None and obj.flags.get("dirty", False) and any(
             copy.version == obj.version and not copy.flags.get("dirty", True)
-            for copy in self._backup_copies(key)
+            for copy in self._backup_copies(key, record)
         ):
             obj.flags["dirty"] = False
 

@@ -7,10 +7,27 @@ invocations to the node holding the master copy of their input (§6.5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.kvcache.errors import CacheError, NoSuchKey
 from repro.kvcache.server import CacheServer
+
+_by_backup_bytes = attrgetter("_backup_bytes")
+
+
+@dataclass
+class Placement:
+    """Where one key lives: its master's id, its backups' ids (sorted:
+    every walk is the same for any hash seed) and its last version,
+    which survives master loss so a re-put after a crash can seed its
+    version past the copies that died with the node."""
+
+    __slots__ = ("master", "backups", "version")
+    master: str
+    backups: Tuple[str, ...]
+    version: int
 
 
 class Coordinator:
@@ -21,12 +38,10 @@ class Coordinator:
             raise CacheError("replication factor must be non-negative")
         self.replication_factor = replication_factor
         self.servers: Dict[str, CacheServer] = {}
-        self._master_of: Dict[str, str] = {}
-        self._backups_of: Dict[str, Set[str]] = {}
-        # Last version recorded for each key.  Survives master loss, so
-        # a re-put after a crash can seed its version past the copies
-        # that died with the node (crash-consistency fix).
-        self._version_of: Dict[str, int] = {}
+        #: One record per placed key.  The cluster's data path reads it
+        #: directly (one lookup per operation); only the coordinator's
+        #: bookkeeping methods write it.
+        self.placements: Dict[str, Placement] = {}
 
     # -- membership -----------------------------------------------------------
 
@@ -47,23 +62,26 @@ class Coordinator:
     # -- placement queries -------------------------------------------------------
 
     def master_of(self, key: str) -> Optional[str]:
-        return self._master_of.get(key)
+        record = self.placements.get(key)
+        return None if record is None else record.master
 
     def backups_of(self, key: str) -> Set[str]:
-        return set(self._backups_of.get(key, set()))
+        record = self.placements.get(key)
+        return set() if record is None else set(record.backups)
 
     def holds(self, key: str) -> bool:
-        return key in self._master_of
+        return key in self.placements
 
     def keys_mastered_by(self, server_id: str) -> List[str]:
-        return [k for k, sid in self._master_of.items() if sid == server_id]
+        return [k for k, r in self.placements.items() if r.master == server_id]
 
     def version_of(self, key: str) -> int:
         """Last version recorded for ``key`` (0 when unknown)."""
-        return self._version_of.get(key, 0)
+        record = self.placements.get(key)
+        return 0 if record is None else record.version
 
     def keys_backed_by(self, server_id: str) -> List[str]:
-        return [k for k, ids in self._backups_of.items() if server_id in ids]
+        return [k for k, r in self.placements.items() if server_id in r.backups]
 
     # -- placement decisions -------------------------------------------------------
 
@@ -84,9 +102,9 @@ class Coordinator:
         """Pick up to ``replication_factor`` live servers, excluding the
         master, spreading by current disk usage."""
         candidates = [
-            s for s in self.live_servers() if s.server_id != master_id
+            s for s in self.servers.values() if s.up and s.server_id != master_id
         ]
-        candidates.sort(key=lambda s: s.disk_used_bytes)
+        candidates.sort(key=_by_backup_bytes)
         return [s.server_id for s in candidates[: self.replication_factor]]
 
     def choose_new_master(
@@ -95,18 +113,20 @@ class Coordinator:
         """Elect the backup that takes over ``key``'s master copy
         (``size`` bytes): the one with the most free bytes among those
         that can promote their copy, restricted to ``target`` if given.
-        Ids are scanned sorted, so a tie goes to the lowest id — a set's
-        order moves with the interpreter's hash seed."""
+        Backups are kept sorted, so a tie goes to the lowest id — a
+        set's order moves with the interpreter's hash seed."""
+        record = self.placements.get(key)
+        if record is None:
+            return None
         best = None
         best_free = 0
-        for backup_id in sorted(self._backups_of.get(key, ())):
+        for backup_id in record.backups:
             if target is not None and backup_id != target:
                 continue
             server = self.servers[backup_id]
-            if server.can_promote(key, size):
-                free = server.free_bytes
-                if best is None or free > best_free:
-                    best, best_free = server, free
+            free = server.promotion_room(key, size)
+            if free is not None and (best is None or free > best_free):
+                best, best_free = server, free
         return best
 
     # -- placement bookkeeping ------------------------------------------------------
@@ -118,21 +138,26 @@ class Coordinator:
         backup_ids: List[str],
         version: Optional[int] = None,
     ) -> None:
-        self._master_of[key] = master_id
-        self._backups_of[key] = set(backup_ids)
-        if version is not None:
-            self._version_of[key] = version
+        old = self.placements.get(key)
+        if version is None:
+            version = 0 if old is None else old.version
+        backups = tuple(sorted(set(backup_ids)))
+        self.placements[key] = Placement(master_id, backups, version)
 
     def record_master_change(self, key: str, new_master: str) -> None:
-        old_master = self._master_of.get(key)
-        if old_master is None:
+        record = self.placements.get(key)
+        if record is None:
             raise NoSuchKey(key)
-        backups = self._backups_of.setdefault(key, set())
-        backups.discard(new_master)
-        backups.add(old_master)
-        self._master_of[key] = new_master
+        # The old master joins the backups, the new one leaves them: a
+        # plain loop, as sets cost more than the sort of two or three ids.
+        old_master = record.master
+        backups = [old_master]
+        for backup_id in record.backups:
+            if backup_id != new_master and backup_id != old_master:
+                backups.append(backup_id)
+        backups.sort()
+        record.backups = tuple(backups)
+        record.master = new_master
 
     def forget(self, key: str) -> None:
-        self._master_of.pop(key, None)
-        self._backups_of.pop(key, None)
-        self._version_of.pop(key, None)
+        self.placements.pop(key, None)

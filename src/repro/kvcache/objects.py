@@ -34,13 +34,7 @@ class CacheObject:
 
     def copy(self) -> "CacheObject":
         return CacheObject(
-            key=self.key,
-            value=self.value,
-            size=self.size,
-            version=self.version,
-            created_at=self.created_at,
-            n_access=self.n_access,
-            t_access=self.t_access,
-            flags=dict(self.flags),
+            self.key, self.value, self.size, self.version,
+            self.created_at, self.n_access, self.t_access, dict(self.flags),
         )
 

@@ -12,12 +12,7 @@ from repro.kvcache.objects import CacheObject
 
 @dataclass
 class ServerStats:
-    master_puts: int = 0
-    master_gets: int = 0
-    backup_puts: int = 0
     promotions: int = 0
-    evictions: int = 0
-    resizes: int = 0
 
 
 class CacheServer:
@@ -26,6 +21,10 @@ class CacheServer:
     The memory pool's ``capacity`` is the OFC-controlled quantity: the
     CacheAgent grows it with memory hoarded from sandboxes and shrinks
     it when sandboxes need the memory back (§6.4).
+
+    The cluster reads ``_master`` and ``_backup`` directly; writes go
+    through the methods below.  A down server's ``_master`` is empty
+    (``crash`` drops it), so only a ``_backup`` read tests ``up``.
     """
 
     def __init__(
@@ -76,7 +75,6 @@ class CacheServer:
                 f"{self.log.footprint_bytes} bytes in the log"
             )
         self.capacity = capacity
-        self.stats.resizes += 1
 
     def can_fit(self, size: int) -> bool:
         """Whether a master put of ``size`` bytes fits (after cleaning)."""
@@ -106,7 +104,6 @@ class CacheServer:
             log.clean()
         log.append(obj.key, size)
         self._master[obj.key] = obj
-        self.stats.master_puts += 1
 
     def master_get(self, key: str) -> CacheObject:
         if not self.up:
@@ -115,7 +112,6 @@ class CacheServer:
             obj = self._master[key]
         except KeyError:
             raise NoSuchKey(key) from None
-        self.stats.master_gets += 1
         return obj
 
     def master_has(self, key: str) -> bool:
@@ -129,7 +125,6 @@ class CacheServer:
         except KeyError:
             raise NoSuchKey(key) from None
         self.log.delete(key)
-        self.stats.evictions += 1
         return obj
 
     def master_keys(self):
@@ -150,7 +145,6 @@ class CacheServer:
             self._backup_bytes -= prev.size
         self._backup[obj.key] = obj
         self._backup_bytes += obj.size
-        self.stats.backup_puts += 1
 
     def backup_get(self, key: str) -> CacheObject:
         if not self.up:
@@ -163,10 +157,21 @@ class CacheServer:
     def backup_has(self, key: str) -> bool:
         return self.up and key in self._backup
 
+    def promotion_room(self, key: str, size: int) -> Optional[int]:
+        """This server's free bytes when it can take over ``key``'s
+        master copy (``size`` bytes) from its own backup copy, else
+        None: the election's test (``can_fit``'s, inline) and its score
+        in one call."""
+        if not self.up or key not in self._backup:
+            return None
+        free = self.capacity - self.log.footprint_bytes
+        if size <= free or self.log.live_bytes + size <= self.capacity:
+            return free
+        return None
+
     def can_promote(self, key: str, size: int) -> bool:
-        """Whether this server can take over ``key``'s master copy
-        (``size`` bytes) from its own backup copy."""
-        return self.up and key in self._backup and self.can_fit(size)
+        """Whether this server can take over ``key``'s master copy."""
+        return self.promotion_room(key, size) is not None
 
     def backup_peek(self, key: str) -> Optional[CacheObject]:
         """Control-plane read of a backup copy (None when down/absent)."""
@@ -189,7 +194,11 @@ class CacheServer:
 
     def promote(self, key: str) -> CacheObject:
         """Turn this server's backup copy of ``key`` into the master copy."""
-        obj = self.backup_get(key)  # raises ServerDown first when down
+        if not self.up:
+            raise ServerDown(self.server_id)
+        obj = self._backup.get(key)
+        if obj is None:
+            raise NoSuchKey(key)
         # Put first: a refused promotion must leave the backup copy.
         self.master_put(obj)
         del self._backup[key]

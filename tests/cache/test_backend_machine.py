@@ -337,6 +337,8 @@ class BackendMachine(RuleBasedStateMachine):
         # OFC's log can charge a fresh segment past its pool: pinned by
         # test_ofc_log_footprint_stays_within_the_pool below.
         assert backend.total_used <= backend.total_capacity or backend.name == "ofc"
+        if backend.name == "ofc" and self.down is None:
+            backend.audit()  # placement records against the servers
         assert backend.quota_capacity <= backend.total_capacity
         assert backend.total_capacity > 0 or not served_bytes
         snap = backend.stats_snapshot()

@@ -1,0 +1,87 @@
+"""``CacheCluster.audit``: the placement records against the servers."""
+
+import pytest
+
+from repro.bench.envs import build_ofc_env
+from repro.kvcache.cluster import CacheCluster
+from repro.kvcache.errors import CacheError
+from repro.kvcache.objects import CacheObject
+from repro.sim import Kernel
+from repro.sim.latency import MB
+from repro.workloads.tenants import TenantLoadEngine, TenantWorkloadConfig
+
+
+@pytest.fixture
+def cluster():
+    kernel = Kernel()
+    cluster = CacheCluster(kernel, ["w0", "w1", "w2", "w3"], replication_factor=2)
+    for node in cluster.node_ids:
+        cluster.server(node).resize(64 * MB)
+    for key, caller in (("a", "w0"), ("b", "w1")):
+        kernel.run_process(cluster.put(key, key, 1 * MB, caller))
+    kernel.run_process(cluster.migrate_master("a"))
+    cluster.audit()
+    return cluster
+
+
+def test_a_drifted_backup_byte_count_is_named(cluster):
+    cluster.server("w3")._backup_bytes += 1
+    with pytest.raises(CacheError, match="w3: _backup_bytes"):
+        cluster.audit()
+
+
+def test_a_master_named_as_its_own_backup_is_named(cluster):
+    record = cluster.coordinator.placements["b"]
+    record.backups = tuple(sorted(record.backups + (record.master,)))
+    with pytest.raises(CacheError, match="b: master w1 is also a backup"):
+        cluster.audit()
+
+
+def test_a_named_backup_without_its_copy_is_named(cluster):
+    backup = cluster.coordinator.placements["b"].backups[0]
+    cluster.server(backup).backup_delete("b")
+    with pytest.raises(CacheError, match=f"b: v1, {backup} holds vNone"):
+        cluster.audit()
+
+
+def test_a_backup_newer_than_its_record_is_named(cluster):
+    backup = cluster.coordinator.placements["b"].backups[0]
+    cluster.server(backup)._backup["b"].version = 2
+    with pytest.raises(CacheError, match=f"b: v1, {backup} holds v2"):
+        cluster.audit()
+
+
+def test_an_unnamed_backup_copy_is_named(cluster):
+    spare = next(
+        node
+        for node in cluster.node_ids
+        if node not in cluster.coordinator.placements["b"].backups
+        and node != cluster.location_of("b")
+    )
+    cluster.server(spare).backup_put(CacheObject("b", "b", 1 * MB))
+    with pytest.raises(CacheError, match=f"b: v1 on {spare}, unnamed"):
+        cluster.audit()
+
+
+def test_an_unrecorded_master_copy_is_named(cluster):
+    cluster.coordinator.forget("b")
+    with pytest.raises(CacheError, match="b: master copy on w1, unrecorded"):
+        cluster.audit()
+
+
+def test_a_forgotten_keys_leftover_backup_waits_for_the_restart_purge(cluster):
+    """A key no record holds (a recovery that lost it) may leave backup
+    copies on the survivors: ``restart`` purges them, not the audit."""
+    cluster.server("w1").master_delete("b")
+    cluster.coordinator.forget("b")
+    cluster.audit()
+
+
+def test_a_memory_tight_tenant_cell_ends_with_its_placement_intact():
+    """Hundreds of hand-offs, evictions and write-backs on a seeded
+    cell whose nodes hand memory back."""
+    ofc = build_ofc_env(nodes=3, node_mb=2048.0, seed=5, keepalive_s=4.0)
+    workload = TenantWorkloadConfig(n_tenants=40, mean_interval_s=2.0, seed=5)
+    TenantLoadEngine(ofc.kernel, ofc.platform, ofc.store, workload).run(40.0)
+    assert ofc.backend.stats.migrations > 500
+    ofc.backend.audit()
