@@ -1,7 +1,7 @@
 """The seeded exactness gate: nothing simulated moved.
 
 Twenty Figure 7 headlines (2 functions x 2 input sizes x 5
-configurations, total seconds) and eight seeded workload counters,
+configurations, total seconds) and sixteen seeded workload counters,
 pinned as literals and compared with ``==``.  Everything here is
 simulated and seeded, so an unchanged tree reproduces every value bit
 for bit.  A change that moves one on purpose edits its literal and says
@@ -11,7 +11,12 @@ why in its commit message.
 from dataclasses import replace
 
 from repro.bench.etl import run_fig7
-from repro.bench.grid import run_cell, TenantCell
+from repro.bench.grid import (
+    run_cell,
+    TenantCell,
+    TENANTS_CACHE_CAP_MB,
+    TENANTS_NODE_MB,
+)
 from repro.sim.latency import KB
 from repro.workloads.functions import FIGURE7_FUNCTIONS
 from repro.workloads.tenants import (
@@ -49,6 +54,10 @@ HEADLINES = {
 #: cache never cleans its log, so a denser sibling, tight enough that
 #: the cache hands memory back, pins the summed ``LogStats``: what the
 #: cleaner picks and relocates moves even when an op history survives.
+#: ``quota/*`` pin the two quota rules: the dense cell under ``static``
+#: (admission and the over-quota reclaim order under shrink pressure),
+#: and a capped ``proportional`` cell long enough for two eviction
+#: sweeps (usage resync and demand decay).
 COUNTERS = {
     "faults/cell_completed": 112,
     "faults/cell_failed": 1,
@@ -57,6 +66,14 @@ COUNTERS = {
     "faults/dense_cell_log_cleanings": 483,
     "faults/dense_cell_log_relocated_bytes": 196647321,
     "faults/dense_cell_log_segments_freed": 65,
+    "quota/proportional_completed": 4208,
+    "quota/proportional_evictions": 2796,
+    "quota/proportional_rejections": 1290,
+    "quota/static_dense_completed": 969,
+    "quota/static_dense_failed": 326,
+    "quota/static_dense_log_cleanings": 298,
+    "quota/static_dense_log_relocated_bytes": 147128320,
+    "quota/static_dense_rejections": 6,
     "tenants/arrivals_200t_1h": 15362,
 }
 
@@ -76,7 +93,21 @@ def _measure():
         warmup_s=10.0,
     )
     roomy = run_cell(cell)
-    dense = run_cell(replace(cell, n_tenants=120, mean_interval_s=3.0)).log_stats
+    dense = replace(cell, n_tenants=120, mean_interval_s=3.0)
+    static = run_cell(replace(dense, quota_policy="static"))
+    proportional = run_cell(
+        TenantCell(
+            n_tenants=60,
+            quota_policy="proportional",
+            duration_s=600,
+            mean_interval_s=10,
+            seed=3,
+            warmup_s=60,
+            node_mb=TENANTS_NODE_MB,
+            cache_cap_mb=TENANTS_CACHE_CAP_MB,
+        )
+    )
+    dense = run_cell(dense).log_stats
     measured.update(
         {
             "faults/cell_ops": roomy.ops,
@@ -86,6 +117,16 @@ def _measure():
             "faults/dense_cell_log_cleanings": dense["cleanings"],
             "faults/dense_cell_log_segments_freed": dense["segments_freed"],
             "faults/dense_cell_log_relocated_bytes": dense["relocated_bytes"],
+            "quota/static_dense_completed": static.completed,
+            "quota/static_dense_failed": static.failed,
+            "quota/static_dense_rejections": static.quota_rejections,
+            "quota/static_dense_log_cleanings": static.log_stats["cleanings"],
+            "quota/static_dense_log_relocated_bytes": (
+                static.log_stats["relocated_bytes"]
+            ),
+            "quota/proportional_completed": proportional.completed,
+            "quota/proportional_rejections": proportional.quota_rejections,
+            "quota/proportional_evictions": proportional.cache_evictions,
         }
     )
     return measured
