@@ -31,6 +31,7 @@ from typing import Callable, Dict, Generator, List, Optional
 from repro.core.config import OFCConfig
 from repro.core.metrics import OFCMetrics
 from repro.core.persistor import PersistorService
+from repro.core.tenancy import TenantCacheAccounting
 from repro.faas.invoker import Invoker
 from repro.faas.sandbox import Sandbox
 from repro.kvcache.cluster import CacheCluster
@@ -50,19 +51,19 @@ class CacheAgent:
         invoker: Invoker,
         cluster: CacheCluster,
         persistor: PersistorService,
-        config: Optional[OFCConfig] = None,
-        metrics: Optional[OFCMetrics] = None,
-        tenancy=None,
+        config: OFCConfig,
+        metrics: OFCMetrics,
+        tenancy: TenantCacheAccounting,
     ):
         self.kernel = kernel
         self.invoker = invoker
         self.cluster = cluster
         self.persistor = persistor
-        self.config = config or OFCConfig()
-        self.metrics = metrics or OFCMetrics()
-        #: Per-tenant accounting (:mod:`repro.core.tenancy`); when set,
-        #: reclamation evicts over-quota tenants' objects first and the
-        #: periodic sweep resynchronises the usage ledger.
+        self.config = config
+        self.metrics = metrics
+        #: Per-tenant accounting: reclamation evicts over-quota tenants'
+        #: objects first and the periodic sweep resynchronises the
+        #: usage ledger.
         self.tenancy = tenancy
         self.node_id = invoker.node_id
         self.server = cluster.server(invoker.node_id)
@@ -279,16 +280,14 @@ class CacheAgent:
     def _reclaim_order(self) -> Callable:
         """Sort key for pass-2 reclamation, valid for one sort.
 
-        Without tenancy this is plain LRU.  With a quota policy, objects
-        belonging to tenants holding more than their entitlement go
-        first (LRU within each class): reclamation pressure lands on the
-        over-consumers before it touches anyone's fair share.  Nothing
-        yields during a sort, so the quota base and each tenant's
-        standing are read once per sort, not once per object.
+        Objects belonging to tenants holding more than their entitlement
+        go first, LRU within each class (plain LRU under the ``none``
+        policy, where nobody is over quota): reclamation pressure lands
+        on the over-consumers before it touches anyone's fair share.
+        Nothing yields during a sort, so the quota base and each
+        tenant's standing are read once per sort, not once per object.
         """
         tenancy = self.tenancy
-        if tenancy is None:
-            return _by_t_access
         # Same capacity base as admission (proxy._admit): the clamped
         # figure, or quota checks disagree whenever the live total
         # overshoots a configured cache_cap_mb.
@@ -395,22 +394,21 @@ class CacheAgent:
                 self.metrics.evictions_periodic += 1
             except NoSuchKey:
                 pass
-        if self.tenancy is not None:
-            # Re-derive per-tenant usage from the cluster's actual
-            # contents (fault paths bypass the object hooks).  Every
-            # node's agent runs this sweep; only the first node also
-            # decays the proportional-share demand weights, so the
-            # decay is applied once per period, not once per node.
-            servers = self.cluster.coordinator.servers
-            self.tenancy.resync(
-                (
-                    obj
-                    for server in servers.values()
-                    if server.up
-                    for obj in server.master_objects()
-                ),
-                decay=self.node_id == min(servers),
-            )
+        # Re-derive per-tenant usage from the cluster's actual contents
+        # (fault paths bypass the object hooks).  Every node's agent
+        # runs this sweep; only the first node also decays the
+        # proportional-share demand weights, so the decay is applied
+        # once per period, not once per node.
+        servers = self.cluster.coordinator.servers
+        self.tenancy.resync(
+            (
+                obj
+                for server in servers.values()
+                if server.up
+                for obj in server.master_objects()
+            ),
+            decay=self.node_id == min(servers),
+        )
         if span is not None:
             span.finish()
         self._queue_retarget()

@@ -72,14 +72,12 @@ class OFCConfig:
     #: Cross-tenant admission policy: "none" (the paper's behaviour,
     #: bit-identical to a quota-free build), "static" (fixed fraction of
     #: the pool per tenant) or "proportional" (demand-proportional share
-    #: with a floor).  See :mod:`repro.core.tenancy`.
+    #: with a floor, ``repro.core.tenancy.PROPORTIONAL_FLOOR``).  See
+    #: :mod:`repro.core.tenancy`.
     tenant_quota_policy: str = "none"
     #: Per-tenant pool fraction under the "static" policy (1/expected
     #: tenants is the usual setting).
     tenant_static_fraction: float = 0.01
-    #: Floor under the "proportional" policy, as a fraction of the equal
-    #: split (0.5 = every active tenant keeps at least half its fair share).
-    tenant_proportional_floor: float = 0.5
 
     # -- storage consistency (§6.2) --------------------------------------------------
     #: True: synchronous shadow writes + persistors + webhooks (full

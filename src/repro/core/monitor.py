@@ -9,8 +9,6 @@ frequent and the monitoring overhead is not worth it for them.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import OFCConfig
 from repro.faas.invoker import InvocationContext, Invoker
 from repro.faas.records import InvocationRecord
@@ -23,12 +21,11 @@ class Monitor:
         self,
         record: InvocationRecord,
         invoker: Invoker,
-        config: Optional[OFCConfig] = None,
+        config: OFCConfig,
     ):
         self.record = record
         self.invoker = invoker
-        self.config = config or OFCConfig()
-        self.rescues = 0
+        self.config = config
 
     def on_pressure(
         self, ctx: InvocationContext, usage_mb: float, footprint_mb: float
@@ -52,5 +49,4 @@ class Monitor:
             yield from self.invoker.resize_sandbox(ctx.sandbox, target)
         except Exception:
             return False
-        self.rescues += 1
         return True

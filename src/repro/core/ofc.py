@@ -1,8 +1,11 @@
 """OFCPlatform: the assembled system (Figure 4).
 
-Wires every OFC component into a stock :class:`FaaSPlatform` through
-its extension hooks, plus the RSDS webhooks that preserve strong
-consistency for external (non-FaaS) clients.
+The one place the OFC core is built: Predictor (whose
+``sizing_policy`` is the paper's Sizer), Monitor, one CacheAgent per
+node, the rclib proxy, the persistors and the tenant accounting, wired
+into a stock :class:`FaaSPlatform` through its extension hooks, plus
+the RSDS webhooks that preserve strong consistency for external
+(non-FaaS) clients.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Any, Dict, Generator, List, Optional
 
+from repro.core.cache_agent import CacheAgent
 from repro.core.config import OFCConfig
 from repro.core.metrics import OFCMetrics
 from repro.core.monitor import Monitor
@@ -17,7 +21,7 @@ from repro.core.persistor import PersistorService
 from repro.core.predictor import Predictor
 from repro.core.proxy import RcLibClient, RcLibStats
 from repro.core.routing import OFCScheduler
-from repro.core.tenancy import make_quota_policy, TenantCacheAccounting
+from repro.core.tenancy import TenantCacheAccounting
 from repro.core.trainer import ModelTrainer
 from repro.faas.pipeline import Pipeline, PipelineRecord
 from repro.faas.platform import FaaSPlatform, PlatformConfig
@@ -98,21 +102,17 @@ class OFCPlatform:
         # policy this is pure bookkeeping and the simulated schedule is
         # bit-identical to a build without it.
         self.tenancy = TenantCacheAccounting(
-            policy=make_quota_policy(
-                self.config.tenant_quota_policy,
-                static_fraction=self.config.tenant_static_fraction,
-                proportional_floor=self.config.tenant_proportional_floor,
-            )
+            self.config.tenant_quota_policy, self.config.tenant_static_fraction
         )
         self.backend.on_object_admitted = self._on_object_admitted
         self.backend.on_object_removed = self._on_object_removed
-        self.trainer = ModelTrainer(self.config, self.platform.registry)
+        self.trainer = ModelTrainer(self.config)
         self.predictor = Predictor(
             self.kernel,
             self.trainer,
-            store=self.store,
-            config=self.config,
-            rng=self.rng.batched_stream("predictor"),
+            self.store,
+            self.config,
+            self.rng.batched_stream("predictor"),
         )
         self.persistor = PersistorService(
             self.kernel,
@@ -122,14 +122,24 @@ class OFCPlatform:
             on_persisted=self._on_persisted,
             requeue=self.config.persistor_requeue,
         )
-        self.backend.attach(
-            platform=self.platform,
-            persistor=self.persistor,
-            metrics=self.metrics,
-            tenancy=self.tenancy,
+        #: One harvest agent per node on "ofc" (the cluster they size);
+        #: none on the other backends, which size themselves.
+        self.agents: Dict[str, CacheAgent] = (
+            {
+                invoker.node_id: CacheAgent(
+                    self.kernel,
+                    invoker,
+                    self.cluster,
+                    self.persistor,
+                    self.config,
+                    self.metrics,
+                    self.tenancy,
+                )
+                for invoker in self.platform.invokers
+            }
+            if self.cluster is not None
+            else {}
         )
-        #: Per-node harvest agents (empty on non-ofc backends).
-        self.agents: Dict[str, Any] = getattr(self.backend, "agents", {})
         # Hook everything into the platform.
         self.platform.scheduler = OFCScheduler(self.backend)
         self.platform.sizing_policy = self.predictor.sizing_policy
@@ -200,12 +210,14 @@ class OFCPlatform:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Start the cache backend (on "ofc": the per-node agents,
-        which size the initial cache)."""
+        """Start the cache backend, then the per-node agents (which size
+        the initial cache)."""
         if self._started:
             return
         self._started = True
         self.backend.start()
+        for agent in self.agents.values():
+            agent.start()
         # Let the initial scale-up land before any invocation arrives.
         self.kernel.run(until=self.kernel.now)
 
@@ -221,12 +233,12 @@ class OFCPlatform:
             self.config,
             record,
             self.rclib_stats,
-            tenancy=self.tenancy,
-            inflight_fills=self._inflight_fills,
+            self.tenancy,
+            self._inflight_fills,
         )
 
     def _make_monitor(self, record: InvocationRecord, invoker) -> Monitor:
-        return Monitor(record, invoker, config=self.config)
+        return Monitor(record, invoker, self.config)
 
     # -- consistency callbacks (§6.2) -----------------------------------------------
 

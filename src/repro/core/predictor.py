@@ -8,7 +8,7 @@ the sandbox gets the interval's upper bound.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.core.config import OFCConfig
 from repro.core.features import extract_features
@@ -28,17 +28,15 @@ class Predictor:
         self,
         kernel: Kernel,
         trainer: ModelTrainer,
-        store: Optional[ObjectStore] = None,
-        config: Optional[OFCConfig] = None,
-        rng=None,
+        store: ObjectStore,
+        config: OFCConfig,
+        rng,
     ):
         self.kernel = kernel
         self.trainer = trainer
         self.store = store
-        self.config = config or trainer.config
+        self.config = config
         self.rng = rng
-        self.predictions = 0
-        self.mature_predictions = 0
 
     def sizing_policy(
         self,
@@ -51,14 +49,12 @@ class Predictor:
         features = extract_features(request, spec, self.store)
         models = self.trainer.models_for(spec.key)
         intervals = self.trainer.intervals
-        self.predictions += 1
         memory_mb = spec.booked_memory_mb
         predicted_interval = None
         if models.mature and models.memory_model is not None:
             raw = models.memory_model.predict_one(features)
             predicted_interval = int(raw)
             memory_mb = intervals.allocation_mb(raw, self.config.bump_intervals)
-            self.mature_predictions += 1
         should_cache = True
         if models.benefit_model is not None and len(models.samples) >= 10:
             should_cache = bool(models.benefit_model.predict_one(features))

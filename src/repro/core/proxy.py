@@ -15,6 +15,7 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.core.config import OFCConfig
 from repro.core.persistor import PersistorService
+from repro.core.tenancy import TenantCacheAccounting
 from repro.faas.dataclient import DataClient
 from repro.faas.records import InvocationRecord
 from repro.kvcache.errors import CacheError, CapacityExceeded, NoSuchKey, ObjectTooLarge
@@ -69,8 +70,8 @@ class RcLibClient(DataClient):
         config: OFCConfig,
         record: InvocationRecord,
         stats: RcLibStats,
-        tenancy=None,
-        inflight_fills: Optional[set] = None,
+        tenancy: TenantCacheAccounting,
+        inflight_fills: set,
     ):
         self.kernel = kernel
         self.node_id = node_id
@@ -80,26 +81,19 @@ class RcLibClient(DataClient):
         self.config = config
         self.record = record
         self.stats = stats
-        #: Optional per-tenant accounting + admission policy
-        #: (:class:`repro.core.tenancy.TenantCacheAccounting`).
+        #: Per-tenant accounting and admission, shared deployment-wide.
         self.tenancy = tenancy
         #: Keys with a fill in flight, shared deployment-wide by the
         #: platform so concurrent clients dedupe against each other.
-        self.inflight_fills = (
-            inflight_fills if inflight_fills is not None else set()
-        )
+        self.inflight_fills = inflight_fills
 
     @property
     def _tenant(self) -> str:
         request = getattr(self.record, "request", None)
         return getattr(request, "tenant", "") or ""
 
-    def _admit(self, size: int, tenant: Optional[str] = None) -> bool:
+    def _admit(self, size: int, tenant: str) -> bool:
         """Cross-tenant admission check for caching ``size`` bytes."""
-        if self.tenancy is None:
-            return True
-        if tenant is None:
-            tenant = self._tenant
         if not tenant:
             return True
         # Quotas divide the *clamped* capacity: the live total can sit
@@ -175,11 +169,9 @@ class RcLibClient(DataClient):
                     self.stats.hits_local += 1
                 else:
                     self.stats.hits_remote += 1
-                tenancy = self.tenancy
-                if tenancy is not None:
-                    tenant = self._tenant  # two getattrs; resolve once
-                    if tenant:
-                        tenancy.record_hit(tenant, cached.size)
+                tenant = self._tenant  # two getattrs; resolve once
+                if tenant:
+                    self.tenancy.record_hit(tenant, cached.size)
                 return self._as_stored_object(key, cached)
         # Miss fallback: if the key's latest version is still being
         # persisted (cache copy evicted or its node crashed while the
@@ -189,10 +181,9 @@ class RcLibClient(DataClient):
         obj = yield from self.store.get(bucket, name, internal=True)
         if self._should_cache:
             self.stats.misses += 1
-            tenancy = self.tenancy
-            tenant = self._tenant if tenancy is not None else ""
-            if tenancy is not None and tenant:
-                tenancy.record_miss(tenant, obj.meta.size)
+            tenant = self._tenant
+            if tenant:
+                self.tenancy.record_miss(tenant, obj.meta.size)
             if self._cacheable(obj.meta.size) and self._admit(
                 obj.meta.size, tenant
             ):

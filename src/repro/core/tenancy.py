@@ -1,21 +1,22 @@
-"""Per-tenant cache accounting and admission/quota policies.
+"""Per-tenant cache accounting and the admission/quota rule.
 
 OFC's cache is one harvested pool shared by every tenant on the
 platform.  The paper evaluates it with eight cooperative tenants and
 never asks who the cached bytes belong to; at production tenant counts
 (tens of thousands, heavy-tailed popularity) the pool becomes a
 contended resource and the hit ratio a *per-tenant* quantity.  This
-module supplies the bookkeeping and the policy seam:
+module supplies:
 
 * :class:`TenantCacheAccounting` — per-tenant usage, hit/miss and
   admission counters, maintained via the :class:`CacheCluster` object
   hooks and resynchronised by the cache agent's periodic sweep (the
   fault paths — crash, recover — bypass the hooks, so the sweep is the
-  source of truth after failures);
-* :class:`QuotaPolicy` and its implementations — ``none`` (the paper's
-  behaviour), ``static`` (a fixed fraction of the pool per tenant) and
-  ``proportional`` (entitlement follows each tenant's share of recent
-  cache demand, with a floor so idle-ish tenants are not starved);
+  source of truth after failures), and the quota rule itself
+  (:meth:`~TenantCacheAccounting.limit_for`), one of ``none`` (the
+  paper's behaviour), ``static`` (a fixed fraction of the pool per
+  tenant) or ``proportional`` (entitlement follows each tenant's share
+  of recent cache demand, floored at :data:`PROPORTIONAL_FLOOR` of the
+  equal split so idle-ish tenants are not starved);
 * :func:`jain_index` — the fairness metric the ``repro tenants``
   experiment reports over per-tenant hit ratios.
 
@@ -28,15 +29,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-__all__ = [
-    "TenantCacheAccounting",
-    "QuotaPolicy",
-    "NoQuotaPolicy",
-    "StaticQuotaPolicy",
-    "ProportionalSharePolicy",
-    "jain_index",
-    "make_quota_policy",
-]
+__all__ = ["TenantCacheAccounting", "jain_index"]
+
+#: Under ``proportional``, the least any active tenant is entitled to,
+#: as a fraction of the equal split (0.5 = half its fair share).
+PROPORTIONAL_FLOOR = 0.5
+#: EWMA retention applied to the demand weights on every decaying resync.
+DEMAND_DECAY = 0.5
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -56,103 +55,30 @@ def jain_index(values: Sequence[float]) -> float:
     return (total * total) / (n * squares)
 
 
-class QuotaPolicy:
-    """Decides how many cache bytes one tenant may hold."""
-
-    name = "abstract"
-
-    def limit_bytes(
-        self,
-        tenant: str,
-        accounting: "TenantCacheAccounting",
-        capacity_bytes: int,
-    ) -> Optional[float]:
-        """Byte entitlement for ``tenant``; ``None`` means unlimited."""
-        raise NotImplementedError
-
-
-class NoQuotaPolicy(QuotaPolicy):
-    """The paper's behaviour: first come, first cached."""
-
-    name = "none"
-
-    def limit_bytes(self, tenant, accounting, capacity_bytes):
-        return None
-
-
-class StaticQuotaPolicy(QuotaPolicy):
-    """Every tenant gets the same fixed fraction of the pool.
-
-    ``fraction`` is typically ``1 / expected_tenants``.  Strongly fair
-    but not work-conserving: a hot tenant cannot borrow the shares that
-    cold tenants leave idle.
-    """
-
-    name = "static"
-
-    def __init__(self, fraction: float):
-        if fraction <= 0.0:
-            raise ValueError(f"static quota fraction must be > 0: {fraction}")
-        self.fraction = fraction
-
-    def limit_bytes(self, tenant, accounting, capacity_bytes):
-        return capacity_bytes * self.fraction
-
-
-class ProportionalSharePolicy(QuotaPolicy):
-    """Entitlement proportional to the tenant's recent cache demand.
-
-    Each tenant's weight is its exponentially-decayed byte traffic
-    through the cache (hits + misses); the entitlement is the pool
-    scaled by the tenant's weight share, floored at ``floor`` times the
-    equal split so a light tenant always keeps a foothold.  Demand
-    decays on every accounting resync (the cache agent's periodic
-    sweep), so the shares track the workload's diurnal shape.
-    """
-
-    name = "proportional"
-
-    def __init__(self, floor: float = 0.5):
-        if floor < 0.0:
-            raise ValueError(f"proportional floor must be >= 0: {floor}")
-        self.floor = floor
-
-    def limit_bytes(self, tenant, accounting, capacity_bytes):
-        active = len(accounting.demand_bytes) or 1
-        equal_share = capacity_bytes / active
-        total_demand = accounting.total_demand_bytes
-        if total_demand <= 0.0:
-            return equal_share
-        weight = accounting.demand_bytes.get(tenant, 0.0) / total_demand
-        return max(self.floor * equal_share, capacity_bytes * weight)
-
-
-def make_quota_policy(
-    name: str,
-    static_fraction: float = 0.01,
-    proportional_floor: float = 0.5,
-) -> QuotaPolicy:
-    """Policy factory used by :class:`~repro.core.ofc.OFCPlatform`."""
-    if name == "none":
-        return NoQuotaPolicy()
-    if name == "static":
-        return StaticQuotaPolicy(static_fraction)
-    if name == "proportional":
-        return ProportionalSharePolicy(proportional_floor)
-    raise ValueError(f"unknown tenant quota policy: {name}")
-
-
 class TenantCacheAccounting:
-    """Per-tenant cache usage and outcome counters.
+    """Per-tenant cache usage, outcome counters and quota rule.
 
     Usage is maintained incrementally through the cluster's
     admitted/removed object hooks; :meth:`resync` recomputes it from a
     master-object scan (run by the cache agent's periodic sweep) to
     absorb any drift from fault paths that bypass the hooks.
+
+    ``policy`` names the quota rule: ``none``, ``static`` or
+    ``proportional``.  ``static_fraction`` is each tenant's share of
+    the pool under ``static`` (typically ``1 / expected_tenants``:
+    strongly fair, but a hot tenant cannot borrow the shares cold
+    tenants leave idle).
     """
 
-    def __init__(self, policy: Optional[QuotaPolicy] = None):
-        self.policy = policy or NoQuotaPolicy()
+    def __init__(self, policy: str = "none", static_fraction: float = 0.01):
+        if policy not in ("none", "static", "proportional"):
+            raise ValueError(f"unknown tenant quota policy: {policy}")
+        if policy == "static" and static_fraction <= 0.0:
+            raise ValueError(
+                f"static quota fraction must be > 0: {static_fraction}"
+            )
+        self.policy = policy
+        self.static_fraction = static_fraction
         self.usage_bytes: Dict[str, float] = {}
         self.hits: Dict[str, int] = {}
         self.misses: Dict[str, int] = {}
@@ -162,14 +88,35 @@ class TenantCacheAccounting:
         #: Decayed per-tenant byte traffic, the proportional-share weight.
         self.demand_bytes: Dict[str, float] = {}
         self.total_demand_bytes: float = 0.0
-        #: EWMA retention applied to the demand on every resync.
-        self.demand_decay: float = 0.5
 
     # -- admission -------------------------------------------------------
 
+    def limit_for(self, tenant: str, capacity_bytes: int) -> Optional[float]:
+        """Byte entitlement for ``tenant``; ``None`` means unlimited.
+
+        Under ``proportional`` each tenant's weight is its decayed byte
+        traffic through the cache (hits + misses), and the entitlement
+        is the pool scaled by the tenant's weight share, floored at
+        :data:`PROPORTIONAL_FLOOR` times the equal split.  The demand
+        decays on every resync, so the shares track the workload's
+        diurnal shape.
+        """
+        policy = self.policy
+        if policy == "none":
+            return None
+        if policy == "static":
+            return capacity_bytes * self.static_fraction
+        active = len(self.demand_bytes) or 1
+        equal_share = capacity_bytes / active
+        total_demand = self.total_demand_bytes
+        if total_demand <= 0.0:
+            return equal_share
+        weight = self.demand_bytes.get(tenant, 0.0) / total_demand
+        return max(PROPORTIONAL_FLOOR * equal_share, capacity_bytes * weight)
+
     def admit(self, tenant: str, size: int, capacity_bytes: int) -> bool:
         """Policy check for caching ``size`` more bytes for ``tenant``."""
-        limit = self.policy.limit_bytes(tenant, self, capacity_bytes)
+        limit = self.limit_for(tenant, capacity_bytes)
         if limit is None:
             return True
         if self.usage_bytes.get(tenant, 0.0) + size <= limit:
@@ -177,12 +124,9 @@ class TenantCacheAccounting:
         self.rejected[tenant] = self.rejected.get(tenant, 0) + 1
         return False
 
-    def limit_for(self, tenant: str, capacity_bytes: int) -> Optional[float]:
-        return self.policy.limit_bytes(tenant, self, capacity_bytes)
-
     def over_quota(self, tenant: str, capacity_bytes: int) -> bool:
         """True when ``tenant`` currently holds more than its entitlement."""
-        limit = self.policy.limit_bytes(tenant, self, capacity_bytes)
+        limit = self.limit_for(tenant, capacity_bytes)
         if limit is None:
             return False
         return self.usage_bytes.get(tenant, 0.0) > limit
@@ -248,15 +192,13 @@ class TenantCacheAccounting:
         self.usage_bytes = usage
         if not decay:
             return
-        decay = self.demand_decay
-        if decay < 1.0:
-            decayed = {
-                tenant: value * decay
-                for tenant, value in self.demand_bytes.items()
-                if value * decay >= 1.0
-            }
-            self.demand_bytes = decayed
-            self.total_demand_bytes = sum(decayed.values())
+        decayed = {
+            tenant: value * DEMAND_DECAY
+            for tenant, value in self.demand_bytes.items()
+            if value * DEMAND_DECAY >= 1.0
+        }
+        self.demand_bytes = decayed
+        self.total_demand_bytes = sum(decayed.values())
 
     # -- reporting -------------------------------------------------------
 
@@ -287,7 +229,7 @@ class TenantCacheAccounting:
         """Flat summary for the :class:`~repro.obs.MetricsRegistry`."""
         ratios = self.hit_ratios()
         return {
-            "policy": self.policy.name,
+            "policy": self.policy,
             "tenants_seen": len(ratios),
             "fairness_index": self.fairness_index(),
             "total_hits": sum(self.hits.values()),

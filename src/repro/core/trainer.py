@@ -94,9 +94,8 @@ def cache_benefit_label(
 class ModelTrainer:
     """Accumulates telemetry and maintains the per-function models."""
 
-    def __init__(self, config: Optional[OFCConfig] = None, registry=None):
+    def __init__(self, config: Optional[OFCConfig] = None):
         self.config = config or OFCConfig()
-        self.registry = registry
         self.intervals = MemoryIntervals(
             interval_mb=self.config.interval_mb,
             max_mb=self.config.max_memory_mb,
@@ -248,14 +247,13 @@ class ModelTrainer:
 
     def _fit_benefit(self, models: FunctionModels, dataset: Dataset) -> None:
         """Complete a retrain: fit the benefit tree on ``dataset``'s
-        feature table, then publish both trees."""
+        feature table."""
         # One feature table, two label vectors: the benefit model sees
         # the same rows, unweighted.
         models.benefit_model = J48Classifier().fit(
             dataset.relabel([s.cache_label for s in models.samples])
         )
         models.fitted_version = models.samples_version
-        self._publish_models(models)
 
     def _update_maturity(self, models: FunctionModels, dataset: Dataset) -> None:
         if (
@@ -266,26 +264,14 @@ class ModelTrainer:
             models.mature = True
             models.matured_after = models.invocations_seen
 
-    def _publish_models(self, models: FunctionModels) -> None:
-        if self.registry is not None and models.function_key in self.registry:
-            self.registry.store_model(
-                models.function_key, "memory", models.memory_model
-            )
-            self.registry.store_model(
-                models.function_key, "benefit", models.benefit_model
-            )
-
     def adopt_models(self, models: FunctionModels) -> None:
         """Install externally trained per-function state.
 
         Used by the shared warm-model cache: a cache hit injects the
         deserialized :class:`FunctionModels` exactly as the cold
-        pretraining path would have left it, then republishes the
-        fitted models to the function registry.
+        pretraining path would have left it.
         """
         self._models[models.function_key] = models
-        if models.memory_model is not None:
-            self._publish_models(models)
 
     def _check_maturity(self, models: FunctionModels, dataset: Dataset) -> bool:
         """The §5.3.1 maturation criterion.

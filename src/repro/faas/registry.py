@@ -1,9 +1,9 @@
 """Function registry (OpenWhisk's CouchDB-backed function metadata).
 
-Besides the function specs themselves, the registry stores per-function
-ML model blobs: the paper keeps each function's memory model in
-OpenWhisk's CouchDB so that fetching a function's metadata also fetches
-its model (§5.1).
+The registry holds the deployed function specs.  The paper also keeps
+each function's memory model in CouchDB, next to its metadata (§5.1);
+here the models live with :class:`repro.core.trainer.ModelTrainer`,
+which is the only reader.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ class FunctionSpec:
 
 
 class FunctionRegistry:
-    """All deployed functions plus their stored ML models."""
+    """All deployed functions."""
 
     def __init__(self):
         self._functions: Dict[str, FunctionSpec] = {}
-        self._models: Dict[str, Dict[str, Any]] = {}
 
     def register(self, spec: FunctionSpec) -> None:
         self._functions[spec.key] = spec
@@ -59,17 +58,3 @@ class FunctionRegistry:
 
     def __contains__(self, key: str) -> bool:
         return key in self._functions
-
-    def all_functions(self) -> List[FunctionSpec]:
-        return list(self._functions.values())
-
-    # -- model storage (CouchDB analog) ------------------------------------
-
-    def store_model(self, function_key: str, kind: str, model: Any) -> None:
-        """Persist a trained model blob under (function, kind)."""
-        if function_key not in self._functions:
-            raise NoSuchFunction(function_key)
-        self._models.setdefault(function_key, {})[kind] = model
-
-    def load_model(self, function_key: str, kind: str) -> Optional[Any]:
-        return self._models.get(function_key, {}).get(kind)

@@ -109,10 +109,10 @@ class CacheBackend:
     """The cache contract, and the state and behaviour every backend
     shares.
 
-    The platform calls :meth:`attach` once its own components exist and
-    :meth:`start` when the simulation begins.  A backend implements the
-    rest of the surface; data-plane members are generators driven by the
-    kernel, control-plane members take no simulated time.
+    The platform calls :meth:`start` when the simulation begins.  A
+    backend implements the rest of the surface; data-plane members are
+    generators driven by the kernel, control-plane members take no
+    simulated time.
 
     * ``put(key, value, size, caller, flags=None)`` returns the hosting
       node.  It raises :class:`~repro.kvcache.errors.ObjectTooLarge`
@@ -175,12 +175,6 @@ class CacheBackend:
         self.cost = CostMeter(kernel)
 
     # -- lifecycle -----------------------------------------------------------
-
-    def attach(
-        self, platform=None, persistor=None, metrics=None, tenancy=None
-    ) -> None:
-        """Late wiring, called once the platform's components exist
-        (a backend that runs no per-node loops needs none of them)."""
 
     def start(self) -> None:
         """Spawn the backend's periodic processes (idempotent)."""

@@ -519,9 +519,9 @@ class CacheCluster(CacheBackend):
         return purged
 
     def _lose(self, key: str) -> None:
-        """Drop a key whose every copy is gone (RSDS still has it)."""
-        self.coordinator.forget(key)
-        self._under_replicated.discard(key)
+        """Drop a key no surviving copy can serve (RSDS still has it),
+        with the backup copies that had no room to be promoted."""
+        self._drop_replicas(key)
         self.stats.lost_objects += 1
 
     def _reconcile_flags(self, key: str, obj) -> None:

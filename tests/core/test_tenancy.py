@@ -1,15 +1,8 @@
-"""Tests for per-tenant cache accounting and quota policies."""
+"""Tests for per-tenant cache accounting and its quota rule."""
 
 import pytest
 
-from repro.core.tenancy import (
-    NoQuotaPolicy,
-    ProportionalSharePolicy,
-    StaticQuotaPolicy,
-    TenantCacheAccounting,
-    jain_index,
-    make_quota_policy,
-)
+from repro.core.tenancy import jain_index, TenantCacheAccounting
 
 GB = 1 << 30
 
@@ -40,15 +33,14 @@ def test_jain_index_bounds():
 
 
 def test_policy_factory():
-    assert isinstance(make_quota_policy("none"), NoQuotaPolicy)
-    assert isinstance(make_quota_policy("static"), StaticQuotaPolicy)
-    assert isinstance(make_quota_policy("proportional"), ProportionalSharePolicy)
+    for name in ("none", "static", "proportional"):
+        assert TenantCacheAccounting(name).policy == name
     with pytest.raises(ValueError):
-        make_quota_policy("lottery")
+        TenantCacheAccounting("lottery")
 
 
 def test_none_policy_never_limits_or_rejects():
-    acct = TenantCacheAccounting(NoQuotaPolicy())
+    acct = TenantCacheAccounting("none")
     assert acct.limit_for("a", GB) is None
     assert acct.admit("a", 10 * GB, GB)
     assert not acct.over_quota("a", GB)
@@ -56,7 +48,7 @@ def test_none_policy_never_limits_or_rejects():
 
 
 def test_static_policy_enforces_fixed_fraction():
-    acct = TenantCacheAccounting(StaticQuotaPolicy(0.1))
+    acct = TenantCacheAccounting("static", static_fraction=0.1)
     assert acct.limit_for("a", GB) == pytest.approx(GB * 0.1)
     # Under the limit: admitted.
     assert acct.admit("a", int(GB * 0.05), GB)
@@ -65,11 +57,11 @@ def test_static_policy_enforces_fixed_fraction():
     assert not acct.admit("a", int(GB * 0.02), GB)
     assert acct.rejected["a"] == 1
     with pytest.raises(ValueError):
-        StaticQuotaPolicy(0.0)
+        TenantCacheAccounting("static", static_fraction=0.0)
 
 
 def test_proportional_policy_tracks_demand_with_floor():
-    acct = TenantCacheAccounting(ProportionalSharePolicy(floor=0.5))
+    acct = TenantCacheAccounting("proportional")
     # No demand yet: everybody gets the equal split.
     assert acct.limit_for("a", GB) == pytest.approx(GB)
     acct.record_miss("hot", 900)
@@ -140,7 +132,7 @@ def test_resync_recomputes_usage_and_decays_demand():
 
 
 def test_snapshot_is_flat_and_complete():
-    acct = TenantCacheAccounting(StaticQuotaPolicy(0.5))
+    acct = TenantCacheAccounting("static", static_fraction=0.5)
     acct.record_hit("a", 10)
     acct.record_miss("a", 10)
     acct.on_object_admitted("a", 10)

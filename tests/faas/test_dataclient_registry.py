@@ -87,17 +87,6 @@ def test_registry_same_name_different_tenants():
     registry.register(b)
     assert registry.get("alice", "f") is a
     assert registry.get("bob", "f") is b
-    assert len(registry.all_functions()) == 2
-
-
-def test_registry_model_storage_roundtrip():
-    registry = FunctionRegistry()
-    registry.register(FunctionSpec(name="f", tenant="t", body=body))
-    registry.store_model("t/f", "memory", {"fake": "model"})
-    assert registry.load_model("t/f", "memory") == {"fake": "model"}
-    assert registry.load_model("t/f", "benefit") is None
-    with pytest.raises(NoSuchFunction):
-        registry.store_model("t/ghost", "memory", {})
 
 
 def test_reregistering_replaces_spec():

@@ -70,8 +70,8 @@ def test_an_unrecorded_master_copy_is_named(cluster):
 
 
 def test_a_forgotten_keys_leftover_backup_waits_for_the_restart_purge(cluster):
-    """A key no record holds (a recovery that lost it) may leave backup
-    copies on the survivors: ``restart`` purges them, not the audit."""
+    """The audit judges backup copies by their key's record: a copy
+    of a key no record holds is left to ``restart``'s purge."""
     cluster.server("w1").master_delete("b")
     cluster.coordinator.forget("b")
     cluster.audit()
@@ -85,3 +85,25 @@ def test_a_memory_tight_tenant_cell_ends_with_its_placement_intact():
     TenantLoadEngine(ofc.kernel, ofc.platform, ofc.store, workload).run(40.0)
     assert ofc.backend.stats.migrations > 500
     ofc.backend.audit()
+
+
+def test_a_lost_key_leaves_no_backup_copy():
+    """A recovery that cannot promote a key (no surviving backup has
+    room) forgets it and drops its backup copies: a later re-put must
+    not find an old copy of the same version named by no record."""
+    kernel = Kernel()
+    cluster = CacheCluster(kernel, ["w0", "w1", "w2", "w3"], replication_factor=2)
+    for node, pool_mb in zip(cluster.node_ids, (8, 1, 1, 1)):
+        cluster.server(node).resize(pool_mb * MB)
+    kernel.run_process(cluster.put("a", "x", 4 * MB, "w0"))
+    cluster.crash("w0")
+    kernel.run_process(cluster.recover("w0"))
+    assert cluster.stats.lost_objects == 1
+    assert not [
+        server.server_id
+        for server in cluster.coordinator.servers.values()
+        if server.up and server.backup_has("a")
+    ]
+    cluster.restart("w0")
+    kernel.run_process(cluster.put("a", "y", MB // 2, "w3"))
+    cluster.audit()
