@@ -23,6 +23,7 @@ from repro.bench.reporting import improvement_pct
 from repro.bench.runner import run_grid
 from repro.sim.latency import GB, KB, MB
 from repro.workloads.faasload import FaaSLoad, TenantProfile, TenantSpec
+from repro.workloads.tenants import TenantAggregate
 
 #: The 8 workloads of Figure 9 (one tenant each in the 8-tenant runs).
 MACRO_WORKLOADS = [
@@ -44,7 +45,7 @@ _PIPELINE_SIZES = {"map_reduce": [5 * MB, 10 * MB], "THIS": [16 * MB, 25 * MB]}
 class MacroResult:
     system: str
     profile: str
-    #: workload -> sum of execution times of all its invocations (s).
+    #: workload -> sum of execution times of its landed-ok invocations (s).
     total_exec_s: Dict[str, float] = field(default_factory=dict)
     #: workload -> number of completed invocations.
     completed: Dict[str, int] = field(default_factory=dict)
@@ -125,31 +126,20 @@ def run_macro(
                     seed=seed,
                 )
 
-    results = injector.run(duration_s)
+    stats = injector.run(duration_s)
 
-    result = MacroResult(system=system, profile=profile.value)
-    for tenant_id, runtime in results.items():
+    result = MacroResult(
+        system=system, profile=profile.value, failed_invocations=stats.failed
+    )
+    for runtime in injector.tenants:
         workload = runtime.spec.workload
-        if runtime.app is not None:
-            total = sum(p.duration for p in runtime.pipeline_records)
-            done = sum(1 for p in runtime.pipeline_records if p.status == "ok")
-            result.failed_invocations += sum(
-                1 for p in runtime.pipeline_records if p.status != "ok"
-            )
-        else:
-            # Figure 9 sums *execution* times (queueing and sandbox
-            # provisioning excluded).
-            total = sum(
-                r.execution_time for r in runtime.records if r.status == "ok"
-            )
-            done = sum(1 for r in runtime.records if r.status == "ok")
-            result.failed_invocations += sum(
-                1 for r in runtime.records if r.status != "ok"
-            )
-        result.total_exec_s[workload] = (
-            result.total_exec_s.get(workload, 0.0) + total
-        )
-        result.completed[workload] = result.completed.get(workload, 0) + done
+        # Figure 9 sums *execution* times of landed-ok invocations
+        # (queueing and sandbox provisioning excluded; a pipeline's is
+        # its duration).  A tenant with nothing landed contributes 0.
+        agg = stats.per_tenant.get(runtime.tenant_id, TenantAggregate())
+        totals, completed = result.total_exec_s, result.completed
+        totals[workload] = totals.get(workload, 0.0) + agg.exec_sum_s
+        completed[workload] = completed.get(workload, 0) + agg.completed
     if system == "ofc":
         result.table2 = deployment.table2_snapshot()
         result.cache_series = list(deployment.metrics.cache_size_series)

@@ -107,16 +107,31 @@ class PipelineRecord:
     finished_at: float = 0.0
     stage_records: List[StageRecord] = field(default_factory=list)
 
+    #: A pipeline starts no sandbox of its own (its stages do).
+    cold_start = False
+
     @property
     def duration(self) -> float:
         return self.finished_at - self.submitted_at
 
     @property
+    def execution_time(self) -> float:
+        """Its duration: a pipeline queues only stage by stage."""
+        return self.finished_at - self.submitted_at
+
+    @property
     def status(self) -> str:
+        # Plain loops, no any(): the load engine reads it per pipeline.
         for stage in self.stage_records:
-            if any(r.status != "ok" for r in stage.records):
-                return "failed"
+            for record in stage.records:
+                if record.status != "ok":
+                    return "failed"
         return "ok"
+
+    @property
+    def error(self) -> str:
+        """The first failed stage invocation's error, if any."""
+        return next((r.error for r in self.all_records() if r.status != "ok"), "")
 
     def phase_split(self) -> Phases:
         """End-to-end E/T/L attribution (sum of per-stage splits)."""

@@ -9,6 +9,10 @@ here, so each function is modelled by a :class:`FunctionModel` whose
 of the media's metadata and the function-specific arguments — shaped
 after the paper's own Figure 2 (no precise correlation with byte size
 or any single argument alone).
+
+One load engine (:mod:`repro.workloads.tenants`) drives two populations,
+synthesized Zipf/Pareto tenants and FaaSLoad's fixed, profiled ones, and
+folds each landed record into per-tenant aggregates instead of keeping it.
 """
 
 from repro import lazy_exports

@@ -1,10 +1,12 @@
 """FaaSLoad: the multi-tenant load injector (§7.2.2 and Appendix A).
 
-FaaSLoad prepares input datasets in the RSDS, registers each tenant's
-function with a booked memory that matches the tenant's *profile*, and
-fires invocations at configurable intervals (periodic, exponential or
-bursty) through the driver every injector shares,
-:func:`repro.workloads.tenants.stream_load`.
+FaaSLoad is a fixed population on the one load engine,
+:class:`repro.workloads.tenants.TenantLoadEngine`.  It prepares input
+datasets in the RSDS and registers each tenant's function with a booked
+memory that matches the tenant's *profile*; the engine fires the
+invocations at configurable intervals (periodic, exponential or bursty)
+and folds what lands into per-tenant aggregates.  A tenant's arrivals
+fall in ``(start, deadline]``: one drawn exactly at the deadline fires.
 
 Tenant profiles (§7.2.2):
 
@@ -19,17 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Iterator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.faas.platform import FaaSPlatform
-from repro.faas.records import InvocationRecord, InvocationRequest
-from repro.sim.kernel import Event, Kernel
+from repro.sim.kernel import Kernel
 from repro.sim.latency import KB, MB
 from repro.workloads.functions import FunctionModel, get_function_model
 from repro.workloads.media import MediaCorpus
-from repro.workloads.tenants import estimate_max_footprint_mb, seed_inputs, stream_load
+from repro.workloads.tenants import (
+    estimate_max_footprint_mb,
+    seed_inputs,
+    TenantLoadEngine,
+)
 
 if TYPE_CHECKING:
     from repro.workloads.pipelines import PipelineApp
@@ -85,18 +90,24 @@ def booked_memory_for(
 
 @dataclass
 class TenantRuntime:
+    """One prepared FaaSLoad tenant, as the load engine fires it."""
+
     spec: TenantSpec
+    tenant_id: str = field(init=False)
+    #: The single-stage function, or ``None`` for a pipeline tenant.
     model: Optional[FunctionModel] = None
     app: Optional[PipelineApp] = None
-    input_refs: List[str] = field(default_factory=list)
+    #: Input refs of a function tenant; ref lists of a pipeline tenant.
+    input_refs: List[Any] = field(default_factory=list)
     descriptors: List[Any] = field(default_factory=list)
     booked_mb: float = 0.0
-    records: List[InvocationRecord] = field(default_factory=list)
-    pipeline_records: List[Any] = field(default_factory=list)
     invocations_fired: int = 0
-    #: Per-tenant stream: arrival times and argument draws stay
+    #: Arrival times, input indices and arguments: the schedule stays
     #: identical across compared systems regardless of interleaving.
     rng: Optional[np.random.Generator] = None
+
+    def __post_init__(self):
+        self.tenant_id = self.spec.tenant_id
 
     def arrivals(self, deadline: float, start: float = 0.0) -> Iterator[float]:
         """Lazy arrival times in ``[start, deadline]``, drawn from
@@ -126,14 +137,13 @@ class TenantRuntime:
             yield t
 
 
-class FaaSLoad:
-    """Prepares datasets and drives multi-tenant invocation schedules.
+class FaaSLoad(TenantLoadEngine):
+    """The paper's fixed tenant population on the one load engine.
 
     Every tenant draws its arrivals, inputs and arguments from its own
     generator, seeded from ``truth_seed`` and its position, so the
-    schedule is the same on every compared system.  :meth:`run` fires
-    through :func:`~repro.workloads.tenants.stream_load` and keeps each
-    tenant's records in firing order.
+    schedule is the same on every compared system.  ``run`` and the
+    per-tenant aggregates in ``stats`` are the engine's.
     """
 
     def __init__(
@@ -143,13 +153,8 @@ class FaaSLoad:
         store,
         truth_seed: int = 0,
     ):
-        self.kernel = kernel
-        self.platform = platform
-        self.store = store
+        super().__init__(kernel, platform, store)
         self.truth_seed = truth_seed
-        self.tenants: List[TenantRuntime] = []
-
-    # -- preparation -----------------------------------------------------------
 
     def prepare(self, specs: List[TenantSpec]) -> None:
         """Seed inputs and register the tenants' functions (blocking)."""
@@ -158,12 +163,8 @@ class FaaSLoad:
 
     def _prepare_all(self, specs: List[TenantSpec]):
         for index, spec in enumerate(specs):
-            runtime = TenantRuntime(spec=spec)
-            # Streams derived from (injector seed, tenant index), never
-            # from the shared generator: arrival order stays comparable
-            # across systems.
-            runtime.rng = np.random.default_rng(
-                [self.truth_seed, 7919, index]
+            runtime = TenantRuntime(
+                spec, rng=np.random.default_rng([self.truth_seed, 7919, index])
             )
             corpus = MediaCorpus(np.random.default_rng([self.truth_seed, index]))
             if spec.is_pipeline:
@@ -205,38 +206,3 @@ class FaaSLoad:
                     )
                 )
             self.tenants.append(runtime)
-
-    # -- injection --------------------------------------------------------------
-
-    def _fire(self, runtime: TenantRuntime) -> Event:
-        spec = runtime.spec
-        runtime.invocations_fired += 1
-        ref = runtime.input_refs[int(runtime.rng.integers(0, len(runtime.input_refs)))]
-        if runtime.app is not None:
-            process = self.kernel.process(
-                self.platform.invoke_pipeline(
-                    runtime.app.pipeline, tenant=spec.tenant_id, input_refs=list(ref)
-                ),
-                name=f"{spec.tenant_id}-pipeline",
-            )
-            kept = runtime.pipeline_records
-        else:
-            request = InvocationRequest(
-                function=spec.workload,
-                tenant=spec.tenant_id,
-                args=runtime.model.sample_args(runtime.rng),
-                input_ref=ref,
-            )
-            process = self.platform.submit(request)
-            kept = runtime.records
-        # The record takes its slot now and fills it when it lands, so
-        # the list keeps firing order whatever order completions arrive.
-        slot = len(kept)
-        kept.append(None)
-        process.wait(lambda done: kept.__setitem__(slot, done.value))
-        return process
-
-    def run(self, duration_s: float) -> Dict[str, TenantRuntime]:
-        """Inject load for ``duration_s`` of simulated time (blocking)."""
-        stream_load(self.kernel, self.tenants, self._fire, duration_s)
-        return {runtime.spec.tenant_id: runtime for runtime in self.tenants}

@@ -1,23 +1,22 @@
-"""Trace-driven multi-tenant workload engine and the one load driver.
+"""The one load engine and the synthesized tenant population.
 
-The FaaSLoad injector (:mod:`repro.workloads.faasload`) models a
-handful of cooperative tenants with explicit profiles.  This module
-scales the load axis to *tens of thousands* of tenants shaped like
-public FaaS traces (the Azure Functions characterization): app
-popularity is Zipf-distributed over the existing function models,
-per-tenant request rates are heavy-tailed, and every tenant's arrival
-process is an inhomogeneous Poisson stream under a shared diurnal
-envelope with short geometric bursts layered on top.
+:class:`TenantLoadEngine` fires two populations through one path.  The
+*synthesized* one here scales the load axis to *tens of thousands* of
+tenants shaped like public FaaS traces (the Azure Functions
+characterization): app popularity is Zipf-distributed over the existing
+function models, per-tenant request rates are heavy-tailed, and every
+tenant's arrivals are an inhomogeneous Poisson stream under a shared
+diurnal envelope with short geometric bursts on top, in ``[start,
+deadline)``.  The *fixed* one, :class:`~repro.workloads.faasload.FaaSLoad`,
+is the paper's profiled tenants; its arrivals fall in ``(start,
+deadline]``, so one drawn exactly at the deadline fires.
 
-Nothing is materialized up front.  Each tenant owns a lazy arrival
-generator; :class:`MergedArrivalStream` heap-merges them so the driver
-holds exactly one pending arrival per live tenant — O(tenants) state
-regardless of how many invocations the run produces (the test suite
-streams 100k invocations and asserts the bound).  Both injectors run
-through :func:`stream_load`: one driver process pulls the merged
-stream, fires each arrival into the platform and counts what is in
-flight until the last invocation lands.  The engine folds per-tenant
-results into streaming aggregates rather than keeping record lists.
+Nothing is materialized up front.  :class:`MergedArrivalStream`
+heap-merges the tenants' lazy arrival generators, so the one driver
+process holds one pending arrival per live tenant — O(tenants) state
+however many invocations the run produces (the test suite streams 100k
+invocations and asserts the bound).  Each record is folded into
+per-tenant aggregates as it lands, and dropped.
 """
 
 from __future__ import annotations
@@ -26,12 +25,13 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faas.records import InvocationRecord, InvocationRequest
+from repro.faas.records import InvocationRequest
 from repro.sim.kernel import delay_until, Event, Kernel
 from repro.sim.latency import KB, MB
 from repro.workloads.functions import (
@@ -48,7 +48,6 @@ __all__ = [
     "TenantStream",
     "TenantWorkloadConfig",
     "ZipfSampler",
-    "stream_load",
     "synthesize_tenants",
 ]
 
@@ -136,15 +135,16 @@ class TenantStream:
 
     index: int
     tenant_id: str
-    app: str
+    model: FunctionModel
     rate_hz: float
     config: TenantWorkloadConfig
     input_refs: List[str] = field(default_factory=list)
+    invocations_fired: int = 0
     #: Arrival times and argument draws come from separate streams so
     #: the schedule stays comparable across compared policies even if a
     #: policy changes how many argument draws happen.
     _arrival_rng: Optional[np.random.Generator] = None
-    _args_rng: Optional[np.random.Generator] = None
+    _rng: Optional[np.random.Generator] = None
 
     @property
     def arrival_rng(self) -> np.random.Generator:
@@ -155,12 +155,13 @@ class TenantStream:
         return self._arrival_rng
 
     @property
-    def args_rng(self) -> np.random.Generator:
-        if self._args_rng is None:
-            self._args_rng = np.random.default_rng(
+    def rng(self) -> np.random.Generator:
+        """Each fire's input index, then its arguments."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(
                 [self.config.seed, 104729, self.index]
             )
-        return self._args_rng
+        return self._rng
 
     def arrivals(self, deadline: float, start: float = 0.0) -> Iterator[float]:
         """Lazy arrival times in ``[start, deadline)``.
@@ -199,8 +200,8 @@ def synthesize_tenants(config: TenantWorkloadConfig) -> List[TenantStream]:
     O(tenants) descriptors; the per-tenant arrival streams stay lazy.
     """
     rng = np.random.default_rng([config.seed, 13])
-    apps = list(config.apps)
-    ranks = ZipfSampler(len(apps), config.zipf_s).sample(
+    models = [get_function_model(app) for app in config.apps]
+    ranks = ZipfSampler(len(models), config.zipf_s).sample(
         rng, size=config.n_tenants
     )
     # Heavy-tailed per-tenant rates, normalized so the population mean
@@ -211,7 +212,7 @@ def synthesize_tenants(config: TenantWorkloadConfig) -> List[TenantStream]:
         TenantStream(
             index=i,
             tenant_id=f"tn{i:05d}",
-            app=apps[int(ranks[i])],
+            model=models[int(ranks[i])],
             rate_hz=float(rates[i]),
             config=config,
         )
@@ -259,48 +260,6 @@ class MergedArrivalStream:
                 heapq.heapreplace(heap, (following, next(draws), tenant, arrivals))
 
 
-def stream_load(
-    kernel: Kernel,
-    tenants: Sequence[Any],
-    fire: Callable[[Any], Event],
-    duration_s: float,
-) -> None:
-    """Fire ``tenants``' arrivals for ``duration_s`` simulated seconds
-    from now, then wait for everything fired to land (blocking).
-
-    One driver process pulls the :class:`MergedArrivalStream`, lands on
-    each arrival instant and calls ``fire(tenant)``, which starts one
-    invocation or pipeline and returns its process.  A count of fired
-    processes not yet terminated is the only per-invocation state, and
-    this returns at the instant the last of them lands.
-    """
-    deadline = kernel.now + duration_s
-    in_flight = 0
-    drained: Optional[Event] = None
-
-    def landed(_process: Event) -> None:
-        nonlocal in_flight
-        in_flight -= 1
-        if in_flight == 0 and drained is not None:
-            drained.succeed()
-
-    def driver():
-        nonlocal in_flight, drained
-        # Streams start at the current simulated time: preparation
-        # (seeding inputs) consumed simulated seconds, and arrivals
-        # scheduled before "now" would all fire in one burst.
-        for when, tenant in MergedArrivalStream(tenants, deadline, kernel.now):
-            while kernel.now != when:
-                yield delay_until(kernel.now, when)
-            in_flight += 1
-            fire(tenant).wait(landed)
-        if in_flight:
-            drained = kernel.event()
-            yield drained
-
-    kernel.run_until(kernel.process(driver(), name="load-driver"))
-
-
 def estimate_max_footprint_mb(
     model: FunctionModel,
     corpus_descriptors: List[Any],
@@ -332,14 +291,15 @@ def seed_inputs(store, tenant_id: str, app: str, descriptors: List[Any]):
 
 @dataclass
 class TenantAggregate:
-    """Streaming per-tenant invocation outcomes (no record lists)."""
+    """Streaming per-tenant outcomes of what landed (no record lists)."""
 
-    submitted: int = 0
     completed: int = 0
     failed: int = 0
     cold_starts: int = 0
+    #: Over landed-ok outcomes: submission-to-completion latency, and
+    #: execution time (no queueing; a pipeline's is its duration).
     latency_sum_s: float = 0.0
-    latency_max_s: float = 0.0
+    exec_sum_s: float = 0.0
 
     @property
     def mean_latency_s(self) -> float:
@@ -362,13 +322,13 @@ class TenantLoadStats:
 
 
 class TenantLoadEngine:
-    """Streams a synthesized tenant population into one deployment.
-
-    It fires through :func:`stream_load`, as
-    :class:`~repro.workloads.faasload.FaaSLoad` does, but keeps only
-    O(tenants) aggregates of what it fired (the platform keeps no
-    records), so the invocation count is bounded by simulated time, not
-    by memory.
+    """Streams a tenant population into one deployment, keeping only
+    O(tenants) aggregates: the invocation count is bounded by simulated
+    time, not by memory.  :meth:`prepare` synthesizes the population
+    ``config`` shapes (:class:`~repro.workloads.faasload.FaaSLoad`
+    prepares a fixed one).  A tenant of either kind has ``tenant_id``,
+    ``rng``, ``model`` (``None`` for a pipeline tenant, whose ``app`` is
+    the pipeline), ``input_refs`` and ``invocations_fired``.
     """
 
     def __init__(
@@ -382,7 +342,7 @@ class TenantLoadEngine:
         self.platform = platform
         self.store = store
         self.config = config or TenantWorkloadConfig()
-        self.tenants: List[TenantStream] = []
+        self.tenants: List[Any] = []
         self.stats = TenantLoadStats()
 
     # -- preparation -----------------------------------------------------
@@ -412,66 +372,74 @@ class TenantLoadEngine:
     def _prepare_all(self):
         config = self.config
         corpus = MediaCorpus(np.random.default_rng([config.seed, 17]))
-        booked: Dict[str, float] = {}
-        for app in dict.fromkeys(t.app for t in self.tenants):
-            booked[app] = self._booked_mb(get_function_model(app), corpus)
+        booked = {
+            model: self._booked_mb(model, corpus)
+            for model in dict.fromkeys(t.model for t in self.tenants)
+        }
         for tenant in self.tenants:
-            model = get_function_model(tenant.app)
             self.platform.register_function(
-                model.spec(
+                tenant.model.spec(
                     tenant=tenant.tenant_id,
-                    booked_mb=booked[tenant.app],
+                    booked_mb=booked[tenant.model],
                     truth_seed=config.seed,
                 )
             )
             descriptors = corpus.batch(
-                model.input_kind,
+                tenant.model.input_kind,
                 config.n_inputs,
                 sizes=list(config.input_sizes),
             )
             tenant.input_refs = yield from seed_inputs(
-                self.store, tenant.tenant_id, tenant.app, descriptors
+                self.store, tenant.tenant_id, tenant.model.name, descriptors
             )
 
     # -- injection -------------------------------------------------------
 
-    def _fire(self, tenant: TenantStream) -> Event:
-        ref = tenant.input_refs[
-            int(tenant.args_rng.integers(0, len(tenant.input_refs)))
-        ]
-        model = get_function_model(tenant.app)
-        request = InvocationRequest(
-            function=tenant.app,
-            tenant=tenant.tenant_id,
-            args=model.sample_args(tenant.args_rng),
-            input_ref=ref,
-        )
-        agg = self.stats.per_tenant.get(tenant.tenant_id)
-        if agg is None:
-            agg = self.stats.per_tenant[tenant.tenant_id] = TenantAggregate()
-        agg.submitted += 1
+    def _fire(self, tenant) -> Event:
+        tenant.invocations_fired += 1
         self.stats.submitted += 1
-        process = self.kernel.process(
-            self.platform.invoke(request), name=f"tn-invoke-{tenant.app}"
-        )
-        # The record is folded into the aggregates when it lands and is
-        # not retained, keeping live state at O(tenants).
-        process.wait(lambda done: self._fold(agg, done.value))
+        tenant_id, per_tenant = tenant.tenant_id, self.stats.per_tenant
+        if tenant_id in per_tenant:
+            agg = per_tenant[tenant_id]
+        else:
+            agg = per_tenant[tenant_id] = TenantAggregate()
+        rng, model = tenant.rng, tenant.model
+        ref = tenant.input_refs[int(rng.integers(0, len(tenant.input_refs)))]
+        if model is None:
+            process = self.kernel.process(
+                self.platform.invoke_pipeline(
+                    tenant.app.pipeline, tenant=tenant_id, input_refs=list(ref)
+                ),
+                name=f"{tenant_id}-pipeline",
+            )
+        else:
+            process = self.platform.submit(
+                InvocationRequest(
+                    function=model.name,
+                    tenant=tenant_id,
+                    args=model.sample_args(rng),
+                    input_ref=ref,
+                )
+            )
+        # Folded when it lands, then dropped: live state stays O(tenants).
+        process.wait(partial(self._fold, agg))
         return process
 
-    def _fold(self, agg: TenantAggregate, record: InvocationRecord) -> None:
+    def _fold(self, agg: TenantAggregate, process: Event) -> None:
+        """Fold one landed invocation or pipeline record into ``agg``."""
+        record = process.value
+        stats = self.stats
         if record.status == "ok":
             agg.completed += 1
-            self.stats.completed += 1
-            latency = record.duration
-            agg.latency_sum_s += latency
-            agg.latency_max_s = max(agg.latency_max_s, latency)
+            stats.completed += 1
+            # ``record.duration`` inlined: one call fewer per record.
+            agg.latency_sum_s += record.finished_at - record.submitted_at
+            agg.exec_sum_s += record.execution_time
         else:
             agg.failed += 1
-            self.stats.failed += 1
+            stats.failed += 1
             cause = record.error.partition(":")[0]
-            failures = self.stats.failures
-            failures[cause] = failures.get(cause, 0) + 1
+            stats.failures[cause] = stats.failures.get(cause, 0) + 1
         if record.cold_start:
             agg.cold_starts += 1
 
@@ -480,10 +448,37 @@ class TenantLoadEngine:
         self.stats = TenantLoadStats()
 
     def run(self, duration_s: float) -> TenantLoadStats:
-        """Stream load for ``duration_s`` simulated seconds (blocking),
-        then wait for in-flight invocations to land.  May be called
-        again to continue streaming from the current simulated time."""
+        """Fire arrivals for ``duration_s`` simulated seconds from now
+        and return at the instant the last fired process lands (a
+        second call continues from there).  One driver process pulls the
+        :class:`MergedArrivalStream`; a count of fired processes not yet
+        landed is the only per-invocation state."""
         if not self.tenants:
             self.prepare()
-        stream_load(self.kernel, self.tenants, self._fire, duration_s)
+        kernel, fire = self.kernel, self._fire
+        deadline = kernel.now + duration_s
+        in_flight = 0
+        drained: Optional[Event] = None
+
+        def landed(_process: Event) -> None:
+            nonlocal in_flight
+            in_flight -= 1
+            if in_flight == 0 and drained is not None:
+                drained.succeed()
+
+        def driver():
+            nonlocal in_flight, drained
+            # Streams start at the current simulated time: preparation
+            # (seeding inputs) consumed simulated seconds, and arrivals
+            # scheduled before "now" would all fire in one burst.
+            for when, tenant in MergedArrivalStream(self.tenants, deadline, kernel.now):
+                while kernel.now != when:
+                    yield delay_until(kernel.now, when)
+                in_flight += 1
+                fire(tenant).wait(landed)
+            if in_flight:
+                drained = kernel.event()
+                yield drained
+
+        kernel.run_until(kernel.process(driver(), name="load-driver"))
         return self.stats

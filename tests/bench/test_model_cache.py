@@ -33,15 +33,15 @@ def test_warm_macro_matches_cold_exactly(monkeypatch):
         store(key, models)
 
     def recording_run(self, duration_s):
-        results = run(self, duration_s)
-        records.append(
-            [
+        landed = []
+        self.platform.completion_listeners.append(
+            lambda r: landed.append(
                 (r.request.request_id, r.peak_memory_mb, r.finished_at)
-                for runtime in results.values()
-                for r in runtime.records
-            ]
+            )
         )
-        return results
+        stats = run(self, duration_s)
+        records.append(landed)
+        return stats
 
     monkeypatch.setattr(model_cache, "store", counting_store)
     monkeypatch.setattr(FaaSLoad, "run", recording_run)

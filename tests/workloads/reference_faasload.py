@@ -1,18 +1,16 @@
 """The per-tenant-process FaaSLoad loop, kept as a test oracle.
 
-``FaaSLoad.run`` fires through the one load driver,
-:func:`repro.workloads.tenants.stream_load`: one process over the merged
-arrival stream and an in-flight count.  :func:`run_reference` is the
-loop it replaced: one kernel process per tenant that draws an interval,
-sleeps, fires, keeps the fired process in a ``pending`` list, and at the
-deadline waits on an ``all_of`` barrier over that list before collecting
-the results in firing order.  ``test_load_driver_oracle.py`` holds
-``FaaSLoad.run`` to it.
+``FaaSLoad.run`` is the load engine's driver,
+:meth:`repro.workloads.tenants.TenantLoadEngine.run`: one process over
+the merged arrival stream and an in-flight count.  :func:`run_reference`
+is the loop it replaced: one kernel process per tenant that draws an
+interval, sleeps, fires, keeps the fired process in a ``pending`` list,
+and at the deadline waits on an ``all_of`` barrier over that list.
+``test_load_driver_oracle.py`` holds ``FaaSLoad.run`` to it through
+what the platform's listeners see.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.faas.records import InvocationRequest
 from repro.workloads.faasload import FaaSLoad, TenantRuntime
@@ -61,14 +59,9 @@ def tenant_loop(load: FaaSLoad, runtime: TenantRuntime, deadline: float):
     # Wait for in-flight work before finishing.
     if pending:
         yield kernel.all_of(pending)
-    for process in pending:
-        if runtime.app is not None:
-            runtime.pipeline_records.append(process.value)
-        else:
-            runtime.records.append(process.value)
 
 
-def run_reference(load: FaaSLoad, duration_s: float) -> Dict[str, TenantRuntime]:
+def run_reference(load: FaaSLoad, duration_s: float) -> None:
     """``FaaSLoad.run`` as one process per tenant and an ``all_of`` barrier."""
     kernel = load.kernel
     deadline = kernel.now + duration_s
@@ -80,4 +73,3 @@ def run_reference(load: FaaSLoad, duration_s: float) -> Dict[str, TenantRuntime]
         for runtime in load.tenants
     ]
     kernel.run_until(kernel.all_of(loops))
-    return {runtime.spec.tenant_id: runtime for runtime in load.tenants}

@@ -2,14 +2,15 @@
 
 The reference (:func:`tests.workloads.reference_faasload.run_reference`)
 runs one kernel process per tenant, a ``pending`` list and an ``all_of``
-barrier.  ``FaaSLoad.run`` goes through the one load driver,
-``repro.workloads.tenants.stream_load``.  On a mixed population — tied
-periodic tenants (one pair whose ties the per-tenant processes break
-against list order), zero-gap and 0.3 s-gap bursty tenants, an
-exponential tenant and a ``map_reduce`` pipeline — both runs must give
-the same completions in the same order, the same records in each
-tenant's lists, the same fired counts and the same return instant, on
-OFC and on OWK-Swift.
+barrier.  ``FaaSLoad.run`` is the one load engine's driver,
+``repro.workloads.tenants.TenantLoadEngine.run``.  On a mixed
+population — tied periodic tenants (one pair whose ties the per-tenant
+processes break against list order), zero-gap and 0.3 s-gap bursty
+tenants, an exponential tenant and a ``map_reduce`` pipeline — both
+runs must give the same completions in the same order, the same
+pipeline completions in the same order, the same fired counts and the
+same return instant, on OFC and on OWK-Swift.  Neither keeps records:
+both are observed through the platform's listeners.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ def _observe(system, run):
     platform.completion_listeners.append(
         lambda r: completions.append(
             (
+                r.request.request_id,
                 r.request.tenant,
                 r.request.function,
                 r.status,
@@ -89,40 +91,38 @@ def _observe(system, run):
             )
         )
     )
+    pipelines = []
+    platform.pipeline_listeners.append(lambda p: pipelines.append(_pipeline(p)))
     outcome = []
     for _ in range(2):  # a second run continues from the first's end
-        tenants = run(load)
+        run(load)
         outcome.append(
             (
                 kernel.now,
                 {
-                    tenant: (
-                        runtime.invocations_fired,
-                        [
-                            (r.request.request_id, r.finished_at)
-                            for r in runtime.records
-                        ],
-                        [_pipeline(p) for p in runtime.pipeline_records],
-                    )
-                    for tenant, runtime in tenants.items()
+                    runtime.tenant_id: runtime.invocations_fired
+                    for runtime in load.tenants
                 },
             )
         )
-    return completions, outcome
+    return completions, pipelines, outcome
 
 
 @pytest.mark.parametrize("system", ["ofc", "swift"])
 def test_driver_fires_and_drains_like_one_process_per_tenant(system):
-    completions, outcome = _observe(system, lambda load: load.run(DURATION_S))
-    ref_completions, ref_outcome = _observe(
+    completions, pipelines, outcome = _observe(
+        system, lambda load: load.run(DURATION_S)
+    )
+    ref_completions, ref_pipelines, ref_outcome = _observe(
         system, lambda load: run_reference(load, DURATION_S)
     )
     assert len(completions) > 60
     assert completions == ref_completions
+    assert pipelines == ref_pipelines
     assert outcome == ref_outcome
     # The population exercises what it is there for.
     fired = outcome[-1][1]
-    assert fired["mr"][0] == 8 and len(fired["mr"][2]) == 8
-    assert fired["per-5"][0] == 36 and fired["per-10a"][0] == 18
-    burst = [r for r in completions if r[0] == "burst-0"]
-    assert len({r[3] for r in burst}) < len(burst)  # zero-gap repeats
+    assert fired["mr"] == 8 and len(pipelines) == 8
+    assert fired["per-5"] == 36 and fired["per-10a"] == 18
+    burst = [r for r in completions if r[1] == "burst-0"]
+    assert len({r[4] for r in burst}) < len(burst)  # zero-gap repeats

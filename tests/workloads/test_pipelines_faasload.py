@@ -125,12 +125,14 @@ def test_faasload_injects_and_collects(env):
             ),
         ]
     )
-    results = load.run(duration_s=120.0)
-    a, b = results["tenant-a"], results["tenant-b"]
+    stats = load.run(duration_s=120.0)
+    a, b = load.tenants
     assert a.invocations_fired > 0
     assert b.invocations_fired == 12  # periodic every 10 s in (0, 120]
-    assert len(a.records) == a.invocations_fired
-    assert all(r.status == "ok" for r in a.records + b.records)
+    # Every fired invocation landed ok and was folded into its tenant.
+    assert stats.per_tenant["tenant-a"].completed == a.invocations_fired
+    assert stats.per_tenant["tenant-b"].completed == 12
+    assert stats.submitted == stats.completed and stats.failed == 0
     assert a.booked_mb < 2048.0
     assert b.booked_mb == 2048.0
 
@@ -149,8 +151,14 @@ def test_faasload_pipeline_tenant(env):
             )
         ]
     )
-    results = load.run(duration_s=100.0)
-    runtime = results["tenant-p"]
+    landed = []
+    platform.pipeline_listeners.append(landed.append)
+    stats = load.run(duration_s=100.0)
+    (runtime,) = load.tenants
     assert runtime.invocations_fired == 5  # every 20 s in (0, 100]
-    assert len(runtime.pipeline_records) == 5
-    assert all(p.status == "ok" for p in runtime.pipeline_records)
+    assert len(landed) == 5
+    assert all(p.status == "ok" for p in landed)
+    # One fold per pipeline, summing its end-to-end duration.
+    agg = stats.per_tenant["tenant-p"]
+    assert (stats.submitted, agg.completed, agg.failed) == (5, 5, 0)
+    assert agg.exec_sum_s == pytest.approx(sum(p.duration for p in landed))

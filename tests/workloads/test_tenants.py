@@ -93,7 +93,7 @@ def test_synthesize_tenants_is_deterministic():
     config = _small_config()
     a = synthesize_tenants(config)
     b = synthesize_tenants(config)
-    assert [t.app for t in a] == [t.app for t in b]
+    assert [t.model for t in a] == [t.model for t in b]
     assert [t.rate_hz for t in a] == [t.rate_hz for t in b]
     assert [t.tenant_id for t in a] == [t.tenant_id for t in b]
     # Population-mean inter-arrival matches the config exactly.
