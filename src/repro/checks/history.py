@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
+from repro.checks.invariants import count_by_invariant, Violation
 from repro.faas.dataclient import DataClient
 from repro.kvcache.errors import NoSuchKey
 from repro.storage.errors import NoSuchObject, StoreUnavailable
@@ -253,7 +254,7 @@ class HistoryRecorder:
         self.store = getattr(ofc, "store", None)
         self.ops: List[OpRecord] = []
         #: Filled by the chaos/faults drivers after a checker pass.
-        self.violations: list = []
+        self.violations: List[Violation] = []
         self._seq = 0
         self._reads = 0
         self._writes = 0
@@ -269,10 +270,6 @@ class HistoryRecorder:
 
     def snapshot(self) -> Dict[str, Any]:
         """The ``checks`` collector payload (O(1): streamed counters)."""
-        violations: Dict[str, int] = {}
-        for violation in self.violations:
-            name = getattr(violation, "invariant", str(violation))
-            violations[name] = violations.get(name, 0) + 1
         return {
             "attached": 1,
             "ops": self._seq,
@@ -280,5 +277,5 @@ class HistoryRecorder:
             "writes": self._writes,
             "deletes": self._deletes,
             "violations_total": len(self.violations),
-            "violations": dict(sorted(violations.items())),
+            "violations": count_by_invariant(self.violations),
         }

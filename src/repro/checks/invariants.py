@@ -31,14 +31,31 @@ End-state invariants (need the settled deployment):
   any backend);
 * **replication** — with every node back up and repair complete, the
   backend still reports under-replicated objects.
+
+Both kinds share one walk: one stable sort on ``key`` (references only,
+no per-key dict of lists), then one pass over its runs in key order,
+each key's ops in recorded order and split once into reads, writes and
+deletes for every rule.  A read scans its own key's writes and deletes,
+so a key costs reads x writes; every benchmark history writes a key at
+most once.  Transient memory is the sorted list plus one key's split:
+~0.15x the records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from collections import Counter
+from dataclasses import asdict, dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.checks.history import OpRecord
+if TYPE_CHECKING:
+    from repro.checks.history import OpRecord
+
+_KEY = attrgetter("key")
+#: Ack order; the recorder numbers ``seq`` uniquely, so it breaks ties.
+_ACK_ORDER = attrgetter("t_ack", "seq")
+_KINDS = {"read": 0, "write": 1, "delete": 2}
 
 
 @dataclass(frozen=True)
@@ -52,13 +69,7 @@ class Violation:
     seq: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "invariant": self.invariant,
-            "key": self.key,
-            "detail": self.detail,
-            "t": self.t,
-            "seq": self.seq,
-        }
+        return asdict(self)
 
 
 def _overlaps(op: OpRecord, read: OpRecord) -> bool:
@@ -69,6 +80,7 @@ def _overlaps(op: OpRecord, read: OpRecord) -> bool:
 
 
 def _last_acked_before(ops: List[OpRecord], t: float) -> Optional[OpRecord]:
+    """The op acked last, in ``(t_ack, seq)`` order, by ``t``."""
     last = None
     for op in ops:
         if op.acked and op.t_ack <= t:
@@ -77,199 +89,141 @@ def _last_acked_before(ops: List[OpRecord], t: float) -> Optional[OpRecord]:
     return last
 
 
-def _valid_payloads(writes: List[OpRecord], read: OpRecord) -> List[Any]:
-    """Payloads a read may legally return: the last acked write before
-    it started, plus every write concurrent with the read."""
-    valid: List[Any] = []
-    last = _last_acked_before(writes, read.t_start)
-    if last is not None:
-        valid.append(last.payload)
-    for op in writes:
-        if _overlaps(op, read):
-            valid.append(op.payload)
-    return valid
+def _read_rule(read: OpRecord, writes, deletes) -> Optional[Tuple[str, str]]:
+    """The history invariant a read breaks, and the detail, if any."""
+    if read.status == "ok":
+        if read.payload_missing:
+            return "shadow-read", (
+                f"ok read returned no payload for {read.size} B "
+                "object (stale RSDS shadow served)"
+            )
+        if not writes:
+            return None  # no write to be stale against
+        # Admissible: the last write acked before the read, and racing ones.
+        valid = [w.payload for w in writes if _overlaps(w, read)]
+        last = _last_acked_before(writes, read.t_start)
+        if last is not None:
+            valid.append(last.payload)
+        if not valid or any(p is read.payload for p in valid):
+            return None
+        if any(_overlaps(d, read) for d in deletes):
+            return None  # racing a delete: content undefined
+        return "stale-read", (
+            "ok read returned a payload matching none of "
+            f"the {len(valid)} admissible write(s)"
+        )
+    if read.status != "miss" or any(_overlaps(d, read) for d in deletes):
+        return None  # a concurrent delete makes a miss legitimate
+    last = _last_acked_before(writes + deletes, read.t_start)
+    if last is None or last.op != "write":
+        return None  # the last acked data-plane op was not a write
+    if read.pipeline_id is not None and last.pipeline_id == read.pipeline_id:
+        return "pipeline-ryw", (
+            "pipeline read missed a key an earlier stage "
+            f"acked at t={last.t_ack:.3f}"
+        )
+    return "lost-write", (
+        f"read missed a key whose last acked op was a write at t={last.t_ack:.3f}"
+    )
+
+
+def _version_rule(key: str, writes: List[OpRecord], out: List[Violation]) -> None:
+    """RSDS versions at ack never go backwards across acked writes that
+    do not overlap (overlapping writes may ack out of order)."""
+    versioned = [w for w in writes if w.acked and w.store_version is not None]
+    versioned.sort(key=_ACK_ORDER)
+    for prev, cur in zip(versioned, versioned[1:]):
+        if cur.t_start >= prev.t_ack and cur.store_version < prev.store_version:
+            detail = f"RSDS version went backwards: {prev.store_version}"
+            detail += f" -> {cur.store_version}"
+            out.append(Violation("version-order", key, detail, cur.t_ack, cur.seq))
+
+
+def _durability_rule(key: str, writes, deletes, ofc, out: List[Violation]) -> None:
+    """The key's last acked write is in the RSDS or the cache, unless it
+    is intermediate (deleted by design, §6.3), deleted after (or racing)
+    its start, or has no payload to fingerprint."""
+    last = _last_acked_before(writes, float("inf"))
+    if last is None or last.intermediate or last.payload is None:
+        return
+    if any(d.acked and d.t_ack >= last.t_start for d in deletes):
+        return
+    # Admissible: every write acked since the last one started.
+    valid = [w for w in writes if w.acked and w.t_ack >= last.t_start]
+    bucket, _sep, name = key.partition("/")
+    if ofc.store.contains(bucket, name):
+        stored = ofc.store._object(bucket, name).payload
+        if any(w.payload is stored for w in valid):
+            return  # durable with an admissible payload
+    cached = ofc.backend.peek(key)
+    if cached is not None and any(w.payload is cached.value for w in valid):
+        # Present but only in the cache: the dirty-final audit reports
+        # it if the write-back never completed.
+        return
+    detail = f"acked write at t={last.t_ack:.3f} is in neither the RSDS nor the cache"
+    out.append(Violation("durability", key, detail, ofc.kernel.now, last.seq))
+
+
+def _walk(ops: List[OpRecord], history: bool, ofc) -> Tuple[list, list]:
+    """The one pass: the history violations (if ``history``) and the
+    durability ones (if ``ofc`` is given), each list in key order."""
+    found: List[Violation] = []
+    lost: List[Violation] = []
+    for key, run in groupby(sorted(ops, key=_KEY), _KEY):
+        reads, writes, deletes = split = [], [], []
+        for op in run:
+            split[_KINDS[op.op]].append(op)
+        if history:
+            for read in reads:
+                broken = _read_rule(read, writes, deletes)
+                if broken is not None:
+                    t = read.t_ack if read.t_ack is not None else read.t_start
+                    found.append(Violation(broken[0], key, broken[1], t, read.seq))
+            if len(writes) > 1:  # one write has no order to break
+                _version_rule(key, writes, found)
+        if ofc is not None and writes:
+            _durability_rule(key, writes, deletes, ofc, lost)
+    return found, lost
+
+
+def _audits(ofc) -> List[Violation]:
+    """The dirty-final and replication audits of the settled deployment."""
+    backend = ofc.backend
+    now = ofc.kernel.now
+    stuck = "final output still dirty in the cache after settle "
+    stuck += "(write-back lost or stuck)"
+    violations = [
+        Violation("dirty-final", obj.key, stuck, now)
+        for _node, obj in backend.objects()
+        if obj.flags.get("dirty", False) and obj.flags.get("final", False)
+    ]
+    snap = backend.stats_snapshot()
+    under = snap.get("under_replicated", 0)
+    if under and snap.get("live_servers", 0) == len(backend.node_ids):
+        detail = f"{under} object(s) under-replicated with every node live"
+        detail += " and repair complete"
+        violations.append(Violation("replication", "*", detail, now))
+    return violations
 
 
 def check_ops(ops: List[OpRecord]) -> List[Violation]:
-    """Pure history invariants (no deployment needed)."""
-    violations: List[Violation] = []
-    by_key: Dict[str, Dict[str, List[OpRecord]]] = {}
-    for op in ops:
-        slot = by_key.setdefault(
-            op.key, {"read": [], "write": [], "delete": []}
-        )
-        slot[op.op].append(op)
-
-    for key, slot in sorted(by_key.items()):
-        writes, deletes = slot["write"], slot["delete"]
-        mutations = writes + deletes
-        for read in slot["read"]:
-            t_anchor = read.t_ack if read.t_ack is not None else read.t_start
-            if read.status == "ok" and read.payload_missing:
-                violations.append(
-                    Violation(
-                        "shadow-read",
-                        key,
-                        f"ok read returned no payload for {read.size} B "
-                        "object (stale RSDS shadow served)",
-                        t_anchor,
-                        read.seq,
-                    )
-                )
-                continue
-            if read.status == "ok" and writes:
-                valid = _valid_payloads(writes, read)
-                if valid and not any(p is read.payload for p in valid):
-                    if any(_overlaps(d, read) for d in deletes):
-                        continue  # racing a delete: content undefined
-                    violations.append(
-                        Violation(
-                            "stale-read",
-                            key,
-                            "ok read returned a payload matching none of "
-                            f"the {len(valid)} admissible write(s)",
-                            t_anchor,
-                            read.seq,
-                        )
-                    )
-                continue
-            if read.status == "miss" and mutations:
-                if any(_overlaps(d, read) for d in deletes):
-                    continue  # concurrent delete: a miss is legitimate
-                last = _last_acked_before(mutations, read.t_start)
-                if last is None or last.op != "write":
-                    continue
-                if (
-                    read.pipeline_id is not None
-                    and last.pipeline_id == read.pipeline_id
-                ):
-                    violations.append(
-                        Violation(
-                            "pipeline-ryw",
-                            key,
-                            "pipeline read missed a key an earlier stage "
-                            f"acked at t={last.t_ack:.3f}",
-                            t_anchor,
-                            read.seq,
-                        )
-                    )
-                else:
-                    violations.append(
-                        Violation(
-                            "lost-write",
-                            key,
-                            "read missed a key whose last acked op was a "
-                            f"write at t={last.t_ack:.3f}",
-                            t_anchor,
-                            read.seq,
-                        )
-                    )
-        # Version monotonicity across non-overlapping acked writes.
-        versioned = sorted(
-            (w for w in writes if w.acked and w.store_version is not None),
-            key=lambda w: (w.t_ack, w.seq),
-        )
-        for prev, cur in zip(versioned, versioned[1:]):
-            if cur.t_start < prev.t_ack:
-                continue  # overlapping writes may ack out of order
-            if cur.store_version < prev.store_version:
-                violations.append(
-                    Violation(
-                        "version-order",
-                        key,
-                        f"RSDS version went backwards: {prev.store_version}"
-                        f" -> {cur.store_version}",
-                        cur.t_ack,
-                        cur.seq,
-                    )
-                )
-    return violations
+    """Pure history invariants (no deployment needed), in key order."""
+    return _walk(ops, True, None)[0]
 
 
 def check_end_state(ops: List[OpRecord], ofc) -> List[Violation]:
     """End-state invariants over the settled deployment."""
-    violations: List[Violation] = []
-    store = ofc.store
-    backend = ofc.backend
-    now = ofc.kernel.now
-
-    by_key: Dict[str, List[OpRecord]] = {}
-    for op in ops:
-        by_key.setdefault(op.key, []).append(op)
-
-    for key, key_ops in sorted(by_key.items()):
-        writes = [o for o in key_ops if o.op == "write" and o.acked]
-        if not writes:
-            continue
-        last = max(writes, key=lambda w: (w.t_ack, w.seq))
-        if last.intermediate:
-            continue  # pipeline-internal: deleted by design (§6.3)
-        deletes = [o for o in key_ops if o.op == "delete" and o.acked]
-        if any(d.t_ack >= last.t_start for d in deletes):
-            continue  # deleted after (or racing) the last write
-        if last.payload is None:
-            continue  # nothing to fingerprint
-        valid = [w.payload for w in writes if w.t_ack >= last.t_start]
-        bucket, _sep, name = key.partition("/")
-        if store.contains(bucket, name):
-            stored = store._object(bucket, name)
-            if any(p is stored.payload for p in valid):
-                continue  # durable with an admissible payload
-        cached = backend.peek(key)
-        if cached is not None and any(p is cached.value for p in valid):
-            # Present but only in the cache: the dirty-final audit below
-            # reports it if the write-back never completed.
-            continue
-        violations.append(
-            Violation(
-                "durability",
-                key,
-                f"acked write at t={last.t_ack:.3f} is in neither the "
-                "RSDS nor the cache",
-                now,
-                last.seq,
-            )
-        )
-
-    for _node, obj in backend.objects():
-        if obj.flags.get("dirty", False) and obj.flags.get("final", False):
-            violations.append(
-                Violation(
-                    "dirty-final",
-                    obj.key,
-                    "final output still dirty in the cache after settle "
-                    "(write-back lost or stuck)",
-                    now,
-                )
-            )
-
-    snap = backend.stats_snapshot()
-    if snap.get("live_servers", 0) == len(backend.node_ids):
-        under = snap.get("under_replicated", 0)
-        if under:
-            violations.append(
-                Violation(
-                    "replication",
-                    "*",
-                    f"{under} object(s) under-replicated with every node "
-                    "live and repair complete",
-                    now,
-                )
-            )
-    return violations
+    return _walk(ops, False, ofc)[1] + _audits(ofc)
 
 
 def check_history(ops: List[OpRecord], ofc=None) -> List[Violation]:
     """Full checker pass: history invariants plus (when a deployment is
     supplied) the end-state audit.  Returns violations sorted by time."""
-    violations = check_ops(ops)
+    violations, lost = _walk(ops, True, ofc)
     if ofc is not None:
-        violations.extend(check_end_state(ops, ofc))
+        violations += lost + _audits(ofc)
     return sorted(violations, key=lambda v: (v.t, v.seq or 0, v.invariant))
 
 
 def count_by_invariant(violations: List[Violation]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for violation in violations:
-        counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(v.invariant for v in violations).items()))
