@@ -7,12 +7,19 @@ sit in several submodules (``repro.core``, ``repro.kvcache``,
 through :func:`lazy_exports`, so ``import repro.kvcache.errors`` does
 not compile the cluster, and ``from repro.kvcache import CacheCluster``
 imports the module that defines it on that line.
+
+The records built per invocation or per stored object are dataclasses
+rebuilt by :func:`slotted`, so an instance holds its fields in slots
+rather than in a ``__dict__`` of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar
+
+_T = TypeVar("_T")
 
 
 def lazy_exports(
@@ -43,3 +50,34 @@ def lazy_exports(
         return sorted(set(namespace) | set(table))
 
     return list(table), __getattr__, __dir__
+
+
+def slotted(cls: Optional[Type[_T]] = None, *, weakref: bool = False) -> Any:
+    """Rebuild a dataclass with one ``__slots__`` entry per field.
+
+    ``dataclass(slots=True)`` needs Python 3.10 and its ``weakref_slot``
+    3.11; this does the same for every supported version.  Stack it
+    above ``@dataclass`` (``@slotted`` or ``@slotted(weakref=True)``).
+    Like CPython's ``dataclasses._add_slots`` it builds a new class from
+    the old one's body minus the field defaults (a class attribute may
+    not share a slot's name; the generated ``__init__`` keeps its own
+    references to them) and minus the ``__dict__`` and ``__weakref__``
+    descriptors.  ``weakref=True`` adds a ``__weakref__`` slot, which
+    every instance then pays for.  The class's bases must carry no
+    slots of their own."""
+
+    def rebuild(cls: Type[_T]) -> Type[_T]:
+        if "__slots__" in cls.__dict__:
+            raise TypeError(f"{cls.__name__} already specifies __slots__")
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        body = {
+            key: value
+            for key, value in cls.__dict__.items()
+            if key not in names and key not in ("__dict__", "__weakref__")
+        }
+        body["__slots__"] = names + (("__weakref__",) if weakref else ())
+        new = type(cls)(cls.__name__, cls.__bases__, body)
+        new.__qualname__ = cls.__qualname__
+        return new
+
+    return rebuild if cls is None else rebuild(cls)

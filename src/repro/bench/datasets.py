@@ -11,6 +11,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.features import arg_feature
 from repro.core.trainer import cache_benefit_label, ModelTrainer, TrainingSample
 from repro.ml.dataset import Dataset
 from repro.ml.intervals import MemoryIntervals
@@ -25,7 +26,7 @@ from repro.workloads.media import MediaCorpus
 def feature_row(media, args) -> Dict:
     row = dict(media.features())
     for name, value in args.items():
-        row[f"arg_{name}"] = (
+        row[arg_feature(name)] = (
             float(value) if isinstance(value, (int, float)) else value
         )
     return row

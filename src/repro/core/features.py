@@ -25,6 +25,20 @@ from repro.storage.object_store import ObjectStore
 #: Request arguments that are never features (platform-internal).
 _EXCLUDED_ARGS = {"refs", "_stage_index"}
 
+#: Feature names by argument name (see :func:`arg_feature`).
+_ARG_KEYS: Dict[str, str] = {}
+
+
+def arg_feature(name: str) -> str:
+    """The feature name of request argument ``name``, ``arg_<name>``.
+
+    One string object per name, so the features dicts an OFC run keeps
+    (one per invocation, one per training sample) share their keys."""
+    key = _ARG_KEYS.get(name)
+    if key is None:
+        key = _ARG_KEYS[name] = f"arg_{name}"
+    return key
+
 
 def extract_features(
     request: InvocationRequest,
@@ -46,8 +60,8 @@ def extract_features(
         if name in _EXCLUDED_ARGS or name in ref_args:
             continue
         if isinstance(value, (int, float)):
-            features[f"arg_{name}"] = float(value)
+            features[arg_feature(name)] = float(value)
         elif isinstance(value, (str, bool)):
-            features[f"arg_{name}"] = value
+            features[arg_feature(name)] = value
         # Anything else (lists, objects) is opaque and skipped.
     return features

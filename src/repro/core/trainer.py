@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro import slotted
 from repro.core.config import OFCConfig
 from repro.faas.records import InvocationRecord
 from repro.ml.dataset import Dataset
@@ -37,8 +38,13 @@ from repro.ml.tree import J48Classifier
 from repro.sim.latency import SWIFT_PROFILE
 
 
+@slotted
 @dataclass
 class TrainingSample:
+    """One curated example.  ``features`` is the completed invocation
+    record's own dict, shared rather than copied (nothing writes it
+    after the sizing decision)."""
+
     features: Dict[str, Any]
     memory_label: int
     cache_label: int
@@ -146,7 +152,7 @@ class ModelTrainer:
         if keep:
             models.add_sample(
                 TrainingSample(
-                    features=dict(record.features),
+                    features=record.features,
                     memory_label=true_label,
                     cache_label=cache_benefit_label(
                         record.bytes_in,

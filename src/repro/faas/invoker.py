@@ -49,6 +49,8 @@ class InvocationContext:
     per-phase wall-clock durations into the invocation record.
     """
 
+    __slots__ = ("kernel", "record", "sandbox", "data", "monitor", "args")
+
     def __init__(
         self,
         kernel: Kernel,

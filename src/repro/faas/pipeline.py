@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import slotted
 from repro.faas.records import InvocationRecord, Phases
 
 _next_pipeline = itertools.count(1)
@@ -63,6 +64,7 @@ class Pipeline:
         return f"{self.name}-{next(_next_pipeline)}"
 
 
+@slotted
 @dataclass
 class StageRecord:
     """Aggregated telemetry of one stage's fork-join execution."""
@@ -97,6 +99,7 @@ class StageRecord:
         )
 
 
+@slotted
 @dataclass
 class PipelineRecord:
     """Telemetry of one full pipeline execution."""

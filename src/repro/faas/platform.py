@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
+from repro import slotted
 from repro.faas.dataclient import DataClient, DirectStoreClient
 from repro.faas.errors import OOMKilled, ResourceExhausted
 from repro.faas.invoker import Invoker
@@ -34,6 +35,7 @@ class PlatformConfig:
     max_retries: int = 2
 
 
+@slotted
 @dataclass
 class SizingDecision:
     """Outcome of the sizing policy for one invocation."""

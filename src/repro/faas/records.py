@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro import slotted
+
 _next_id = itertools.count(1)
 
 
@@ -33,6 +35,7 @@ def skip_request_ids(n: int) -> None:
     next(itertools.islice(_next_id, n, n), None)
 
 
+@slotted
 @dataclass
 class InvocationRequest:
     """One function invocation request as received by the Controller."""
@@ -56,6 +59,7 @@ class InvocationRequest:
         return f"{self.tenant}/{self.function}"
 
 
+@slotted
 @dataclass
 class Phases:
     """Wall-clock duration of each ETL phase, in seconds."""
@@ -76,6 +80,7 @@ class Phases:
         return (self.extract + self.load) / self.total
 
 
+@slotted(weakref=True)
 @dataclass
 class InvocationRecord:
     """Telemetry for one invocation attempt chain (including retries)."""

@@ -11,12 +11,14 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import slotted
 from repro.kvcache.errors import CacheError, NoSuchKey
 from repro.kvcache.server import CacheServer
 
 _by_backup_bytes = attrgetter("_backup_bytes")
 
 
+@slotted
 @dataclass
 class Placement:
     """Where one key lives: its master's id, its backups' ids (sorted:
@@ -24,7 +26,6 @@ class Placement:
     which survives master loss so a re-put after a crash can seed its
     version past the copies that died with the node."""
 
-    __slots__ = ("master", "backups", "version")
     master: str
     backups: Tuple[str, ...]
     version: int

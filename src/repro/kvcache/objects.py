@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
+from repro import slotted
 from repro.sim.latency import MB
 
 #: Maximum object size admitted to the cache; the paper raised
@@ -12,6 +13,7 @@ from repro.sim.latency import MB
 MAX_OBJECT_SIZE = 10 * MB
 
 
+@slotted
 @dataclass
 class CacheObject:
     """One cached object (either a master or a backup copy).

@@ -16,7 +16,13 @@ import numpy as np
 
 
 class Dataset:
-    """A labelled set of feature dicts with inferred column types."""
+    """A labelled set of feature dicts with inferred column types.
+
+    The row dicts are shared, not copied: the dataset keeps the caller's
+    dicts (OFC's trainer passes the very dicts its samples and their
+    invocation records hold), and neither it nor the caller may write
+    them afterwards.  :meth:`relabel` and :meth:`subset` share them
+    too."""
 
     def __init__(
         self,
@@ -27,7 +33,7 @@ class Dataset:
     ):
         if len(rows) != len(labels):
             raise ValueError("rows and labels must have the same length")
-        self.rows: List[Dict[str, Any]] = [dict(r) for r in rows]
+        self.rows: List[Dict[str, Any]] = list(rows)
         self.labels = np.asarray(labels, dtype=np.int64)
         if weights is None:
             self.weights = np.ones(len(rows), dtype=float)

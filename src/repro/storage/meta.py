@@ -5,7 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro import slotted
 
+
+@slotted
 @dataclass
 class ObjectMeta:
     """Metadata of one stored object.
@@ -53,6 +56,7 @@ class ObjectMeta:
         )
 
 
+@slotted
 @dataclass
 class StoredObject:
     """An object as returned by a GET: metadata plus payload.

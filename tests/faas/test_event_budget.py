@@ -13,7 +13,7 @@ grants, which are bare ``0.0`` delays.  What it still allocates per
 invocation:
 
 * the ``InvocationRequest`` and ``InvocationRecord`` (with its
-  ``Phases``, ``features`` and ``output_refs``);
+  ``Phases``, its empty ``features`` dict and ``output_refs``);
 * the invocation's :class:`Process` and ``InvocationContext``;
 * on the data plane, the GET's ``StoredObject``/``ObjectMeta`` copy and
   the PUT's stored object, its metadata and the metadata copy returned;
@@ -22,6 +22,11 @@ invocation:
 Nothing for the keep-alive: the invocation end moves the sandbox's
 deadline later, and the one reap timer the cold start armed stays
 pending until it fires (and re-arms onto the deadline).
+
+The request, record, phases, context, stored objects and metadata are
+all slotted (``repro.slotted``, or ``__slots__`` on
+``InvocationContext``), so none of them allocates an instance
+``__dict__``: the only dicts and lists above are field values.
 """
 
 import sys
