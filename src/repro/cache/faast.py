@@ -334,7 +334,7 @@ class FaaSTBackend(CacheBackend):
             self.stats.gets_local += 1
         else:
             self.stats.gets_remote += 1
-        return obj.copy()
+        return obj
 
     def delete(self, key: str, caller: str) -> Generator[Any, Any, None]:
         found = self._find(key)

@@ -310,7 +310,7 @@ class InfiniCacheBackend(CacheBackend):
             self.stats.gets_local += 1
         else:
             self.stats.gets_remote += 1
-        return obj.copy()
+        return obj
 
     def delete(self, key: str, caller: str) -> Generator[Any, Any, None]:
         if key not in self._entries:

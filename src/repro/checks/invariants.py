@@ -32,30 +32,44 @@ End-state invariants (need the settled deployment):
 * **replication** — with every node back up and repair complete, the
   backend still reports under-replicated objects.
 
-Both kinds share one walk: one stable sort on ``key`` (references only,
-no per-key dict of lists), then one pass over its runs in key order,
-each key's ops in recorded order and split once into reads, writes and
-deletes for every rule.  A read scans its own key's writes and deletes,
-so a key costs reads x writes; every benchmark history writes a key at
-most once.  Transient memory is the sorted list plus one key's split:
-~0.15x the records.
+Both kinds share one walk over a :class:`~repro.checks.history.History`
+(a list of records is appended into one first): one stable argsort of
+the key column, then one pass over its runs in key order, each key's ops
+in recorded order.  Most keys are judged from the columns alone (a key
+nothing writes can only break shadow-read; a key written once and never
+touched again needs only the durability audit); any other key is split
+once into reads, writes and deletes of :class:`OpRecord` views for every
+rule.  A read scans its own key's writes and deletes, so a key costs
+reads x writes; every benchmark history writes a key at most once.
+Transient memory is the argsort (the key column as an object array and
+the int64 order) plus one key's views: ~0.2x the history's own bytes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import groupby
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-if TYPE_CHECKING:
-    from repro.checks.history import OpRecord
+import numpy as np
 
-_KEY = attrgetter("key")
+from repro.checks.history import (
+    History,
+    INTERMEDIATE,
+    KIND,
+    MISSING,
+    OpRecord,
+    READ,
+    STATUS,
+    WRITE,
+)
+
 #: Ack order; the recorder numbers ``seq`` uniquely, so it breaks ties.
 _ACK_ORDER = attrgetter("t_ack", "seq")
-_KINDS = {"read": 0, "write": 1, "delete": 2}
+#: The code bits of an ok read that came back without its payload.
+_SHADOW = KIND | STATUS | MISSING
+Ops = Union[History, List[OpRecord]]
 
 
 @dataclass(frozen=True)
@@ -89,14 +103,15 @@ def _last_acked_before(ops: List[OpRecord], t: float) -> Optional[OpRecord]:
     return last
 
 
+def _shadow_detail(size: int) -> str:
+    return f"ok read returned no payload for {size} B object (stale RSDS shadow served)"
+
+
 def _read_rule(read: OpRecord, writes, deletes) -> Optional[Tuple[str, str]]:
     """The history invariant a read breaks, and the detail, if any."""
     if read.status == "ok":
         if read.payload_missing:
-            return "shadow-read", (
-                f"ok read returned no payload for {read.size} B "
-                "object (stale RSDS shadow served)"
-            )
+            return "shadow-read", _shadow_detail(read.size)
         if not writes:
             return None  # no write to be stale against
         # Admissible: the last write acked before the read, and racing ones.
@@ -139,6 +154,25 @@ def _version_rule(key: str, writes: List[OpRecord], out: List[Violation]) -> Non
             out.append(Violation("version-order", key, detail, cur.t_ack, cur.seq))
 
 
+def _durable(key: str, payloads: List[Any], ofc) -> bool:
+    """One of ``payloads`` is in the RSDS, or (until the dirty-final
+    audit says otherwise) in the cache."""
+    bucket, _sep, name = key.partition("/")
+    if ofc.store.contains(bucket, name):
+        stored = ofc.store._object(bucket, name).payload
+        if any(p is stored for p in payloads):
+            return True  # durable with an admissible payload
+    cached = ofc.backend.peek(key)
+    # Present but only in the cache: the dirty-final audit reports it
+    # if the write-back never completed.
+    return cached is not None and any(p is cached.value for p in payloads)
+
+
+def _lost(key: str, t_ack: float, seq: int, ofc) -> Violation:
+    detail = f"acked write at t={t_ack:.3f} is in neither the RSDS nor the cache"
+    return Violation("durability", key, detail, ofc.kernel.now, seq)
+
+
 def _durability_rule(key: str, writes, deletes, ofc, out: List[Violation]) -> None:
     """The key's last acked write is in the RSDS or the cache, unless it
     is intermediate (deleted by design, §6.3), deleted after (or racing)
@@ -149,40 +183,80 @@ def _durability_rule(key: str, writes, deletes, ofc, out: List[Violation]) -> No
     if any(d.acked and d.t_ack >= last.t_start for d in deletes):
         return
     # Admissible: every write acked since the last one started.
-    valid = [w for w in writes if w.acked and w.t_ack >= last.t_start]
-    bucket, _sep, name = key.partition("/")
-    if ofc.store.contains(bucket, name):
-        stored = ofc.store._object(bucket, name).payload
-        if any(w.payload is stored for w in valid):
-            return  # durable with an admissible payload
-    cached = ofc.backend.peek(key)
-    if cached is not None and any(w.payload is cached.value for w in valid):
-        # Present but only in the cache: the dirty-final audit reports
-        # it if the write-back never completed.
+    valid = [w.payload for w in writes if w.acked and w.t_ack >= last.t_start]
+    if not _durable(key, valid, ofc):
+        out.append(_lost(key, last.t_ack, last.seq, ofc))
+
+
+def _judge(ops: History, key: str, run: List[int], history: bool, ofc, found, lost):
+    """Every rule on one key's ops (positions, in recorded order).
+
+    Most keys are judged from the columns: a key no op writes can break
+    only shadow-read, and a key written once and never touched again
+    needs only the durability audit.  Any other key is judged on
+    :class:`OpRecord` views of its ops.
+    """
+    codes = ops.codes
+    n_writes = sum(codes[p] & KIND == WRITE for p in run)
+    if not n_writes:
+        if history:
+            for p in run:
+                if codes[p] & _SHADOW == READ | MISSING:
+                    t = ops.t_ack[p]
+                    t = ops.t_start[p] if t != t else t
+                    detail = _shadow_detail(ops.size[p])
+                    found.append(Violation("shadow-read", key, detail, t, ops.seq(p)))
         return
-    detail = f"acked write at t={last.t_ack:.3f} is in neither the RSDS nor the cache"
-    out.append(Violation("durability", key, detail, ofc.kernel.now, last.seq))
+    if len(run) == 1:
+        (p,) = run
+        t_ack = ops.t_ack[p]
+        # Only an acked (ok, with an ack time) final write is audited.
+        if ofc is None or codes[p] & (STATUS | INTERMEDIATE) or t_ack != t_ack:
+            return
+        payload = ops.payloads[p]
+        if payload is not None and not _durable(key, [payload], ofc):
+            lost.append(_lost(key, t_ack, ops.seq(p), ofc))
+        return
+    reads, writes, deletes = split = [], [], []  # indexed by READ/WRITE/DELETE
+    for p in run:
+        split[codes[p] & KIND].append(ops[p])
+    if history:
+        for read in reads:
+            broken = _read_rule(read, writes, deletes)
+            if broken is not None:
+                t = read.t_ack if read.t_ack is not None else read.t_start
+                found.append(Violation(broken[0], key, broken[1], t, read.seq))
+        if n_writes > 1:  # one write has no order to break
+            _version_rule(key, writes, found)
+    if ofc is not None:
+        _durability_rule(key, writes, deletes, ofc, lost)
 
 
-def _walk(ops: List[OpRecord], history: bool, ofc) -> Tuple[list, list]:
+def _walk(ops: Ops, history: bool, ofc) -> Tuple[list, list]:
     """The one pass: the history violations (if ``history``) and the
-    durability ones (if ``ofc`` is given), each list in key order."""
+    durability ones (if ``ofc`` is given), each list in key order.
+
+    A list of records is appended into a :class:`History` first.  One
+    stable argsort of the key column gives the key order; each key's
+    positions stay in recorded order.
+    """
+    if not isinstance(ops, History):
+        ops = History(ops)
     found: List[Violation] = []
     lost: List[Violation] = []
-    for key, run in groupby(sorted(ops, key=_KEY), _KEY):
-        reads, writes, deletes = split = [], [], []
-        for op in run:
-            split[_KINDS[op.op]].append(op)
-        if history:
-            for read in reads:
-                broken = _read_rule(read, writes, deletes)
-                if broken is not None:
-                    t = read.t_ack if read.t_ack is not None else read.t_start
-                    found.append(Violation(broken[0], key, broken[1], t, read.seq))
-            if len(writes) > 1:  # one write has no order to break
-                _version_rule(key, writes, found)
-        if ofc is not None and writes:
-            _durability_rule(key, writes, deletes, ofc, lost)
+    keys = ops.keys
+    if not keys:
+        return found, lost
+    order = np.argsort(np.array(keys, dtype=object), kind="stable")
+    key = keys[order[0]]
+    run: List[int] = []
+    for pos in memoryview(order):
+        if keys[pos] != key:
+            _judge(ops, key, run, history, ofc, found, lost)
+            key = keys[pos]
+            run = []
+        run.append(pos)
+    _judge(ops, key, run, history, ofc, found, lost)
     return found, lost
 
 
@@ -206,17 +280,17 @@ def _audits(ofc) -> List[Violation]:
     return violations
 
 
-def check_ops(ops: List[OpRecord]) -> List[Violation]:
+def check_ops(ops: Ops) -> List[Violation]:
     """Pure history invariants (no deployment needed), in key order."""
     return _walk(ops, True, None)[0]
 
 
-def check_end_state(ops: List[OpRecord], ofc) -> List[Violation]:
+def check_end_state(ops: Ops, ofc) -> List[Violation]:
     """End-state invariants over the settled deployment."""
     return _walk(ops, False, ofc)[1] + _audits(ofc)
 
 
-def check_history(ops: List[OpRecord], ofc=None) -> List[Violation]:
+def check_history(ops: Ops, ofc=None) -> List[Violation]:
     """Full checker pass: history invariants plus (when a deployment is
     supplied) the end-state audit.  Returns violations sorted by time."""
     violations, lost = _walk(ops, True, ofc)

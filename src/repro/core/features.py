@@ -55,7 +55,7 @@ def extract_features(
             for key, value in meta.user_meta.items():
                 if isinstance(value, (int, float, bool, str)):
                     features[key] = value
-    ref_args = set(spec.annotations.get("ref_args", ()))
+    ref_args = spec.annotations.get("ref_args", ())  # 0-2 names: no set
     for name, value in request.args.items():
         if name in _EXCLUDED_ARGS or name in ref_args:
             continue

@@ -120,7 +120,8 @@ class CacheBackend:
       :class:`~repro.kvcache.errors.CapacityExceeded` leaving no copy of
       ``key`` that a later read or promotion can serve.  An accepted
       overwrite of a served key bumps its version by one.
-    * ``get(key, caller)`` returns a copy of the object; ``NoSuchKey``
+    * ``get(key, caller)`` returns the served object itself, not a
+      copy, which the caller must neither mutate nor keep; ``NoSuchKey``
       on a miss.  ``delete(key, caller)`` removes every copy;
       ``NoSuchKey`` when the backend knows nothing of the key.
     * ``peek(key)`` / ``location_of(key)`` / :meth:`contains`: the

@@ -329,7 +329,7 @@ class CacheCluster(CacheBackend):
             self.stats.gets_remote += 1
         if span is not None:
             span.finish(bytes=obj.size)
-        return obj.copy()
+        return obj
 
     def peek(self, key: str) -> Optional[CacheObject]:
         """Control-plane read without latency or access accounting."""

@@ -1,20 +1,27 @@
-"""What the history checker costs: bounded transient memory, and a hot
-key (many writes, many reads) still judged as the oracle judges it.
+"""What the history costs: the bytes a recorded op keeps alive, the
+checker's bounded transient memory, and a hot key (many writes, many
+reads) still judged as the oracle judges it.
 
-The memory bound is a ratio to the records themselves: grouping the
-history by one sort of references keeps the checker's transient
-structures a small fraction of the ``OpRecord``s it reads, where the two
-per-key dict-of-lists groupings it replaced peaked at about 1.5x.
+Both memory bounds are taken on a chaos-shaped history recorded through
+the recording data client.  A recorded op keeps at most 120 B alive (a
+slotted record per op kept 284 B).  The checker's transient peak is at
+most a quarter of the history's own bytes (its columns): one argsort of
+the key column and one key's views, where the two per-key dict-of-lists
+groupings of an earlier checker peaked at about 1.5x the records.
 """
 
+import inspect
 import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
-from repro.checks import OpRecord
+from repro.checks import History, HistoryRecorder, OpRecord
 from repro.checks.invariants import check_history, check_ops
 from repro.core import OFCPlatform
+from repro.faas.dataclient import DataClient
 from repro.faas.platform import PlatformConfig
+from repro.faas.records import InvocationRequest
 from tests.checks import reference_invariants as reference
 
 
@@ -49,6 +56,59 @@ def chaos_shaped_history():
     return ops
 
 
+class Replay(DataClient):
+    """The inner data client of a replay: each call acks at once, at
+    the ack time and with the payload of the record being replayed."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.op = None
+
+    def _ack(self):
+        self.kernel.now = self.op.t_ack
+        meta = SimpleNamespace(size=self.op.size, version=1)
+        return SimpleNamespace(payload=self.op.payload, meta=meta)
+
+    def read(self, bucket, name):
+        return self._ack()
+        yield  # a generator that never suspends
+
+    def write(self, bucket, name, payload, size, **_options):
+        return self._ack()
+        yield
+
+    def delete(self, bucket, name):
+        return self._ack()
+        yield
+
+
+def recorded(ops) -> History:
+    """``ops`` replayed through a :class:`HistoryRecorder`'s client."""
+    kernel = SimpleNamespace(now=0.0)
+    replay = Replay(kernel)
+    ofc = SimpleNamespace(
+        kernel=kernel, platform=SimpleNamespace(data_client_factory=None)
+    )
+    recorder = HistoryRecorder(ofc)
+    recorder._inner_factory = lambda _invoker, _record: replay
+    record = SimpleNamespace(request=InvocationRequest(function="f", tenant="t"))
+    client = ofc.platform.data_client_factory(None, record)
+    for op in ops:
+        kernel.now = op.t_start
+        replay.op = op
+        bucket, _sep, name = op.key.partition("/")
+        if op.op == "write":
+            call = client.write(bucket, name, op.payload, op.size)
+        else:
+            call = getattr(client, op.op)(bucket, name)
+        try:
+            next(call)
+        except StopIteration:
+            continue
+        raise AssertionError("a replayed op suspended")
+    return recorder.ops
+
+
 def settled(ops):
     """A deployment whose RSDS holds every key's last written payload."""
     ofc = OFCPlatform(platform_config=PlatformConfig(node_memory_mb=4096), seed=3)
@@ -64,14 +124,31 @@ def settled(ops):
     return ofc
 
 
+def test_a_recorded_op_keeps_at_most_120_bytes_alive():
+    """What the recorder allocates and still holds once the history is
+    recorded: the columns, the write keys and the interned read keys."""
+    ops = chaos_shaped_history()
+    tracemalloc.start()
+    try:
+        history = recorded(ops)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert len(history) == len(ops)
+    where = tracemalloc.Filter(True, inspect.getfile(History))
+    kept = sum(s.size for s in snapshot.filter_traces([where]).statistics("filename"))
+    assert kept <= 120 * len(ops), kept / len(ops)
+
+
 def test_check_history_transient_is_a_quarter_of_the_history_at_most():
     ops = chaos_shaped_history()
     assert 19_000 <= len(ops) <= 21_000
+    history = recorded(ops)
     ofc = settled(ops)
-    history_bytes = sum(sys.getsizeof(o) for o in ops)
+    history_bytes = sys.getsizeof(history)
     tracemalloc.start()
     try:
-        violations = check_history(ops, ofc)
+        violations = check_history(history, ofc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,9 @@ rescan-per-read checker verbatim.  Every case here requires the same
 recorded from chaos cells, and on Hypothesis histories over one to four
 keys with overlapping and unacked intervals, every status, shared and
 distinct payload objects, store versions, pipeline ids and intermediate
-writes, checked bare and against a small real deployment.
+writes, checked bare and against a small real deployment.  One recorded
+history is also handed over both as the recorder's columns and as a
+list of records: one verdict.
 """
 
 from itertools import product
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.bench import grid
 from repro.bench.grid import load_cell, run_cell, TenantCell
-from repro.checks import check_history, invariants, OpRecord
+from repro.checks import check_history, History, invariants, OpRecord
 from repro.core import OFCPlatform
 from repro.faas.platform import PlatformConfig
 from tests.checks import reference_invariants as reference
@@ -78,6 +80,26 @@ def test_faast_reproducer_history_matches_oracle(monkeypatch):
     verdict = assert_same(ops, ofc)
     counts = invariants.count_by_invariant(verdict)
     assert counts == {"dirty-final": 31, "durability": 3}
+
+
+def fields(record):
+    return tuple(getattr(record, name) for name in OpRecord.__slots__)
+
+
+def test_a_list_and_a_recorded_history_get_one_verdict(monkeypatch):
+    """The recorder's columns and the same ops handed over as a list of
+    records (appended into a History by the checker) are judged alike."""
+    history, ofc = recorded(load_cell(str(REPRODUCER)), monkeypatch)
+    assert isinstance(history, History)
+    records = list(history)
+    assert [fields(r) for r in History(records)] == [fields(r) for r in records]
+    assert invariants.check_ops(records) == invariants.check_ops(history)
+    assert invariants.check_end_state(records, ofc) == invariants.check_end_state(
+        history, ofc
+    )
+    verdict = check_history(history, ofc)
+    assert check_history(records, ofc) == verdict
+    assert len(verdict) == 34
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

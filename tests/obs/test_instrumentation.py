@@ -1,5 +1,6 @@
 """Instrumentation smoke tests: spans and registry on a live system."""
 
+import gc
 import os
 import sys
 from functools import partial
@@ -245,6 +246,10 @@ def test_untraced_run_executes_no_obs_code(monkeypatch, run):
             sys.setprofile(previous)
 
     monkeypatch.setattr(Kernel, "_drain", profiled_drain)
+    # An earlier test's traced deployment left suspended in a store op
+    # is garbage whose collection runs the op's ``finally:
+    # span.finish()``; collect it now, not inside a profiled dispatch.
+    gc.collect()
     run(monkeypatch)
     assert calls, "the profiler saw no dispatch"
     assert obs_frames == set()
