@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.features import arg_feature
 from repro.core.trainer import cache_benefit_label, ModelTrainer, TrainingSample
+from repro.faas.platform import MAX_SANDBOX_MB
 from repro.ml.dataset import Dataset
 from repro.ml.intervals import MemoryIntervals
 from repro.workloads.functions import (
@@ -45,7 +46,6 @@ def synthetic_sample(
             media.size,
             model.output_size(media, args),
             model.transform_time(media, args),
-            trainer.config.cache_benefit_threshold,
         ),
     )
 
@@ -76,10 +76,9 @@ def function_dataset(
     n: int = 400,
     seed: int = 0,
     interval_mb: float = 16.0,
-    max_mb: float = 2048.0,
 ) -> Dataset:
     """``n`` labelled samples of one function's memory behaviour."""
-    intervals = MemoryIntervals(interval_mb=interval_mb, max_mb=max_mb)
+    intervals = MemoryIntervals(interval_mb=interval_mb, max_mb=MAX_SANDBOX_MB)
     return _sampled_dataset(
         model,
         n,
@@ -109,7 +108,6 @@ def benefit_dataset(
     model: FunctionModel,
     n: int = 400,
     seed: int = 0,
-    threshold: float = 0.5,
 ) -> Dataset:
     """Cache-benefit labels: does E+L dominate on the Swift RSDS (§5.2)?"""
     return _sampled_dataset(
@@ -120,6 +118,5 @@ def benefit_dataset(
             media.size,
             model.output_size(media, args),
             model.transform_time(media, args),
-            threshold,
         ),
     )

@@ -144,8 +144,8 @@ def pretrain_function(
     Synthesises ``n_samples`` training samples from the hidden ground
     truth and hands them to :meth:`ModelTrainer.ingest`.  Results are
     memoized in the process (:mod:`repro.bench.model_cache`): a
-    deployment whose (function, descriptors, config, seed)
-    match a previous pretraining adopts the cached state instead.
+    deployment whose (function, tenant, descriptors, sample count,
+    seed) match a previous pretraining adopts the cached state instead.
     Either way ``n_samples`` request ids are skipped, one per
     synthesised invocation, so the ids (which seed the hidden footprint
     noise of every later invocation) do not depend on the memo.
@@ -155,12 +155,7 @@ def pretrain_function(
 
     skip_request_ids(n_samples)
     cache_key = model_cache.pretrain_key(
-        model.name,
-        tenant,
-        n_samples,
-        seed,
-        descriptors,
-        ofc.trainer.config,
+        model.name, tenant, n_samples, seed, descriptors
     )
     cached = model_cache.lookup(cache_key)
     if cached is not None:

@@ -96,6 +96,15 @@ SETTLE_SLACK_S = 45.0
 TIMELINE_WINDOW_S = 15.0
 #: Where minimized reproducers land by default.
 DEFAULT_REPRODUCER_DIR = "examples/faults"
+#: OFCConfig fields a cell sets from its own fields (config field ->
+#: cell field): a ``config_overrides`` entry for one would run another
+#: cell than the row reports.
+CELL_OWNED = {
+    "cache_backend": "backend",
+    "tenant_quota_policy": "quota_policy",
+    "tenant_static_fraction": "n_tenants",
+    "cache_cap_mb": "cache_cap_mb",
+}
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,8 @@ class TenantCell:
     intensity: Optional[str] = None
     schedule: Optional[Dict[str, Any]] = None
     #: Extra OFCConfig attributes — lets regression tests fuzz the
-    #: pre-fix modes (``faast_replication=False`` etc.).
+    #: pre-fix modes (``faast_replication=False`` etc.); none of
+    #: :data:`CELL_OWNED`.
     config_overrides: Optional[Dict[str, Any]] = None
 
     @property
@@ -272,6 +282,11 @@ def run_cell(cell: TenantCell) -> GridRow:
     )
     known = {f.name for f in fields(OFCConfig)}
     for attr, value in (cell.config_overrides or {}).items():
+        if attr in CELL_OWNED:
+            raise ScheduleError(
+                f"config override {attr!r} contradicts the cell: set the "
+                f"cell's {CELL_OWNED[attr]!r} instead"
+            )
         if attr not in known:
             raise ScheduleError(
                 f"unknown config override {attr!r}; OFCConfig's fields "

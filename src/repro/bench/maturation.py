@@ -4,7 +4,7 @@ For each function, stream synthetic training samples into a fresh
 ModelTrainer (:meth:`ModelTrainer.ingest`, the path pretraining takes)
 until the memory model satisfies the maturation criterion, and record
 how many invocations that took.  The check runs at every retrain point
-from ``min_history_for_maturity`` on, and once more at a budget that
+from ``MIN_HISTORY_FOR_MATURITY`` on, and once more at a budget that
 is not itself a retrain point.  The paper reports: median 100
 invocations (11 of 19 functions mature at the first check), 75 % under
 250, 95 % under 450.
@@ -12,15 +12,17 @@ invocations (11 of 19 functions mature at the first check), 75 % under
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.bench.datasets import synthetic_sample
-from repro.core.config import OFCConfig
-from repro.core.trainer import ModelTrainer
+from repro.core.trainer import (
+    MIN_HISTORY_FOR_MATURITY,
+    ModelTrainer,
+    RETRAIN_EVERY,
+)
 from repro.workloads.functions import ALL_FUNCTIONS, EVALUATION_FUNCTIONS
 from repro.workloads.media import MediaCorpus
 
@@ -37,13 +39,13 @@ class MaturationResult:
     matured_at_first_check: int
 
 
-def _stream_function(
-    config: OFCConfig,
-    model,
-    max_invocations: int,
-    seed: int,
-) -> Optional[int]:
-    trainer = ModelTrainer(config)
+#: Where the maturation check first runs: the first retrain point at or
+#: past ``MIN_HISTORY_FOR_MATURITY``.
+FIRST_CHECK = -(-MIN_HISTORY_FOR_MATURITY // RETRAIN_EVERY) * RETRAIN_EVERY
+
+
+def _stream_function(model, max_invocations: int, seed: int) -> Optional[int]:
+    trainer = ModelTrainer()
     models = trainer.models_for(f"t0/{model.name}")
     rng = np.random.default_rng(seed)
     corpus = MediaCorpus(np.random.default_rng(seed + 1))
@@ -60,26 +62,16 @@ def _stream_function(
     return models.matured_after
 
 
-def _first_check(config: OFCConfig) -> int:
-    """The first retrain point (a multiple of ``retrain_every``) at or
-    past ``min_history_for_maturity``: where the maturation check first
-    runs."""
-    every = config.retrain_every
-    return max(1, math.ceil(config.min_history_for_maturity / every)) * every
-
-
 def run_maturation(
     max_invocations: int,
     seed: int = 0,
     functions: Optional[List[str]] = None,
-    config: Optional[OFCConfig] = None,
 ) -> MaturationResult:
-    config = config or OFCConfig()
     names = functions or EVALUATION_FUNCTIONS
     per_function: Dict[str, Optional[int]] = {}
     for i, name in enumerate(names):
         per_function[name] = _stream_function(
-            config, ALL_FUNCTIONS[name], max_invocations, seed + i
+            ALL_FUNCTIONS[name], max_invocations, seed + i
         )
     matured = [v for v in per_function.values() if v is not None]
     # Functions that never matured count as the budget (pessimistic).
@@ -87,12 +79,11 @@ def run_maturation(
         v if v is not None else max_invocations
         for v in per_function.values()
     ]
-    first_check = _first_check(config)
     return MaturationResult(
         max_invocations=max_invocations,
         per_function=per_function,
         median=float(np.median(censored)),
         p75=float(np.percentile(censored, 75)),
         p95=float(np.percentile(censored, 95)),
-        matured_at_first_check=sum(1 for v in matured if v <= first_check),
+        matured_at_first_check=sum(1 for v in matured if v <= FIRST_CHECK),
     )

@@ -3,8 +3,8 @@
 Every macro-style run starts by maturing each tenant's models offline
 (:func:`repro.bench.envs.pretrain_function`, which hands synthetic
 samples to :meth:`ModelTrainer.ingest`).  That is deterministic in its
-inputs — function model, tenant, descriptor set, sample count, seed
-and OFC config — so its result can be computed once and reused by every
+inputs — function model, tenant, descriptor set, sample count and
+seed — so its result can be computed once and reused by every
 later run in the process that shares those inputs.
 
 The memo maps a content key to a *pickled* :class:`FunctionModels`
@@ -19,7 +19,9 @@ Each process keeps its own memo: pool workers start from whatever the
 parent held when they forked and fill in the rest themselves.
 
 Invalidation: the key covers everything the pretraining result depends
-on, so stale hits cannot happen across configs/seeds; ``clear()``
+on, so stale hits cannot happen across inputs/seeds.  It holds no
+:class:`~repro.core.config.OFCConfig`: the trainer reads no field of
+it (its settings are :mod:`repro.core.trainer` constants).  ``clear()``
 handles code changes to the trainer/tree themselves within one process,
 and ``perf/cells.py`` calls it before every repeat so that cold
 pretraining is part of the set-up it measures.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import asdict
 from typing import Any, Dict, Optional, Sequence
 
 _CACHE: Dict[str, bytes] = {}
@@ -45,11 +46,9 @@ def pretrain_key(
     n_samples: int,
     seed: int,
     descriptors: Sequence[Any],
-    config: Any,
 ) -> str:
     """Content hash of every input the pretraining result depends on:
-    (function spec, input descriptor ensemble, sample count, seed,
-    OFC config)."""
+    (function spec, input descriptor ensemble, sample count, seed)."""
     descriptor_print = tuple(
         (d.size, tuple(sorted(d.features().items()))) for d in descriptors
     )
@@ -60,7 +59,6 @@ def pretrain_key(
             int(n_samples),
             int(seed),
             descriptor_print,
-            tuple(sorted(asdict(config).items())),
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

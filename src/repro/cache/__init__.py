@@ -12,6 +12,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 from repro import lazy_exports
 from repro.core.config import OFCConfig
+from repro.kvcache.objects import MAX_OBJECT_SIZE
 
 if TYPE_CHECKING:
     from repro.kvcache.backend import CacheBackend
@@ -43,12 +44,11 @@ def make_backend(
     node_ids: List[str],
     config: Optional[OFCConfig] = None,
     rng=None,
-    max_object_size: Optional[int] = None,
+    max_object_size: int = MAX_OBJECT_SIZE,
 ) -> CacheBackend:
     """Build the named cache backend ("ofc", "faast", "infinicache").
 
-    ``config`` defaults to :class:`OFCConfig`'s defaults, and
-    ``max_object_size`` to that config's ``max_cacheable_bytes``."""
+    ``config`` defaults to :class:`OFCConfig`'s defaults."""
     try:
         class_name = BACKENDS[name]
     except KeyError:
@@ -56,10 +56,7 @@ def make_backend(
             f"unknown cache backend {name!r}; known: {sorted(BACKENDS)}"
         ) from None
     backend_cls = __getattr__(class_name)
-    config = config or OFCConfig()
-    if max_object_size is None:
-        max_object_size = config.max_cacheable_bytes
     return backend_cls(
-        kernel, node_ids, config=config, rng=rng,
+        kernel, node_ids, config=config or OFCConfig(), rng=rng,
         max_object_size=max_object_size,
     )

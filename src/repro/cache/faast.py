@@ -52,6 +52,8 @@ from repro.sim.latency import (
 
 #: Application key for objects without a tenant attribution.
 SHARED_APP = "_shared"
+#: Extra capacity provisioned above the observed working set.
+WS_HEADROOM = 0.25
 
 
 @dataclass
@@ -395,8 +397,7 @@ class FaaSTBackend(CacheBackend):
         """Shards the window's demand justifies: working-set bytes with
         headroom, or access frequency, whichever asks for more."""
         ws = max(cache.window_bytes, cache.live_bytes())
-        by_ws = -(-int(ws * (1.0 + self.config.faast_ws_headroom))
-                  // self.shard_bytes)
+        by_ws = -(-int(ws * (1.0 + WS_HEADROOM)) // self.shard_bytes)
         by_freq = -(-cache.window_ops // self.config.faast_ops_per_shard)
         target = max(1, by_ws, by_freq)
         return min(self.config.faast_max_shards_per_app, target)

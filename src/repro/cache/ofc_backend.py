@@ -1,9 +1,10 @@
 """The paper's harvested cache as a backend.
 
 :class:`repro.kvcache.cluster.CacheCluster` already implements the whole
-backend contract, so the ``ofc`` backend *is* the cluster: this subclass
-adds only what a deployment brings — the replication factor, the
-configured quota cap and the cost level.  The per-node
+backend contract, so the ``ofc`` backend *is* the cluster (with its
+default replication factor, two backups): this subclass adds only what
+a deployment brings — the configured quota cap and the cost level.
+The per-node
 :class:`repro.core.cache_agent.CacheAgent` loops are built and started
 by :class:`repro.core.ofc.OFCPlatform`.
 
@@ -35,13 +36,7 @@ class OFCCacheBackend(CacheCluster):
         max_object_size: int,
         rng=None,
     ):
-        super().__init__(
-            kernel,
-            node_ids,
-            replication_factor=config.replication_factor,
-            rng=rng,
-            max_object_size=max_object_size,
-        )
+        super().__init__(kernel, node_ids, rng=rng, max_object_size=max_object_size)
         if config.cache_cap_mb is not None:
             self.quota_cap_bytes = int(config.cache_cap_mb * MB) * len(
                 self.node_ids

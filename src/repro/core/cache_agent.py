@@ -41,6 +41,20 @@ from repro.sim.latency import MB
 
 _by_t_access = attrgetter("t_access")
 
+#: Periodic eviction (§6.3): every period, evict objects read fewer
+#: than ``EVICTION_MIN_ACCESSES`` times or idle for longer than
+#: ``EVICTION_MAX_IDLE_S``.
+EVICTION_PERIOD_S = 300.0
+EVICTION_MIN_ACCESSES = 5
+EVICTION_MAX_IDLE_S = 30 * 60.0
+#: Slack pool (§6.4): its initial (and least) size, how often it is
+#: re-estimated, how often memory churn is sampled and how many samples
+#: the sliding window holds.
+SLACK_INITIAL_MB = 100.0
+SLACK_ADJUST_PERIOD_S = 120.0
+CHURN_SAMPLE_PERIOD_S = 60.0
+CHURN_WINDOW_SAMPLES = 5
+
 
 class CacheAgent:
     """One node's cache management loop."""
@@ -72,12 +86,10 @@ class CacheAgent:
         # would migrate the same objects back and forth between nodes.
         self._shrink_active = False
         self._shrink_waiters: List = []
-        self._churn_samples: deque = deque(
-            maxlen=self.config.churn_window_samples
-        )
+        self._churn_samples: deque = deque(maxlen=CHURN_WINDOW_SAMPLES)
         self._last_committed_mb: Optional[float] = None
         # Wire into the invoker.
-        invoker.slack_mb = self.config.slack_initial_mb
+        invoker.slack_mb = SLACK_INITIAL_MB
         invoker.listeners.append(self._on_sandbox_event)
         invoker.ensure_capacity = self.ensure_capacity
         self._started = False
@@ -346,9 +358,8 @@ class CacheAgent:
     # -- periodic eviction (§6.3) ----------------------------------------
 
     def _eviction_loop(self) -> Generator:
-        period = self.config.eviction_period_s
         while True:
-            yield period
+            yield EVICTION_PERIOD_S
             yield from self.run_periodic_eviction()
 
     def run_periodic_eviction(self) -> Generator:
@@ -363,17 +374,17 @@ class CacheAgent:
         for obj in self._local_masters():
             # Never evict very young objects (they may belong to an
             # in-flight pipeline and have simply not been read yet).
-            if now - obj.created_at < self.config.eviction_period_s:
+            if now - obj.created_at < EVICTION_PERIOD_S:
                 continue
             idle = now - obj.t_access
             # §6.3: the sweep targets objects "that have not been
             # recently accessed"; anything read within the last period
             # is left alone regardless of its access count.
-            if idle < self.config.eviction_period_s:
+            if idle < EVICTION_PERIOD_S:
                 continue
             cold = (
-                obj.n_access < self.config.eviction_min_accesses
-                or idle > self.config.eviction_max_idle_s
+                obj.n_access < EVICTION_MIN_ACCESSES
+                or idle > EVICTION_MAX_IDLE_S
             )
             if not cold:
                 continue
@@ -416,13 +427,10 @@ class CacheAgent:
     # -- slack pool (§6.4) ------------------------------------------------
 
     def _slack_loop(self) -> Generator:
-        sample_period = self.config.churn_sample_period_s
-        adjust_every = max(
-            1, int(self.config.slack_adjust_period_s / sample_period)
-        )
+        adjust_every = max(1, int(SLACK_ADJUST_PERIOD_S / CHURN_SAMPLE_PERIOD_S))
         ticks = 0
         while True:
-            yield sample_period
+            yield CHURN_SAMPLE_PERIOD_S
             committed = self.invoker.committed_mb
             if self._last_committed_mb is not None:
                 self._churn_samples.append(
@@ -432,7 +440,5 @@ class CacheAgent:
             ticks += 1
             if ticks % adjust_every == 0 and self._churn_samples:
                 churn = sum(self._churn_samples) / len(self._churn_samples)
-                self.invoker.slack_mb = max(
-                    self.config.slack_initial_mb, churn
-                )
+                self.invoker.slack_mb = max(SLACK_INITIAL_MB, churn)
                 self._queue_retarget()

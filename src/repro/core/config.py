@@ -1,72 +1,36 @@
-"""OFC configuration: every tunable the paper names, with its value."""
+"""OFC configuration: what a caller varies, defaulting to the paper.
+
+A setting nothing varies is a module constant beside its one reader
+(the trainer's maturation criterion in :mod:`repro.core.trainer`, the
+Monitor's threshold in :mod:`repro.core.monitor`, the eviction, slack
+and churn periods in :mod:`repro.core.cache_agent`, the largest
+cacheable object in :mod:`repro.kvcache.objects`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.latency import MB
-
 
 @dataclass
 class OFCConfig:
-    """Knobs of the OFC system, defaulting to the paper's settings."""
+    """What a caller varies in the OFC system: the architecture, the
+    quota policy, the consistency mode and the backends' geometry.
+    Every default is the paper's setting (or, for the rival backends,
+    their papers')."""
 
     # -- ML / prediction (§5) ------------------------------------------------
-    #: Classification interval size; 16 MB is the paper's choice.
-    interval_mb: float = 16.0
-    #: OpenWhisk's maximum sandbox memory (upper end of the range).
-    max_memory_mb: float = 2048.0
-    #: Invocations before the first maturity check (§7.1.3).
-    min_history_for_maturity: int = 100
-    #: Maturation criterion: fraction of exact-or-over predictions.
-    maturity_eo_threshold: float = 0.90
-    #: Maturation criterion: fraction of underpredictions within one
-    #: interval of the truth.
-    maturity_near_threshold: float = 0.50
     #: Conservative post-maturity adjustment: predict one interval up.
     bump_intervals: int = 1
-    #: Retrain/maturity-check cadence, in completed invocations.
-    retrain_every: int = 25
-    #: After maturity, keep only underpredictions and extreme
-    #: overpredictions (k - k* > this) in the training set (§5.3.3).
-    extreme_over_intervals: int = 6
-    #: Weight given to underprediction samples on retraining.
-    underprediction_weight: float = 3.0
-    #: E+L fraction above which caching is considered beneficial (§5.2).
-    cache_benefit_threshold: float = 0.5
-
-    # -- monitor (§5.3.1) ------------------------------------------------------
-    #: Dynamic cap raising only for invocations running at least this long.
-    monitor_min_runtime_s: float = 3.0
-    #: Headroom added when the Monitor raises a sandbox's cap.
-    monitor_headroom_mb: float = 32.0
 
     # -- cache policy (§6.3) ----------------------------------------------------
-    #: Maximum object size admitted to the cache.
-    max_cacheable_bytes: int = 10 * MB
-    #: Periodic eviction cadence.
-    eviction_period_s: float = 300.0
-    #: Evict objects read fewer than this many times...
-    eviction_min_accesses: int = 5
-    #: ...or idle for longer than this.
-    eviction_max_idle_s: float = 30 * 60.0
     #: Optional ceiling on each node's harvested cache, in MB (None =
     #: harvest everything sandboxes and slack leave free, the paper's
     #: behaviour).  Operators cap the harvest to bound cache churn; the
     #: multi-tenant bench uses it to study quota policies under a
     #: contended pool.
     cache_cap_mb: Optional[float] = None
-
-    # -- autoscaling (§6.4) --------------------------------------------------------
-    #: Initial per-node slack pool.
-    slack_initial_mb: float = 100.0
-    #: Slack re-estimation cadence.
-    slack_adjust_period_s: float = 120.0
-    #: Memory-churn sampling cadence for the sliding window.
-    churn_sample_period_s: float = 60.0
-    #: Sliding-window length, in churn samples.
-    churn_window_samples: int = 5
 
     # -- multi-tenant cache quotas (beyond the paper) ------------------------------
     #: Cross-tenant admission policy: "none" (the paper's behaviour,
@@ -90,9 +54,6 @@ class OFCConfig:
     #: harness's pre-fix regression mode).
     persistor_requeue: bool = True
 
-    # -- cache cluster ---------------------------------------------------------------
-    replication_factor: int = 2
-
     # -- pluggable cache architecture (see repro.cache) ------------------------------
     #: Which cache architecture backs the data plane: "ofc" (the paper's
     #: harvested RAMCloud design, the default and the only bit-identical
@@ -115,8 +76,6 @@ class OFCConfig:
     faast_scale_period_s: float = 10.0
     #: Accesses per period one shard is deemed to absorb (frequency axis).
     faast_ops_per_shard: int = 200
-    #: Extra capacity provisioned above the observed working set.
-    faast_ws_headroom: float = 0.25
     #: Idle scaling periods before an application's cache is torn down.
     faast_idle_periods: int = 3
 

@@ -9,23 +9,21 @@ frequent and the monitoring overhead is not worth it for them.
 
 from __future__ import annotations
 
-from repro.core.config import OFCConfig
 from repro.faas.invoker import InvocationContext, Invoker
 from repro.faas.records import InvocationRecord
+
+#: Dynamic cap raising only for invocations running at least this long.
+MONITOR_MIN_RUNTIME_S = 3.0
+#: Headroom added when the Monitor raises a sandbox's cap.
+MONITOR_HEADROOM_MB = 32.0
 
 
 class Monitor:
     """Per-invocation memory monitor."""
 
-    def __init__(
-        self,
-        record: InvocationRecord,
-        invoker: Invoker,
-        config: OFCConfig,
-    ):
+    def __init__(self, record: InvocationRecord, invoker: Invoker):
         self.record = record
         self.invoker = invoker
-        self.config = config
 
     def on_pressure(
         self, ctx: InvocationContext, usage_mb: float, footprint_mb: float
@@ -36,12 +34,12 @@ class Monitor:
         False when the OOM killer must act.
         """
         age = ctx.kernel.now - self.record.started_at
-        if age < self.config.monitor_min_runtime_s:
+        if age < MONITOR_MIN_RUNTIME_S:
             return False
         booked = self.record.booked_memory_mb
         target = min(
-            max(footprint_mb, usage_mb) + self.config.monitor_headroom_mb,
-            max(booked, usage_mb + self.config.monitor_headroom_mb),
+            max(footprint_mb, usage_mb) + MONITOR_HEADROOM_MB,
+            max(booked, usage_mb + MONITOR_HEADROOM_MB),
         )
         if target <= ctx.sandbox.memory_limit_mb:
             return False

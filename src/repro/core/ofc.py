@@ -85,7 +85,6 @@ class OFCPlatform:
             platform_config.node_ids,
             config=self.config,
             rng=self.rng.batched_stream("cache"),
-            max_object_size=self.config.max_cacheable_bytes,
         )
         #: The RAMCloud-style cluster: the backend itself on "ofc",
         #: None on the others.
@@ -106,7 +105,7 @@ class OFCPlatform:
         )
         self.backend.on_object_admitted = self._on_object_admitted
         self.backend.on_object_removed = self._on_object_removed
-        self.trainer = ModelTrainer(self.config)
+        self.trainer = ModelTrainer()
         self.predictor = Predictor(
             self.kernel,
             self.trainer,
@@ -238,7 +237,7 @@ class OFCPlatform:
         )
 
     def _make_monitor(self, record: InvocationRecord, invoker) -> Monitor:
-        return Monitor(record, invoker, self.config)
+        return Monitor(record, invoker)
 
     # -- consistency callbacks (§6.2) -----------------------------------------------
 

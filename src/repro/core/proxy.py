@@ -19,6 +19,7 @@ from repro.core.tenancy import TenantCacheAccounting
 from repro.faas.dataclient import DataClient
 from repro.faas.records import InvocationRecord
 from repro.kvcache.errors import CacheError, CapacityExceeded, NoSuchKey, ObjectTooLarge
+from repro.kvcache.objects import MAX_OBJECT_SIZE
 from repro.sim.kernel import Kernel
 from repro.storage.errors import NoSuchObject, StoreUnavailable
 from repro.storage.meta import ObjectMeta, StoredObject
@@ -109,7 +110,7 @@ class RcLibClient(DataClient):
         return self.record.should_cache is not False
 
     def _cacheable(self, size: int) -> bool:
-        return self._should_cache and size <= self.config.max_cacheable_bytes
+        return self._should_cache and size <= MAX_OBJECT_SIZE
 
     def _as_stored_object(self, key: str, cached) -> StoredObject:
         bucket, _sep, name = key.partition("/")
@@ -261,7 +262,7 @@ class RcLibClient(DataClient):
         # (§6.3/§7.2.1: "outputs are always buffered... which helps
         # multi-stage functions"); shouldBeCached only gates the rest.
         cacheable = (
-            size <= self.config.max_cacheable_bytes
+            size <= MAX_OBJECT_SIZE
             if intermediate
             else self._cacheable(size)
         )

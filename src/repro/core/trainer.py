@@ -16,7 +16,7 @@ underprediction samples carry a higher weight.
 Both paths fit only the trees something reads.  The predictor reads
 the memory tree once the function is mature and the benefit tree from
 10 samples on; the maturation check reads the memory tree at each
-retrain point from ``min_history_for_maturity`` on.  So before that
+retrain point from :data:`MIN_HISTORY_FOR_MATURITY` on.  So before that
 point an online retrain fits the benefit tree alone, and pretraining
 (:meth:`ModelTrainer.ingest`) fits the memory tree at the checks and
 both trees once at the end.  ``tests/core/test_online_training_oracle.py``
@@ -30,12 +30,29 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro import slotted
-from repro.core.config import OFCConfig
+from repro.faas.platform import MAX_SANDBOX_MB
 from repro.faas.records import InvocationRecord
 from repro.ml.dataset import Dataset
 from repro.ml.intervals import MemoryIntervals
 from repro.ml.tree import J48Classifier
 from repro.sim.latency import SWIFT_PROFILE
+
+#: Retrain and maturity-check cadence, in completed invocations.
+RETRAIN_EVERY = 25
+#: Invocations before the first maturity check (§7.1.3).
+MIN_HISTORY_FOR_MATURITY = 100
+#: Maturation criterion (§5.3.1): the fraction of exact-or-over
+#: predictions, and the fraction of underpredictions within one
+#: interval of the truth.
+MATURITY_EO_THRESHOLD = 0.90
+MATURITY_NEAR_THRESHOLD = 0.50
+#: After maturity, keep only underpredictions and extreme
+#: overpredictions (k - k* > this) in the training set (§5.3.3).
+EXTREME_OVER_INTERVALS = 6
+#: Weight given to underprediction samples on retraining.
+UNDERPREDICTION_WEIGHT = 3.0
+#: E+L fraction above which caching is considered beneficial (§5.2).
+CACHE_BENEFIT_THRESHOLD = 0.5
 
 
 @slotted
@@ -79,12 +96,7 @@ class FunctionModels:
         self.samples_version += 1
 
 
-def cache_benefit_label(
-    bytes_in: int,
-    bytes_out: int,
-    transform_s: float,
-    threshold: float,
-) -> int:
+def cache_benefit_label(bytes_in: int, bytes_out: int, transform_s: float) -> int:
     """Would E+L dominate an invocation *without* a cache (§5.2)?
 
     Uses the Swift RSDS latency profile and the transfer volumes, so
@@ -94,18 +106,15 @@ def cache_benefit_label(
     est_extract = SWIFT_PROFILE.read.mean(bytes_in)
     est_load = SWIFT_PROFILE.write.mean(bytes_out)
     total = est_extract + est_load + transform_s
-    return int((est_extract + est_load) / total > threshold)
+    return int((est_extract + est_load) / total > CACHE_BENEFIT_THRESHOLD)
 
 
 class ModelTrainer:
     """Accumulates telemetry and maintains the per-function models."""
 
-    def __init__(self, config: Optional[OFCConfig] = None):
-        self.config = config or OFCConfig()
-        self.intervals = MemoryIntervals(
-            interval_mb=self.config.interval_mb,
-            max_mb=self.config.max_memory_mb,
-        )
+    def __init__(self):
+        # The paper's 16 MB intervals over OpenWhisk's sandbox range.
+        self.intervals = MemoryIntervals(max_mb=MAX_SANDBOX_MB)
         self._models: Dict[str, FunctionModels] = {}
         # Aggregate prediction quality (Table 2 lines 7-8).
         self.good_predictions = 0
@@ -122,7 +131,7 @@ class ModelTrainer:
         """Platform completion listener: learn from one invocation.
 
         A retrain point fits only the trees something reads.  Short of
-        ``min_history_for_maturity`` invocations, that is the benefit
+        :data:`MIN_HISTORY_FOR_MATURITY` invocations, that is the benefit
         tree (the predictor reads it from 10 samples on); from the first
         maturation check on, and so always after maturity, it is both
         (:meth:`retrain`).  A completion that curation drops builds no
@@ -132,7 +141,6 @@ class ModelTrainer:
             return
         models = self.models_for(record.request.key)
         models.invocations_seen += 1
-        config = self.config
         true_label = self.intervals.label(record.peak_memory_mb)
         keep = True
         weight = 1.0
@@ -143,10 +151,10 @@ class ModelTrainer:
                 self.good_predictions += 1
                 # Exact/near predictions are not added (the set stays
                 # small); extreme overpredictions are.
-                keep = predicted - true_label > config.extreme_over_intervals
+                keep = predicted - true_label > EXTREME_OVER_INTERVALS
             else:
                 self.bad_predictions += 1
-                weight = config.underprediction_weight
+                weight = UNDERPREDICTION_WEIGHT
                 # §5.3.1: memory exhaustion corrections happen quickly.
                 retrain_now = record.oom_kills > 0
         if keep:
@@ -158,15 +166,14 @@ class ModelTrainer:
                         record.bytes_in,
                         record.bytes_out,
                         record.phases.transform,
-                        config.cache_benefit_threshold,
                     ),
                     weight=weight,
                 )
             )
-        if retrain_now or models.invocations_seen % config.retrain_every == 0:
+        if retrain_now or models.invocations_seen % RETRAIN_EVERY == 0:
             # A mature function is past the first check: maturity is only
-            # ever granted from min_history_for_maturity invocations on.
-            if models.invocations_seen >= config.min_history_for_maturity:
+            # ever granted from MIN_HISTORY_FOR_MATURITY invocations on.
+            if models.invocations_seen >= MIN_HISTORY_FOR_MATURITY:
                 self.retrain(models)
             elif len(models.samples) >= 2:
                 # Nothing reads a memory tree yet; drop one pretraining
@@ -185,21 +192,20 @@ class ModelTrainer:
         sample is appended and maturity is checked at the same retrain
         points.  Only the trees that sequence reads are fitted, though
         (so ``retrains`` counts fewer): the memory tree at each retrain
-        point from ``min_history_for_maturity`` on while the model is
+        point from :data:`MIN_HISTORY_FOR_MATURITY` on while the model is
         immature (the maturation check reads it), and both trees once at
         the end.  ``samples`` is consumed lazily, so a generator may stop
         once ``models.mature``.
         """
         models = self.models_for(function_key)
-        config = self.config
         checked: Optional[Dataset] = None
         for sample in samples:
             models.invocations_seen += 1
             models.add_sample(sample)
             if (
                 not models.mature
-                and models.invocations_seen % config.retrain_every == 0
-                and models.invocations_seen >= config.min_history_for_maturity
+                and models.invocations_seen % RETRAIN_EVERY == 0
+                and models.invocations_seen >= MIN_HISTORY_FOR_MATURITY
             ):
                 checked = self._fit_memory(models)
                 if checked is not None:
@@ -264,7 +270,7 @@ class ModelTrainer:
     def _update_maturity(self, models: FunctionModels, dataset: Dataset) -> None:
         if (
             not models.mature
-            and models.invocations_seen >= self.config.min_history_for_maturity
+            and models.invocations_seen >= MIN_HISTORY_FOR_MATURITY
             and self._check_maturity(models, dataset)
         ):
             models.mature = True
@@ -305,8 +311,8 @@ class ModelTrainer:
                     under_near += 1
         if total == 0:
             return False
-        if eo_hits / total < self.config.maturity_eo_threshold:
+        if eo_hits / total < MATURITY_EO_THRESHOLD:
             return False
         if under_total == 0:
             return True
-        return under_near / under_total >= self.config.maturity_near_threshold
+        return under_near / under_total >= MATURITY_NEAR_THRESHOLD

@@ -19,6 +19,14 @@ from repro.sim.latency import PLATFORM_OVERHEAD
 from repro.storage.errors import NoSuchObject, StoreUnavailable
 from repro.storage.object_store import ObjectStore
 
+#: OpenWhisk's permitted sandbox memory range ([64 MB, 2 GB], §5.1.1
+#: and §7.2.1: 64 MB is the smallest configurable memory).  The upper
+#: end is also the top of OFC's memory intervals and of a booking.
+MIN_SANDBOX_MB = 64.0
+MAX_SANDBOX_MB = 2048.0
+#: Scheduling attempts after a failure (OOM kill/no room).
+MAX_RETRIES = 2
+
 
 @dataclass
 class PlatformConfig:
@@ -27,12 +35,6 @@ class PlatformConfig:
     node_ids: List[str] = field(default_factory=lambda: [f"w{i}" for i in range(4)])
     node_memory_mb: float = 16384.0
     keepalive_s: float = 600.0
-    #: OpenWhisk's permitted sandbox memory range ([64 MB, 2 GB], §5.1.1
-    #: and §7.2.1: 64 MB is the smallest configurable memory).
-    min_sandbox_mb: float = 64.0
-    max_sandbox_mb: float = 2048.0
-    #: Maximum scheduling attempts after a failure (OOM kill/no room).
-    max_retries: int = 2
 
 
 @slotted
@@ -121,10 +123,7 @@ class FaaSPlatform:
     # -- invocation lifecycle ----------------------------------------------------
 
     def _clamp_memory(self, memory_mb: float) -> float:
-        return min(
-            self.config.max_sandbox_mb,
-            max(self.config.min_sandbox_mb, memory_mb),
-        )
+        return min(MAX_SANDBOX_MB, max(MIN_SANDBOX_MB, memory_mb))
 
     def invoke(
         self, request: InvocationRequest
@@ -163,7 +162,7 @@ class FaaSPlatform:
         # keeping it here would make the record, request, monitor and
         # data client cyclic garbage.
         failure = "ResourceExhausted: no worker node to schedule on"
-        for _attempt in range(self.config.max_retries + 1):
+        for _attempt in range(MAX_RETRIES + 1):
             node = self.scheduler.choose_node(
                 request, memory_mb, self.invokers, exclude=excluded
             )

@@ -25,7 +25,7 @@ from typing import Any, Iterator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.faas.platform import FaaSPlatform
+from repro.faas.platform import FaaSPlatform, MAX_SANDBOX_MB
 from repro.sim.kernel import Kernel
 from repro.sim.latency import KB, MB
 from repro.workloads.functions import FunctionModel, get_function_model
@@ -78,14 +78,12 @@ class TenantSpec:
         return self.workload in PIPELINE_NAMES
 
 
-def booked_memory_for(
-    profile: TenantProfile, advanced_estimate_mb: float, max_mb: float = 2048.0
-) -> float:
+def booked_memory_for(profile: TenantProfile, advanced_estimate_mb: float) -> float:
     if profile == TenantProfile.NAIVE:
-        return max_mb
+        return MAX_SANDBOX_MB
     if profile == TenantProfile.ADVANCED:
-        return min(max_mb, advanced_estimate_mb)
-    return min(max_mb, 1.7 * advanced_estimate_mb)
+        return min(MAX_SANDBOX_MB, advanced_estimate_mb)
+    return min(MAX_SANDBOX_MB, 1.7 * advanced_estimate_mb)
 
 
 @dataclass

@@ -31,6 +31,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.faas.platform import MAX_SANDBOX_MB
 from repro.faas.records import InvocationRequest
 from repro.sim.kernel import delay_until, Event, Kernel
 from repro.sim.latency import KB, MB
@@ -77,7 +78,7 @@ class ZipfSampler:
         return np.searchsorted(self._cdf, draws, side="left")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiurnalEnvelope:
     """Sinusoidal rate modulation around 1.0 (a day by default)."""
 
@@ -102,30 +103,31 @@ class DiurnalEnvelope:
         return 1.0 + self.amplitude * math.sin(omega * (t - self.phase_s))
 
 
+#: App universe: the paper's 19 single-stage functions.
+APPS = EVALUATION_FUNCTIONS
+#: Pareto tail index of the per-tenant rate distribution (lower =
+#: heavier tail; 1.5 matches the few-apps-dominate-traffic shape).
+RATE_PARETO_ALPHA = 1.5
+#: The rate modulation every tenant's arrivals follow.
+ENVELOPE = DiurnalEnvelope()
+#: Probability that an arrival opens a burst, and the burst shape.
+BURST_PROB = 0.05
+BURST_SIZE_MEAN = 4.0
+BURST_GAP_S = 1.0
+#: Private input objects per tenant (kept tiny: prep is O(tenants)).
+N_INPUTS = 2
+INPUT_SIZES = (64 * KB, 512 * KB, 2 * MB)
+
+
 @dataclass
 class TenantWorkloadConfig:
-    """Shape of the synthesized tenant population."""
+    """Size, skew, rate and seed of the synthesized tenant population."""
 
     n_tenants: int = 1000
-    #: Zipf skew of app popularity over ``apps``.
+    #: Zipf skew of app popularity over :data:`APPS`.
     zipf_s: float = 1.1
     #: Population-mean inter-arrival per tenant, in simulated seconds.
     mean_interval_s: float = 300.0
-    #: Pareto tail index of the per-tenant rate distribution (lower =
-    #: heavier tail; 1.5 matches the few-apps-dominate-traffic shape).
-    rate_pareto_alpha: float = 1.5
-    envelope: DiurnalEnvelope = field(default_factory=DiurnalEnvelope)
-    #: Probability that an arrival opens a burst, and the burst shape.
-    burst_prob: float = 0.05
-    burst_size_mean: float = 4.0
-    burst_gap_s: float = 1.0
-    #: Private input objects per tenant (kept tiny: prep is O(tenants)).
-    n_inputs: int = 2
-    input_sizes: Tuple[int, ...] = (64 * KB, 512 * KB, 2 * MB)
-    #: App universe; defaults to the paper's 19 single-stage functions.
-    apps: Sequence[str] = field(
-        default_factory=lambda: list(EVALUATION_FUNCTIONS)
-    )
     seed: int = 0
 
 
@@ -168,10 +170,9 @@ class TenantStream:
 
         The base process is an inhomogeneous Poisson stream thinned
         against the diurnal envelope; an accepted arrival opens a
-        geometric burst with probability ``burst_prob``.
+        geometric burst with probability :data:`BURST_PROB`.
         """
-        cfg = self.config
-        env = cfg.envelope
+        env = ENVELOPE
         rng = self.arrival_rng
         lam_max = self.rate_hz * env.peak
         if lam_max <= 0.0:
@@ -185,10 +186,10 @@ class TenantStream:
             if rng.random() * env.peak > env.rate(t):
                 continue
             yield t
-            if rng.random() < cfg.burst_prob:
-                extra = int(rng.geometric(1.0 / max(cfg.burst_size_mean, 1.0)))
+            if rng.random() < BURST_PROB:
+                extra = int(rng.geometric(1.0 / max(BURST_SIZE_MEAN, 1.0)))
                 for _ in range(extra):
-                    t += float(rng.exponential(cfg.burst_gap_s))
+                    t += float(rng.exponential(BURST_GAP_S))
                     if t >= deadline:
                         return
                     yield t
@@ -200,13 +201,13 @@ def synthesize_tenants(config: TenantWorkloadConfig) -> List[TenantStream]:
     O(tenants) descriptors; the per-tenant arrival streams stay lazy.
     """
     rng = np.random.default_rng([config.seed, 13])
-    models = [get_function_model(app) for app in config.apps]
+    models = [get_function_model(app) for app in APPS]
     ranks = ZipfSampler(len(models), config.zipf_s).sample(
         rng, size=config.n_tenants
     )
     # Heavy-tailed per-tenant rates, normalized so the population mean
     # inter-arrival matches ``mean_interval_s`` exactly.
-    raw = rng.pareto(config.rate_pareto_alpha, size=config.n_tenants) + 1.0
+    raw = rng.pareto(RATE_PARETO_ALPHA, size=config.n_tenants) + 1.0
     rates = raw / raw.mean() / config.mean_interval_s
     return [
         TenantStream(
@@ -363,11 +364,9 @@ class TenantLoadEngine:
         rng = np.random.default_rng(
             [self.config.seed, 271, zlib.crc32(model.name.encode())]
         )
-        descriptors = corpus.batch(
-            model.input_kind, 4, sizes=list(self.config.input_sizes)
-        )
+        descriptors = corpus.batch(model.input_kind, 4, sizes=INPUT_SIZES)
         peak = estimate_max_footprint_mb(model, descriptors, rng, samples=24)
-        return min(2048.0, 1.2 * peak)
+        return min(MAX_SANDBOX_MB, 1.2 * peak)
 
     def _prepare_all(self):
         config = self.config
@@ -385,9 +384,7 @@ class TenantLoadEngine:
                 )
             )
             descriptors = corpus.batch(
-                tenant.model.input_kind,
-                config.n_inputs,
-                sizes=list(config.input_sizes),
+                tenant.model.input_kind, N_INPUTS, sizes=INPUT_SIZES
             )
             tenant.input_refs = yield from seed_inputs(
                 self.store, tenant.tenant_id, tenant.model.name, descriptors

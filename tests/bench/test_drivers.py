@@ -17,9 +17,11 @@ from repro.bench.envs import (
 )
 from repro.bench.fig2 import run_fig2
 from repro.bench.macro import run_macro
-from repro.bench.maturation import run_maturation
+from repro.bench import maturation
+from repro.bench.maturation import FIRST_CHECK, run_maturation
 from repro.bench.reporting import format_table, improvement_pct
-from repro.core.config import OFCConfig
+from repro.core import trainer
+from repro.core.trainer import RETRAIN_EVERY
 from repro.sim.latency import KB, REDIS_PROFILE, SWIFT_PROFILE
 from repro.workloads.faasload import TenantProfile
 from repro.workloads.functions import get_function_model
@@ -62,17 +64,35 @@ def test_pretrain_function_matures_model():
     "min_history,first_check,at_first", [(50, 50, 0), (110, 125, 1)]
 )
 def test_maturation_counts_first_checks_under_its_own_config(
-    min_history, first_check, at_first
+    monkeypatch, min_history, first_check, at_first
 ):
     # The first check is the first retrain point (every 25) at or past
-    # min_history_for_maturity, of the config the run was given.
+    # the trainer's MIN_HISTORY_FOR_MATURITY: with the threshold moved,
+    # the trainer grants maturity at the moved check and the driver
+    # counts the functions that matured there.
+    assert -(-min_history // RETRAIN_EVERY) * RETRAIN_EVERY == first_check
+    monkeypatch.setattr(trainer, "MIN_HISTORY_FOR_MATURITY", min_history)
+    monkeypatch.setattr(maturation, "FIRST_CHECK", first_check)
     result = run_maturation(
         150,
         functions=["wand_sepia", "wand_flip", "wand_contrast", "speech_recognize"],
-        config=OFCConfig(min_history_for_maturity=min_history),
     )
     matured = list(result.per_function.values())
     assert matured.count(first_check) == result.matured_at_first_check == at_first
+
+
+def test_maturation_counts_the_first_check():
+    # The first check is the first retrain point (every 25) at or past
+    # MIN_HISTORY_FOR_MATURITY (100): three of these four mature there,
+    # speech_recognize two retrain points later, at the budget.
+    result = run_maturation(
+        150,
+        functions=["wand_sepia", "wand_flip", "wand_contrast", "speech_recognize"],
+    )
+    matured = list(result.per_function.values())
+    assert FIRST_CHECK == 100
+    assert matured.count(FIRST_CHECK) == result.matured_at_first_check == 3
+    assert matured.count(150) == 1
 
 
 def test_macro_does_not_depend_on_what_ran_before():

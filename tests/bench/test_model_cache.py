@@ -8,7 +8,6 @@ import pytest
 
 from repro.bench import model_cache
 from repro.bench.macro import run_macro
-from repro.core.config import OFCConfig
 from repro.workloads.faasload import FaaSLoad, TenantProfile
 from repro.workloads.functions import get_function_model
 
@@ -77,7 +76,6 @@ def test_key_covers_inputs():
         n_samples=30,
         seed=0,
         descriptors=[_Descriptor(10)],
-        config=OFCConfig(),
     )
     key = model_cache.pretrain_key(**base)
     assert key == model_cache.pretrain_key(**base)  # deterministic
@@ -86,7 +84,6 @@ def test_key_covers_inputs():
         {"n_samples": 31},
         {"seed": 1},
         {"descriptors": [_Descriptor(11)]},
-        {"config": OFCConfig(bump_intervals=2)},
     ):
         assert model_cache.pretrain_key(**{**base, **change}) != key, change
 

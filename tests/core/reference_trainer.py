@@ -12,7 +12,14 @@ curation drops; ``test_online_training_oracle.py`` and
 
 from __future__ import annotations
 
-from repro.core.trainer import cache_benefit_label, ModelTrainer, TrainingSample
+from repro.core.trainer import (
+    cache_benefit_label,
+    EXTREME_OVER_INTERVALS,
+    ModelTrainer,
+    RETRAIN_EVERY,
+    TrainingSample,
+    UNDERPREDICTION_WEIGHT,
+)
 from repro.faas.records import InvocationRecord
 
 
@@ -20,7 +27,6 @@ def reference_on_completion(trainer: ModelTrainer, record: InvocationRecord) -> 
     """Learn from one invocation, fitting both trees at every retrain point."""
     if record.status != "ok" or not record.features:
         return
-    config = trainer.config
     models = trainer.models_for(record.request.key)
     models.invocations_seen += 1
     true_label = trainer.intervals.label(record.peak_memory_mb)
@@ -31,7 +37,6 @@ def reference_on_completion(trainer: ModelTrainer, record: InvocationRecord) -> 
             record.bytes_in,
             record.bytes_out,
             record.phases.transform,
-            config.cache_benefit_threshold,
         ),
     )
     retrain_now = False
@@ -42,9 +47,9 @@ def reference_on_completion(trainer: ModelTrainer, record: InvocationRecord) -> 
         else:
             trainer.bad_predictions += 1
         under = predicted < true_label
-        extreme_over = predicted - true_label > config.extreme_over_intervals
+        extreme_over = predicted - true_label > EXTREME_OVER_INTERVALS
         if under:
-            sample.weight = config.underprediction_weight
+            sample.weight = UNDERPREDICTION_WEIGHT
             models.add_sample(sample)
             if record.oom_kills > 0:
                 retrain_now = True
@@ -52,5 +57,5 @@ def reference_on_completion(trainer: ModelTrainer, record: InvocationRecord) -> 
             models.add_sample(sample)
     else:
         models.add_sample(sample)
-    if retrain_now or models.invocations_seen % config.retrain_every == 0:
+    if retrain_now or models.invocations_seen % RETRAIN_EVERY == 0:
         trainer.retrain(models)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import OFCConfig
 from repro.core.trainer import FunctionModels, ModelTrainer, TrainingSample
 from repro.ml.dataset import Dataset
 from repro.ml.tree import J48Classifier
@@ -36,7 +35,7 @@ def test_version_bumps_on_every_append():
 
 
 def test_retrain_skips_when_samples_unchanged():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     models = _models_with(12)
     trainer.retrain(models)
     assert models.retrains == 1
@@ -57,7 +56,7 @@ def test_retrain_skips_when_samples_unchanged():
 
 
 def test_force_retrain_overrides_skip():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     models = _models_with(12)
     trainer.retrain(models)
     before = models.memory_model
@@ -70,8 +69,7 @@ def test_force_retrain_overrides_skip():
 def test_retrained_models_identical_with_and_without_memoization():
     """Warm equals cold: refitting after seven appended samples gives
     the trees a cold trainer fed all 37 at once builds."""
-    config = OFCConfig()
-    warm = ModelTrainer(config)
+    warm = ModelTrainer()
     models = _models_with(30)
     warm.retrain(models)
     for i in range(30, 37):
@@ -79,7 +77,7 @@ def test_retrained_models_identical_with_and_without_memoization():
     warm.retrain(models)
 
     cold_models = _models_with(37)
-    cold = ModelTrainer(config)
+    cold = ModelTrainer()
     cold.retrain(cold_models)
 
     rows = [s.features for s in models.samples]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import OFCConfig, OFCPlatform
-from repro.core.monitor import Monitor
+from repro.core import OFCPlatform
+from repro.core.monitor import Monitor, MONITOR_HEADROOM_MB
 from repro.core.routing import OFCScheduler
 from repro.faas.platform import SizingDecision
 from repro.faas.records import InvocationRequest
@@ -56,23 +56,14 @@ def test_short_invocations_are_not_rescued(ofc):
     assert record.retries == 1
 
 
-def test_monitor_respects_min_runtime_config(ofc):
-    ofc.config.monitor_min_runtime_s = 0.0  # rescue immediately
-    make_long_function(ofc.platform, footprint_mb=600.0, duration=0.5)
-    ofc.platform.sizing_policy = undersized_policy(256.0)
-    record = invoke(ofc, fn_name="long_fn", args={})
-    assert record.oom_kills == 0
-
-
 def test_monitor_cap_bounded_by_booked_plus_headroom(ofc):
-    config = OFCConfig()
     make_long_function(
         ofc.platform, footprint_mb=900.0, duration=6.0, booked=1024.0
     )
     ofc.platform.sizing_policy = undersized_policy(128.0)
     record = invoke(ofc, fn_name="long_fn", args={})
     assert record.status == "ok"
-    assert record.memory_limit_mb <= 1024.0 + config.monitor_headroom_mb
+    assert record.memory_limit_mb <= 1024.0 + MONITOR_HEADROOM_MB
 
 
 # -- routing -------------------------------------------------------------------

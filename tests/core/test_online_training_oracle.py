@@ -21,8 +21,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.config import OFCConfig
-from repro.core.trainer import ModelTrainer, TrainingSample
+from repro.core.trainer import (
+    MIN_HISTORY_FOR_MATURITY,
+    ModelTrainer,
+    RETRAIN_EVERY,
+    TrainingSample,
+    UNDERPREDICTION_WEIGHT,
+)
 from repro.faas.records import InvocationRecord, InvocationRequest, Phases
 from tests.core.reference_trainer import reference_on_completion
 
@@ -127,8 +132,7 @@ def test_online_training_reads_the_trees_the_reference_fits(pretrained):
     30 leaves a memory tree that nothing reads until the first check,
     fitted on labels a little off the online ones, so that the first
     check fails and a later one matures the model."""
-    config = OFCConfig()
-    trainer, reference = ModelTrainer(config), ModelTrainer(config)
+    trainer, reference = ModelTrainer(), ModelTrainer()
     if pretrained:
         trainer.ingest(LEARNABLE, _pretraining(pretrained))
         reference.ingest(LEARNABLE, _pretraining(pretrained))
@@ -140,20 +144,19 @@ def test_online_training_reads_the_trees_the_reference_fits(pretrained):
     learnable = reference.models_for(LEARNABLE)
     noisy = reference.models_for(NOISY)
     # The stream reached every branch it is meant to cover.
-    first_check = config.min_history_for_maturity
     if pretrained:
-        assert learnable.matured_after > first_check
+        assert learnable.matured_after > MIN_HISTORY_FOR_MATURITY
     else:
-        assert learnable.matured_after == first_check
+        assert learnable.matured_after == MIN_HISTORY_FOR_MATURITY
     assert not noisy.mature and noisy.invocations_seen > 100
     assert reference.good_predictions > 0 and reference.bad_predictions > 0
     assert learnable.retrains_skipped > 0
-    assert any(s.weight == config.underprediction_weight for s in learnable.samples)
+    assert any(s.weight == UNDERPREDICTION_WEIGHT for s in learnable.samples)
     # ... with fewer memory fits: none at the online retrain points
     # before the first check.
-    every = config.retrain_every
+    before_first_check = (MIN_HISTORY_FOR_MATURITY - 1) // RETRAIN_EVERY
     for key, seen in ((LEARNABLE, pretrained), (NOISY, 0)):
         got, want = trainer.models_for(key), reference.models_for(key)
-        skipped = (first_check - 1) // every - seen // every
+        skipped = before_first_check - seen // RETRAIN_EVERY
         assert got.retrains == want.retrains - skipped, key
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import OFCConfig
 from repro.core.trainer import ModelTrainer
 from repro.kvcache.errors import CapacityExceeded
 from tests.core.conftest import deploy, invoke, seed_images
@@ -11,7 +10,7 @@ from tests.core.test_trainer_predictor import feed, make_record
 
 
 def test_oom_correction_triggers_immediate_retrain():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     feed(trainer, 100)
     models = trainer.models_for("t/f")
     assert models.mature
@@ -25,7 +24,7 @@ def test_oom_correction_triggers_immediate_retrain():
 
 
 def test_underprediction_without_oom_waits_for_periodic_retrain():
-    trainer = ModelTrainer(OFCConfig(retrain_every=25))
+    trainer = ModelTrainer()
     feed(trainer, 100)
     models = trainer.models_for("t/f")
     retrains_before = models.retrains

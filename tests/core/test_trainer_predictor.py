@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from repro.core import OFCConfig
-from repro.core.trainer import ModelTrainer
+from repro.core.trainer import ModelTrainer, UNDERPREDICTION_WEIGHT
 from repro.faas.records import InvocationRecord, InvocationRequest, Phases
 from tests.core.conftest import deploy, invoke, seed_images
 
@@ -32,7 +31,7 @@ def feed(trainer, n, fn="f", peak_fn=None):
 
 
 def test_model_matures_on_learnable_function():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     feed(trainer, 100)
     models = trainer.models_for("t/f")
     assert models.mature
@@ -41,14 +40,14 @@ def test_model_matures_on_learnable_function():
 
 
 def test_no_maturity_before_min_history():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     feed(trainer, 99)
     assert not trainer.models_for("t/f").mature
 
 
 def test_unpredictable_function_does_not_mature():
     rng = np.random.default_rng(0)
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     # Memory unrelated to features: pure noise over a wide range.
     for _ in range(150):
         trainer.on_completion(
@@ -61,8 +60,7 @@ def test_unpredictable_function_does_not_mature():
 
 
 def test_selective_retention_after_maturity():
-    config = OFCConfig()
-    trainer = ModelTrainer(config)
+    trainer = ModelTrainer()
     feed(trainer, 100)
     models = trainer.models_for("t/f")
     assert models.mature
@@ -78,7 +76,7 @@ def test_selective_retention_after_maturity():
     record.predicted_interval = intervals.label(200.0) - 3
     trainer.on_completion(record)
     assert len(models.samples) == before + 1
-    assert models.samples[-1].weight == config.underprediction_weight
+    assert models.samples[-1].weight == UNDERPREDICTION_WEIGHT
     # Extreme overpredictions ARE added too.
     record = make_record(peak_mb=100.0, features={"x": 10.0})
     record.predicted_interval = intervals.label(100.0) + 7
@@ -87,7 +85,7 @@ def test_selective_retention_after_maturity():
 
 
 def test_good_bad_prediction_accounting():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     feed(trainer, 100)
     intervals = trainer.intervals
     over = make_record(peak_mb=100.0)
@@ -101,7 +99,7 @@ def test_good_bad_prediction_accounting():
 
 
 def test_cache_benefit_label_depends_on_el_dominance():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     # Tiny transform, significant transfers: E+L dominates -> 1.
     trainer.on_completion(
         make_record(transform_s=0.01, bytes_in=1_000_000, bytes_out=500_000)
@@ -114,7 +112,7 @@ def test_cache_benefit_label_depends_on_el_dominance():
 
 
 def test_failed_records_are_ignored():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     record = make_record()
     record.status = "failed"
     trainer.on_completion(record)
@@ -122,7 +120,7 @@ def test_failed_records_are_ignored():
 
 
 def test_maturity_report():
-    trainer = ModelTrainer(OFCConfig())
+    trainer = ModelTrainer()
     feed(trainer, 100, fn="a")
     feed(trainer, 10, fn="b")
     assert trainer.models_for("t/a").matured_after == 100

@@ -74,6 +74,28 @@ def test_misspelt_config_override_is_rejected(tmp_path):
         run_cell(cell)
 
 
+@pytest.mark.parametrize(
+    "override,value,cell_field",
+    [
+        ("cache_backend", "ofc", "backend"),
+        ("tenant_quota_policy", "static", "quota_policy"),
+        ("tenant_static_fraction", 0.5, "n_tenants"),
+        ("cache_cap_mb", 16.0, "cache_cap_mb"),
+    ],
+)
+def test_override_of_a_cell_field_is_rejected(tmp_path, override, value, cell_field):
+    """The cell sets these from its own fields and the overrides used to
+    win: ``cache_backend: ofc`` on this Faa$T block ran OFC while the
+    row reported ``faast``."""
+
+    def contradict(block):
+        block["config_overrides"][override] = value
+
+    cell = load_cell(_edited_reproducer(tmp_path, contradict))
+    with pytest.raises(ScheduleError, match=f"{override}.*'{cell_field}'"):
+        run_cell(cell)
+
+
 def test_unknown_chaos_block_field_is_rejected(tmp_path):
     path = _edited_reproducer(tmp_path, lambda block: block.update(tenants=40))
     with pytest.raises(ScheduleError, match=r"\['tenants'\].*n_tenants"):

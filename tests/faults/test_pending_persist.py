@@ -8,6 +8,7 @@ be lost nor duplicated.
 """
 
 from repro.core import OFCPlatform
+from repro.core.cache_agent import EVICTION_PERIOD_S
 from repro.core.config import OFCConfig
 from repro.faas.platform import PlatformConfig
 from repro.sim.faults import FaultState
@@ -150,7 +151,7 @@ def test_recovered_dirty_object_written_back_by_agent():
     # Make the object cold, then run the new master's eviction sweep
     # (the background loops may have written it back already; the
     # explicit sweep makes the test independent of their phase).
-    ofc.kernel.run(until=ofc.kernel.now + 3 * ofc.config.eviction_period_s)
+    ofc.kernel.run(until=ofc.kernel.now + 3 * EVICTION_PERIOD_S)
     agent = ofc.agents[new_location]
     drive(ofc, agent.run_periodic_eviction())
     pending = ofc.persistor.pending_for(key)
