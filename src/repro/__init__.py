@@ -10,16 +10,32 @@ imports the module that defines it on that line.
 
 The records built per invocation or per stored object are dataclasses
 rebuilt by :func:`slotted`, so an instance holds its fields in slots
-rather than in a ``__dict__`` of its own.
+rather than in a ``__dict__`` of its own, and a mapping field that most
+of them leave empty shares :data:`EMPTY` instead of an empty dict each.
 """
 
 from __future__ import annotations
 
+import copyreg
 import dataclasses
 import importlib
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 
 _T = TypeVar("_T")
+
+#: One shared, read-only empty mapping: an object's tags, a record's
+#: features and a function's arguments when there are none.
+EMPTY: Mapping[str, Any] = MappingProxyType({})
+
+
+def _read_only(mapping: Dict[str, Any]) -> Mapping[str, Any]:
+    """Rebuild a pickled mapping proxy; an empty one is EMPTY again."""
+    return MappingProxyType(mapping) if mapping else EMPTY
+
+
+# A mapping proxy does not pickle by itself; a record holding EMPTY must.
+copyreg.pickle(MappingProxyType, lambda proxy: (_read_only, (dict(proxy),)))
 
 
 def lazy_exports(

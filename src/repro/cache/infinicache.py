@@ -283,7 +283,7 @@ class InfiniCacheBackend(CacheBackend):
             # persistor lands it: back it up promptly (in parallel with
             # the chunk spread) instead of waiting for the periodic
             # loop, so losing chunks below k cannot lose an acked write.
-            self._backup[key] = obj.copy()
+            self._backup[key] = obj.replica(dict(obj.flags))
             self.stats.backups += 1
             self.cost.count("backup_ops")
             longest = max(longest, self._remote_delay(BACKUP_WRITE, size))
@@ -375,7 +375,7 @@ class InfiniCacheBackend(CacheBackend):
                     # Keep the copy's flags current even without re-upload.
                     backed.flags = dict(entry.flags)
                     continue
-                self._backup[key] = entry.copy()
+                self._backup[key] = entry.replica(dict(entry.flags))
                 self.stats.backups += 1
                 self.cost.count("backup_ops")
                 yield self._remote_delay(BACKUP_WRITE, entry.size)
@@ -445,7 +445,7 @@ class InfiniCacheBackend(CacheBackend):
             return  # deleted or rewritten during the fetch
         self.stats.restores += 1
         self.cost.count("backup_ops")
-        restored = backed.copy()
+        restored = backed.replica(dict(backed.flags))
         restored.n_access = entry.n_access
         restored.t_access = entry.t_access
         for sandbox in self._placement.pop(key, []):

@@ -168,6 +168,11 @@ class CacheAgent:
         log = self.server.log
         if log.footprint_bytes <= target_bytes:
             return True
+        if not log.cleanable:
+            # Nothing to relocate: the pass would free nothing, but it
+            # is still counted as one (``LogStats.cleanings``).
+            log.stats.cleanings += 1
+            return False
         log.clean()
         return log.footprint_bytes <= target_bytes
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
+from repro import EMPTY
 from repro.core.config import OFCConfig
 from repro.core.persistor import PersistorService
 from repro.core.tenancy import TenantCacheAccounting
@@ -119,7 +120,7 @@ class RcLibClient(DataClient):
             name=name,
             size=cached.size,
             version=cached.version,
-            user_meta=dict(cached.flags.get("user_meta") or {}),
+            user_meta=cached.flags.get("user_meta") or EMPTY,
         )
         return StoredObject(meta=meta, payload=cached.value)
 
@@ -217,7 +218,7 @@ class RcLibClient(DataClient):
                         "dirty": False,
                         "input": True,
                         "tenant": self._tenant,
-                        "user_meta": dict(obj.meta.user_meta),
+                        "user_meta": obj.meta.user_meta,
                     },
                 )
             except (CapacityExceeded, ObjectTooLarge, CacheError):
@@ -322,7 +323,7 @@ class RcLibClient(DataClient):
             "pipeline_id": pipeline_id,
             "final": not intermediate,
             "tenant": tenant,
-            "user_meta": dict(user_meta or {}),
+            "user_meta": user_meta or EMPTY,
         }
         try:
             yield from self.cluster.put(

@@ -108,7 +108,7 @@ class InvocationContext:
         )
         self.record.phases.load += self.kernel.now - start
         self.record.bytes_out += size
-        self.record.output_refs.append(f"{bucket}/{name}")
+        self.record.output_refs += (f"{bucket}/{name}",)
 
     def delete(self, bucket: str, name: str):
         start = self.kernel.now

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro import slotted
+from repro import EMPTY, slotted
 
 _next_id = itertools.count(1)
 
@@ -42,7 +42,9 @@ class InvocationRequest:
 
     function: str
     tenant: str
-    #: Scalar arguments (function-specific; used as ML features).
+    #: Scalar arguments (function-specific; used as ML features).  A
+    #: value: workloads hand the same dict to many requests, so nothing
+    #: may change it.
     args: Dict[str, Any] = field(default_factory=dict)
     #: Input object reference, as "bucket/name" (None for generators).
     input_ref: Optional[str] = None
@@ -99,8 +101,9 @@ class InvocationRecord:
     peak_memory_mb: float = 0.0
     #: Memory the tenant booked for the function.
     booked_memory_mb: float = 0.0
-    #: ML features extracted from the request (set by OFC).
-    features: Dict[str, Any] = field(default_factory=dict)
+    #: ML features extracted from the request (set by OFC; until then
+    #: :data:`repro.EMPTY`).
+    features: Mapping[str, Any] = field(default_factory=lambda: EMPTY)
     #: Predicted memory (MB), if a predictor was consulted.
     predicted_memory_mb: Optional[float] = None
     #: Raw predicted interval index (before the conservative bump).
@@ -115,8 +118,10 @@ class InvocationRecord:
     status: str = "pending"  # pending | ok | failed
     #: Why the invocation failed (e.g. a data-plane outage), if it did.
     error: str = ""
-    #: Output object reference(s) produced by the invocation.
-    output_refs: list = field(default_factory=list)
+    #: Output object reference(s) produced by the invocation (a tuple:
+    #: a stock invocation writes one, and a tuple of one is the
+    #: smallest container).
+    output_refs: Tuple[str, ...] = ()
 
     @property
     def duration(self) -> float:

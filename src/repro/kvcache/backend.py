@@ -122,8 +122,11 @@ class CacheBackend:
       overwrite of a served key bumps its version by one.
     * ``get(key, caller)`` returns the served object itself, not a
       copy, which the caller must neither mutate nor keep; ``NoSuchKey``
-      on a miss.  ``delete(key, caller)`` removes every copy;
-      ``NoSuchKey`` when the backend knows nothing of the key.
+      on a miss.  Its ``flags`` may be shared with the key's backup
+      copies (the cluster's are), and a backend that shares them
+      installs a new dict on a flag update instead of changing it.
+      ``delete(key, caller)`` removes every copy; ``NoSuchKey`` when
+      the backend knows nothing of the key.
     * ``peek(key)`` / ``location_of(key)`` / :meth:`contains`: the
       served object, its node, whether there is one.
     * ``set_flags(key, **flags)`` lands on every copy a later promotion

@@ -4,12 +4,17 @@ All data-plane operations are generator methods driven by the
 simulation kernel.  Each takes a ``caller`` node id; operations whose
 master copy lives on the caller's node run at RAM speed, others pay the
 remote path.
+
+Backup copies and flags dicts are values.  A put stores one replica of
+its master on every backup, and the master and that replica share one
+flags dict; :meth:`CacheCluster.set_flags` and a promotion store new
+objects and dicts rather than change the shared ones.  Only a master's
+access counters (``n_access``, ``t_access``) change in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from repro.kvcache.backend import CacheBackend
@@ -21,7 +26,7 @@ from repro.kvcache.errors import (
     ObjectTooLarge,
 )
 from repro.kvcache.objects import CacheObject, MAX_OBJECT_SIZE
-from repro.kvcache.server import CacheServer
+from repro.kvcache.server import CacheServer, CapacityPool
 from repro.sim.kernel import Kernel
 from repro.sim.latency import (
     BACKUP_WRITE,
@@ -34,9 +39,6 @@ from repro.sim.latency import (
     REMOTE_READ,
     REMOTE_WRITE,
 )
-
-_capacity = attrgetter("capacity")
-
 
 @dataclass
 class ClusterStats:
@@ -82,8 +84,9 @@ class CacheCluster(CacheBackend):
         # Replication cannot exceed the number of other nodes.
         effective_rf = min(replication_factor, len(node_ids) - 1)
         self.coordinator = Coordinator(replication_factor=effective_rf)
+        self._pool = CapacityPool()
         for node_id in node_ids:
-            self.coordinator.register(CacheServer(node_id))
+            self.coordinator.register(CacheServer(node_id, pool=self._pool))
         self.stats = ClusterStats()
         #: Called with ``(now, total_capacity)`` after every resize —
         #: pure accounting (cost integrals), never a schedule change.
@@ -100,7 +103,8 @@ class CacheCluster(CacheBackend):
 
     @property
     def total_capacity(self) -> int:
-        return sum(map(_capacity, self.coordinator.servers.values()))
+        """The servers' summed capacity, kept by their resizes."""
+        return self._pool.capacity
 
     @property
     def total_used(self) -> int:
@@ -124,9 +128,13 @@ class CacheCluster(CacheBackend):
         does not place there (or on a down server), a master named as
         its own backup, a named up backup without a copy or with one
         newer than the record, an up server's backup copy of a recorded
-        key its record does not name, and ``_backup_bytes``."""
+        key its record does not name, ``_backup_bytes`` and
+        ``total_capacity``."""
         placements = self.coordinator.placements
         drift = []
+        capacity = sum(s.capacity for s in self.coordinator.servers.values())
+        if self._pool.capacity != capacity:
+            drift.append(f"total_capacity {self._pool.capacity} != {capacity}")
         for sid, server in self.coordinator.servers.items():
             for key in server._master:
                 record = placements.get(key)
@@ -251,6 +259,8 @@ class CacheCluster(CacheBackend):
             # cannot resurrect it.
             master.backup_delete(key)
         now = self.kernel.now
+        # The one copy of the caller's flags (a caller may keep and
+        # update its dict); the master and its replica share this one.
         obj = CacheObject(key, value, size, version, now, 0, now, dict(flags or {}))
         try:
             master.master_put(obj)
@@ -270,13 +280,16 @@ class CacheCluster(CacheBackend):
         backup_ids = () if record is None else record.backups
         longest = 0.0
         kept_backups = []
+        replica = None  # one value for every backup
         for backup_id in backup_ids or coordinator.choose_backups(key, master_id):
             if backup_id == master_id:
                 continue
             backup = servers[backup_id]
             if not backup.up:
                 continue
-            backup.backup_put(obj.copy())
+            if replica is None:
+                replica = obj.replica()
+            backup.backup_put(replica)
             longest = max(longest, BACKUP_WRITE.sample(self.rng, size))
             kept_backups.append(backup_id)
         if longest:
@@ -344,21 +357,35 @@ class CacheCluster(CacheBackend):
         resurrects after a crash and re-triggers the write-back), or,
         with the master copy dead, the newest surviving backups (else a
         persistor completion between crash and recovery is forgotten).
+
+        Each copy gets a new flags dict (a backup, a new replica); a
+        dict or a replica that copies shared stays shared.
         """
+        servers = self.coordinator.servers
         record = self.coordinator.placements.get(key)
         if record is None:
             raise NoSuchKey(key)
-        obj = self.coordinator.servers[record.master]._master.get(key)
+        # The last flags dict and replica replaced, and their successors.
+        old_flags = new_flags = old_copy = new_copy = None
+        obj = servers[record.master]._master.get(key)
         if obj is not None:
-            obj.flags.update(flags)
+            old_flags, new_flags = obj.flags, {**obj.flags, **flags}
+            obj.flags = new_flags
             version = obj.version
         else:
             version = self._highest_surviving_version(key, record)
         updated = False
-        for copy in self._backup_copies(key, record):
-            if copy.version == version:
-                copy.flags.update(flags)
-                updated = True
+        for backup_id in record.backups:
+            backup = servers[backup_id]
+            copy = backup._backup.get(key) if backup.up else None
+            if copy is None or copy.version != version:
+                continue
+            if copy is not old_copy:
+                if copy.flags is not old_flags:
+                    old_flags, new_flags = copy.flags, {**copy.flags, **flags}
+                old_copy, new_copy = copy, copy.replica(new_flags)
+            backup.backup_replace(new_copy)
+            updated = True
         if obj is None and not updated:
             raise NoSuchKey(key)
 
@@ -471,12 +498,16 @@ class CacheCluster(CacheBackend):
         # drop the old RAM copy.  No payload crosses the network, and
         # backup segments are RAM-buffered, so the whole hand-off is
         # covered by the MIGRATION model (0.18 ms per 8 MB, §7.2.1).
-        promoted = new_master.promote(key)
-        promoted.value = obj.value
-        promoted.version = obj.version
-        promoted.n_access = obj.n_access
-        promoted.t_access = obj.t_access
-        promoted.flags = dict(obj.flags)
+        # The new master takes the backup's size and age and the old
+        # master's value, version, access counters and flags.
+        backup = new_master._backup[key]
+        new_master.promote(
+            key,
+            CacheObject(
+                key, obj.value, backup.size, obj.version, backup.created_at,
+                obj.n_access, obj.t_access, obj.flags,
+            ),
+        )
         old_master.demote(key)
         coordinator.record_master_change(key, new_master.server_id)
         yield self._remote_delay(MIGRATION, obj.size)
@@ -537,7 +568,7 @@ class CacheCluster(CacheBackend):
             copy.version == obj.version and not copy.flags.get("dirty", True)
             for copy in self._backup_copies(key, record)
         ):
-            obj.flags["dirty"] = False
+            obj.flags = {**obj.flags, "dirty": False}
 
     def _top_up_backups(
         self,
@@ -557,6 +588,7 @@ class CacheCluster(CacheBackend):
             if b != master_id and coordinator.server(b).backup_has(key)
         }
         missing = coordinator.replication_factor - len(backups)
+        replica = None  # one value for every new backup
         for backup_id in coordinator.choose_backups(key, master_id):
             if missing <= 0:
                 break
@@ -565,8 +597,10 @@ class CacheCluster(CacheBackend):
             backup = coordinator.server(backup_id)
             if not backup.up:  # crashed since choose_backups
                 continue
+            if replica is None:
+                replica = obj.replica()
             try:
-                backup.backup_put(obj.copy())
+                backup.backup_put(replica)
             except CapacityExceeded:
                 continue
             yield self._remote_delay(BACKUP_WRITE, obj.size)

@@ -74,8 +74,9 @@ class ObjectLog:
         self._segments: Dict[Segment, None] = {}
         #: Closed segments under ``CLEAN_UTILIZATION``: the cleaner's
         #: work-list.  A closed segment only ever loses live bytes, so
-        #: once in, a segment stays until it is dropped.
-        self._cleanable: Set[Segment] = set()
+        #: once in, a segment stays until it is dropped.  Empty, a
+        #: :meth:`clean` pass relocates nothing.
+        self.cleanable: Set[Segment] = set()
         self._created = 0
         self._head: Segment = self._new_segment()
         self._locations: Dict[str, Segment] = {}
@@ -99,7 +100,7 @@ class ObjectLog:
 
     def _drop(self, segment: Segment) -> None:
         del self._segments[segment]
-        self._cleanable.discard(segment)
+        self.cleanable.discard(segment)
         if segment.live_total + segment.dead_bytes:
             self.footprint_bytes -= segment.capacity
         self.stats.segments_freed += 1
@@ -129,7 +130,7 @@ class ObjectLog:
             "footprint_bytes": sum(
                 seg.capacity for seg, n in live.items() if n + seg.dead_bytes
             ),
-            "_cleanable": {
+            "cleanable": {
                 seg
                 for seg, n in live.items()
                 if seg is not head and n / seg.capacity < CLEAN_UTILIZATION
@@ -167,7 +168,7 @@ class ObjectLog:
             closed = segment
             segment = self._head = self._new_segment()
             if closed.live_total / closed.capacity < CLEAN_UTILIZATION:
-                self._cleanable.add(closed)
+                self.cleanable.add(closed)
         if size and not segment.live_total + segment.dead_bytes:
             self.footprint_bytes += segment.capacity
         segment.live[key] = size
@@ -191,7 +192,7 @@ class ObjectLog:
                 # A fully dead closed segment is reclaimed immediately.
                 self._drop(segment)
             elif segment.live_total / segment.capacity < CLEAN_UTILIZATION:
-                self._cleanable.add(segment)
+                self.cleanable.add(segment)
         return size
 
     def clean(self) -> Tuple[int, int]:
@@ -208,7 +209,7 @@ class ObjectLog:
         """
         stats = self.stats
         stats.cleanings += 1
-        cleanable = self._cleanable
+        cleanable = self.cleanable
         if not cleanable:
             return 0, 0
         locations = self._locations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro import slotted
 from repro.sim.latency import MB
@@ -34,9 +34,13 @@ class CacheObject:
     #: Free-form flags used by OFC (e.g. dirty, intermediate, final).
     flags: Dict[str, Any] = field(default_factory=dict)
 
-    def copy(self) -> "CacheObject":
+    def replica(self, flags: Optional[Dict[str, Any]] = None) -> "CacheObject":
+        """A copy that shares ``flags``, or carries ``flags`` instead.
+        The cluster never changes a flags dict but replaces it, so one
+        dict serves a master and all its backups; a backend that
+        updates flags in place passes a copy of them."""
         return CacheObject(
             self.key, self.value, self.size, self.version,
-            self.created_at, self.n_access, self.t_access, dict(self.flags),
+            self.created_at, self.n_access, self.t_access,
+            self.flags if flags is None else flags,
         )
-

@@ -15,6 +15,14 @@ class ServerStats:
     promotions: int = 0
 
 
+@dataclass
+class CapacityPool:
+    """The summed ``capacity`` of the servers that share it, moved by
+    each one's :meth:`CacheServer.resize` (ints: exactly the sum)."""
+
+    capacity: int = 0
+
+
 class CacheServer:
     """One storage server: a RAM master log plus an on-disk backup area.
 
@@ -25,13 +33,25 @@ class CacheServer:
     The cluster reads ``_master`` and ``_backup`` directly; writes go
     through the methods below.  A down server's ``_master`` is empty
     (``crash`` drops it), so only a ``_backup`` read tests ``up``.
+
+    A backup copy is a value: nothing changes it once stored, so the
+    backups of one put share a single copy, and a flag update or a
+    promotion stores a new object instead.
     """
 
     def __init__(
-        self, server_id: str, capacity: int = 0, disk_capacity: int = 480 * 10**9
+        self,
+        server_id: str,
+        capacity: int = 0,
+        disk_capacity: int = 480 * 10**9,
+        pool: Optional[CapacityPool] = None,
     ):
         self.server_id = server_id
         self.capacity = capacity
+        #: The cluster-wide capacity total this server's resizes move.
+        self.pool = pool
+        if pool is not None:
+            pool.capacity += capacity
         self.disk_capacity = disk_capacity
         self.up = True
         self.log = ObjectLog()
@@ -74,6 +94,8 @@ class CacheServer:
                 f"{self.server_id}: cannot shrink to {capacity} with "
                 f"{self.log.footprint_bytes} bytes in the log"
             )
+        if self.pool is not None:
+            self.pool.capacity += capacity - self.capacity
         self.capacity = capacity
 
     def can_fit(self, size: int) -> bool:
@@ -154,6 +176,11 @@ class CacheServer:
         except KeyError:
             raise NoSuchKey(key) from None
 
+    def backup_replace(self, obj: CacheObject) -> None:
+        """Swap the backup copy of ``obj.key`` for ``obj``, a new value
+        of it with the same size (a flag update)."""
+        self._backup[obj.key] = obj
+
     def backup_has(self, key: str) -> bool:
         return self.up and key in self._backup
 
@@ -192,19 +219,27 @@ class CacheServer:
 
     # -- promotion (migration / recovery) --------------------------------------
 
-    def promote(self, key: str) -> CacheObject:
-        """Turn this server's backup copy of ``key`` into the master copy."""
+    def promote(
+        self, key: str, master: Optional[CacheObject] = None
+    ) -> CacheObject:
+        """Turn this server's backup copy of ``key`` into the master
+        copy: ``master`` (built from the backup copy by the caller), or
+        a replica of the backup copy.  Never the backup object itself:
+        other servers may hold the same one, and a master changes as it
+        is read."""
         if not self.up:
             raise ServerDown(self.server_id)
         obj = self._backup.get(key)
         if obj is None:
             raise NoSuchKey(key)
+        if master is None:
+            master = obj.replica()
         # Put first: a refused promotion must leave the backup copy.
-        self.master_put(obj)
+        self.master_put(master)
         del self._backup[key]
         self._backup_bytes -= obj.size
         self.stats.promotions += 1
-        return obj
+        return master
 
     def demote(self, key: str) -> CacheObject:
         """Drop the master copy from RAM, keep an on-disk backup copy."""

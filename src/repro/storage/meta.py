@@ -1,11 +1,17 @@
-"""Object metadata and stored-object records."""
+"""Object metadata and stored-object records.
+
+Both records are values: the store builds a new one for every write
+and hands out the stored one itself, so a meta or object a caller got
+from ``get``, ``put`` or ``stat`` never changes under it, and the
+caller must not change it either.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Mapping, Optional
 
-from repro import slotted
+from repro import EMPTY, slotted
 
 
 @slotted
@@ -29,7 +35,8 @@ class ObjectMeta:
     version: int = 0
     rsds_version: int = 0
     #: Free-form tags; OFC stores pre-extracted ML features here (§5.1.2).
-    user_meta: Dict[str, Any] = field(default_factory=dict)
+    #: Objects written without tags share :data:`repro.EMPTY`.
+    user_meta: Mapping[str, Any] = field(default_factory=lambda: EMPTY)
 
     @property
     def key(self) -> str:
@@ -39,21 +46,6 @@ class ObjectMeta:
     def is_shadow(self) -> bool:
         """True when the RSDS does not hold the latest payload."""
         return self.version > self.rsds_version
-
-    def copy(self) -> "ObjectMeta":
-        # Positional, in field order: every GET and PUT returns a copy,
-        # and nine keyword arguments cost about as much as the object.
-        return ObjectMeta(
-            self.bucket,
-            self.name,
-            self.size,
-            self.content_type,
-            self.created_at,
-            self.updated_at,
-            self.version,
-            self.rsds_version,
-            dict(self.user_meta),
-        )
 
 
 @slotted

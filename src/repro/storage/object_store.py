@@ -10,6 +10,16 @@ invalidate cached copies before an external overwrite.  Operations
 issued by OFC itself (the rclib proxy and persistor functions) pass
 ``internal=True`` and bypass the hooks, mirroring how Swift middleware
 distinguishes the cache's own traffic.
+
+Metadata and objects are values (:mod:`repro.storage.meta`): a write
+stores a new :class:`ObjectMeta` and :class:`StoredObject` rather than
+changing the stored ones, so ``get``, ``put`` and ``stat`` return the
+stored record itself, and a later write of the same key leaves it as it
+was.  Callers must not change what they get.  A GET returns the object
+as its read found it (after the read hooks): a write of the same key
+that lands while the GET's transfer is in flight is not part of the
+reply.  The store keeps the ``user_meta`` mapping a PUT hands it, so
+the caller must not change that either.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
+from repro import EMPTY
 from repro.sim.kernel import Kernel
 from repro.sim.latency import LatencyProfile, SWIFT_PROFILE
 from repro.sim.resources import Resource
@@ -136,7 +147,7 @@ class ObjectStore:
     def get(
         self, bucket: str, name: str, internal: bool = False
     ) -> Generator[Any, Any, StoredObject]:
-        """GET an object; returns a :class:`StoredObject` copy."""
+        """GET an object; returns the stored :class:`StoredObject`."""
         tracer = self.kernel.tracer
         span = (
             tracer.start("rsds.get", internal=internal)
@@ -155,7 +166,7 @@ class ObjectStore:
             yield self._rsds_delay(self.profile.read, obj.meta.size)
             self.stats.gets += 1
             self.stats.bytes_read += obj.meta.size
-            return StoredObject(meta=obj.meta.copy(), payload=obj.payload)
+            return obj
         finally:
             self._slots.release()
             if span is not None:
@@ -199,30 +210,33 @@ class ObjectStore:
             else:
                 yield self._rsds_delay(self.profile.write, size)
             now = self.kernel.now
+            # Versions continue from what is stored now: another write
+            # of the key may have landed during this one's transfer.
+            existing = bkt.objects.get(name)
             if existing is None:
-                meta = ObjectMeta(
-                    bucket=bucket,
-                    name=name,
-                    created_at=now,
-                )
+                created_at, version, rsds_version = now, 1, 0
+                tags = user_meta or EMPTY
             else:
-                meta = existing.meta
-            meta.size = size
-            meta.content_type = content_type
-            meta.updated_at = now
-            meta.version += 1
-            if user_meta:
-                meta.user_meta.update(user_meta)
+                old = existing.meta
+                created_at, version = old.created_at, old.version + 1
+                rsds_version, tags = old.rsds_version, old.user_meta
+                if user_meta:
+                    tags = {**tags, **user_meta} if tags else user_meta
             if shadow:
-                stored_payload = None
+                payload = None
                 self.stats.shadow_puts += 1
             else:
-                stored_payload = payload
-                meta.rsds_version = meta.version
+                rsds_version = version
                 self.stats.bytes_written += size
-            bkt.objects[name] = StoredObject(meta=meta, payload=stored_payload)
+            # Positional, in field order: nine keyword arguments cost
+            # about as much as the object.
+            meta = ObjectMeta(
+                bucket, name, size, content_type, created_at, now,
+                version, rsds_version, tags,
+            )
+            bkt.objects[name] = StoredObject(meta, payload)
             self.stats.puts += 1
-            return meta.copy()
+            return meta
         finally:
             self._slots.release()
             if span is not None:
@@ -243,13 +257,25 @@ class ObjectStore:
         try:
             self._check_available("persist")
             obj = self._object(bucket, name)
-            if version < obj.meta.version:
+            meta = obj.meta
+            if version < meta.version:
                 return False
-            yield self._rsds_delay(self.profile.write, obj.meta.size)
-            obj.payload = payload
-            obj.meta.rsds_version = version
+            yield self._rsds_delay(self.profile.write, meta.size)
+            objects = self._bucket(bucket).objects
+            if objects.get(name) is obj:
+                # A write or delete of the key during the transfer
+                # supersedes this payload: only an untouched object
+                # takes it.
+                objects[name] = StoredObject(
+                    ObjectMeta(
+                        bucket, name, meta.size, meta.content_type,
+                        meta.created_at, meta.updated_at, meta.version,
+                        version, meta.user_meta,
+                    ),
+                    payload,
+                )
             self.stats.puts += 1
-            self.stats.bytes_written += obj.meta.size
+            self.stats.bytes_written += meta.size
             return True
         finally:
             self._slots.release()
@@ -290,7 +316,7 @@ class ObjectStore:
             obj = self._object(bucket, name)
             yield self._rsds_delay(self.profile.stat)
             self.stats.stats_ops += 1
-            return obj.meta.copy()
+            return obj.meta
         finally:
             self._slots.release()
 

@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import EMPTY
 from repro.faas.registry import FunctionSpec
 from repro.sim.latency import KB, MB
 from repro.workloads import media as media_mod
@@ -57,6 +58,15 @@ def apply_noise(value_mb: float, noise: Tuple[float, float]) -> float:
     noisy_mb = value_mb * (1.0 + mul_z * NOISE_MUL)
     noisy_mb += add_z * NOISE_ADD_MB
     return max(1.0, noisy_mb)
+
+
+def interned(name: str, values) -> Tuple[Dict[str, Any], ...]:
+    """One argument dict per value of a discrete argument, built once.
+
+    Every request that draws a value shares its dict, so nothing may
+    write ``request.args`` (the pipeline launcher copies the dict before
+    it adds its stage index)."""
+    return tuple({name: value} for value in values)
 
 
 def noisy(value_mb: float, rng: Optional[np.random.Generator]) -> float:
@@ -227,9 +237,16 @@ class FunctionModel:
     #: Default memory a tenant books for this function.
     default_booked_mb: float = 512.0
 
+    #: A discrete argument's dicts, one per value (:func:`interned`).
+    arg_choices: Tuple[Dict[str, Any], ...] = ()
+
     def sample_args(self, rng: np.random.Generator) -> Dict[str, Any]:
-        """Draw a realistic set of function-specific arguments."""
-        return {}
+        """Draw a realistic set of function-specific arguments: by
+        default one of ``arg_choices``, and no draw when there are none."""
+        choices = self.arg_choices
+        if not choices:
+            return EMPTY
+        return choices[rng.integers(0, len(choices))]
 
     def footprint_mb(
         self,
@@ -320,9 +337,7 @@ class WandBlur(_ImageFunction):
     name = "wand_blur"
     arg_names = ["sigma"]
     fixed_s = 0.015
-
-    def sample_args(self, rng):
-        return {"sigma": (0.5, 1.0, 2.0, 3.0, 4.5, 6.0)[rng.integers(0, 6)]}
+    arg_choices = interned("sigma", (0.5, 1.0, 2.0, 3.0, 4.5, 6.0))
 
     def _work_copies(self, media, args):
         # Gaussian kernel buffers grow stepwise with the radius; the
@@ -339,9 +354,7 @@ class WandBlur(_ImageFunction):
 class WandResize(_ImageFunction):
     name = "wand_resize"
     arg_names = ["scale"]
-
-    def sample_args(self, rng):
-        return {"scale": (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)[rng.integers(0, 6)]}
+    arg_choices = interned("scale", (0.25, 0.5, 0.75, 1.0, 1.5, 2.0))
 
     def _work_copies(self, media, args):
         scale = float(args.get("scale", 1.0))
@@ -365,9 +378,7 @@ class WandSepia(_ImageFunction):
 class WandRotate(_ImageFunction):
     name = "wand_rotate"
     arg_names = ["degrees"]
-
-    def sample_args(self, rng):
-        return {"degrees": (15.0, 45.0, 90.0, 180.0, 270.0)[rng.integers(0, 5)]}
+    arg_choices = interned("degrees", (15.0, 45.0, 90.0, 180.0, 270.0))
 
     def _work_copies(self, media, args):
         degrees = float(args.get("degrees", 90.0)) % 180.0
@@ -383,9 +394,7 @@ class WandDenoise(_ImageFunction):
     arg_names = ["strength"]
     per_mb_s = 0.009
     fixed_s = 0.011
-
-    def sample_args(self, rng):
-        return {"strength": (0.5, 1.0, 2.0, 3.0)[rng.integers(0, 4)]}
+    arg_choices = interned("strength", (0.5, 1.0, 2.0, 3.0))
 
     def _work_copies(self, media, args):
         strength = float(args.get("strength", 1.0))
@@ -401,9 +410,7 @@ class WandEdge(_ImageFunction):
     arg_names = ["radius"]
     per_mb_s = 0.016
     fixed_s = 0.018
-
-    def sample_args(self, rng):
-        return {"radius": (1.0, 2.0, 3.0, 5.0)[rng.integers(0, 4)]}
+    arg_choices = interned("radius", (1.0, 2.0, 3.0, 5.0))
 
     def _work_copies(self, media, args):
         radius = float(args.get("radius", 1.0))
@@ -416,9 +423,7 @@ class WandEdge(_ImageFunction):
 class WandSharpen(_ImageFunction):
     name = "wand_sharpen"
     arg_names = ["sigma"]
-
-    def sample_args(self, rng):
-        return {"sigma": (0.5, 1.0, 2.0, 4.0)[rng.integers(0, 4)]}
+    arg_choices = interned("sigma", (0.5, 1.0, 2.0, 4.0))
 
     def _work_copies(self, media, args):
         sigma = float(args.get("sigma", 1.0))
@@ -443,9 +448,7 @@ class WandCrop(_ImageFunction):
     name = "wand_crop"
     arg_names = ["crop_frac"]
     per_mb_s = 0.002
-
-    def sample_args(self, rng):
-        return {"crop_frac": (0.25, 0.5, 0.75, 0.9)[rng.integers(0, 4)]}
+    arg_choices = interned("crop_frac", (0.25, 0.5, 0.75, 0.9))
 
     def _work_copies(self, media, args):
         frac = float(args.get("crop_frac", 0.5))
@@ -477,9 +480,7 @@ class SharpResize(_ImageFunction):
     runtime_base_mb = 68.0  # node runtime is leaner than python+wand
     per_mb_s = 0.0015
     fixed_s = 0.004
-
-    def sample_args(self, rng):
-        return {"target_width": (64.0, 128.0, 256.0, 512.0, 1024.0)[rng.integers(0, 5)]}
+    arg_choices = interned("target_width", (64.0, 128.0, 256.0, 512.0, 1024.0))
 
     def _work_copies(self, media, args):
         target = float(args.get("target_width", 256.0))
@@ -495,10 +496,7 @@ class SharpResize(_ImageFunction):
 class ImgFormatConvert(_ImageFunction):
     name = "img_format_convert"
     arg_names = ["target_format"]
-
-    def sample_args(self, rng):
-        formats = media_mod.IMAGE_FORMATS
-        return {"target_format": formats[rng.integers(0, len(formats))]}
+    arg_choices = interned("target_format", media_mod.IMAGE_FORMATS)
 
     def _work_copies(self, media, args):
         # Decode buffer + re-encode buffer whose size depends on the
@@ -528,9 +526,7 @@ class _AudioFunction(FunctionModel):
 class AudioCompress(_AudioFunction):
     name = "audio_compress"
     arg_names = ["bitrate_kbps"]
-
-    def sample_args(self, rng):
-        return {"bitrate_kbps": (64.0, 96.0, 128.0, 192.0, 320.0)[rng.integers(0, 5)]}
+    arg_choices = interned("bitrate_kbps", (64.0, 96.0, 128.0, 192.0, 320.0))
 
     def footprint_mb(self, media: AudioDescriptor, args, rng=None):
         decoded = media.decoded_mb
@@ -565,9 +561,7 @@ class SpeechRecognize(_AudioFunction):
     arg_names = ["language"]
     runtime_base_mb = 210.0  # acoustic + language models resident
     default_booked_mb = 1024.0
-
-    def sample_args(self, rng):
-        return {"language": ("en", "fr", "de", "zh")[rng.integers(0, 4)]}
+    arg_choices = interned("language", ("en", "fr", "de", "zh"))
 
     def footprint_mb(self, media: AudioDescriptor, args, rng=None):
         language = args.get("language", "en")
@@ -617,10 +611,7 @@ class VideoTranscode(_VideoFunction):
     name = "video_transcode"
     arg_names = ["target_codec"]
     default_booked_mb = 2048.0
-
-    def sample_args(self, rng):
-        codecs = media_mod.VIDEO_CODECS
-        return {"target_codec": codecs[rng.integers(0, len(codecs))]}
+    arg_choices = interned("target_codec", media_mod.VIDEO_CODECS)
 
     def footprint_mb(self, media: VideoDescriptor, args, rng=None):
         target = args.get("target_codec", "h264")
@@ -645,9 +636,7 @@ class VideoTranscode(_VideoFunction):
 class VideoThumbnail(_VideoFunction):
     name = "video_thumbnail"
     arg_names = ["n_thumbs"]
-
-    def sample_args(self, rng):
-        return {"n_thumbs": (1.0, 4.0, 9.0, 16.0)[rng.integers(0, 4)]}
+    arg_choices = interned("n_thumbs", (1.0, 4.0, 9.0, 16.0))
 
     def footprint_mb(self, media: VideoDescriptor, args, rng=None):
         n_thumbs = float(args.get("n_thumbs", 4))

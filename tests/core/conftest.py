@@ -6,7 +6,7 @@ import pytest
 from repro.core import OFCPlatform
 from repro.faas.platform import PlatformConfig
 from repro.faas.records import InvocationRequest
-from repro.sim.latency import KB, MB
+from repro.sim.latency import KB
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
 

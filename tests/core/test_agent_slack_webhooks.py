@@ -1,9 +1,6 @@
 """Focused tests: slack estimation, webhook edge cases, metrics."""
 
-import pytest
-
 from repro.core.metrics import OFCMetrics
-from repro.sim.latency import MB
 from tests.core.conftest import deploy, invoke, seed_images
 
 

@@ -152,3 +152,19 @@ def test_dirty_objects_survive_eviction_until_persisted(ofc):
     ofc.kernel.run(until=ofc.kernel.now + 5.0)
     meta = ofc.store.peek_meta("outputs", "dirty-obj")
     assert not meta.is_shadow  # payload reached the RSDS
+
+
+def test_fits_skips_a_cleaner_pass_with_nothing_to_relocate(ofc, monkeypatch):
+    """No under-used closed segment: ``_fits`` does not call the
+    cleaner, yet counts the pass as the cleaner would."""
+    agent = ofc.agents["w0"]
+    log = agent.server.log
+    called = []
+    monkeypatch.setattr(log, "clean", lambda: called.append(1) or (0, 0))
+    assert not log.cleanable
+    cleanings = log.stats.cleanings
+    assert agent._fits(log.footprint_bytes - 1) is False
+    assert (called, log.stats.cleanings) == ([], cleanings + 1)
+    log.cleanable.add(log._head)
+    agent._fits(log.footprint_bytes - 1)
+    assert called == [1]

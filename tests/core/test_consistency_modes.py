@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import OFCConfig, OFCPlatform
 from repro.faas.platform import PlatformConfig
-from repro.sim.latency import KB
 from tests.core.conftest import deploy, invoke, seed_images
 
 

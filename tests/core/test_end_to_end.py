@@ -1,11 +1,10 @@
 """End-to-end integration stories for the full OFC system."""
 
 import numpy as np
-import pytest
 
 from repro.bench.envs import build_ofc_env, build_owk_swift_env, pretrain_function
 from repro.faas.records import InvocationRequest
-from repro.sim.latency import KB, MB
+from repro.sim.latency import KB
 from repro.workloads.functions import get_function_model
 from repro.workloads.media import MediaCorpus
 

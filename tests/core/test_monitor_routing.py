@@ -1,15 +1,9 @@
 """Tests for the Monitor (§5.3.1) and OFC routing (§6.5)."""
 
-import numpy as np
-import pytest
-
-from repro.core import OFCPlatform
-from repro.core.monitor import Monitor, MONITOR_HEADROOM_MB
-from repro.core.routing import OFCScheduler
+from repro.core.monitor import MONITOR_HEADROOM_MB
 from repro.faas.platform import SizingDecision
 from repro.faas.records import InvocationRequest
 from repro.faas.registry import FunctionSpec
-from repro.sim.latency import KB
 from tests.core.conftest import deploy, invoke, seed_images
 
 
@@ -113,7 +107,6 @@ def test_routing_ranks_sandboxes_by_memory_distance(ofc):
         yield  # pragma: no cover
 
     ofc.platform.sizing_policy = two_sizes
-    import itertools
 
     # Run two concurrent invocations to force two sandboxes.
     p1 = ofc.platform.submit(

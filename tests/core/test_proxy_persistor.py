@@ -1,7 +1,5 @@
 """Tests for rclib (proxy), shadow objects and the persistor."""
 
-import pytest
-
 from repro.sim.latency import MB
 from tests.core.conftest import deploy, invoke, seed_images
 

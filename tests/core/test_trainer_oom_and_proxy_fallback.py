@@ -1,10 +1,6 @@
 """Focused tests: OOM-driven fast retraining and rclib fallbacks."""
 
-import numpy as np
-import pytest
-
 from repro.core.trainer import ModelTrainer
-from repro.kvcache.errors import CapacityExceeded
 from tests.core.conftest import deploy, invoke, seed_images
 from tests.core.test_trainer_predictor import feed, make_record
 

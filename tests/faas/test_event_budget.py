@@ -13,10 +13,11 @@ grants, which are bare ``0.0`` delays.  What it still allocates per
 invocation:
 
 * the ``InvocationRequest`` and ``InvocationRecord`` (with its
-  ``Phases``, its empty ``features`` dict and ``output_refs``);
+  ``Phases`` and a one-ref ``output_refs`` tuple; the ``features`` and a
+  discrete function's ``args`` are shared values, not built per call);
 * the invocation's :class:`Process` and ``InvocationContext``;
-* on the data plane, the GET's ``StoredObject``/``ObjectMeta`` copy and
-  the PUT's stored object, its metadata and the metadata copy returned;
+* on the data plane, the PUT's stored object and its metadata (the GET
+  and the PUT return the stored records themselves, not copies);
 * the generator frames of the body and of the data-plane calls.
 
 Nothing for the keep-alive: the invocation end moves the sandbox's

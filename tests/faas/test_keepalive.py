@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.faas import InvocationRequest
 from repro.faas.keepalive import FixedKeepAlive, HistogramKeepAlive
 from repro.faas.sandbox import Sandbox, SandboxState
 from tests.faas.conftest import deploy

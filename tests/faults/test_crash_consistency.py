@@ -301,8 +301,13 @@ def test_recover_promotes_highest_surviving_version(env):
 
     run(kernel, scenario())
     backups = sorted(cluster.coordinator.backups_of("k"))
-    # Regress one replica to simulate a copy that missed an update.
-    cluster.server(backups[0])._backup["k"].version = 1
+    # Regress one replica to simulate a copy that missed an update.  A
+    # put's backups share one replica (a value), so the stale copy is a
+    # new object on that one server.
+    server = cluster.server(backups[0])
+    stale = server._backup["k"].replica()
+    stale.version = 1
+    server.backup_replace(stale)
     cluster.crash("w0")
     run(kernel, cluster.recover("w0"))
     assert cluster.peek("k").version == 2

@@ -86,6 +86,15 @@ class ReferenceObjectLog:
         return sum(seg.capacity for seg in self._segments if seg.used_bytes > 0)
 
     @property
+    def cleanable(self) -> List[ReferenceSegment]:
+        """The closed segments :meth:`clean` would relocate."""
+        return [
+            seg
+            for seg in self._segments
+            if seg is not self._head and seg.utilization < CLEAN_UTILIZATION
+        ]
+
+    @property
     def segment_count(self) -> int:
         return len(self._segments)
 
@@ -142,11 +151,7 @@ class ReferenceObjectLog:
         the normal append path, so the cleaner itself can open new head
         segments — exactly like RAMCloud's cleaner.
         """
-        victims = [
-            seg
-            for seg in list(self._segments)
-            if seg is not self._head and seg.utilization < CLEAN_UTILIZATION
-        ]
+        victims = self.cleanable
         freed = 0
         relocated = 0
         for segment in victims:

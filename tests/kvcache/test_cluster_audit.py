@@ -45,10 +45,14 @@ def test_a_named_backup_without_its_copy_is_named(cluster):
 
 
 def test_a_backup_newer_than_its_record_is_named(cluster):
-    backup = cluster.coordinator.placements["b"].backups[0]
-    cluster.server(backup)._backup["b"].version = 2
-    with pytest.raises(CacheError, match=f"b: v1, {backup} holds v2"):
+    backup, other = cluster.coordinator.placements["b"].backups
+    server = cluster.server(backup)
+    newer = server._backup["b"].replica()  # the backups share one replica
+    newer.version = 2
+    server.backup_replace(newer)
+    with pytest.raises(CacheError, match=f"b: v1, {backup} holds v2") as drift:
         cluster.audit()
+    assert other not in str(drift.value)
 
 
 def test_an_unnamed_backup_copy_is_named(cluster):
@@ -107,3 +111,12 @@ def test_a_lost_key_leaves_no_backup_copy():
     cluster.restart("w0")
     kernel.run_process(cluster.put("a", "y", MB // 2, "w3"))
     cluster.audit()
+
+
+def test_the_capacity_total_follows_every_resize_and_drift_is_named(cluster):
+    cluster.server("w2").resize(32 * MB)
+    assert cluster.total_capacity == 3 * 64 * MB + 32 * MB
+    cluster.audit()
+    cluster._pool.capacity += 1
+    with pytest.raises(CacheError, match="total_capacity"):
+        cluster.audit()

@@ -88,7 +88,7 @@ def test_clean_rolls_the_head_over_mid_victim():
     # b went into the old head, c did not fit beside it.
     assert log._locations["b"] is old_head
     assert log._locations["c"] is log._head is not old_head
-    assert old_head in log._cleanable and victim not in log._segments
+    assert old_head in log.cleanable and victim not in log._segments
     assert log.stats.relocated_bytes == 40
     step(machine.clean)  # the closed head, next pass
     assert log.stats.relocated_bytes == 60

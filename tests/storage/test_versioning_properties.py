@@ -1,6 +1,5 @@
 """Property tests for the shadow-object versioning protocol (§6.2)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
