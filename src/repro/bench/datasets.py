@@ -11,7 +11,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.features import arg_feature
+from repro.core.features import build_row, FeatureRow
 from repro.core.trainer import cache_benefit_label, ModelTrainer, TrainingSample
 from repro.faas.platform import MAX_SANDBOX_MB
 from repro.ml.dataset import Dataset
@@ -24,13 +24,11 @@ from repro.workloads.functions import (
 from repro.workloads.media import MediaCorpus
 
 
-def feature_row(media, args) -> Dict:
-    row = dict(media.features())
-    for name, value in args.items():
-        row[arg_feature(name)] = (
-            float(value) if isinstance(value, (int, float)) else value
-        )
-    return row
+def feature_row(media, args) -> FeatureRow:
+    """The row OFC would extract for an invocation with ``args`` on
+    ``media`` (its features are the object's tags): the same interned
+    row the request path builds."""
+    return build_row(media.features(), args)
 
 
 def synthetic_sample(

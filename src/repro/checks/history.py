@@ -402,8 +402,9 @@ class RecordingDataClient(DataClient):
             raise
         history.t_ack[pos] = self.recorder.kernel.now
         store = self.recorder.store
-        if store is not None and store.contains(bucket, name):
-            history.store_version[pos] = store.peek_meta(bucket, name).version
+        meta = None if store is None else store.find_meta(bucket, name)
+        if meta is not None:
+            history.store_version[pos] = meta.version
         return result
 
     def delete(self, bucket: str, name: str) -> Generator:

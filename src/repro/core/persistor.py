@@ -149,9 +149,9 @@ class PersistorService:
                     del self._pending[key]
                 done.succeed(False)
                 return
-            if ok and self.store.contains(bucket, name):
+            meta = self.store.find_meta(bucket, name) if ok else None
+            if meta is not None:
                 self.stats.completed += 1
-                meta = self.store.peek_meta(bucket, name)
                 self.stats.bytes_persisted += meta.size
                 # Clear the dirty flag on the cached copy, if any.
                 try:

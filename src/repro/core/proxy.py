@@ -308,8 +308,9 @@ class RcLibClient(DataClient):
                 # let the persistor create the object (relaxed-mode
                 # write-back) once the store recovers.
                 self.stats.degraded_writes += 1
-                if self.store.contains(bucket, name):
-                    version = self.store.peek_meta(bucket, name).version + 1
+                meta = self.store.find_meta(bucket, name)
+                if meta is not None:
+                    version = meta.version + 1
                 else:
                     cached = self.cluster.peek(key)
                     version = (cached.version + 1) if cached is not None else 1

@@ -59,8 +59,8 @@ CACHE_BENEFIT_THRESHOLD = 0.5
 @dataclass
 class TrainingSample:
     """One curated example.  ``features`` is the completed invocation
-    record's own dict, shared rather than copied (nothing writes it
-    after the sizing decision)."""
+    record's feature row, shared rather than copied (an interned,
+    read-only :class:`~repro.core.features.FeatureRow`)."""
 
     features: Dict[str, Any]
     memory_label: int

@@ -9,6 +9,7 @@ which is the only reader.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.faas.errors import NoSuchFunction
@@ -36,8 +37,10 @@ class FunctionSpec:
     #: Free-form annotations (e.g. which argument holds the object id).
     annotations: Dict[str, Any] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """``tenant/name``, built once: a spec is static, and the sizing
+        decision and sandbox lookup of every invocation read it."""
         return f"{self.tenant}/{self.name}"
 
 

@@ -44,12 +44,11 @@ class Dataset:
         if feature_names is not None:
             self.feature_names = list(feature_names)
         else:
-            names: List[str] = []
+            # In order of first appearance; the dict's values are unused.
+            names: Dict[str, Any] = {}
             for row in self.rows:
-                for key in row:
-                    if key not in names:
-                        names.append(key)
-            self.feature_names = names
+                names.update(row)
+            self.feature_names = list(names)
         self._types: Dict[str, str] = {}
         for name in self.feature_names:
             self._types[name] = self._infer_type(name)

@@ -40,7 +40,17 @@ def _entropy(counts: np.ndarray) -> float:
     return _entropy_of(counts.tobytes())
 
 
-@lru_cache(maxsize=4096)
+#: Entries of the entropy memo.  An entry keeps a count vector's bytes
+#: resident (up to 1 KB at 128 memory intervals), so the memo is sized
+#: by fit time and memory together.  Over a whole ``functions_read``
+#: child at seed 0 (130 fits), 256 entries hit 53 % of lookups, 1,024
+#: hit 58 % and 4,096 hit 69 %, for fits of 0.155 / 0.144 / 0.137 s and
+#: a peak RSS of 51.9 / 52.1 / 53.0 MB (medians of four alternating
+#: children; ``pipelines_ephemeral`` hits 64 / 74 / 74 %).
+ENTROPY_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=ENTROPY_MEMO_SIZE)
 def _entropy_of(raw: bytes) -> float:
     counts = np.frombuffer(raw)
     total = counts.sum()
@@ -298,9 +308,14 @@ class J48Classifier:
         # ``sorted_indices`` is the node's presorted order for this
         # feature (maintained top-down from the dataset's cached global
         # sort) — no per-node argsort.
-        sorted_values = self._columns[feature][sorted_indices]
+        column = self._columns[feature]
+        # No step of a sorted column exceeds its span (float subtraction
+        # is monotone), so a flat span has no cut: most searches end here.
+        if column[sorted_indices[-1]] - column[sorted_indices[0]] <= _EPS:
+            return None
+        sorted_values = column[sorted_indices]
         # Candidate cut positions: where the value actually changes.
-        change = np.nonzero(np.diff(sorted_values) > _EPS)[0]
+        change = np.nonzero(sorted_values[1:] - sorted_values[:-1] > _EPS)[0]
         if not len(change):
             return None
         labels = self._labels[sorted_indices]

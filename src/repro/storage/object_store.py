@@ -326,6 +326,12 @@ class ObjectStore:
         """Read metadata without simulated latency (OFC-internal path)."""
         return self._object(bucket, name).meta
 
+    def find_meta(self, bucket: str, name: str) -> Optional[ObjectMeta]:
+        """:meth:`peek_meta`, or None when there is no such object."""
+        bkt = self._buckets.get(bucket)
+        obj = None if bkt is None else bkt.objects.get(name)
+        return None if obj is None else obj.meta
+
     def contains(self, bucket: str, name: str) -> bool:
         bkt = self._buckets.get(bucket)
         return bkt is not None and name in bkt.objects

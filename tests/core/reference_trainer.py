@@ -31,7 +31,9 @@ def reference_on_completion(trainer: ModelTrainer, record: InvocationRecord) -> 
     models.invocations_seen += 1
     true_label = trainer.intervals.label(record.peak_memory_mb)
     sample = TrainingSample(
-        features=dict(record.features),
+        # The record's own row, as the production listener keeps it: an
+        # OFC row is interned, so a copy would pickle differently.
+        features=record.features,
         memory_label=true_label,
         cache_label=cache_benefit_label(
             record.bytes_in,
